@@ -1,0 +1,136 @@
+"""Golden fixtures: the bundled presets' behaviour, pinned bit for bit.
+
+For every preset run (the shared run fixtures of conftest.py) plus an
+alternative-variant run of scenario 3 with Lyapunov diagnostics on, this
+module pins
+
+- per-agent trigger counts, exactly;
+- the terminal errors, to 1e-12 relative;
+- a SHA-256 of the raw float64 bytes of the stored t, x, y, v and chi
+  arrays, exactly;
+- every Lyapunov column subsampled every 100 samples, and the V1
+  monotonicity excess and the V2/V3 envelope excesses, each to
+  1e-12 times the largest |value| of its column.
+
+``golden.json`` is rewritten by
+
+    PYTHONPATH=src python tests/test_golden.py --record
+
+Rerun it only with the reason for the change written in CHANGES.md: the
+point of these fixtures is that a refactor leaves them untouched.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from socopt.analysis import envelope_excess, monotonicity_excess
+from socopt.harness import load_preset, run, scenario_from_dict
+from socopt.presets import preset_config
+
+GOLDEN = Path(__file__).with_name("golden.json")
+SUBSAMPLE = 100
+ERROR_RTOL = 1e-12
+COLUMN_RTOL = 1e-12
+
+# conftest fixture name -> preset it runs
+PRESET_RUNS = {
+    "run1": "cdc18-scenario1",
+    "run2": "cdc18-scenario2",
+    "run3": "cdc18-scenario3",
+    "run3_event": "cdc18-scenario3-event",
+    "run_heavy_ball": "heavy-ball",
+}
+RUN_NAMES = (*PRESET_RUNS, "run3_alternative")
+
+
+def alternative_scenario():
+    cfg = preset_config("cdc18-scenario3")
+    cfg["name"] = "cdc18-scenario3-alternative"
+    cfg["algorithm"] = "alternative"
+    return scenario_from_dict(cfg)
+
+
+@pytest.fixture(scope="module")
+def run3_alternative():
+    sc = alternative_scenario()
+    return sc, run(sc)
+
+
+def _sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+def fingerprint(rep) -> dict:
+    """Everything this module pins about one run, as plain JSON data."""
+    traj, er = rep.trajectory, rep.event_run
+    arrays = {"t": traj.t, "x": traj.x, "y": traj.y, "v": traj.v}
+    if er is not None:
+        arrays["chi"] = er.chi
+    cols = traj.extras
+    excesses = {}
+    if "V1" in cols:
+        excesses["V1_monotonicity"] = monotonicity_excess(cols["V1"])
+    c = rep.constants
+    if "V2" in cols and c.eps3 is not None:
+        excesses["V2_envelope"] = envelope_excess(traj.t, cols["V2"], c.eps3 / c.eps4)
+    if "V3" in cols:
+        excesses["V3_envelope"] = envelope_excess(traj.t, cols["V3"], c.eps9 / c.eps10)
+    return {
+        "trigger_counts": None if er is None else er.trigger_state.counts.tolist(),
+        "terminal_error": rep.terminal_error,
+        "terminal_error_to_solution_set": rep.terminal_error_to_solution_set,
+        "sha256": {name: _sha256(a) for name, a in arrays.items()},
+        "columns": {
+            name: {"max_abs": float(np.abs(col).max()), "every_100": col[::SUBSAMPLE].tolist()}
+            for name, col in sorted(cols.items())
+        },
+        "excesses": excesses,
+    }
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))["runs"]
+
+
+@pytest.mark.parametrize("run_name", RUN_NAMES)
+def test_golden(run_name, golden, request):
+    _, rep = request.getfixturevalue(run_name)
+    got, ref = fingerprint(rep), golden[run_name]
+
+    assert got["trigger_counts"] == ref["trigger_counts"]
+    for key in ("terminal_error", "terminal_error_to_solution_set"):
+        assert got[key] == pytest.approx(ref[key], rel=ERROR_RTOL, abs=0.0)
+    assert got["sha256"] == ref["sha256"]
+
+    assert sorted(got["columns"]) == sorted(ref["columns"])
+    for name, col in ref["columns"].items():
+        tol = COLUMN_RTOL * col["max_abs"]
+        gap = np.abs(np.asarray(got["columns"][name]["every_100"]) - np.asarray(col["every_100"])).max()
+        assert gap <= tol, f"column {name} moved by {gap:.3e} > {tol:.3e}"
+
+    assert sorted(got["excesses"]) == sorted(ref["excesses"])
+    for name, value in ref["excesses"].items():
+        tol = COLUMN_RTOL * ref["columns"][name.split("_")[0]]["max_abs"]
+        assert abs(got["excesses"][name] - value) <= tol, f"{name}: {got['excesses'][name]!r} vs {value!r}"
+
+
+def record() -> None:
+    runs = {name: fingerprint(run(load_preset(preset))) for name, preset in PRESET_RUNS.items()}
+    runs["run3_alternative"] = fingerprint(run(alternative_scenario()))
+    doc = {
+        "note": "Written by tests/test_golden.py --record. Rerun only with the reason stated in CHANGES.md.",
+        "runs": runs,
+    }
+    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_golden.py --record")
+    record()
