@@ -16,8 +16,6 @@ from .analysis import (
     certificate_event,
     equilibrium_point,
     fit_rate,
-    lyapunov_V1,
-    lyapunov_V3,
 )
 from .costs import (
     CostError,

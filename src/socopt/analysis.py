@@ -4,10 +4,11 @@ Every derived constant guaranteeing exponential convergence is computed
 here, for the continuous-communication algorithm (eps1..eps4, m1, the
 invariant ball D and its curvature bound M(D)) and for the
 event-triggered one (m2, eps5..eps10, k_d).  The constants feed three
-families of runtime diagnostics: the Lyapunov values W1..W4 / V1..V3
-logged along trajectories, exponential decay envelopes, and an empirical
-rate fit compared against the certified bound eps3/(2*eps4) or
-eps9/(2*eps10).
+families of diagnostics, all computed from the stored trajectory after
+integration: the Lyapunov values W1..W4 / V1..V3, evaluated for every
+sample at once by ``LyapunovContext.values``; exponential decay
+envelopes; and an empirical rate fit compared against the certified
+bound eps3/(2*eps4) or eps9/(2*eps10).
 """
 
 from dataclasses import dataclass, field
@@ -131,20 +132,9 @@ def equilibrium_point(obj: GlobalObjective, gains: GainParams, xstar: np.ndarray
     return EquilibriumPoint(xstar=xstar, xbar=xbar, vbar=vbar)
 
 
-def w1_value(obj: GlobalObjective, x: np.ndarray, eq: EquilibriumPoint) -> float:
-    """W1(x) = f(x) - grad f(xbar)^T x - f(xbar), stacked over agents.
-
-    Convex with minimum value 0 at consensus on x*.
-    """
-    total = 0.0
-    for i, c in enumerate(obj.costs):
-        gi = c.grad(eq.xstar)
-        total += c.f(x[i]) - float(gi @ x[i]) - (c.f(eq.xstar) - float(gi @ eq.xstar))
-    return total
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sum(a * b))
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products over the trailing (n, p) axes, one per sample."""
+    return np.sum(a * b, axis=(-2, -1))
 
 
 @dataclass
@@ -166,74 +156,58 @@ class LyapunovContext:
         _validate_design(self.gains, self.eps0, self.eps)
         self._pinv = self.sd.weighted_projector(-1.0)  # R diag(1/lambda) R^T
 
-    def w2(self, state: SwarmState) -> float:
-        gn = self.gains
-        dx = state.x - self.eq.xbar
-        dv = state.v - self.eq.vbar
-        Lx = self.g.laplacian @ state.x
-        return (
-            0.5 * _dot(state.y, state.y)
+    def _w1(self, x: np.ndarray) -> np.ndarray:
+        """W1 = sum_i f_i(x_i) - g_i.x_i - (f_i(x*) - g_i.x*), g_i = grad f_i(x*);
+        convex with minimum value 0 at consensus on x*."""
+        xstar = self.eq.xstar
+        total = np.zeros(x.shape[0])
+        for i, c in enumerate(self.obj.costs):
+            gi = c.grad(xstar)
+            at_star = c.f(xstar) - float(gi @ xstar)
+            f_vals = np.fromiter((c.f(xi) for xi in x[:, i]), dtype=float, count=x.shape[0])
+            total += f_vals - x[:, i] @ gi - at_star
+        return total
+
+    def values(
+        self, x: np.ndarray, y: np.ndarray, v: np.ndarray, chi: np.ndarray | None = None
+    ) -> dict[str, np.ndarray]:
+        """W1..W3 and V1 for states stacked along a leading sample axis
+        (x, y, v of shape (m, n, p), chi of shape (m, n)), plus V2, W4 and
+        V3 as far as the certificate constants and chi allow."""
+        gn, eps = self.gains, self.eps
+        kn = self.sd.kn
+        dx = x - self.eq.xbar
+        dv = v - self.eq.vbar
+        out = {"W1": self._w1(x)}
+        out["W2"] = (
+            0.5 * _dot(y, y)
             + 0.5 * gn.gamma**2 * self.eps0 * _dot(dx, dx)
-            + gn.gamma * self.eps0 * _dot(dx, state.y)
+            + gn.gamma * self.eps0 * _dot(dx, y)
             + gn.theta * gn.gamma * self.eps0 / (2.0 * gn.beta) * _dot(dv, self._pinv @ dv)
-            + gn.theta * _dot(dv, self.sd.kn @ state.x)
-            + 0.5 * gn.alpha * gn.beta * _dot(state.x, Lx)
+            + gn.theta * _dot(dv, kn @ x)
+            + 0.5 * gn.alpha * gn.beta * _dot(x, self.g.laplacian @ x)
         )
-
-    def w3(self, state: SwarmState) -> float:
-        gn = self.gains
-        dv = state.v - self.eq.vbar
-        kn_dv = self.sd.kn @ dv
-        return (
-            self.eps / (2.0 * gn.alpha) * _dot(state.y, state.y)
-            + self.eps * _dot(dv, self.sd.kn @ state.y)
-            + 0.5 * self.eps * gn.alpha * _dot(dv, kn_dv)
-            + self.eps * w1_value(self.obj, state.x, self.eq)
+        out["W3"] = (
+            eps / (2.0 * gn.alpha) * _dot(y, y)
+            + eps * _dot(dv, kn @ y)
+            + 0.5 * eps * gn.alpha * _dot(dv, kn @ dv)
+            + eps * out["W1"]
         )
-
-    def v1(self, state: SwarmState) -> float:
-        return self.gains.alpha * w1_value(self.obj, state.x, self.eq) + self.w2(state)
-
-    def v2(self, state: SwarmState) -> float:
-        c = self.consts
-        if c is None or c.eps1 is None or c.eps2 is None:
-            raise ConstantsError("V2 needs the continuous-side constants (eps1, eps2)")
-        return (1.0 + self.eps * c.eps2 / c.eps1) * self.v1(state) + self.w3(state)
-
-    def w4(self, state: SwarmState) -> float:
-        c = self.consts
-        if c is None or c.eps7 is None:
-            raise ConstantsError("W4 needs the event-side constants (eps7)")
-        return c.eps7 * self.v1(state) + self.w3(state)
-
-    def v3(self, state: SwarmState, chi: np.ndarray) -> float:
-        if self.varphi is None:
-            raise ConstantsError("V3 needs the per-agent threshold constants")
-        c = self.consts
-        return self.w4(state) + c.eps7 * float(np.sum(self.varphi * chi))
-
-    def sample(self, state: SwarmState, chi: np.ndarray | None = None) -> dict[str, float]:
-        """Columns for trajectory logging; includes what is computable."""
-        out = {"W1": w1_value(self.obj, state.x, self.eq), "W2": self.w2(state), "W3": self.w3(state)}
-        out["V1"] = self.gains.alpha * out["W1"] + out["W2"]
+        out["V1"] = gn.alpha * out["W1"] + out["W2"]
         c = self.consts
         if c is not None and c.eps1 is not None and c.eps2 is not None:
-            out["V2"] = (1.0 + self.eps * c.eps2 / c.eps1) * out["V1"] + out["W3"]
+            out["V2"] = (1.0 + eps * c.eps2 / c.eps1) * out["V1"] + out["W3"]
         if c is not None and c.eps7 is not None:
             out["W4"] = c.eps7 * out["V1"] + out["W3"]
             if chi is not None and self.varphi is not None:
-                out["V3"] = out["W4"] + c.eps7 * float(np.sum(self.varphi * chi))
+                out["V3"] = out["W4"] + c.eps7 * (chi @ self.varphi)
         return out
 
-
-def lyapunov_V1(state: SwarmState, ctx: LyapunovContext) -> float:
-    """V1 = alpha*W1 + W2; nonincreasing along continuous-mode runs."""
-    return ctx.v1(state)
-
-
-def lyapunov_V3(state: SwarmState, chi: np.ndarray, ctx: LyapunovContext) -> float:
-    """V3 = W4 + eps7 * sum_i varphi_i chi_i for event-mode runs."""
-    return ctx.v3(state, chi)
+    def sample(self, state: SwarmState) -> dict[str, float]:
+        """The columns of ``values`` at one state (V3 needs ``state.chi``)."""
+        chi = None if state.chi is None else state.chi[None]
+        cols = self.values(state.x[None], state.y[None], state.v[None], chi)
+        return {name: float(col[0]) for name, col in cols.items()}
 
 
 def certificate_continuous(

@@ -11,10 +11,14 @@ pins the equilibrium to the global minimizer:
 The alternative variant communicates v as well, replacing theta*v_i with
 theta*sum_j L_ij v_j, and tolerates arbitrary v(0).
 
-Integration is classical fixed-step 4th order.  The fixed step keeps
-trigger counts and trajectories exactly reproducible across runs; the
-default step 0.01 is the sample length used throughout the bundled
-scenarios.
+All three variants share one classical 4th-order stepper, ``rk4_step``,
+and one fixed-step loop, ``integrate``.  A state may carry the per-agent
+internal variables chi of the event-triggered variant; the stepper then
+advances them with the rest.  The loop calls an optional hook at every
+committed sample, which is where event mode processes its triggers.  The
+fixed step keeps trigger counts and trajectories exactly reproducible
+across runs; the default step 0.01 is the sample length used throughout
+the bundled scenarios.
 """
 
 from dataclasses import dataclass, field
@@ -64,12 +68,14 @@ class GainParams:
 @dataclass
 class SwarmState:
     """Stacked agent states at one instant: positions x, velocities y,
-    integral states v, each of shape (n, p)."""
+    integral states v, each of shape (n, p), and in event mode the
+    internal variables chi, shape (n,)."""
 
     t: float
     x: np.ndarray
     y: np.ndarray
     v: np.ndarray
+    chi: np.ndarray | None = None
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -77,6 +83,10 @@ class SwarmState:
         self.v = np.asarray(self.v, dtype=float)
         if not (self.x.shape == self.y.shape == self.v.shape) or self.x.ndim != 2:
             raise ValueError("x, y, v must share shape (n, p)")
+        if self.chi is not None:
+            self.chi = np.asarray(self.chi, dtype=float)
+            if self.chi.shape != (self.x.shape[0],):
+                raise ValueError("chi must have shape (n,)")
 
     @property
     def n(self) -> int:
@@ -87,23 +97,24 @@ class SwarmState:
         return self.x.shape[1]
 
     def copy(self) -> "SwarmState":
-        return SwarmState(self.t, self.x.copy(), self.y.copy(), self.v.copy())
+        chi = None if self.chi is None else self.chi.copy()
+        return SwarmState(self.t, self.x.copy(), self.y.copy(), self.v.copy(), chi)
 
     def norm(self) -> float:
-        return float(max(np.abs(self.x).max(), np.abs(self.y).max(), np.abs(self.v).max()))
+        """Largest |entry| over every state array; NaN if any entry is NaN."""
+        arrays = (self.x, self.y, self.v) if self.chi is None else (self.x, self.y, self.v, self.chi)
+        return float(np.max([np.abs(a).max() for a in arrays]))
 
 
 @dataclass(frozen=True)
 class AgentDerivatives:
-    """Time derivatives of the stacked states; u is the control input dy."""
+    """Time derivatives of the stacked states; dchi is set exactly when
+    the state carries chi."""
 
     dx: np.ndarray
     dy: np.ndarray
     dv: np.ndarray
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.dy
+    dchi: np.ndarray | None = None
 
 
 def _check_gradients(grads: np.ndarray):
@@ -147,6 +158,7 @@ class Trajectory:
     x: np.ndarray  # (m, n, p)
     y: np.ndarray
     v: np.ndarray
+    chi: np.ndarray | None = None  # (m, n), event mode only
     extras: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
@@ -154,32 +166,37 @@ class Trajectory:
         return self.t.shape[0]
 
     def state_at(self, k: int) -> SwarmState:
-        return SwarmState(float(self.t[k]), self.x[k].copy(), self.y[k].copy(), self.v[k].copy())
+        chi = None if self.chi is None else self.chi[k].copy()
+        return SwarmState(float(self.t[k]), self.x[k].copy(), self.y[k].copy(), self.v[k].copy(), chi)
 
     def final_state(self) -> SwarmState:
         return self.state_at(self.samples - 1)
 
 
 RhsFunc = Callable[[SwarmState], AgentDerivatives]
-Observer = Callable[[SwarmState], dict[str, float] | None]
+SampleHook = Callable[[SwarmState], None]
 
 
 def rk4_step(rhs: RhsFunc, state: SwarmState, h: float) -> SwarmState:
-    """One classical 4th-order step of the coupled system."""
+    """One classical 4th-order step of the coupled system, chi included
+    when the state carries it."""
 
     def shifted(c: float, d: AgentDerivatives) -> SwarmState:
-        return SwarmState(state.t + c * h, state.x + c * h * d.dx, state.y + c * h * d.dy, state.v + c * h * d.dv)
+        chi = None if state.chi is None else state.chi + c * h * d.dchi
+        return SwarmState(state.t + c * h, state.x + c * h * d.dx, state.y + c * h * d.dy, state.v + c * h * d.dv, chi)
 
     k1 = rhs(state)
     k2 = rhs(shifted(0.5, k1))
     k3 = rhs(shifted(0.5, k2))
     k4 = rhs(shifted(1.0, k3))
     w = h / 6.0
+    chi = None if state.chi is None else state.chi + w * (k1.dchi + 2 * k2.dchi + 2 * k3.dchi + k4.dchi)
     return SwarmState(
         state.t + h,
         state.x + w * (k1.dx + 2 * k2.dx + 2 * k3.dx + k4.dx),
         state.y + w * (k1.dy + 2 * k2.dy + 2 * k3.dy + k4.dy),
         state.v + w * (k1.dv + 2 * k2.dv + 2 * k3.dv + k4.dv),
+        chi,
     )
 
 
@@ -188,14 +205,15 @@ def integrate(
     initial: SwarmState,
     step: float,
     horizon: float,
-    observers: tuple[Observer, ...] = (),
+    on_sample: SampleHook | None = None,
 ) -> Trajectory:
     """Fixed-step integration, sampling at t = 0, h, 2h, ..., horizon.
 
-    Observers are called at every committed sample (including t=0); any
-    dict they return is collected into ``Trajectory.extras`` columns.
-    Raises DivergenceError, carrying the last finite state, if the state
-    norm exceeds the divergence cutoff.
+    ``on_sample``, if given, is called with every committed sample
+    (including t = 0) before the next step starts from it.  Raises
+    DivergenceError, carrying the last finite state, as soon as any
+    state entry is non-finite or the state norm exceeds the divergence
+    cutoff.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -208,27 +226,26 @@ def integrate(
     xs = np.empty((n_steps + 1, state.n, state.p))
     ys = np.empty_like(xs)
     vs = np.empty_like(xs)
-    extras: dict[str, list[float]] = {}
+    chis = None if state.chi is None else np.empty((n_steps + 1, state.n))
 
     def commit(k: int, s: SwarmState):
         ts[k] = s.t
         xs[k], ys[k], vs[k] = s.x, s.y, s.v
-        for obs in observers:
-            cols = obs(s)
-            if cols:
-                for name, val in cols.items():
-                    extras.setdefault(name, []).append(float(val))
+        if chis is not None:
+            chis[k] = s.chi
+        if on_sample is not None:
+            on_sample(s)
 
     commit(0, state)
     for k in range(n_steps):
         new = rk4_step(rhs, state, step)
         new.t = (k + 1) * step  # avoid accumulated time roundoff
-        if not np.all(np.isfinite(new.x)) or new.norm() > DIVERGENCE_LIMIT:
+        if not new.norm() <= DIVERGENCE_LIMIT:  # also catches NaN
             raise DivergenceError(new.t, state)
         state = new
         commit(k + 1, state)
 
-    return Trajectory(t=ts, x=xs, y=ys, v=vs, extras={k: np.asarray(v) for k, v in extras.items()})
+    return Trajectory(t=ts, x=xs, y=ys, v=vs, chi=chis)
 
 
 class EquilibriumResidual(NamedTuple):

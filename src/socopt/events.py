@@ -19,10 +19,13 @@ chi decay rate.  The "local-only" preset sigma = delta = 0 needs neither
 and no network-wide quantities at all.
 
 Triggers are monitored at integration sample boundaries only, matching a
-sampled implementation; the chi variables ride in the same 4th-order
-stepper with the staleness error and disagreement frozen at their
-start-of-step values (the error is discontinuous at triggers, so freezing
-keeps the stages consistent).
+sampled implementation.  ``simulate_event`` runs the shared stepper and
+loop of ``dynamics`` on the state augmented with chi: the right-hand
+side is ``rhs_event`` plus the chi law ``chi_rhs``, whose bracket
+||e_i||^2 - c_i*qhat_i is frozen at its start-of-step value (the error is
+discontinuous at triggers, so freezing keeps the stages consistent).  A
+per-sample hook processes the triggers, records the invariant margins and
+freezes the next step's bracket.
 """
 
 from dataclasses import dataclass, field
@@ -31,12 +34,12 @@ import numpy as np
 
 from .costs import GlobalObjective
 from .dynamics import (
-    DIVERGENCE_LIMIT,
     AgentDerivatives,
-    DivergenceError,
     GainParams,
     SwarmState,
     Trajectory,
+    _check_gradients,
+    integrate,
 )
 from .graph import NetworkGraph
 
@@ -286,11 +289,10 @@ def check_trigger(i: int, ts: TriggerState, g: NetworkGraph, law: TriggerLaw, x:
     return fired
 
 
-def chi_rhs(i: int, ts: TriggerState, g: NetworkGraph, law: TriggerLaw, x: np.ndarray) -> float:
-    """dchi_i = -delta_i*(||e_i||^2 - c_i*qhat_i) - rate_i*chi_i."""
-    e = ts.xhat[i] - x[i]
-    bracket = float(e @ e) - float(law.c[i]) * qhat(i, ts, g)
-    return -float(law.params.delta[i]) * bracket - float(law.params.phi_rate[i]) * float(ts.chi[i])
+def chi_rhs(chi: np.ndarray, bracket: np.ndarray, params: TriggerParams) -> np.ndarray:
+    """dchi_i = -delta_i*bracket_i - rate_i*chi_i, with bracket_i the
+    frozen ||e_i||^2 - c_i*qhat_i; vectorized over agents."""
+    return -params.delta * bracket - params.phi_rate * chi
 
 
 def rhs_event(
@@ -298,9 +300,7 @@ def rhs_event(
 ) -> AgentDerivatives:
     """Continuous dynamics with the Laplacian terms fed by the caches."""
     grads = obj.grad_stack(state.x)
-    if not np.all(np.isfinite(grads)):
-        bad = sorted(set(np.nonzero(~np.isfinite(grads))[0].tolist()))
-        raise ValueError(f"non-finite gradient for agent(s) {bad}")
+    _check_gradients(grads)
     Lxhat = g.laplacian @ ts.xhat
     dy = -gains.gamma * state.y - gains.alpha * gains.beta * Lxhat - gains.theta * state.v - gains.alpha * grads
     return AgentDerivatives(dx=state.y, dy=dy, dv=gains.beta * Lxhat)
@@ -312,28 +312,37 @@ class EventRun:
 
     trajectory: Trajectory
     trigger_state: TriggerState
-    chi: np.ndarray  # (m, n) chi at each sample
     discipline_margin: float  # max over samples of kappa*(e^2 - c*qhat) - chi
     chi_floor_margin: float  # min over samples of chi - chi0*exp(-(rate+delta/kappa)*t)
     law: TriggerLaw
 
+    @property
+    def chi(self) -> np.ndarray:
+        """chi at each sample, shape (m, n)."""
+        return self.trajectory.chi
+
 
 def _process_triggers(ts: TriggerState, g: NetworkGraph, law: TriggerLaw, x: np.ndarray, t: float) -> None:
-    """Fire every agent whose rule holds at this sample.
+    """Fire the agents whose rule holds at this sample, in sweeps.
 
-    Decisions within a sweep are simultaneous against the current caches;
-    because a broadcast changes the neighbors' disagreement, sweeps repeat
-    until no rule holds.  An agent fires at most once per sample (after a
+    A sweep first selects every agent not yet decided at this sample
+    whose rule holds against the caches as the sweep starts.  Then, in
+    index order, ``check_trigger`` re-evaluates each selected agent
+    against the caches as they stand, which includes broadcasts made
+    earlier in the same sweep.  A neighbor's broadcast changes qhat, so a
+    selected agent can be vetoed there; a vetoed agent counts as decided
+    and is not reconsidered at this sample.  Sweeps repeat until one
+    selects nobody.  An agent fires at most once per sample (after a
     broadcast its error is zero and the rule cannot hold again).
     """
     pending = True
-    fired: set[int] = set()
+    decided: set[int] = set()
     while pending:
         pending = False
-        decisions = [i for i in range(g.n) if i not in fired and trigger_margin(i, ts, g, law, x) >= 0.0]
-        for i in decisions:
+        selected = [i for i in range(g.n) if i not in decided and trigger_margin(i, ts, g, law, x) >= 0.0]
+        for i in selected:
             check_trigger(i, ts, g, law, x, t)
-            fired.add(i)
+            decided.add(i)
             pending = True
 
 
@@ -345,93 +354,43 @@ def simulate_event(
     law: TriggerLaw,
     step: float,
     horizon: float,
-    observers=(),
 ) -> EventRun:
     """Run the event-triggered algorithm with sample-boundary triggering.
 
-    Every sample: integrate one step with caches fixed and the chi inputs
-    frozen at their start-of-step values, then process triggers, then log.
-    Processing triggers before logging keeps the rule inequality satisfied
-    at every recorded sample.
+    Every agent broadcasts at t = 0 and chi starts at chi0.  Every step
+    integrates with the caches fixed and the chi bracket frozen at its
+    start-of-step value; every committed sample then processes triggers
+    before the margins are recorded, which keeps the rule inequality
+    satisfied at every recorded sample.  Nothing can fire at t = 0, where
+    every cache is fresh.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    n_steps = int(round(horizon / step))
-    state = initial.copy()
-    ts = TriggerState.initialize(state.x, law.params)
-
-    m = n_steps + 1
-    t_arr = np.empty(m)
-    xs = np.empty((m, state.n, state.p))
-    ys = np.empty_like(xs)
-    vs = np.empty_like(xs)
-    chis = np.empty((m, state.n))
-    extras: dict[str, list[float]] = {}
-
+    ts = TriggerState.initialize(initial.x, law.params)
+    state0 = SwarmState(initial.t, initial.x, initial.y, initial.v, ts.chi)
     decay = law.params.phi_rate + law.params.delta / law.params.kappa
     discipline = -np.inf
     floor_margin = np.inf
+    bracket = None
 
-    def commit(k: int, s: SwarmState):
-        nonlocal discipline, floor_margin
-        t_arr[k] = s.t
-        xs[k], ys[k], vs[k] = s.x, s.y, s.v
-        chis[k] = ts.chi
+    def rhs(s: SwarmState) -> AgentDerivatives:
+        d = rhs_event(s, ts, g, obj, gains)
+        return AgentDerivatives(d.dx, d.dy, d.dv, chi_rhs(s.chi, bracket, law.params))
+
+    def on_sample(s: SwarmState) -> None:
+        nonlocal discipline, floor_margin, bracket
+        ts.chi = s.chi
+        _process_triggers(ts, g, law, s.x, s.t)
         margins = [trigger_margin(i, ts, g, law, s.x) for i in range(g.n)]
         discipline = max(discipline, max(margins))
         floor = law.params.chi0 * np.exp(-decay * s.t)
-        floor_margin = min(floor_margin, float(np.min(ts.chi - floor)))
-        for obs in observers:
-            cols = obs(s, ts)
-            if cols:
-                for name, val in cols.items():
-                    extras.setdefault(name, []).append(float(val))
-
-    commit(0, state)
-    for k in range(n_steps):
-        # inputs to the chi dynamics, frozen across the step
-        err_sq = np.einsum("ij,ij->i", ts.xhat - state.x, ts.xhat - state.x)
+        floor_margin = min(floor_margin, float(np.min(s.chi - floor)))
+        err_sq = np.einsum("ij,ij->i", ts.xhat - s.x, ts.xhat - s.x)
         qh = np.array([qhat(i, ts, g) for i in range(g.n)])
         bracket = err_sq - law.c * qh
 
-        def chi_dot(chi):
-            return -law.params.delta * bracket - law.params.phi_rate * chi
-
-        def swarm_dot(s: SwarmState) -> AgentDerivatives:
-            return rhs_event(s, ts, g, obj, gains)
-
-        h = step
-        s0 = state
-        k1 = swarm_dot(s0)
-        c1 = chi_dot(ts.chi)
-        s1 = SwarmState(s0.t + h / 2, s0.x + h / 2 * k1.dx, s0.y + h / 2 * k1.dy, s0.v + h / 2 * k1.dv)
-        k2 = swarm_dot(s1)
-        c2 = chi_dot(ts.chi + h / 2 * c1)
-        s2 = SwarmState(s0.t + h / 2, s0.x + h / 2 * k2.dx, s0.y + h / 2 * k2.dy, s0.v + h / 2 * k2.dv)
-        k3 = swarm_dot(s2)
-        c3 = chi_dot(ts.chi + h / 2 * c2)
-        s3 = SwarmState(s0.t + h, s0.x + h * k3.dx, s0.y + h * k3.dy, s0.v + h * k3.dv)
-        k4 = swarm_dot(s3)
-        c4 = chi_dot(ts.chi + h * c3)
-        w = h / 6.0
-        state = SwarmState(
-            (k + 1) * step,
-            s0.x + w * (k1.dx + 2 * k2.dx + 2 * k3.dx + k4.dx),
-            s0.y + w * (k1.dy + 2 * k2.dy + 2 * k3.dy + k4.dy),
-            s0.v + w * (k1.dv + 2 * k2.dv + 2 * k3.dv + k4.dv),
-        )
-        ts.chi = ts.chi + w * (c1 + 2 * c2 + 2 * c3 + c4)
-        if not np.all(np.isfinite(state.x)) or state.norm() > DIVERGENCE_LIMIT:
-            raise DivergenceError(state.t, s0)
-
-        _process_triggers(ts, g, law, state.x, state.t)
-        commit(k + 1, state)
-
-    traj = Trajectory(t=t_arr, x=xs, y=ys, v=vs, extras={k2: np.asarray(v2) for k2, v2 in extras.items()})
+    traj = integrate(rhs, state0, step, horizon, on_sample)
     return EventRun(
         trajectory=traj,
         trigger_state=ts,
-        chi=chis,
         discipline_margin=float(discipline),
         chi_floor_margin=float(floor_margin),
         law=law,

@@ -4,9 +4,9 @@ A scenario is a JSON document (or a bundled preset) declaring the graph,
 the cost family, the gains, the algorithm variant, integration settings,
 the initial-state rule, and diagnostic toggles.  Loading validates every
 hypothesis the algorithms rely on and rejects violations with the named
-hypothesis in the message.  Running a scenario integrates, attaches the
-requested diagnostics, checks the runtime invariants, and emits
-plot-ready CSV plus JSON reports.
+hypothesis in the message.  Running a scenario integrates, computes the
+requested diagnostics from the stored trajectory, checks the runtime
+invariants, and emits plot-ready CSV plus JSON reports.
 """
 
 import csv
@@ -63,7 +63,6 @@ class ConfigError(ValueError):
 @dataclass
 class Diagnostics:
     lyapunov: bool = False
-    constants: bool = False
     rate_fit: bool = False
 
 
@@ -180,7 +179,6 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     diag_cfg = cfg.get("diagnostics", {})
     diagnostics = Diagnostics(
         lyapunov=bool(diag_cfg.get("lyapunov", False)),
-        constants=bool(diag_cfg.get("constants", False)),
         rate_fit=bool(diag_cfg.get("rate_fit", False)),
     )
 
@@ -261,6 +259,14 @@ def make_initial(scenario: Scenario, seed: int | None = None) -> tuple[SwarmStat
 
 @dataclass
 class RunReport:
+    """Outcome of one run.
+
+    ``runtime_s`` is the wall time of certificate preparation,
+    integration (trigger processing included) and the post-hoc Lyapunov
+    diagnostics.  It excludes scenario validation, the initial state, the
+    checks, residuals and rate fit that follow, and file emission.
+    """
+
     name: str
     algorithm: str
     seed: int | None
@@ -321,7 +327,7 @@ def _prepare_certificates(scenario: Scenario, state0: SwarmState):
     if g.n > 1:
         ctx = analysis.LyapunovContext(g=g, sd=sd, obj=obj, gains=gains, eps0=eps0, eps=scenario.eps, eq=eq)
         if mf_est.satisfied:
-            V1_0 = ctx.v1(state0)
+            V1_0 = ctx.sample(state0)["V1"]
             consts = analysis.certificate_continuous(
                 g, sd, obj, gains, eps0, scenario.eps, V1_0, mini.x, mf_est.value, mf_est.exact
             )
@@ -379,18 +385,13 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None) -> RunReport:
             eps8=consts.eps8 if consts is not None else None,
             denominator=scenario.threshold_denominator,
         )
-        observers = ()
-        if scenario.diagnostics.lyapunov and ctx is not None:
-            observers = (lambda s, ts: ctx.sample(s, ts.chi),)
-        event_run = simulate_event(state0, g, obj, gains, law, scenario.step, scenario.horizon, observers)
+        event_run = simulate_event(state0, g, obj, gains, law, scenario.step, scenario.horizon)
         traj = event_run.trajectory
     else:
         rhs_fn = rhs_continuous if scenario.algorithm == "continuous" else rhs_alternative
-        rhs = lambda s: rhs_fn(s, g, obj, gains)
-        observers = ()
-        if scenario.diagnostics.lyapunov and ctx is not None:
-            observers = (lambda s: ctx.sample(s),)
-        traj = integrate(rhs, state0, scenario.step, scenario.horizon, observers)
+        traj = integrate(lambda s: rhs_fn(s, g, obj, gains), state0, scenario.step, scenario.horizon)
+    if scenario.diagnostics.lyapunov and ctx is not None:
+        traj.extras = ctx.values(traj.x, traj.y, traj.v, traj.chi)
     runtime = time.perf_counter() - t_start
 
     checks: dict[str, bool] = {}
@@ -454,8 +455,9 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _write_trajectory_csv(path: Path, traj: Trajectory, chi: np.ndarray | None, seed: int | None):
+def _write_trajectory_csv(path: Path, traj: Trajectory, seed: int | None):
     n, p = traj.x.shape[1], traj.x.shape[2]
+    chi = traj.chi
     cols = ["t"]
     cols += [f"x_{i+1}_{k+1}" for i in range(n) for k in range(p)]
     cols += [f"y_{i+1}_{k+1}" for i in range(n) for k in range(p)]
@@ -491,10 +493,8 @@ def _write_events_csv(path: Path, event_run):
 def _emit(scenario: Scenario, report: RunReport, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     base = scenario.name
-    chi = report.event_run.chi if report.event_run is not None else None
-
     traj_path = out_dir / f"{base}_trajectory.csv"
-    _write_trajectory_csv(traj_path, report.trajectory, chi, report.seed)
+    _write_trajectory_csv(traj_path, report.trajectory, report.seed)
     report.files["trajectory"] = str(traj_path)
 
     if report.constants is not None:

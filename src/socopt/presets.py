@@ -52,7 +52,7 @@ _PRESETS = {
         "algorithm": "continuous",
         "integration": {"step": 0.01, "horizon": 100.0},
         "initial": {"box": [-5.0, 5.0], "seed": DEFAULT_SEED},
-        "diagnostics": {"lyapunov": True, "constants": True, "rate_fit": False},
+        "diagnostics": {"lyapunov": True, "rate_fit": False},
     },
     "cdc18-scenario2": {
         "schema_version": 1,
@@ -63,7 +63,7 @@ _PRESETS = {
         "algorithm": "continuous",
         "integration": {"step": 0.01, "horizon": 100.0},
         "initial": {"box": [-5.0, 5.0], "seed": DEFAULT_SEED},
-        "diagnostics": {"lyapunov": True, "constants": True, "rate_fit": False},
+        "diagnostics": {"lyapunov": True, "rate_fit": False},
     },
     "cdc18-scenario3": {
         "schema_version": 1,
@@ -74,7 +74,7 @@ _PRESETS = {
         "algorithm": "continuous",
         "integration": {"step": 0.01, "horizon": 50.0},
         "initial": {"box": [-5.0, 5.0], "seed": DEFAULT_SEED},
-        "diagnostics": {"lyapunov": True, "constants": True, "rate_fit": True},
+        "diagnostics": {"lyapunov": True, "rate_fit": True},
     },
     "heavy-ball": {
         "schema_version": 1,
@@ -89,7 +89,7 @@ _PRESETS = {
         "algorithm": "continuous",
         "integration": {"step": 0.01, "horizon": 5.0},
         "initial": {"x": [[1.0]], "y": [[0.0]]},
-        "diagnostics": {"lyapunov": False, "constants": False, "rate_fit": False},
+        "diagnostics": {"lyapunov": False, "rate_fit": False},
     },
 }
 

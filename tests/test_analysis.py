@@ -62,7 +62,7 @@ def test_v1_quadratic_lower_bound(path3, obj3, gains_theta35, setup3):
     for _ in range(100):
         s = _random_state(rng, eq)
         dx2 = float(np.sum((s.x - eq.xbar) ** 2))
-        assert ctx.v1(s) >= coeff * dx2 - 1e-9
+        assert ctx.sample(s)["V1"] >= coeff * dx2 - 1e-9
 
 
 def test_continuous_certificate_positivity(path3, obj3, gains_theta35, setup3):
@@ -140,11 +140,12 @@ def test_v3_at_equilibrium_is_chi_term(path3, obj3, gains_theta35, setup3):
     ctx = LyapunovContext(
         g=path3, sd=sd, obj=obj3, gains=gains_theta35, eps0=eps0, eps=0.1, eq=eq, consts=consts, varphi=phis
     )
-    state = SwarmState(0.0, eq.xbar, np.zeros_like(eq.xbar), eq.vbar)
     chi = np.array([0.5, 0.25, 1.0])
+    state = SwarmState(0.0, eq.xbar, np.zeros_like(eq.xbar), eq.vbar, chi)
     expected = consts.eps7 * float(np.sum(phis * chi))
-    assert ctx.v3(state, chi) == pytest.approx(expected, rel=1e-9)
-    assert ctx.v3(state, chi) > 0
+    v3 = ctx.sample(state)["V3"]
+    assert v3 == pytest.approx(expected, rel=1e-9)
+    assert v3 > 0
 
 
 def test_w4_lower_bound_random_states(path3, obj3, gains_theta35, setup3):
@@ -158,7 +159,7 @@ def test_w4_lower_bound_random_states(path3, obj3, gains_theta35, setup3):
     for _ in range(100):
         s = _random_state(rng, eq)
         dx2 = float(np.sum((s.x - eq.xbar) ** 2))
-        assert ctx.w4(s) >= consts.eps_tilde2 * dx2 - 1e-9
+        assert ctx.sample(s)["W4"] >= consts.eps_tilde2 * dx2 - 1e-9
 
 
 def test_v2_lower_bound_random_states(path3, obj3, gains_theta35, setup3):
@@ -171,7 +172,7 @@ def test_v2_lower_bound_random_states(path3, obj3, gains_theta35, setup3):
     for _ in range(100):
         s = _random_state(rng, eq)
         dx2 = float(np.sum((s.x - eq.xbar) ** 2))
-        assert ctx.v2(s) >= consts.eps_tilde1 * dx2 - 1e-9
+        assert ctx.sample(s)["V2"] >= consts.eps_tilde1 * dx2 - 1e-9
 
 
 def test_fit_rate_exact_exponential():

@@ -3,6 +3,7 @@ import pytest
 
 from socopt.costs import GlobalObjective, custom_cost, quadratic_family
 from socopt.dynamics import (
+    AgentDerivatives,
     DivergenceError,
     GainParams,
     HypothesisError,
@@ -41,7 +42,6 @@ def test_single_agent_reduces_to_heavy_ball():
     expected = -gains.gamma * state.y - gains.alpha * obj.grad_stack(state.x)
     np.testing.assert_allclose(d.dy, expected)
     np.testing.assert_allclose(d.dv, 0.0)
-    np.testing.assert_array_equal(d.u, d.dy)
 
 
 def test_consensus_state_rhs(path3, obj3, gains_theta35):
@@ -144,6 +144,23 @@ def test_divergence_reports_last_state(path3, gains_theta35):
     with pytest.raises(DivergenceError) as exc:
         integrate(lambda s: rhs_continuous(s, path3, obj, gains_theta35), s0, 0.01, 10.0)
     assert np.all(np.isfinite(exc.value.last_state.x))
+
+
+@pytest.mark.parametrize("field", ["dy", "dv", "dchi"])
+def test_divergence_caught_on_nan_step(field):
+    # a NaN confined to y, v or chi must stop the run on the step that made it
+    s0 = SwarmState(0.0, [[1.0], [2.0]], [[0.0]] * 2, [[0.0]] * 2, chi=[1.0, 1.0])
+
+    def rhs(s):
+        d = {name: np.zeros((2, 1)) for name in ("dx", "dy", "dv")}
+        d["dchi"] = np.zeros(2)
+        d[field] = np.full_like(d[field], np.nan)
+        return AgentDerivatives(**d)
+
+    with pytest.raises(DivergenceError) as exc:
+        integrate(rhs, s0, 0.01, 1.0)
+    assert exc.value.t == 0.01
+    assert exc.value.last_state.t == 0.0
 
 
 def test_nonfinite_gradient_names_agent(path3, gains_theta35):

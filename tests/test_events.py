@@ -9,6 +9,7 @@ from socopt.events import (
     TriggerConfigError,
     TriggerParams,
     TriggerState,
+    _process_triggers,
     check_trigger,
     chi_rhs,
     default_eps0,
@@ -106,13 +107,12 @@ def test_chi_pure_decay(path3, obj3, gains_theta35):
     np.testing.assert_allclose(er.chi[-1], np.exp(-1.0), atol=1e-8)
 
 
-def test_chi_rhs_zero_bracket(path3, gains_theta35):
+def test_chi_rhs_zero_bracket():
     params = TriggerParams.defaults(3)
-    law = make_trigger_law(path3, gains_theta35, params, eps8=1e-3)
-    x = np.tile([1.0, 2.0, 3.0], (3, 1))
-    ts = _trigger_state(x, chi=[0.7, 0.7, 0.7])  # e = 0 and qhat = 0
-    for i in range(3):
-        assert chi_rhs(i, ts, path3, law, x) == pytest.approx(-law.params.phi_rate[i] * 0.7)
+    chi = np.full(3, 0.7)
+    np.testing.assert_allclose(chi_rhs(chi, np.zeros(3), params), -params.phi_rate * 0.7)
+    bracket = np.array([0.2, -0.1, 0.0])
+    np.testing.assert_allclose(chi_rhs(chi, bracket, params), -params.delta * bracket - params.phi_rate * 0.7)
 
 
 def test_rhs_event_fresh_cache_equals_continuous(path3, obj3, gains_theta35):
@@ -251,6 +251,21 @@ def test_trigger_counts_monotone_in_chi0(path3, obj3, gains_theta35):
         er = simulate_event(s0, path3, obj3, gains_theta35, law, 0.01, 10.0)
         counts.append(int(er.trigger_state.counts.sum()))
     assert counts[0] <= counts[1] <= counts[2]
+
+
+def test_sweep_veto_is_not_reconsidered(path3, gains_theta35):
+    # c = 1.0625 and kappa = 2 with the rate denominator.  All three rules
+    # hold as the sweep starts.  Agent 0 broadcasts first and raises
+    # agent 1's qhat, so agent 1 is vetoed; agent 2's broadcast then lowers
+    # that qhat again, but agent 1 is not reconsidered at this sample.
+    law = make_trigger_law(path3, gains_theta35, TriggerParams.defaults(3), denominator="rate")
+    x = np.array([[1.0], [1.5], [0.0]])
+    ts = _trigger_state([[0.0], [0.0], [2.0]], chi=[0.1, 0.1, 0.1])
+    assert all(trigger_margin(i, ts, path3, law, x) >= 0.0 for i in range(3))
+    _process_triggers(ts, path3, law, x, 1.0)
+    assert ts.counts.tolist() == [2, 1, 2]
+    assert [ev.agent for ev in ts.events] == [0, 2]
+    assert trigger_margin(1, ts, path3, law, x) >= 0.0
 
 
 def test_trigger_margin_nonpositive_after_broadcast(path3, gains_theta35):
