@@ -1,8 +1,10 @@
 """Golden fixtures: the bundled presets' behaviour, pinned bit for bit.
 
-For every preset run (the shared run fixtures of conftest.py) plus an
-alternative-variant run of scenario 3 with Lyapunov diagnostics on, this
-module pins
+For every preset run (the shared run fixtures of conftest.py), an
+alternative-variant run of scenario 3 with Lyapunov diagnostics on, and
+an event-mode run on a 30-agent ring with chords (agents of degree up to
+5, so the disagreement sums of the trigger rule add several neighbour
+terms, which the three-agent path cannot show), this module pins
 
 - per-agent trigger counts, exactly;
 - the terminal errors, to 1e-12 relative;
@@ -45,7 +47,11 @@ PRESET_RUNS = {
     "run3_event": "cdc18-scenario3-event",
     "run_heavy_ball": "heavy-ball",
 }
-RUN_NAMES = (*PRESET_RUNS, "run3_alternative")
+RUN_NAMES = (*PRESET_RUNS, "run3_alternative", "ring30_event")
+
+RING_N = 30
+RING_P = 3
+RING_SEED = 20240
 
 
 def alternative_scenario():
@@ -55,9 +61,48 @@ def alternative_scenario():
     return scenario_from_dict(cfg)
 
 
+def ring30_event_scenario():
+    """A 30-agent ring plus 15 seeded chords (weights U[0.5, 2]), seeded
+    strongly convex quadratic_linear costs, default trigger parameters,
+    400 event-mode steps, Lyapunov off."""
+    n, p = RING_N, RING_P
+    rng = np.random.default_rng(RING_SEED)
+    ring = {tuple(sorted((i, (i + 1) % n))) for i in range(n)}
+    free = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in ring]
+    chords = [free[int(k)] for k in rng.choice(len(free), size=n // 2, replace=False)]
+    pairs = sorted(ring) + sorted(chords)
+    weights = rng.uniform(0.5, 2.0, len(pairs))
+    matrices = []
+    for _ in range(n):
+        q = rng.standard_normal((p, p))
+        matrices.append((q @ q.T / p + 0.5 * np.eye(p)).tolist())
+    cfg = {
+        "schema_version": 1,
+        "name": "ring30-event",
+        "graph": {"n": n, "edges": [[i, j, float(w)] for (i, j), w in zip(pairs, weights)]},
+        "costs": {
+            "kind": "quadratic_linear",
+            "matrices": matrices,
+            "linear_terms": rng.uniform(-2.0, 2.0, (n, p)).tolist(),
+        },
+        "gains": {"alpha": 2.0, "beta": 2.0, "gamma": 6.0, "theta": 0.5},
+        "algorithm": "event",
+        "integration": {"step": 0.01, "horizon": 4.0},
+        "initial": {"box": [-5.0, 5.0], "seed": RING_SEED},
+        "diagnostics": {"lyapunov": False, "rate_fit": False},
+    }
+    return scenario_from_dict(cfg)
+
+
 @pytest.fixture(scope="module")
 def run3_alternative():
     sc = alternative_scenario()
+    return sc, run(sc)
+
+
+@pytest.fixture(scope="module")
+def ring30_event():
+    sc = ring30_event_scenario()
     return sc, run(sc)
 
 
@@ -123,6 +168,7 @@ def test_golden(run_name, golden, request):
 def record() -> None:
     runs = {name: fingerprint(run(load_preset(preset))) for name, preset in PRESET_RUNS.items()}
     runs["run3_alternative"] = fingerprint(run(alternative_scenario()))
+    runs["ring30_event"] = fingerprint(run(ring30_event_scenario()))
     doc = {
         "note": "Written by tests/test_golden.py --record. Rerun only with the reason stated in CHANGES.md.",
         "runs": runs,
