@@ -46,14 +46,15 @@ from .events import (
     TriggerLaw,
     TriggerParams,
     TriggerState,
-    check_trigger,
     chi_rhs,
     default_eps0,
     make_trigger_law,
     qhat,
     rhs_event,
+    rule_terms,
     simulate_event,
-    varphi,
+    trigger_margin,
+    varphi_all,
     zeno_report,
 )
 from .graph import (

@@ -117,12 +117,6 @@ class AgentDerivatives:
     dchi: np.ndarray | None = None
 
 
-def _check_gradients(grads: np.ndarray):
-    if not np.all(np.isfinite(grads)):
-        bad = sorted(set(np.nonzero(~np.isfinite(grads))[0].tolist()))
-        raise ValueError(f"non-finite gradient for agent(s) {bad}")
-
-
 def rhs_continuous(
     state: SwarmState, g: NetworkGraph, obj: GlobalObjective, gains: GainParams
 ) -> AgentDerivatives:
@@ -132,7 +126,6 @@ def rhs_continuous(
     at the optimum; the row sums of L keep sum_i dv_i identically zero.
     """
     grads = obj.grad_stack(state.x)
-    _check_gradients(grads)
     Lx = g.laplacian @ state.x
     dy = -gains.gamma * state.y - gains.alpha * gains.beta * Lx - gains.theta * state.v - gains.alpha * grads
     return AgentDerivatives(dx=state.y, dy=dy, dv=gains.beta * Lx)
@@ -143,7 +136,6 @@ def rhs_alternative(
 ) -> AgentDerivatives:
     """Variant coupling v through the Laplacian; v(0) may be arbitrary."""
     grads = obj.grad_stack(state.x)
-    _check_gradients(grads)
     Lx = g.laplacian @ state.x
     Lv = g.laplacian @ state.v
     dy = -gains.gamma * state.y - gains.alpha * gains.beta * Lx - gains.theta * Lv - gains.alpha * grads

@@ -18,6 +18,9 @@ the derived per-agent threshold constant (the default); "rate" reuses the
 chi decay rate.  The "local-only" preset sigma = delta = 0 needs neither
 and no network-wide quantities at all.
 
+``rule_terms`` computes ||e_i||^2 and qhat_i for all agents at once, qhat
+over the graph's edge list, as does ``varphi_all``; certificates stay dense.
+
 Triggers are monitored at integration sample boundaries only, matching a
 sampled implementation.  ``simulate_event`` runs the shared stepper and
 loop of ``dynamics`` on the state augmented with chi: the right-hand
@@ -38,7 +41,6 @@ from .dynamics import (
     GainParams,
     SwarmState,
     Trajectory,
-    _check_gradients,
     integrate,
 )
 from .graph import NetworkGraph
@@ -127,20 +129,22 @@ def default_eps0(gains: GainParams) -> float:
     return 0.5 * (gains.theta / (gains.alpha * gains.gamma) + 1.0)
 
 
-def varphi(i: int, g: NetworkGraph, gains: GainParams, eps0: float, eps8: float) -> float:
-    """Per-agent threshold constant of the triggering law.
+def varphi_all(g: NetworkGraph, gains: GainParams, eps0: float, eps8: float) -> np.ndarray:
+    """Per-agent threshold constants of the triggering law.
 
     varphi_i = (alpha*gamma*eps0 - theta)*beta/4 * L_ii
              + (alpha*gamma*eps0 - theta)*beta * L_ii
              + gamma^2*theta*eps0^2 / (4*eps8)
              + alpha^2*beta^2/(gamma*(1-eps0)) * (L_ii - sum_{j!=i} L_jj L_ij)
+
+    The cross sum runs over the edges leaving i (L_ij = 0 off them).
     """
     _validate_eps0(gains, eps0)
     if eps8 <= 0:
         raise TriggerConfigError(f"eps8 must be positive, got {eps8}")
     L = g.laplacian
-    lii = float(L[i, i])
-    cross = float(sum(L[j, j] * L[i, j] for j in range(g.n) if j != i))
+    lii = np.diag(L)
+    cross = np.bincount(g.src, weights=lii[g.dst] * L[g.src, g.dst], minlength=g.n)
     a, b, gm, th = gains.alpha, gains.beta, gains.gamma, gains.theta
     lead = (a * gm * eps0 - th) * b
     return (
@@ -149,10 +153,6 @@ def varphi(i: int, g: NetworkGraph, gains: GainParams, eps0: float, eps8: float)
         + gm**2 * th * eps0**2 / (4.0 * eps8)
         + a**2 * b**2 / (gm * (1.0 - eps0)) * (lii - cross)
     )
-
-
-def varphi_all(g: NetworkGraph, gains: GainParams, eps0: float, eps8: float) -> np.ndarray:
-    return np.array([varphi(i, g, gains, eps0, eps8) for i in range(g.n)])
 
 
 def _validate_eps0(gains: GainParams, eps0: float):
@@ -171,7 +171,6 @@ class TriggerLaw:
     params: TriggerParams
     eps0: float
     c: np.ndarray
-    denominator: str
     varphi: np.ndarray | None = None
 
 
@@ -206,7 +205,7 @@ def make_trigger_law(
             raise TriggerConfigError("eps8 is required to derive the threshold constants")
         phis = varphi_all(g, gains, eps0, eps8)
         c = lead * params.sigma / (4.0 * phis)
-    return TriggerLaw(params=params, eps0=eps0, c=c, denominator=denominator, varphi=phis)
+    return TriggerLaw(params=params, eps0=eps0, c=c, varphi=phis)
 
 
 @dataclass
@@ -233,60 +232,47 @@ class TriggerState:
     def initialize(cls, x0: np.ndarray, params: TriggerParams) -> "TriggerState":
         """Every agent broadcasts at t = 0 (the mandated first event)."""
         n = x0.shape[0]
-        ts = cls(
+        return cls(
             xhat=np.asarray(x0, dtype=float).copy(),
             chi=params.chi0.copy(),
             last_event=np.zeros(n),
             counts=np.ones(n, dtype=int),
+            events=[EventRecord(i, 1, 0.0, float(params.chi0[i]), error_sq=0.0, qhat=0.0) for i in range(n)],
         )
-        for i in range(n):
-            ts.events.append(EventRecord(agent=i, index=1, t=0.0, chi=float(ts.chi[i]), error_sq=0.0, qhat=0.0))
-        return ts
 
-    def error(self, x: np.ndarray) -> np.ndarray:
-        """Staleness error e = xhat - x, shape (n, p)."""
-        return self.xhat - x
+
+def rule_terms(ts: TriggerState, g: NetworkGraph, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(||e_i||^2, qhat_i) for every agent, each of shape (n,).
+
+    e_i = xhat_i - x_i is the staleness error and qhat_i = -1/2 sum_{j in N_i}
+    L_ij ||xhat_j - xhat_i||^2 >= 0 the cached local disagreement, summed
+    in ascending j.  Agent i's terms read only x_i and the caches of i and
+    its neighbors.
+    """
+    e = ts.xhat - x
+    d = ts.xhat[g.dst] - ts.xhat[g.src]
+    # batched row products round like the per-edge dot product d_k @ d_k
+    dd = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
+    qh = np.bincount(g.src, weights=(-0.5 * g.laplacian[g.src, g.dst]) * dd, minlength=g.n)
+    return np.einsum("ij,ij->i", e, e), qh
+
+
+def _bracket_and_margin(law: TriggerLaw, chi: np.ndarray, err_sq: np.ndarray, qh: np.ndarray):
+    """The bracket ||e_i||^2 - c_i*qhat_i shared by the rule and the chi
+    law, and the rule margin kappa_i*bracket_i - chi_i (fires at >= 0)."""
+    bracket = err_sq - law.c * qh
+    return bracket, law.params.kappa * bracket - chi
 
 
 def qhat(i: int, ts: TriggerState, g: NetworkGraph) -> float:
-    """Cached local disagreement -1/2 sum_{j in N_i} L_ij ||xhat_j - xhat_i||^2.
-
-    Off-diagonal Laplacian entries are nonpositive, so the value is
-    nonnegative.  Reads only the caches of agent i and its neighbors.
-    """
-    xi = ts.xhat[i]
-    q = 0.0
-    for j in g.neighbors(i):
-        d = ts.xhat[j] - xi
-        q += -0.5 * float(g.laplacian[i, j]) * float(d @ d)
-    return q
+    """Agent i's cached local disagreement; a one-agent view of ``rule_terms``."""
+    return float(rule_terms(ts, g, ts.xhat)[1][i])
 
 
 def trigger_margin(i: int, ts: TriggerState, g: NetworkGraph, law: TriggerLaw, x: np.ndarray) -> float:
-    """kappa_i*(||e_i||^2 - c_i*qhat_i) - chi_i; the rule fires at >= 0."""
-    e = ts.xhat[i] - x[i]
-    lhs = float(law.params.kappa[i]) * (float(e @ e) - float(law.c[i]) * qhat(i, ts, g))
-    return lhs - float(ts.chi[i])
-
-
-def check_trigger(i: int, ts: TriggerState, g: NetworkGraph, law: TriggerLaw, x: np.ndarray, t: float) -> bool:
-    """Evaluate the rule for agent i; on firing, broadcast and log.
-
-    A broadcast copies the agent's current position into its cache,
-    resetting the staleness error to zero.
-    """
-    e = ts.xhat[i] - x[i]
-    err_sq = float(e @ e)
-    qh = qhat(i, ts, g)
-    fired = float(law.params.kappa[i]) * (err_sq - float(law.c[i]) * qh) >= float(ts.chi[i])
-    if fired:
-        ts.xhat[i] = x[i]
-        ts.counts[i] += 1
-        ts.last_event[i] = t
-        ts.events.append(
-            EventRecord(agent=i, index=int(ts.counts[i]), t=t, chi=float(ts.chi[i]), error_sq=err_sq, qhat=qh)
-        )
-    return fired
+    """kappa_i*(||e_i||^2 - c_i*qhat_i) - chi_i, the rule margin of agent i;
+    a one-agent view of ``rule_terms``."""
+    return float(_bracket_and_margin(law, ts.chi, *rule_terms(ts, g, x))[1][i])
 
 
 def chi_rhs(chi: np.ndarray, bracket: np.ndarray, params: TriggerParams) -> np.ndarray:
@@ -300,7 +286,6 @@ def rhs_event(
 ) -> AgentDerivatives:
     """Continuous dynamics with the Laplacian terms fed by the caches."""
     grads = obj.grad_stack(state.x)
-    _check_gradients(grads)
     Lxhat = g.laplacian @ ts.xhat
     dy = -gains.gamma * state.y - gains.alpha * gains.beta * Lxhat - gains.theta * state.v - gains.alpha * grads
     return AgentDerivatives(dx=state.y, dy=dy, dv=gains.beta * Lxhat)
@@ -322,28 +307,43 @@ class EventRun:
         return self.trajectory.chi
 
 
-def _process_triggers(ts: TriggerState, g: NetworkGraph, law: TriggerLaw, x: np.ndarray, t: float) -> None:
+def _process_triggers(ts: TriggerState, g: NetworkGraph, law: TriggerLaw, x: np.ndarray, t: float):
     """Fire the agents whose rule holds at this sample, in sweeps.
 
     A sweep first selects every agent not yet decided at this sample
     whose rule holds against the caches as the sweep starts.  Then, in
-    index order, ``check_trigger`` re-evaluates each selected agent
-    against the caches as they stand, which includes broadcasts made
-    earlier in the same sweep.  A neighbor's broadcast changes qhat, so a
-    selected agent can be vetoed there; a vetoed agent counts as decided
-    and is not reconsidered at this sample.  Sweeps repeat until one
-    selects nobody.  An agent fires at most once per sample (after a
-    broadcast its error is zero and the rule cannot hold again).
+    index order, it re-checks each selected agent against the caches as
+    they stand, which includes broadcasts made earlier in the same sweep
+    (the terms are recomputed only after a broadcast).  A neighbor's
+    broadcast changes qhat, so a selected agent can be vetoed there; a
+    vetoed agent counts as decided and is not reconsidered at this
+    sample.  Sweeps repeat until one selects nobody.  A broadcast copies
+    the agent's position into its cache and logs the terms it fired on;
+    its error is then zero, so an agent fires at most once per sample.
+
+    Returns ``rule_terms`` against the caches as the sample leaves them.
     """
-    pending = True
-    decided: set[int] = set()
-    while pending:
-        pending = False
-        selected = [i for i in range(g.n) if i not in decided and trigger_margin(i, ts, g, law, x) >= 0.0]
-        for i in selected:
-            check_trigger(i, ts, g, law, x, t)
-            decided.add(i)
-            pending = True
+    undecided = np.ones(g.n, dtype=bool)
+    queue: list[int] = []  # selected agents this sweep has yet to re-check
+    stale = True
+    while True:
+        if stale:
+            err_sq, qh = rule_terms(ts, g, x)
+            margin = _bracket_and_margin(law, ts.chi, err_sq, qh)[1]
+            stale = False
+        if not queue:
+            queue = np.flatnonzero(undecided & (margin >= 0.0)).tolist()
+            if not queue:
+                return err_sq, qh
+            undecided[queue] = False
+        i = queue.pop(0)
+        if margin[i] >= 0.0:
+            ts.xhat[i], ts.last_event[i] = x[i], t
+            ts.counts[i] += 1
+            ts.events.append(
+                EventRecord(i, int(ts.counts[i]), t, float(ts.chi[i]), error_sq=float(err_sq[i]), qhat=float(qh[i]))
+            )
+            stale = True
 
 
 def simulate_event(
@@ -367,9 +367,7 @@ def simulate_event(
     ts = TriggerState.initialize(initial.x, law.params)
     state0 = SwarmState(initial.t, initial.x, initial.y, initial.v, ts.chi)
     decay = law.params.phi_rate + law.params.delta / law.params.kappa
-    discipline = -np.inf
-    floor_margin = np.inf
-    bracket = None
+    discipline, floor_margin, bracket = -np.inf, np.inf, None
 
     def rhs(s: SwarmState) -> AgentDerivatives:
         d = rhs_event(s, ts, g, obj, gains)
@@ -378,14 +376,10 @@ def simulate_event(
     def on_sample(s: SwarmState) -> None:
         nonlocal discipline, floor_margin, bracket
         ts.chi = s.chi
-        _process_triggers(ts, g, law, s.x, s.t)
-        margins = [trigger_margin(i, ts, g, law, s.x) for i in range(g.n)]
-        discipline = max(discipline, max(margins))
+        bracket, margin = _bracket_and_margin(law, ts.chi, *_process_triggers(ts, g, law, s.x, s.t))
+        discipline = max(discipline, float(margin.max()))
         floor = law.params.chi0 * np.exp(-decay * s.t)
         floor_margin = min(floor_margin, float(np.min(s.chi - floor)))
-        err_sq = np.einsum("ij,ij->i", ts.xhat - s.x, ts.xhat - s.x)
-        qh = np.array([qhat(i, ts, g) for i in range(g.n)])
-        bracket = err_sq - law.c * qh
 
     traj = integrate(rhs, state0, step, horizon, on_sample)
     return EventRun(
@@ -406,10 +400,12 @@ def zeno_report(ts: TriggerState, horizon: float, step: float) -> dict:
     """
     n = ts.counts.shape[0]
     samples_per_agent = int(round(horizon / step))
+    times: list[list[float]] = [[] for _ in range(n)]
+    for ev in ts.events:
+        times[ev.agent].append(ev.t)
     per_agent = []
     for i in range(n):
-        times = [ev.t for ev in ts.events if ev.agent == i]
-        gaps = np.diff(times)
+        gaps = np.diff(times[i])
         per_agent.append(
             {
                 "agent": i,

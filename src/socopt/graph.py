@@ -5,7 +5,7 @@ The agent network is a weighted undirected graph with adjacency matrix A
 convergence certificate downstream needs exact spectral quantities of L:
 its spectral radius, its smallest positive eigenvalue, and the orthonormal
 eigenbasis split that diagonalizes it away from the all-ones direction.
-Graphs here are small (tens of agents), so everything is dense.
+Matrices and certificates are dense; hot-path neighbor sums use ``src``/``dst``.
 """
 
 from dataclasses import dataclass
@@ -31,12 +31,17 @@ class NetworkGraph:
         L = Deg - A; rows sum to zero.
     degrees : ndarray, shape (n,)
         Weighted degree of each vertex.
+    src, dst : ndarray of int, shape (2|E|,)
+        Directed edges src -> dst (both ways), ``np.nonzero(adjacency > 0)``,
+        so the edges leaving i list ``neighbors(i)`` in order.
     """
 
     n: int
     adjacency: np.ndarray
     laplacian: np.ndarray
     degrees: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
 
     def neighbors(self, i: int) -> list[int]:
         """Indices j with a positive edge weight to vertex i."""
@@ -124,26 +129,22 @@ def build_graph(edges, n: int | None = None, indexing: str = "auto") -> NetworkG
 
     deg = A.sum(axis=1)
     L = np.diag(deg) - A
-    return NetworkGraph(n=n, adjacency=_freeze(A), laplacian=_freeze(L), degrees=_freeze(deg))
+    src, dst = np.nonzero(A > 0.0)
+    return NetworkGraph(
+        n=n, adjacency=_freeze(A), laplacian=_freeze(L), degrees=_freeze(deg), src=_freeze(src), dst=_freeze(dst)
+    )
 
 
 def connected_components(g: NetworkGraph) -> list[list[int]]:
-    """Connected components over positive-weight edges, each sorted."""
-    unvisited = set(range(g.n))
-    comps = []
-    while unvisited:
-        root = min(unvisited)
-        stack, comp = [root], []
-        unvisited.discard(root)
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in g.neighbors(i):
-                if j in unvisited:
-                    unvisited.discard(j)
-                    stack.append(j)
-        comps.append(sorted(comp))
-    return comps
+    """Connected components over positive-weight edges, each sorted, in
+    the order of their smallest vertex."""
+    label = np.arange(g.n)
+    while True:  # spread the smallest vertex index along the edges
+        spread = label.copy()
+        np.minimum.at(spread, g.src, label[g.dst])
+        if np.array_equal(spread, label):
+            return [np.flatnonzero(label == r).tolist() for r in np.flatnonzero(label == np.arange(g.n))]
+        label = spread
 
 
 def is_connected(g: NetworkGraph) -> bool:

@@ -104,12 +104,17 @@ def _require(cond: bool, msg: str):
 def _build_costs(cost_cfg: dict) -> tuple[GlobalObjective, float | None]:
     kind = cost_cfg.get("kind")
     mbar_override = cost_cfg.get("lipschitz_override")
+
+    def need(key: str):
+        _require(key in cost_cfg, f"costs.{key} is required for cost kind {kind!r}")
+        return cost_cfg[key]
+
     if kind == "quadratic_shift":
-        costs = quadratic_family(cost_cfg["matrices"], shifts=cost_cfg["shifts"])
+        costs = quadratic_family(need("matrices"), shifts=need("shifts"))
     elif kind == "quadratic_linear":
-        costs = quadratic_family(cost_cfg["matrices"], linear_terms=cost_cfg["linear_terms"])
+        costs = quadratic_family(need("matrices"), linear_terms=need("linear_terms"))
     elif kind == "quartic":
-        costs = quartic_family(cost_cfg["centers"])
+        costs = quartic_family(need("centers"))
         if mbar_override is not None:
             for c in costs:
                 c.global_lipschitz = float(mbar_override)
@@ -121,8 +126,9 @@ def _build_costs(cost_cfg: dict) -> tuple[GlobalObjective, float | None]:
 def scenario_from_dict(cfg: dict) -> Scenario:
     """Validate a config dict and resolve it into a runnable scenario.
 
-    Gates checked here, each rejected with the violated hypothesis named:
-    schema version, gain positivity and theta < alpha*gamma, graph
+    Gates checked here, each rejected with the violated hypothesis or the
+    offending field named: schema version, required cost fields, the gain
+    field set, gain positivity and theta < alpha*gamma, graph
     connectivity, event mode needing a global gradient-Lipschitz modulus
     per agent, balanced integral states for the primary algorithms, and
     trigger-parameter ranges.
@@ -142,7 +148,10 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     obj, mbar_override = _build_costs(cfg.get("costs", {}))
     _require(obj.n == g.n, f"{obj.n} costs declared for a graph of {g.n} agents")
 
-    gains = GainParams(**{k: float(v) for k, v in cfg.get("gains", {}).items()})
+    gain_cfg = cfg.get("gains", {})
+    bad = sorted(set(gain_cfg) ^ set(GainParams.__dataclass_fields__))
+    _require(not bad, f"gains: unknown or missing field(s) {bad}; expected exactly alpha, beta, gamma, theta")
+    gains = GainParams(**{k: float(v) for k, v in gain_cfg.items()})
 
     algorithm = cfg.get("algorithm", "continuous")
     _require(algorithm in ALGORITHMS, f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")

@@ -163,16 +163,26 @@ def test_divergence_caught_on_nan_step(field):
     assert exc.value.last_state.t == 0.0
 
 
-def test_nonfinite_gradient_names_agent(path3, gains_theta35):
-    def bad_grad(x):
-        return np.full_like(x, np.nan)
+def test_nonfinite_gradient_raises_divergence(path3, gains_theta35):
+    # agent 2's gradient turns NaN once its position passes 1; the run stops
+    # on that step in every loop, keeping the last finite state
+    from socopt.events import TriggerParams, make_trigger_law, simulate_event
 
-    nan_cost = custom_cost(lambda x: 0.0, bad_grad, dimension=1)
+    turns_nan = custom_cost(lambda x: 0.0, lambda x: np.where(x < 1.0, x, np.nan), dimension=1)
     ok = custom_cost(lambda x: 0.0, lambda x: np.zeros_like(x), dimension=1)
-    obj = GlobalObjective([ok, nan_cost, ok])
-    s0 = SwarmState(0.0, [[0.0]] * 3, [[0.0]] * 3, [[0.0]] * 3)
-    with pytest.raises(ValueError, match=r"agent\(s\) \[1\]"):
-        rhs_continuous(s0, path3, obj, gains_theta35)
+    obj = GlobalObjective([ok, turns_nan, ok])
+    s0 = SwarmState(0.0, [[0.0], [0.5], [0.0]], [[0.0], [10.0], [0.0]], [[0.0]] * 3)
+    law = make_trigger_law(path3, gains_theta35, TriggerParams.local_only(3))
+    runs = {
+        "continuous": lambda: integrate(lambda s: rhs_continuous(s, path3, obj, gains_theta35), s0, 0.01, 2.0),
+        "event": lambda: simulate_event(s0, path3, obj, gains_theta35, law, 0.01, 2.0),
+    }
+    for name, go in runs.items():
+        with pytest.raises(DivergenceError) as exc:
+            go()
+        last = exc.value.last_state
+        assert 0.0 < exc.value.t < 2.0, name
+        assert np.all(np.isfinite(last.x)) and last.x[1, 0] < 1.0, name
 
 
 def test_integrate_validates_step(path3, obj3, gains_theta35):

@@ -10,20 +10,21 @@ from socopt.events import (
     TriggerParams,
     TriggerState,
     _process_triggers,
-    check_trigger,
     chi_rhs,
     default_eps0,
     make_trigger_law,
     qhat,
     rhs_event,
+    rule_terms,
     simulate_event,
     trigger_margin,
-    varphi,
     varphi_all,
     zeno_report,
 )
 from socopt.dynamics import rhs_continuous
 from socopt.graph import build_graph
+
+from conftest import random_connected_graph
 
 
 def _trigger_state(xhat, chi=None):
@@ -79,9 +80,9 @@ def test_fresh_broadcast_never_fires(path3, gains_theta35):
     law = make_trigger_law(path3, gains_theta35, params, eps8=1e-3)
     x = np.random.default_rng(0).uniform(-5, 5, (3, 3))
     ts = _trigger_state(x)  # caches equal the state: zero error
-    for i in range(3):
-        assert not check_trigger(i, ts, path3, law, x, 1.0)
+    _process_triggers(ts, path3, law, x, 1.0)
     assert ts.counts.tolist() == [1, 1, 1]
+    assert ts.events == []
 
 
 def test_static_error_specialization(path3, gains_theta35):
@@ -90,11 +91,13 @@ def test_static_error_specialization(path3, gains_theta35):
     law = make_trigger_law(path3, gains_theta35, params)
     x = np.zeros((3, 1))
     ts = _trigger_state(np.array([[0.1], [0.2], [0.21]]), chi=[0.04, 0.04, 0.04])
-    fired = [check_trigger(i, ts, path3, law, x, 1.0) for i in range(3)]
-    assert fired == [False, True, True]
-    np.testing.assert_array_equal(ts.xhat[1], x[1])
+    _process_triggers(ts, path3, law, x, 1.0)
+    assert [ev.agent for ev in ts.events] == [1, 2]
+    np.testing.assert_array_equal(ts.xhat[1:], x[1:])
+    np.testing.assert_array_equal(ts.xhat[0], [0.1])
     assert ts.counts.tolist() == [1, 2, 2]
-    assert any(ev.t == 1.0 and ev.agent == 1 for ev in ts.events)
+    assert all(ev.t == 1.0 for ev in ts.events)
+    assert [ev.error_sq for ev in ts.events] == pytest.approx([0.04, 0.0441], rel=1e-12)
 
 
 def test_chi_pure_decay(path3, obj3, gains_theta35):
@@ -139,14 +142,14 @@ def test_varphi_path3_hand_value(path3, gains_theta35):
     eps0, eps8 = default_eps0(gains_theta35), 2e-4
     lead = (a * gm * eps0 - th) * b
     expected = lead / 4.0 * 2.0 + lead * 2.0 + gm**2 * th * eps0**2 / (4 * eps8) + a**2 * b**2 / (gm * (1 - eps0)) * 4.0
-    assert varphi(1, path3, gains_theta35, eps0, eps8) == pytest.approx(expected, rel=1e-12)
+    assert varphi_all(path3, gains_theta35, eps0, eps8)[1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_varphi_isolated_agent(gains_theta35):
     g = build_graph([(1, 2, 1.0)], n=3)  # vertex 3 isolated
     eps0, eps8 = default_eps0(gains_theta35), 1e-3
     only_term = gains_theta35.gamma**2 * gains_theta35.theta * eps0**2 / (4 * eps8)
-    assert varphi(2, g, gains_theta35, eps0, eps8) == pytest.approx(only_term, rel=1e-12)
+    assert varphi_all(g, gains_theta35, eps0, eps8)[2] == pytest.approx(only_term, rel=1e-12)
 
 
 def test_varphi_increases_with_beta(path3):
@@ -162,7 +165,9 @@ def test_varphi_increases_with_beta(path3):
 
 def test_varphi_rejects_bad_eps0(path3, gains_theta35):
     with pytest.raises(TriggerConfigError, match="eps0"):
-        varphi(0, path3, gains_theta35, 0.1, 1e-3)  # below theta/(alpha*gamma)
+        varphi_all(path3, gains_theta35, 0.1, 1e-3)  # below theta/(alpha*gamma)
+    with pytest.raises(TriggerConfigError, match="eps8"):
+        varphi_all(path3, gains_theta35, default_eps0(gains_theta35), 0.0)
 
 
 def test_trigger_law_requires_eps8_for_varphi(path3, gains_theta35):
@@ -186,35 +191,55 @@ def test_trigger_law_rate_denominator_switch(path3, gains_theta35):
         make_trigger_law(path3, gains_theta35, params, denominator="bogus")
 
 
-class _AuditRows:
-    """Array wrapper recording which agent rows are touched."""
-
-    def __init__(self, arr):
-        self.arr = np.asarray(arr, dtype=float)
-        self.reads: set[int] = set()
-        self.writes: set[int] = set()
-
-    def __getitem__(self, idx):
-        self.reads.add(idx if isinstance(idx, (int, np.integer)) else idx[0])
-        return self.arr[idx]
-
-    def __setitem__(self, idx, value):
-        self.writes.add(idx if isinstance(idx, (int, np.integer)) else idx[0])
-        self.arr[idx] = value
+def _qhat_reference(i, xhat, g):
+    """qhat_i by a loop over agent i's neighbors, in ascending order."""
+    q = 0.0
+    for j in g.neighbors(i):
+        d = xhat[j] - xhat[i]
+        q += -0.5 * float(g.laplacian[i, j]) * float(d @ d)
+    return q
 
 
-def test_trigger_decision_reads_only_neighbors(path3, gains_theta35):
-    params = TriggerParams.defaults(3)
-    law = make_trigger_law(path3, gains_theta35, params, eps8=1e-3)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 12), p=st.integers(1, 4))
+def test_rule_terms_match_neighbor_loop_reference(seed, n, p, gains_theta35):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n)
+    params = TriggerParams(
+        sigma=rng.uniform(0.0, 0.99, n),
+        delta=rng.uniform(0.0, 1.0, n),
+        phi_rate=rng.uniform(0.5, 2.0, n),
+        kappa=rng.uniform(2.5, 5.0, n),
+        chi0=rng.uniform(0.1, 2.0, n),
+    )
+    law = make_trigger_law(g, gains_theta35, params, denominator="rate")
+    x = rng.uniform(-5, 5, (n, p))
+    ts = _trigger_state(rng.uniform(-5, 5, (n, p)), chi=rng.uniform(1e-3, 10.0, n))
+    err_sq, qh = rule_terms(ts, g, x)
+    for i in range(n):
+        q_ref = _qhat_reference(i, ts.xhat, g)
+        assert qh[i] == q_ref
+        assert qhat(i, ts, g) == q_ref
+        e = ts.xhat[i] - x[i]
+        m_ref = params.kappa[i] * (float(e @ e) - law.c[i] * q_ref) - ts.chi[i]
+        assert trigger_margin(i, ts, g, law, x) == pytest.approx(m_ref, rel=1e-12, abs=0.0)
+
+
+def test_trigger_decision_reads_only_neighbors(gains_theta35):
+    # perturbing the cache of every agent outside N_i and i itself leaves
+    # agent i's rule terms bit for bit unchanged
     rng = np.random.default_rng(4)
-    x = rng.uniform(-5, 5, (3, 3))
-    for i in range(3):
-        audit = _AuditRows(rng.uniform(-5, 5, (3, 3)))
-        ts = TriggerState(xhat=audit, chi=np.ones(3), last_event=np.zeros(3), counts=np.ones(3, int))
-        check_trigger(i, ts, path3, law, x, 1.0)
-        allowed = {i, *path3.neighbors(i)}
-        assert audit.reads <= allowed
-        assert audit.writes <= {i}
+    g = random_connected_graph(rng, 12)
+    x = rng.uniform(-5, 5, (12, 3))
+    ts = _trigger_state(rng.uniform(-5, 5, (12, 3)))
+    err_sq, qh = rule_terms(ts, g, x)
+    for i in range(12):
+        far = [j for j in range(12) if j != i and j not in g.neighbors(i)]
+        moved = _trigger_state(ts.xhat)
+        moved.xhat[far] += rng.uniform(-5, 5, (len(far), 3))
+        err_i, qh_i = rule_terms(moved, g, x)
+        assert err_i[i] == err_sq[i]
+        assert qh_i[i] == qh[i]
 
 
 def test_zeno_report_single_event():
@@ -274,7 +299,8 @@ def test_trigger_margin_nonpositive_after_broadcast(path3, gains_theta35):
     rng = np.random.default_rng(6)
     x = rng.uniform(-5, 5, (3, 3))
     ts = _trigger_state(rng.uniform(-5, 5, (3, 3)), chi=[0.01, 0.01, 0.01])
-    for i in range(3):
-        if trigger_margin(i, ts, path3, law, x) >= 0:
-            check_trigger(i, ts, path3, law, x, 1.0)
-            assert trigger_margin(i, ts, path3, law, x) < 0
+    _process_triggers(ts, path3, law, x, 1.0)
+    fired = [ev.agent for ev in ts.events]
+    assert fired
+    for i in fired:
+        assert trigger_margin(i, ts, path3, law, x) < 0

@@ -105,6 +105,31 @@ def test_gate_schema_version():
         scenario_from_dict(cfg)
 
 
+def _missing_shifts(cfg):
+    del cfg["costs"]["shifts"]
+
+
+def _unknown_gain(cfg):
+    cfg["gains"]["delta"] = 0.5
+
+
+FIELD_MUTATIONS = {"costs.shifts": _missing_shifts, "delta": _unknown_gain}
+
+
+@pytest.mark.parametrize("field", sorted(FIELD_MUTATIONS))
+def test_gate_config_fields_named(field, tmp_path, capsys):
+    # a missing cost field or an unknown gain is a rejected config (exit 2),
+    # not an internal error (exit 1)
+    cfg = preset_config("cdc18-scenario1")
+    FIELD_MUTATIONS[field](cfg)
+    with pytest.raises(ConfigError, match=field):
+        scenario_from_dict(cfg)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["run", str(path)]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_load_scenario_roundtrip(tmp_path):
     cfg = preset_config("cdc18-scenario3")
     path = tmp_path / "s3.json"
