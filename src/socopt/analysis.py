@@ -128,7 +128,7 @@ class EquilibriumPoint:
 def equilibrium_point(obj: GlobalObjective, gains: GainParams, xstar: np.ndarray) -> EquilibriumPoint:
     xstar = np.asarray(xstar, dtype=float)
     xbar = np.tile(xstar, (obj.n, 1))
-    vbar = np.stack([-(gains.alpha / gains.theta) * c.grad(xstar) for c in obj.costs])
+    vbar = -(gains.alpha / gains.theta) * obj.grad_stack(xbar)
     return EquilibriumPoint(xstar=xstar, xbar=xbar, vbar=vbar)
 
 
@@ -159,14 +159,14 @@ class LyapunovContext:
     def _w1(self, x: np.ndarray) -> np.ndarray:
         """W1 = sum_i f_i(x_i) - g_i.x_i - (f_i(x*) - g_i.x*), g_i = grad f_i(x*);
         convex with minimum value 0 at consensus on x*."""
-        xstar = self.eq.xstar
-        total = np.zeros(x.shape[0])
-        for i, c in enumerate(self.obj.costs):
-            gi = c.grad(xstar)
-            at_star = c.f(xstar) - float(gi @ xstar)
-            f_vals = np.fromiter((c.f(xi) for xi in x[:, i]), dtype=float, count=x.shape[0])
-            total += f_vals - x[:, i] @ gi - at_star
-        return total
+        obj, xbar = self.obj, self.eq.xbar
+        gs = obj.grad_stack(xbar)
+        at_star = obj.f_stack(xbar) - np.matmul(xbar[:, None, :], gs[:, :, None])[:, 0, 0]
+        # g_i . x_i for every sample as one (m, p) @ (p,) product per agent,
+        # and the agents summed in index order, which keeps W1's rounding
+        gx = np.matmul(np.swapaxes(x, -3, -2), gs[:, :, None])[..., 0]
+        terms = obj.f_stack(x) - np.swapaxes(gx, -2, -1) - at_star
+        return np.add.accumulate(terms, axis=-1)[..., -1]
 
     def values(
         self, x: np.ndarray, y: np.ndarray, v: np.ndarray, chi: np.ndarray | None = None

@@ -3,13 +3,24 @@
 Three built-in families cover the simulation scenarios: quadratic costs in
 shift form 0.5*(x-a)^T A (x-a), quadratic costs in linear form
 0.5*x^T C x + a^T x, and quartic costs ||x-b||^4.  Custom costs are plain
-(f, grad) pairs.  The module also provides the independent oracles the
-test and acceptance suites are built on: finite-difference gradient
-checking, the global-minimizer solve, curvature bounds on balls, and a
-sampled lower estimate of restricted strong convexity.
+(f, grad) pairs.
+
+Each cost is a ``CostFunction`` carrying scalar (f, grad) closures and its
+canonical data.  When every cost of a ``GlobalObjective`` is quadratic, or
+every one is quartic, the objective stacks that data once into a
+``QuadraticFamily`` or ``QuarticFamily`` and evaluates all agents'
+gradients and values in one array expression; the batched gradients are
+bit-equal to the closures.  Custom and mixed objectives have no family and
+loop over the closures.  Elsewhere the closures serve as the scalar oracles
+of finite-difference gradient checking and curvature bounds.
+
+The module also provides the independent oracles the test and acceptance
+suites are built on: finite-difference gradient checking, the
+global-minimizer solve, curvature bounds on balls, and a sampled lower
+estimate of restricted strong convexity.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -42,17 +53,86 @@ class CostFunction:
     quartic_center: np.ndarray | None = None
 
 
+@dataclass(frozen=True)
+class QuadraticFamily:
+    """Quadratic costs of all agents, stacked: A (n, p, p), centres a and
+    linear terms b (n, p), so that grad f_i(x) = A_i (x - a_i) + b_i and
+    f_i(x) = 0.5 (x - a_i)^T A_i (x - a_i) + b_i^T x."""
+
+    A: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        """Per-agent gradients at stacked positions x (n, p), or at one
+        point x (p,) shared by all agents.  Here and in ``f`` the batched
+        matmuls round like the closures' per-agent products; einsum does
+        not."""
+        return np.matmul(self.A, (x - self.a)[:, :, None])[:, :, 0] + self.b
+
+    def f(self, x: np.ndarray) -> np.ndarray:
+        """Per-agent values at positions x of shape (..., n, p) or (p,), as
+        (..., n), in the closures' evaluation order 0.5*d @ A @ d + b @ x."""
+        d = x - self.a
+        quad = np.matmul(np.matmul((0.5 * d)[..., None, :], self.A), d[..., :, None])
+        return quad[..., 0, 0] + np.matmul(x[..., None, :], self.b[:, :, None])[..., 0, 0]
+
+
+@dataclass(frozen=True)
+class QuarticFamily:
+    """Quartic costs of all agents, stacked: centres B (n, p), so that
+    f_i(x) = ||x - B_i||^4 and grad f_i(x) = 4 ||x - B_i||^2 (x - B_i)."""
+
+    B: np.ndarray
+
+    @staticmethod
+    def _sq_norms(d: np.ndarray) -> np.ndarray:
+        # a batched 1 x p by p x 1 product rounds like the per-agent d @ d
+        return np.matmul(d[..., None, :], d[..., :, None])[..., 0]
+
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        """Per-agent gradients at stacked positions x (n, p), or at one
+        point x (p,) shared by all agents."""
+        d = x - self.B
+        return 4.0 * self._sq_norms(d) * d
+
+    def f(self, x: np.ndarray) -> np.ndarray:
+        """Per-agent values at positions x of shape (..., n, p) or (p,), as (..., n)."""
+        sq = self._sq_norms(x - self.B)[..., 0]
+        return sq * sq
+
+
+def _family(costs: list[CostFunction]) -> QuadraticFamily | QuarticFamily | None:
+    kinds = {c.kind for c in costs}
+    if kinds == {"quadratic"}:
+        return QuadraticFamily(
+            A=np.stack([c.quad_matrix for c in costs]),
+            a=np.stack([c.center for c in costs]),
+            b=np.stack([c.linear for c in costs]),
+        )
+    if kinds == {"quartic"}:
+        return QuarticFamily(B=np.stack([c.quartic_center for c in costs]))
+    return None
+
+
 @dataclass
 class GlobalObjective:
-    """Sum of private costs, one per agent."""
+    """Sum of private costs, one per agent.
+
+    ``family`` stacks the costs' data when they all share a built-in kind
+    (built once here); it is None for custom and mixed objectives, whose
+    per-agent evaluations loop over the closures.
+    """
 
     costs: list[CostFunction]
     restricted_convexity: float | None = None
+    family: QuadraticFamily | QuarticFamily | None = field(init=False, repr=False)
 
     def __post_init__(self):
         dims = {c.dimension for c in self.costs}
         if len(dims) != 1:
             raise CostError(f"costs disagree on dimension: {sorted(dims)}")
+        self.family = _family(self.costs)
 
     @property
     def n(self) -> int:
@@ -67,15 +147,30 @@ class GlobalObjective:
 
     def grad_stack(self, x: np.ndarray) -> np.ndarray:
         """Per-agent gradients for stacked positions x of shape (n, p)."""
+        if self.family is not None:
+            return self.family.grad(x)
         return np.stack([c.grad(x[i]) for i, c in enumerate(self.costs)])
 
-    def sum_grad(self, z: np.ndarray) -> np.ndarray:
-        """Gradient of the global objective at a single point z."""
-        return sum(c.grad(z) for c in self.costs)
+    def f_stack(self, x: np.ndarray) -> np.ndarray:
+        """Per-agent values f_i(x_i) for positions x of shape (..., n, p), as (..., n)."""
+        if self.family is not None:
+            return self.family.f(x)
+        rows = np.reshape(x, (-1, self.n, self.p))
+        vals = [[c.f(row[i]) for i, c in enumerate(self.costs)] for row in rows]
+        return np.reshape(np.array(vals, dtype=float), np.shape(x)[:-1])
 
-    def value(self, x: np.ndarray) -> float:
-        """Sum of private costs at stacked positions x of shape (n, p)."""
-        return float(sum(c.f(x[i]) for i, c in enumerate(self.costs)))
+    def sum_grad(self, z: np.ndarray) -> np.ndarray:
+        """Gradient of the global objective at a single point z, summed in
+        agent index order like a loop over the closures (``sum(axis=0)``
+        switches to pairwise summation when p = 1)."""
+        g = self.family.grad(z) if self.family is not None else [c.grad(z) for c in self.costs]
+        return np.add.accumulate(g, axis=0)[-1]
+
+    def sum_f(self, z: np.ndarray) -> float:
+        """Value of the global objective at a single point z, summed in
+        agent index order like a loop over the closures."""
+        vals = self.family.f(z).tolist() if self.family is not None else [c.f(z) for c in self.costs]
+        return float(sum(vals))
 
 
 def _as_matrix(M, p=None) -> np.ndarray:
@@ -155,7 +250,8 @@ def quartic_family(centers) -> list[CostFunction]:
 
         def f(x, b=b):
             d = x - b
-            return float((d @ d) ** 2)
+            sq = float(d @ d)
+            return sq * sq
 
         def grad(x, b=b):
             d = x - b
@@ -247,7 +343,7 @@ def minimizer_oracle(
         return MinimizerResult(x=x, residual=res, unique=unique, method="linear-solve", null_basis=basis)
 
     x = np.zeros(p) if x0 is None else np.asarray(x0, dtype=float).copy()
-    fval = sum(c.f(x) for c in obj.costs)
+    fval = obj.sum_f(x)
     step = 1.0
     for _ in range(max_iter):
         g = obj.sum_grad(x)
@@ -265,7 +361,7 @@ def minimizer_oracle(
         accepted = False
         while step > 1e-18:
             x_new = x - step * g
-            f_new = sum(c.f(x_new) for c in obj.costs)
+            f_new = obj.sum_f(x_new)
             decrease = 0.5 * step * gn * gn
             if decrease >= noise and f_new <= fval - decrease:
                 accepted = True

@@ -181,11 +181,13 @@ def make_trigger_law(
     eps0: float | None = None,
     eps8: float | None = None,
     denominator: str = "varphi",
+    varphi: np.ndarray | None = None,
 ) -> TriggerLaw:
     """Resolve the threshold coefficients for a concrete graph and gains.
 
-    ``eps8`` is only needed when sigma is nonzero somewhere and the
-    denominator is "varphi" (it feeds the threshold constant).
+    The "varphi" denominator with sigma nonzero somewhere needs the
+    threshold constants: pass them as ``varphi`` when already computed
+    (``varphi_all``), or pass ``eps8`` to have them computed here.
     """
     if eps0 is None:
         eps0 = default_eps0(gains)
@@ -201,9 +203,11 @@ def make_trigger_law(
     elif denominator == "rate":
         c = lead * params.sigma / (4.0 * params.phi_rate)
     else:
-        if eps8 is None:
-            raise TriggerConfigError("eps8 is required to derive the threshold constants")
-        phis = varphi_all(g, gains, eps0, eps8)
+        phis = varphi
+        if phis is None:
+            if eps8 is None:
+                raise TriggerConfigError("eps8 is required to derive the threshold constants")
+            phis = varphi_all(g, gains, eps0, eps8)
         c = lead * params.sigma / (4.0 * phis)
     return TriggerLaw(params=params, eps0=eps0, c=c, varphi=phis)
 

@@ -54,6 +54,7 @@ ALGORITHMS = ("continuous", "alternative", "event")
 V_BALANCE_TOL = 1e-10
 DISCIPLINE_TOL = 1e-9
 CHI_FLOOR_TOL = 1e-9
+CSV_CHUNK = 128  # trajectory samples per block of CSV rows
 
 
 class ConfigError(ValueError):
@@ -130,7 +131,9 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     offending field named: schema version, required cost fields, the gain
     field set, gain positivity and theta < alpha*gamma, graph
     connectivity, event mode needing a global gradient-Lipschitz modulus
-    per agent, balanced integral states for the primary algorithms, and
+    per agent and (for the "varphi" threshold denominator with nonzero
+    sigma) restricted strong convexity of an all-quadratic objective,
+    balanced integral states for the primary algorithms, and
     trigger-parameter ranges.
     """
     version = cfg.get("schema_version")
@@ -215,6 +218,14 @@ def scenario_from_dict(cfg: dict) -> Scenario:
             trigger = TriggerParams(**fields)
         else:
             trigger = TriggerParams.defaults(g.n)
+        if denom == "varphi" and np.any(trigger.sigma != 0.0) and obj.all_quadratic():
+            _require(
+                estimate_mf(obj, None).satisfied,
+                "restricted strong convexity hypothesis violated: the summed quadratic "
+                "matrix is singular (m_f = 0), so the threshold constants varphi_i of the "
+                "event trigger do not exist; set trigger.threshold_denominator to \"rate\" "
+                "or use the \"local-only\" trigger preset",
+            )
 
     return Scenario(
         name=str(cfg.get("name", "scenario")),
@@ -391,8 +402,8 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None) -> RunReport:
             gains,
             scenario.trigger,
             eps0=eps0,
-            eps8=consts.eps8 if consts is not None else None,
             denominator=scenario.threshold_denominator,
+            varphi=phis,
         )
         event_run = simulate_event(state0, g, obj, gains, law, scenario.step, scenario.horizon)
         traj = event_run.trajectory
@@ -475,20 +486,20 @@ def _write_trajectory_csv(path: Path, traj: Trajectory, seed: int | None):
         cols += [f"chi_{i+1}" for i in range(n)]
     extra_names = sorted(traj.extras)
     cols += extra_names
+    m = traj.samples
+    blocks = [traj.t[:, None], traj.x.reshape(m, -1), traj.y.reshape(m, -1), traj.v.reshape(m, -1)]
+    if chi is not None:
+        blocks.append(chi)
+    blocks += [traj.extras[name][:, None] for name in extra_names]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if seed is not None:
             fh.write(f"# seed={seed}\n")
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(cols)
-        for k in range(traj.samples):
-            row = [_fmt(traj.t[k])]
-            row += [_fmt(val) for val in traj.x[k].ravel()]
-            row += [_fmt(val) for val in traj.y[k].ravel()]
-            row += [_fmt(val) for val in traj.v[k].ravel()]
-            if chi is not None:
-                row += [_fmt(val) for val in chi[k]]
-            row += [_fmt(traj.extras[name][k]) for name in extra_names]
-            w.writerow(row)
+        fh.write(",".join(cols) + "\n")
+        # rows go out CSV_CHUNK at a time, so only one chunk is ever held
+        # as Python floats; repr of a float is what _fmt writes
+        for start in range(0, m, CSV_CHUNK):
+            rows = np.hstack([blk[start : start + CSV_CHUNK] for blk in blocks]).tolist()
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _write_events_csv(path: Path, event_run):

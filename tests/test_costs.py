@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from socopt.analysis import LyapunovContext, equilibrium_point
 from socopt.costs import (
     CostError,
     GlobalObjective,
@@ -13,7 +14,9 @@ from socopt.costs import (
     gradient_check,
     minimizer_oracle,
     quadratic_family,
+    quartic_family,
 )
+from socopt.graph import spectral
 from socopt.presets import (
     SCENARIO1_A,
     SCENARIO1_SHIFTS,
@@ -21,6 +24,8 @@ from socopt.presets import (
     SCENARIO3_C,
     SCENARIO3_LINEAR,
 )
+
+from conftest import random_connected_graph
 
 
 def test_quadratic_gradient_vanishes_at_shift(obj1):
@@ -191,3 +196,99 @@ def test_quadratic_lipschitz_sampled(seed, obj3):
         z = rng.uniform(-10.0, 10.0, 3)
         lhs = np.linalg.norm(cost.grad(x) - cost.grad(z))
         assert lhs <= cost.global_lipschitz * np.linalg.norm(x - z) + 1e-10
+
+
+# -- batched cost families against the per-agent closures ---------------------
+
+FAMILY_KINDS = ("quadratic_shift", "quadratic_linear", "quartic")
+
+
+def _random_objective(rng, kind, n, p):
+    if kind == "quartic":
+        return GlobalObjective(quartic_family(rng.uniform(-3.0, 3.0, (n, p))))
+    mats = []
+    for _ in range(n):
+        q = rng.standard_normal((p, p))
+        mats.append(q @ q.T / p + rng.uniform(0.0, 1.0) * np.eye(p))
+    vecs = rng.uniform(-3.0, 3.0, (n, p))
+    if kind == "quadratic_shift":
+        return GlobalObjective(quadratic_family(mats, shifts=vecs))
+    return GlobalObjective(quadratic_family(mats, linear_terms=vecs))
+
+
+def _closure_sum_grad(obj, z):
+    """Scalar reference: the global gradient summed closure by closure."""
+    total = np.zeros(obj.p)
+    for c in obj.costs:
+        total = total + c.grad(z)
+    return total
+
+
+def _closure_w1(obj, xstar, x):
+    """Scalar reference for W1 over samples x (m, n, p): one closure call
+    per agent and sample."""
+    total = np.zeros(x.shape[0])
+    for i, c in enumerate(obj.costs):
+        gi = c.grad(xstar)
+        at_star = c.f(xstar) - float(gi @ xstar)
+        f_vals = np.array([c.f(xi) for xi in x[:, i]])
+        total += f_vals - x[:, i] @ gi - at_star
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    kind=st.sampled_from(FAMILY_KINDS),
+    n=st.integers(1, 20),
+    p=st.sampled_from([1, 2, 3, 5, 8]),
+)
+def test_family_matches_closure_loop(seed, kind, n, p, gains_theta35):
+    rng = np.random.default_rng(seed)
+    obj = _random_objective(rng, kind, n, p)
+    assert obj.family is not None
+    scale = 10.0 ** rng.uniform(-3.0, 2.0)
+    x = rng.uniform(-1.0, 1.0, (n, p)) * scale
+    grads = obj.grad_stack(x)
+    for i, c in enumerate(obj.costs):
+        assert np.all(grads[i] == c.grad(x[i]))
+    z = rng.uniform(-1.0, 1.0, p) * scale
+    assert np.all(obj.sum_grad(z) == _closure_sum_grad(obj, z))
+    samples = rng.uniform(-1.0, 1.0, (7, n, p)) * scale
+    ref_f = [[c.f(xs[i]) for i, c in enumerate(obj.costs)] for xs in samples]
+    assert np.all(obj.f_stack(samples) == np.array(ref_f))
+
+    xstar = rng.uniform(-1.0, 1.0, p)
+    eq = equilibrium_point(obj, gains_theta35, xstar)
+    gain = -(gains_theta35.alpha / gains_theta35.theta)
+    assert all(np.all(eq.vbar[i] == gain * c.grad(xstar)) for i, c in enumerate(obj.costs))
+    if n > 1:
+        g = random_connected_graph(rng, n)
+        ctx = LyapunovContext(g=g, sd=spectral(g), obj=obj, gains=gains_theta35, eps0=0.8, eps=0.1, eq=eq)
+        assert ctx._w1(samples) == pytest.approx(_closure_w1(obj, xstar, samples), rel=1e-12, abs=0.0)
+
+
+def test_custom_and_mixed_objectives_take_per_agent_path():
+    calls = []
+
+    def grad(x):
+        calls.append(x)
+        return 2.0 * x
+
+    custom = custom_cost(lambda x: float(x @ x), grad, 2)
+    quad = quadratic_family([np.eye(2), 2.0 * np.eye(2)], shifts=[[1.0, 2.0], [0.0, -1.0]])
+    quart = quartic_family([[0.5, 1.0]])
+    rng = np.random.default_rng(3)
+    for costs in ([*quad, *quart], [custom, custom, *quad]):
+        obj = GlobalObjective(costs)
+        assert obj.family is None
+        x = rng.uniform(-2.0, 2.0, (obj.n, 2))
+        ref_grads = np.stack([c.grad(x[i]) for i, c in enumerate(costs)])
+        ref_f = [[c.f(x[i]) for i, c in enumerate(costs)]]
+        ref_sum = _closure_sum_grad(obj, x[0])
+        calls.clear()
+        np.testing.assert_array_equal(obj.grad_stack(x), ref_grads)
+        np.testing.assert_array_equal(obj.f_stack(x[None]), ref_f)
+        np.testing.assert_array_equal(obj.sum_grad(x[0]), ref_sum)
+    # the custom closure saw agents 0 and 1 in grad_stack, then x[0] twice in sum_grad
+    np.testing.assert_array_equal(calls, [x[0], x[1], x[0], x[0]])

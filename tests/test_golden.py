@@ -16,10 +16,13 @@ terms, which the three-agent path cannot show), this module pins
 
 ``golden.json`` is rewritten by
 
-    PYTHONPATH=src python tests/test_golden.py --record
+    PYTHONPATH=src python tests/test_golden.py --record [NAME ...]
 
-Rerun it only with the reason for the change written in CHANGES.md: the
-point of these fixtures is that a refactor leaves them untouched.
+which records every run, or with names (``run3_event``, ``ring30_event``,
+...) only those entries, leaving the bytes of every other entry as they
+are.  Rerun it only with the reason for the change written in
+CHANGES.md: the point of these fixtures is that a refactor leaves them
+untouched.
 """
 
 import hashlib
@@ -165,10 +168,21 @@ def test_golden(run_name, golden, request):
         assert abs(got["excesses"][name] - value) <= tol, f"{name}: {got['excesses'][name]!r} vs {value!r}"
 
 
-def record() -> None:
-    runs = {name: fingerprint(run(load_preset(preset))) for name, preset in PRESET_RUNS.items()}
-    runs["run3_alternative"] = fingerprint(run(alternative_scenario()))
-    runs["ring30_event"] = fingerprint(run(ring30_event_scenario()))
+SCENARIOS = {
+    **{name: (lambda preset=preset: load_preset(preset)) for name, preset in PRESET_RUNS.items()},
+    "run3_alternative": alternative_scenario,
+    "ring30_event": ring30_event_scenario,
+}
+
+
+def record(names=RUN_NAMES) -> None:
+    """Re-run and rewrite the named entries; the others are kept as loaded."""
+    if set(names) == set(RUN_NAMES):
+        runs = {}
+    else:
+        runs = json.loads(GOLDEN.read_text(encoding="utf-8"))["runs"]
+    for name in names:
+        runs[name] = fingerprint(run(SCENARIOS[name]()))
     doc = {
         "note": "Written by tests/test_golden.py --record. Rerun only with the reason stated in CHANGES.md.",
         "runs": runs,
@@ -176,7 +190,21 @@ def record() -> None:
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def test_record_named_entry_keeps_the_others(tmp_path, monkeypatch):
+    # spoil one entry, re-record only it: the file comes back byte for byte
+    text = GOLDEN.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    doc["runs"]["run_heavy_ball"]["terminal_error"] = -1.0
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    monkeypatch.setitem(globals(), "GOLDEN", path)
+    record(["run_heavy_ball"])
+    assert path.read_text(encoding="utf-8") == text
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: python tests/test_golden.py --record")
-    record()
+    flag, *names = sys.argv[1:] or [None]
+    unknown = sorted(set(names) - set(RUN_NAMES))
+    if flag != "--record" or unknown:
+        sys.exit(f"usage: python tests/test_golden.py --record [NAME ...], NAME one of {', '.join(RUN_NAMES)}")
+    record(names or RUN_NAMES)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -6,9 +7,11 @@ import sys
 import numpy as np
 import pytest
 
+from socopt import events, harness
 from socopt.cli import main as cli_main
 from socopt.harness import (
     ConfigError,
+    _write_trajectory_csv,
     certificate_constants,
     compare,
     load_preset,
@@ -89,6 +92,21 @@ def test_gate_event_mode_quartic_needs_override():
     assert all(c.global_lipschitz == 400.0 for c in sc.obj.costs)
 
 
+def test_gate_event_mode_singular_quadratic_rejected():
+    # scenario 1's summed matrix is singular (m_f = 0): the varphi threshold
+    # constants do not exist, so event mode with sigma != 0 is rejected at load
+    cfg = preset_config("cdc18-scenario1")
+    cfg["algorithm"] = "event"
+    with pytest.raises(ConfigError, match="restricted strong convexity.*threshold_denominator.*rate"):
+        scenario_from_dict(cfg)
+    cfg["integration"]["horizon"] = 0.2
+    for trigger in ({"threshold_denominator": "rate"}, {"preset": "local-only"}):
+        cfg["trigger"] = trigger
+        assert run(scenario_from_dict(cfg)).passed
+    for name in preset_names():
+        load_preset(name)  # no bundled preset trips the gate
+
+
 def test_gate_unbalanced_v0():
     cfg = preset_config("cdc18-scenario3")
     cfg["initial"] = {"x": [[0.0] * 3] * 3, "y": [[0.0] * 3] * 3, "v": [[1.0, 0.0, 0.0]] * 3}
@@ -157,6 +175,60 @@ def test_run_emits_files(tmp_path, run3_event):
     assert "x_1_1" in cols and "v_3_3" in cols and "chi_2" in cols and "V3" in cols
     ev_cols = (tmp_path / "cdc18-scenario3-event_events.csv").read_text().splitlines()[0]
     assert ev_cols == "agent,k,t,chi_at_trigger,error_norm_sq,qhat"
+
+
+def _write_trajectory_csv_reference(path, traj, seed):
+    """The per-value trajectory writer, kept as the byte-level reference."""
+    n, p = traj.x.shape[1], traj.x.shape[2]
+    chi = traj.chi
+    cols = ["t"]
+    cols += [f"x_{i+1}_{k+1}" for i in range(n) for k in range(p)]
+    cols += [f"y_{i+1}_{k+1}" for i in range(n) for k in range(p)]
+    cols += [f"v_{i+1}_{k+1}" for i in range(n) for k in range(p)]
+    if chi is not None:
+        cols += [f"chi_{i+1}" for i in range(n)]
+    extra_names = sorted(traj.extras)
+    cols += extra_names
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if seed is not None:
+            fh.write(f"# seed={seed}\n")
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(cols)
+        for k in range(traj.samples):
+            row = [repr(float(traj.t[k]))]
+            row += [repr(float(val)) for val in traj.x[k].ravel()]
+            row += [repr(float(val)) for val in traj.y[k].ravel()]
+            row += [repr(float(val)) for val in traj.v[k].ravel()]
+            if chi is not None:
+                row += [repr(float(val)) for val in chi[k]]
+            row += [repr(float(traj.extras[name][k])) for name in extra_names]
+            w.writerow(row)
+
+
+def test_trajectory_csv_matches_per_value_writer(tmp_path, run3_event):
+    # chi and the Lyapunov columns included; 5001 samples span several chunks
+    _, rep = run3_event
+    assert rep.trajectory.chi is not None and "V3" in rep.trajectory.extras
+    _write_trajectory_csv(tmp_path / "new.csv", rep.trajectory, rep.seed)
+    _write_trajectory_csv_reference(tmp_path / "ref.csv", rep.trajectory, rep.seed)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_event_run_computes_varphi_once(monkeypatch):
+    calls = []
+    varphi_all = events.varphi_all
+
+    def counted(*args):
+        calls.append(args)
+        return varphi_all(*args)
+
+    monkeypatch.setattr(harness, "varphi_all", counted)
+    monkeypatch.setattr(events, "varphi_all", counted)
+    cfg = preset_config("cdc18-scenario3-event")
+    cfg["integration"]["horizon"] = 0.5
+    rep = run(scenario_from_dict(cfg))
+    assert len(calls) == 1
+    assert "V3" in rep.trajectory.extras and rep.event_run.law.varphi is not None
 
 
 def test_run_deterministic_bytes(tmp_path):
