@@ -30,7 +30,6 @@ from .costs import (
     quartic_family,
 )
 from .dynamics import (
-    AgentDerivatives,
     DivergenceError,
     GainParams,
     HypothesisError,

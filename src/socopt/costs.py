@@ -441,16 +441,17 @@ def estimate_mf(obj: GlobalObjective, xstar: np.ndarray, samples=None) -> MfEsti
     if samples is None:
         raise CostError("non-quadratic objective needs sample points for the estimate")
     xstar = np.asarray(xstar, dtype=float)
-    gstar = obj.sum_grad(xstar)
-    best = np.inf
-    for x in samples:
-        x = np.asarray(x, dtype=float)
-        d = x - xstar
-        dn2 = float(d @ d)
-        if dn2 < 1e-20:
-            continue
-        ratio = float((obj.sum_grad(x) - gstar) @ d) / dn2
-        best = min(best, ratio)
+    x = np.asarray(samples, dtype=float).reshape(-1, obj.p)
+    if obj.family is not None:  # gradients summed in agent order, like sum_grad
+        gsum = np.add.accumulate(obj.family.grad(x[:, None, :]), axis=1)[:, -1]
+    else:
+        gsum = np.array([obj.sum_grad(xi) for xi in x]).reshape(x.shape)
+    d = x - xstar
+    # 1 x p by p x 1 products round like the per-sample dot products
+    dn2 = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
+    num = np.matmul((gsum - obj.sum_grad(xstar))[:, None, :], d[:, :, None])[:, 0, 0]
+    keep = dn2 >= 1e-20
+    best = float(np.fmin.reduce(num[keep] / dn2[keep], initial=np.inf))  # NaN ratios skipped
     if not np.isfinite(best):
         raise CostError("no usable samples for the convexity estimate")
     return MfEstimate(value=best, exact=False, satisfied=best > 0.0)

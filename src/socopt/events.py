@@ -36,13 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import GlobalObjective
-from .dynamics import (
-    AgentDerivatives,
-    GainParams,
-    SwarmState,
-    Trajectory,
-    integrate,
-)
+from .dynamics import GainParams, SwarmState, Trajectory, _law, integrate
 from .graph import NetworkGraph
 
 
@@ -286,13 +280,12 @@ def chi_rhs(chi: np.ndarray, bracket: np.ndarray, params: TriggerParams) -> np.n
 
 
 def rhs_event(
-    state: SwarmState, ts: TriggerState, g: NetworkGraph, obj: GlobalObjective, gains: GainParams
-) -> AgentDerivatives:
-    """Continuous dynamics with the Laplacian terms fed by the caches."""
-    grads = obj.grad_stack(state.x)
-    Lxhat = g.laplacian @ ts.xhat
-    dy = -gains.gamma * state.y - gains.alpha * gains.beta * Lxhat - gains.theta * state.v - gains.alpha * grads
-    return AgentDerivatives(dx=state.y, dy=dy, dv=gains.beta * Lxhat)
+    state: SwarmState, ts: TriggerState, g: NetworkGraph, obj: GlobalObjective, gains: GainParams, *extra: np.ndarray
+) -> np.ndarray:
+    """Continuous dynamics with the Laplacian terms fed by the caches;
+    ``extra`` blocks (the chi law's dchi) are appended to the packed
+    derivative."""
+    return _law(state, obj, gains, g.laplacian @ ts.xhat, state.v, *extra)
 
 
 @dataclass
@@ -373,9 +366,8 @@ def simulate_event(
     decay = law.params.phi_rate + law.params.delta / law.params.kappa
     discipline, floor_margin, bracket = -np.inf, np.inf, None
 
-    def rhs(s: SwarmState) -> AgentDerivatives:
-        d = rhs_event(s, ts, g, obj, gains)
-        return AgentDerivatives(d.dx, d.dy, d.dv, chi_rhs(s.chi, bracket, law.params))
+    def rhs(s: SwarmState) -> np.ndarray:
+        return rhs_event(s, ts, g, obj, gains, chi_rhs(s.chi, bracket, law.params))
 
     def on_sample(s: SwarmState) -> None:
         nonlocal discipline, floor_margin, bracket

@@ -133,8 +133,8 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     connectivity, event mode needing a global gradient-Lipschitz modulus
     per agent and (for the "varphi" threshold denominator with nonzero
     sigma) restricted strong convexity of an all-quadratic objective,
-    balanced integral states for the primary algorithms, and
-    trigger-parameter ranges.
+    balanced integral states for the primary algorithms, a known
+    threshold denominator, and trigger-parameter ranges.
     """
     version = cfg.get("schema_version")
     _require(version == SCHEMA_VERSION, f"schema_version {version!r} does not match supported {SCHEMA_VERSION}")
@@ -199,6 +199,10 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     eps0 = trig_cfg.get("eps0", cfg.get("eps0"))
     eps = float(trig_cfg.get("eps", cfg.get("eps", 0.1)))
     denom = trig_cfg.get("threshold_denominator", "varphi")
+    _require(
+        denom in ("varphi", "rate"),
+        f'trigger.threshold_denominator must be "varphi" or "rate", got {denom!r}',
+    )
     if algorithm == "event":
         missing = [i + 1 for i, c in enumerate(obj.costs) if c.global_lipschitz is None]
         _require(
@@ -414,12 +418,7 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None) -> RunReport:
         traj.extras = ctx.values(traj.x, traj.y, traj.v, traj.chi)
     runtime = time.perf_counter() - t_start
 
-    checks: dict[str, bool] = {}
-    if scenario.algorithm == "alternative":
-        drift = np.abs(traj.v.sum(axis=1) - traj.v[0].sum(axis=0)[None, :])
-        checks["v_balance"] = bool((drift / (1.0 + traj.t)[:, None]).max() <= V_BALANCE_TOL)
-    else:
-        checks["v_balance"] = bool(v_balance_violation(traj) <= V_BALANCE_TOL)
+    checks = {"v_balance": bool(v_balance_violation(traj) <= V_BALANCE_TOL)}
     trigger_summary = None
     if event_run is not None:
         trigger_summary = zeno_report(event_run.trigger_state, scenario.horizon, scenario.step)

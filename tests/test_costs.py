@@ -292,3 +292,40 @@ def test_custom_and_mixed_objectives_take_per_agent_path():
         np.testing.assert_array_equal(obj.sum_grad(x[0]), ref_sum)
     # the custom closure saw agents 0 and 1 in grad_stack, then x[0] twice in sum_grad
     np.testing.assert_array_equal(calls, [x[0], x[1], x[0], x[0]])
+
+
+def _loop_mf(obj, xstar, samples):
+    """Scalar reference: the sampled m_f estimate one sample at a time."""
+    gstar = obj.sum_grad(xstar)
+    best = np.inf
+    for x in samples:
+        d = x - xstar
+        dn2 = float(d @ d)
+        if dn2 >= 1e-20:
+            best = min(best, float((obj.sum_grad(x) - gstar) @ d) / dn2)
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 12), p=st.sampled_from([1, 2, 3, 5, 8]))
+def test_estimate_mf_batch_matches_sample_loop(seed, n, p):
+    rng = np.random.default_rng(seed)
+    obj = _random_objective(rng, "quartic", n, p)
+    xstar = rng.uniform(-3.0, 3.0, p)
+    samples = rng.uniform(-10.0, 10.0, (50, p))
+    samples[0] = xstar  # a sample at x* itself is skipped
+    assert estimate_mf(obj, xstar, samples).value == _loop_mf(obj, xstar, samples)
+    mixed = GlobalObjective([*obj.costs, custom_cost(lambda z: float(z @ z), lambda z: 2.0 * z, p)])
+    assert mixed.family is None
+    assert estimate_mf(mixed, xstar, samples).value == _loop_mf(mixed, xstar, samples)
+
+
+def test_estimate_mf_batch_matches_sample_loop_fixed(obj2):
+    # scenario2 as the harness samples it, and 12 agents in one dimension,
+    # where a pairwise sum over agents would round differently
+    rng = np.random.default_rng(7)
+    line = GlobalObjective(quartic_family(rng.uniform(-3.0, 3.0, (12, 1))))
+    for obj, xstar in ((obj2, minimizer_oracle(obj2).x), (line, np.array([0.5]))):
+        for seed in range(50):
+            samples = np.random.default_rng(seed).uniform(-10.0, 10.0, (200, obj.p))
+            assert estimate_mf(obj, xstar, samples).value == _loop_mf(obj, xstar, samples)

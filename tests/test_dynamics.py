@@ -1,22 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socopt.costs import GlobalObjective, custom_cost, quadratic_family
 from socopt.dynamics import (
-    AgentDerivatives,
     DivergenceError,
     GainParams,
     HypothesisError,
     SwarmState,
     equilibrium_residual,
     integrate,
+    rk4_step,
     rhs_alternative,
     rhs_continuous,
     v_balance_violation,
 )
+from socopt.events import TriggerParams, TriggerState, chi_rhs, rhs_event
 from socopt.graph import build_graph
 
-from conftest import heavy_ball_closed_form
+from conftest import heavy_ball_closed_form, random_connected_graph
 
 
 def _state(rng, n, p, zero_v_sum=True):
@@ -38,43 +41,43 @@ def test_single_agent_reduces_to_heavy_ball():
     obj = GlobalObjective(quadratic_family([np.eye(2)], shifts=[np.zeros(2)]))
     gains = GainParams(alpha=2.0, beta=2.0, gamma=6.0, theta=5.0)
     state = SwarmState(0.0, [[1.0, -2.0]], [[0.5, 0.0]], [[0.0, 0.0]])
-    d = rhs_continuous(state, g, obj, gains)
+    _, dy, dv = rhs_continuous(state, g, obj, gains).reshape(3, 1, 2)
     expected = -gains.gamma * state.y - gains.alpha * obj.grad_stack(state.x)
-    np.testing.assert_allclose(d.dy, expected)
-    np.testing.assert_allclose(d.dv, 0.0)
+    np.testing.assert_allclose(dy, expected)
+    np.testing.assert_allclose(dv, 0.0)
 
 
 def test_consensus_state_rhs(path3, obj3, gains_theta35):
     c = np.array([0.3, -1.0, 2.0])
     state = SwarmState(0.0, np.tile(c, (3, 1)), np.zeros((3, 3)), np.zeros((3, 3)))
-    d = rhs_continuous(state, path3, obj3, gains_theta35)
-    np.testing.assert_allclose(d.dv, 0.0, atol=1e-14)
-    np.testing.assert_allclose(d.dy, -gains_theta35.alpha * obj3.grad_stack(state.x), atol=1e-14)
+    _, dy, dv = rhs_continuous(state, path3, obj3, gains_theta35).reshape(3, 3, 3)
+    np.testing.assert_allclose(dv, 0.0, atol=1e-14)
+    np.testing.assert_allclose(dy, -gains_theta35.alpha * obj3.grad_stack(state.x), atol=1e-14)
 
 
 def test_dv_hand_product(path3, gains_theta35):
     obj = GlobalObjective(quadratic_family([np.eye(1)] * 3, shifts=[[0.0]] * 3))
     state = SwarmState(0.0, [[0.0], [1.0], [2.0]], np.zeros((3, 1)), np.zeros((3, 1)))
-    d = rhs_continuous(state, path3, obj, gains_theta35)
-    np.testing.assert_allclose(d.dv, [[-2.0], [0.0], [2.0]])
+    dv = rhs_continuous(state, path3, obj, gains_theta35).reshape(3, 3, 1)[2]
+    np.testing.assert_allclose(dv, [[-2.0], [0.0], [2.0]])
 
 
 def test_alternative_consensus_v_coupling_vanishes(path3, obj3, gains_theta35):
     rng = np.random.default_rng(0)
     state = _state(rng, 3, 3, zero_v_sum=False)
     state.v = np.tile(np.array([1.0, -2.0, 0.5]), (3, 1))  # v in the consensus direction
-    d_alt = rhs_alternative(state, path3, obj3, gains_theta35)
+    d_alt = rhs_alternative(state, path3, obj3, gains_theta35).reshape(3, 3, 3)
     state0 = SwarmState(state.t, state.x, state.y, np.zeros((3, 3)))
-    d_ref = rhs_alternative(state0, path3, obj3, gains_theta35)
-    np.testing.assert_allclose(d_alt.dy, d_ref.dy, atol=1e-12)
+    d_ref = rhs_alternative(state0, path3, obj3, gains_theta35).reshape(3, 3, 3)
+    np.testing.assert_allclose(d_alt[1], d_ref[1], atol=1e-12)
 
 
 def test_alternative_differs_from_continuous(path3, obj3, gains_theta35):
     rng = np.random.default_rng(1)
     state = _state(rng, 3, 3)
-    d_c = rhs_continuous(state, path3, obj3, gains_theta35)
-    d_a = rhs_alternative(state, path3, obj3, gains_theta35)
-    assert not np.allclose(d_c.dy, d_a.dy)
+    d_c = rhs_continuous(state, path3, obj3, gains_theta35).reshape(3, 3, 3)
+    d_a = rhs_alternative(state, path3, obj3, gains_theta35).reshape(3, 3, 3)
+    assert not np.allclose(d_c[1], d_a[1])
 
 
 def test_both_algorithms_reach_unique_minimizer(path3, obj3, gains_theta35, run3):
@@ -134,6 +137,11 @@ def test_v_sum_conserved(path3, obj3, gains_theta35):
     s0.v[:] = 0.0
     traj = integrate(lambda s: rhs_continuous(s, path3, obj3, gains_theta35), s0, 0.01, 20.0)
     assert v_balance_violation(traj) <= 1e-10
+    # the alternative variant from an unbalanced v(0): only the drift counts
+    s0 = _state(rng, 3, 3, zero_v_sum=False)
+    assert np.abs(s0.v.sum(axis=0)).max() > 0.1
+    traj = integrate(lambda s: rhs_alternative(s, path3, obj3, gains_theta35), s0, 0.01, 20.0)
+    assert v_balance_violation(traj) <= 1e-10
 
 
 def test_divergence_reports_last_state(path3, gains_theta35):
@@ -150,12 +158,12 @@ def test_divergence_reports_last_state(path3, gains_theta35):
 def test_divergence_caught_on_nan_step(field):
     # a NaN confined to y, v or chi must stop the run on the step that made it
     s0 = SwarmState(0.0, [[1.0], [2.0]], [[0.0]] * 2, [[0.0]] * 2, chi=[1.0, 1.0])
+    block = {"dy": 1, "dv": 2, "dchi": 3}[field]
 
     def rhs(s):
-        d = {name: np.zeros((2, 1)) for name in ("dx", "dy", "dv")}
-        d["dchi"] = np.zeros(2)
-        d[field] = np.full_like(d[field], np.nan)
-        return AgentDerivatives(**d)
+        d = np.zeros(8)  # packed [dx, dy, dv, dchi], two agents in one dimension
+        d[2 * block : 2 * block + 2] = np.nan
+        return d
 
     with pytest.raises(DivergenceError) as exc:
         integrate(rhs, s0, 0.01, 1.0)
@@ -192,3 +200,78 @@ def test_integrate_validates_step(path3, obj3, gains_theta35):
         integrate(rhs, s0, -0.01, 1.0)
     with pytest.raises(ValueError):
         integrate(rhs, s0, 0.01, 0.001)
+
+
+def test_state_views_write_through():
+    s = SwarmState(0.0, np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)), chi=[1.0, 2.0])
+    s.v = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+    s.chi[1] = 7.0
+    np.testing.assert_array_equal(s.u, [0.0] * 12 + [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 1.0, 7.0])
+    for name in ("x", "y", "v", "chi"):
+        assert np.shares_memory(getattr(s, name), s.u)
+    s.u = 0.5
+    np.testing.assert_array_equal(s.v, 0.5)
+    plain = SwarmState(0.0, np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(AttributeError, match="no chi"):
+        plain.chi = np.ones(2)
+
+
+# -- the packed stepper against a per-block reference -------------------------
+
+
+def _block_rhs(g, obj, gains, coupling, xhat=None, bracket=None, params=None):
+    """Reference right-hand side on separate x, y, v (and chi) arrays."""
+
+    def rhs(x, y, v, chi):
+        grads = obj.grad_stack(x)
+        lx = g.laplacian @ (x if xhat is None else xhat)
+        cv = g.laplacian @ v if coupling == "laplacian" else v
+        dy = -gains.gamma * y - gains.alpha * gains.beta * lx - gains.theta * cv - gains.alpha * grads
+        return y, dy, gains.beta * lx, None if chi is None else chi_rhs(chi, bracket, params)
+
+    return rhs
+
+
+def _block_rk4(rhs, x, y, v, chi, h):
+    """Reference RK4 that combines x, y, v and chi block by block, stage by
+    stage; returns the blocks packed like ``SwarmState.u``."""
+    blocks = (x, y, v, chi)
+
+    def shifted(c, d):
+        return [None if a is None else a + c * h * da for a, da in zip(blocks, d)]
+
+    k1 = rhs(*blocks)
+    k2 = rhs(*shifted(0.5, k1))
+    k3 = rhs(*shifted(0.5, k2))
+    k4 = rhs(*shifted(1.0, k3))
+    w = h / 6.0
+    out = [a + w * (d1 + 2 * d2 + 2 * d3 + d4) for a, d1, d2, d3, d4 in zip(blocks, k1, k2, k3, k4) if a is not None]
+    return np.concatenate([a.ravel() for a in out])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 12), p=st.integers(1, 5))
+def test_rk4_step_matches_block_reference(seed, n, p, gains_theta35):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n)
+    mats = [q @ q.T / p + 0.5 * np.eye(p) for q in rng.standard_normal((n, p, p))]
+    obj = GlobalObjective(quadratic_family(mats, linear_terms=rng.uniform(-2.0, 2.0, (n, p))))
+    gains = gains_theta35
+    x, y, v, xhat = rng.uniform(-5.0, 5.0, (4, n, p))
+    chi, bracket = rng.uniform(0.1, 2.0, n), rng.uniform(-1.0, 1.0, n)
+    params = TriggerParams.defaults(n)
+    ts = TriggerState(xhat=xhat, chi=chi, last_event=np.zeros(n), counts=np.ones(n, dtype=int))
+    h = 0.01
+    cases = {
+        "continuous": (lambda s: rhs_continuous(s, g, obj, gains), _block_rhs(g, obj, gains, "v"), None),
+        "alternative": (lambda s: rhs_alternative(s, g, obj, gains), _block_rhs(g, obj, gains, "laplacian"), None),
+        "event": (
+            lambda s: rhs_event(s, ts, g, obj, gains, chi_rhs(s.chi, bracket, params)),
+            _block_rhs(g, obj, gains, "v", xhat, bracket, params),
+            chi,
+        ),
+    }
+    for name, (rhs, ref, c) in cases.items():
+        new = rk4_step(rhs, SwarmState(0.25, x, y, v, c), h)
+        assert np.all(new.u == _block_rk4(ref, x, y, v, c, h)), name
+        assert new.t == 0.25 + h

@@ -123,6 +123,19 @@ def test_gate_schema_version():
         scenario_from_dict(cfg)
 
 
+@pytest.mark.parametrize("preset", ["cdc18-scenario3", "cdc18-scenario3-event"])
+def test_gate_unknown_threshold_denominator(preset, tmp_path, capsys):
+    # rejected at load in every mode, naming the field and the allowed values
+    cfg = preset_config(preset)
+    cfg.setdefault("trigger", {})["threshold_denominator"] = "bogus"
+    with pytest.raises(ConfigError, match='threshold_denominator.*"varphi" or "rate"'):
+        scenario_from_dict(cfg)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["run", str(path)]) == 2
+    assert "threshold_denominator" in capsys.readouterr().err
+
+
 def _missing_shifts(cfg):
     del cfg["costs"]["shifts"]
 

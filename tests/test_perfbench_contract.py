@@ -1,0 +1,71 @@
+"""The benchmark's kernel micro-timings still run against the package.
+
+``perfbench/kernels.py`` calls ``rhs_continuous``, ``rhs_alternative``,
+``rhs_event``, ``rk4_step``, ``TriggerState(...)``, ``Trajectory.state_at``
+and more on the inputs of each workload.  These tests run it on short
+versions of two workloads so that an API change that would break the
+traced benchmark fails here first.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from socopt import harness, presets
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+PRESET_KERNELS = {
+    "costs.grad_stack_us",
+    "graph.laplacian_apply_us",
+    "dynamics.rhs_continuous_us",
+    "dynamics.rk4_step_us",
+    "events.qhat_us",
+    "events.trigger_sweep_us",
+    "events.rhs_event_us",
+    "analysis.lyapunov_sample_us",
+    "analysis.fit_rate_ms",
+}
+RING_CONTINUOUS_KERNELS = {
+    "costs.grad_stack_us",
+    "graph.laplacian_apply_us",
+    "dynamics.rhs_continuous_us",
+    "dynamics.rhs_alternative_us",
+    "dynamics.rk4_step_us",
+}
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import kernels
+
+    return kernels
+
+
+def _check(timings: dict, used: set):
+    assert used <= set(timings)
+    for name, value in timings.items():
+        if name in used:
+            assert np.isfinite(value) and value > 0.0, name
+        else:
+            assert value == 0.0, name
+
+
+def _run(cfgs):
+    return [harness.run(harness.scenario_from_dict(cfg)) for cfg in cfgs]
+
+
+def test_kernel_timings_presets(kernels):
+    cfgs = [presets.preset_config(name) for name in ("cdc18-scenario3", "cdc18-scenario3-event")]
+    for cfg in cfgs:
+        cfg["integration"]["horizon"] = 1.0
+    _check(kernels.kernel_timings("presets", cfgs, _run(cfgs)), PRESET_KERNELS)
+
+
+def test_kernel_timings_ring_continuous(kernels):
+    import workloads
+
+    cfgs = [workloads.ring_config(workloads.DEFAULT_SEED, 3, alg, 0.2) for alg in ("continuous", "alternative")]
+    _check(kernels.kernel_timings("ring300-continuous", cfgs, _run(cfgs)), RING_CONTINUOUS_KERNELS)
