@@ -283,29 +283,25 @@ def certificate_event(
     trigger_params: TriggerParams,
     mf: float,
     mf_exact: bool = True,
-    Mbar_override: float | None = None,
     base: CertificateConstants | None = None,
 ) -> CertificateConstants:
     """Constants certifying the event-triggered run, appended to ``base``.
 
-    Requires a global gradient-Lipschitz modulus for every agent (or an
-    explicit override) and trigger parameters with k_d > 0.
+    Requires a global gradient-Lipschitz modulus for every agent and
+    trigger parameters with k_d > 0; Mbar is their maximum.
     """
     _validate_design(gains, eps0, eps)
     if sd.rho2 is None:
         raise ConstantsError("certificate needs at least two agents (no positive Laplacian eigenvalue)")
     if mf <= 0:
         raise ConstantsError(f"restricted strong convexity modulus must be positive, got {mf}")
-    if Mbar_override is not None:
-        Mbar = float(Mbar_override)
-    else:
-        missing = [i for i, c in enumerate(obj.costs) if c.global_lipschitz is None]
-        if missing:
-            raise ConstantsError(
-                f"agents {missing} have no global gradient-Lipschitz modulus; "
-                "event-triggered certification needs one per agent"
-            )
-        Mbar = max(c.global_lipschitz for c in obj.costs)
+    missing = [i for i, c in enumerate(obj.costs) if c.global_lipschitz is None]
+    if missing:
+        raise ConstantsError(
+            f"agents {missing} have no global gradient-Lipschitz modulus; "
+            "event-triggered certification needs one per agent"
+        )
+    Mbar = max(c.global_lipschitz for c in obj.costs)
     k_d = trigger_params.k_d
     if k_d <= 0:
         raise ConstantsError(f"k_d = min(rate - (1-delta)/kappa) must be positive, got {k_d}")

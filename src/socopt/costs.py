@@ -46,7 +46,6 @@ class CostFunction:
     f: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     global_lipschitz: float | None = None
-    strong_convexity: float | None = None
     quad_matrix: np.ndarray | None = None
     center: np.ndarray | None = None
     linear: np.ndarray | None = None
@@ -76,6 +75,13 @@ class QuadraticFamily:
         d = x - self.a
         quad = np.matmul(np.matmul((0.5 * d)[..., None, :], self.A), d[..., :, None])
         return quad[..., 0, 0] + np.matmul(x[..., None, :], self.b[:, :, None])[..., 0, 0]
+
+    def summed_system(self) -> tuple[np.ndarray, np.ndarray]:
+        """(S, r) with S = sum_i A_i and r = sum_i (A_i a_i - b_i), so that the
+        summed gradient is S x - r; summed in agent order like a loop over
+        the costs."""
+        r = np.matmul(self.A, self.a[:, :, None])[:, :, 0] - self.b
+        return np.add.accumulate(self.A, axis=0)[-1], np.add.accumulate(r, axis=0)[-1]
 
 
 @dataclass(frozen=True)
@@ -125,7 +131,6 @@ class GlobalObjective:
     """
 
     costs: list[CostFunction]
-    restricted_convexity: float | None = None
     family: QuadraticFamily | QuarticFamily | None = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -205,7 +210,6 @@ def _quadratic(A: np.ndarray, center: np.ndarray, linear: np.ndarray) -> CostFun
         f=f,
         grad=grad,
         global_lipschitz=float(evals[-1]),
-        strong_convexity=float(evals[0]) if evals[0] > 0 else None,
         quad_matrix=A,
         center=center,
         linear=linear,
@@ -327,8 +331,7 @@ def minimizer_oracle(
     """
     p = obj.p
     if obj.all_quadratic():
-        S = sum(c.quad_matrix for c in obj.costs)
-        b = sum(c.quad_matrix @ c.center - c.linear for c in obj.costs)
+        S, b = obj.family.summed_system()
         evals = np.linalg.eigvalsh(S)
         singular = evals[0] <= 1e-12 * max(1.0, evals[-1])
         if not singular:
@@ -434,9 +437,8 @@ def estimate_mf(obj: GlobalObjective, xstar: np.ndarray, samples=None) -> MfEsti
     whether the estimate is strictly positive.
     """
     if obj.all_quadratic():
-        S = sum(c.quad_matrix for c in obj.costs)
-        val = float(np.linalg.eigvalsh(S)[0])
-        val = val if abs(val) > 1e-12 * max(1.0, float(np.linalg.eigvalsh(S)[-1])) else 0.0
+        evals = np.linalg.eigvalsh(obj.family.summed_system()[0])
+        val = float(evals[0]) if abs(evals[0]) > 1e-12 * max(1.0, float(evals[-1])) else 0.0
         return MfEstimate(value=val, exact=True, satisfied=val > 0.0)
     if samples is None:
         raise CostError("non-quadratic objective needs sample points for the estimate")

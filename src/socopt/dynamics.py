@@ -14,7 +14,9 @@ v(0); the event-triggered variant feeds the last broadcasts xhat and adds
 the chi ODE.  ``_law`` is the one implementation of this law.
 
 A state packs its arrays into one float64 array u = [x, y, v(, chi)], and
-every right-hand side returns its derivative in that layout.  All three
+every right-hand side returns its derivative in that layout; a trajectory
+stores sample k as row k of one (m, N) array in it.  One helper, ``_views``,
+binds the x, y, v and chi views of both, for any leading axes.  All three
 variants share one classical 4th-order stepper, ``rk4_step``, which
 advances u as a whole, and one fixed-step loop, ``integrate``, which
 calls an optional hook at every committed sample (where event mode
@@ -23,7 +25,7 @@ trajectories exactly reproducible across runs; the default step 0.01 is
 the sample length used throughout the bundled scenarios.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -67,46 +69,64 @@ class GainParams:
             )
 
 
-class SwarmState:
-    """Stacked agent states at one instant: positions x, velocities y,
-    integral states v, each of shape (n, p), and in event mode the
-    internal variables chi, shape (n,).
+def _views(u: np.ndarray, n: int, p: int, has_chi: bool):
+    """x, y, v (..., n, p) and chi (..., n, or None) views into packed states
+    u of shape (..., 3*n*p [+ n]); besides the one concatenation in
+    ``_Packed.__init__``, the only code that knows the layout [x, y, v(, chi)]."""
+    blocks = u[..., : 3 * n * p].reshape(u.shape[:-1] + (3, n, p))
+    return blocks[..., 0, :, :], blocks[..., 1, :, :], blocks[..., 2, :, :], u[..., 3 * n * p :] if has_chi else None
 
-    The arrays live packed in one flat float64 array u = [x, y, v(, chi)];
-    x, y, v and chi are views into it.  Assigning to one of them (or to u)
-    writes into u.
-    """
 
-    def __init__(self, t: float, x, y, v, chi=None):
+class _Packed:
+    """x, y, v (..., n, p) and optionally chi (..., n), packed along the last
+    axis of one float64 array u and bound once as views into it; assigning
+    to one of them (or to u) writes into u."""
+
+    _ndim = 2  # axes of x the public constructor accepts
+
+    def __init__(self, t, x, y, v, chi=None):
         x, y, v = (np.asarray(a, dtype=float) for a in (x, y, v))
-        if not (x.shape == y.shape == v.shape) or x.ndim != 2:
-            raise ValueError("x, y, v must share shape (n, p)")
-        parts = [x.ravel(), y.ravel(), v.ravel()]
+        if not (x.shape == y.shape == v.shape) or x.ndim != self._ndim:
+            raise ValueError(f"x, y, v must share one shape with {self._ndim} axes")
+        parts = [a.reshape(x.shape[:-2] + (-1,)) for a in (x, y, v)]
         if chi is not None:
             chi = np.asarray(chi, dtype=float)
-            if chi.shape != (x.shape[0],):
-                raise ValueError("chi must have shape (n,)")
+            if chi.shape != x.shape[:-1]:
+                raise ValueError(f"chi must have shape {x.shape[:-1]}")
             parts.append(chi)
-        self._bind(t, np.concatenate(parts), *x.shape, chi is not None)
+        self._bind(t, np.concatenate(parts, axis=-1), *x.shape[-2:], chi is not None)
 
-    def _bind(self, t: float, u: np.ndarray, n: int, p: int, has_chi: bool):
-        x, y, v = u[: 3 * n * p].reshape(3, n, p)
-        vars(self).update(t=t, u=u, n=n, p=p, x=x, y=y, v=v, chi=u[3 * n * p :] if has_chi else None)
+    @classmethod
+    def _unchecked(cls, t, u: np.ndarray, n: int, p: int, has_chi: bool):
+        """An instance over the packed array u, without validation."""
+        obj = object.__new__(cls)
+        obj._bind(t, u, n, p, has_chi)
+        return obj
 
-    def _like(self, t: float, u: np.ndarray) -> "SwarmState":
-        """A state with this one's layout over the packed array u, unchecked."""
-        s = object.__new__(SwarmState)
-        s._bind(t, u, self.n, self.p, self.chi is not None)
-        return s
+    def _bind(self, t, u: np.ndarray, n: int, p: int, has_chi: bool):
+        x, y, v, chi = _views(u, n, p, has_chi)
+        vars(self).update(t=t, u=u, n=n, p=p, x=x, y=y, v=v, chi=chi)
 
     def __setattr__(self, name, value):
         if name in ("u", "x", "y", "v", "chi"):
             view = getattr(self, name)
             if view is None:
-                raise AttributeError("this state carries no chi")
+                raise AttributeError(f"this {type(self).__name__} carries no chi")
             view[...] = value
         else:
             object.__setattr__(self, name, value)
+
+
+class SwarmState(_Packed):
+    """Agent states at one instant: positions x, velocities y, integral
+    states v, each (n, p), and in event mode the internal variables chi (n,)."""
+
+    def _like(self, t: float, u: np.ndarray) -> "SwarmState":
+        """A state with this one's layout over the packed array u, unchecked
+        (``_unchecked`` inlined: this runs four times per step)."""
+        s = object.__new__(SwarmState)
+        s._bind(t, u, self.n, self.p, self.chi is not None)
+        return s
 
     def copy(self) -> "SwarmState":
         return self._like(self.t, self.u.copy())
@@ -141,24 +161,23 @@ def rhs_alternative(state: SwarmState, g: NetworkGraph, obj: GlobalObjective, ga
     return _law(state, obj, gains, g.laplacian @ state.x, g.laplacian @ state.v)
 
 
-@dataclass
-class Trajectory:
-    """Sampled trajectory: arrays indexed sample-first."""
+class Trajectory(_Packed):
+    """Sampled trajectory: row k of the (m, N) array u is the packed state
+    at t[k], so x, y, v are (m, n, p) and chi (m, n) views into u.
+    ``extras`` holds per-sample diagnostic columns by name."""
 
-    t: np.ndarray  # (m,)
-    x: np.ndarray  # (m, n, p)
-    y: np.ndarray
-    v: np.ndarray
-    chi: np.ndarray | None = None  # (m, n), event mode only
-    extras: dict[str, np.ndarray] = field(default_factory=dict)
+    _ndim = 3
+
+    def _bind(self, t, u: np.ndarray, n: int, p: int, has_chi: bool):
+        super()._bind(np.asarray(t, dtype=float), u, n, p, has_chi)
+        self.extras: dict[str, np.ndarray] = {}
 
     @property
     def samples(self) -> int:
         return self.t.shape[0]
 
     def state_at(self, k: int) -> SwarmState:
-        chi = None if self.chi is None else self.chi[k]
-        return SwarmState(float(self.t[k]), self.x[k], self.y[k], self.v[k], chi)
+        return SwarmState._unchecked(float(self.t[k]), self.u[k].copy(), self.n, self.p, self.chi is not None)
 
     def final_state(self) -> SwarmState:
         return self.state_at(self.samples - 1)
@@ -202,16 +221,10 @@ def integrate(
     state = initial.copy()
 
     ts = np.empty(n_steps + 1)
-    xs = np.empty((n_steps + 1, state.n, state.p))
-    ys = np.empty_like(xs)
-    vs = np.empty_like(xs)
-    chis = None if state.chi is None else np.empty((n_steps + 1, state.n))
+    us = np.empty((n_steps + 1, state.u.size))
 
     def commit(k: int, s: SwarmState):
-        ts[k] = s.t
-        xs[k], ys[k], vs[k] = s.x, s.y, s.v
-        if chis is not None:
-            chis[k] = s.chi
+        ts[k], us[k] = s.t, s.u
         if on_sample is not None:
             on_sample(s)
 
@@ -224,7 +237,7 @@ def integrate(
         state = new
         commit(k + 1, state)
 
-    return Trajectory(t=ts, x=xs, y=ys, v=vs, chi=chis)
+    return Trajectory._unchecked(ts, us, state.n, state.p, state.chi is not None)
 
 
 class EquilibriumResidual(NamedTuple):

@@ -54,9 +54,8 @@ class SpectralData:
 
     ``lambda1`` holds the positive eigenvalues sorted ascending, so
     ``rho2 = lambda1[0]`` and ``rho = lambda1[-1]``.  ``R`` holds the
-    corresponding orthonormal eigenvectors (columns), and ``r`` is the
-    normalized all-ones vector completing the orthogonal basis.  ``kn``
-    is the disagreement projector I - (1/n) 11^T, which annihilates the
+    corresponding orthonormal eigenvectors (columns).  ``kn`` is the
+    disagreement projector I - (1/n) 11^T, which annihilates the
     consensus direction.
     """
 
@@ -64,7 +63,6 @@ class SpectralData:
     rho: float
     rho2: float | None
     kn: np.ndarray
-    r: np.ndarray
     R: np.ndarray
     lambda1: np.ndarray
 
@@ -177,7 +175,6 @@ def spectral(g: NetworkGraph, zero_tol_factor: float = 1e-9) -> SpectralData:
         raise GraphError(f"expected one zero eigenvalue, found {n_zero}")
 
     kn = np.eye(g.n) - np.ones((g.n, g.n)) / g.n
-    r = np.ones(g.n) / np.sqrt(g.n)
     lambda1 = vals[1:].copy()
     R = vecs[:, 1:].copy()
     rho2 = float(lambda1[0]) if lambda1.size else None
@@ -186,7 +183,6 @@ def spectral(g: NetworkGraph, zero_tol_factor: float = 1e-9) -> SpectralData:
         rho=rho if g.n > 1 else 0.0,
         rho2=rho2,
         kn=_freeze(kn),
-        r=_freeze(r),
         R=_freeze(R),
         lambda1=_freeze(lambda1),
     )

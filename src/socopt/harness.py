@@ -9,8 +9,8 @@ requested diagnostics from the stored trajectory, checks the runtime
 invariants, and emits plot-ready CSV plus JSON reports.
 """
 
-import csv
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -55,6 +55,7 @@ V_BALANCE_TOL = 1e-10
 DISCIPLINE_TOL = 1e-9
 CHI_FLOOR_TOL = 1e-9
 CSV_CHUNK = 128  # trajectory samples per block of CSV rows
+TRIGGER_FIELDS = ("sigma", "delta", "phi_rate", "kappa", "chi0")
 
 
 class ConfigError(ValueError):
@@ -93,8 +94,6 @@ class Scenario:
     eps0: float | None = None
     eps: float = 0.1
     threshold_denominator: str = "varphi"
-    mbar_override: float | None = None
-    config: dict = field(default_factory=dict)
 
 
 def _require(cond: bool, msg: str):
@@ -102,9 +101,23 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
-def _build_costs(cost_cfg: dict) -> tuple[GlobalObjective, float | None]:
+def _section(cfg: dict, key: str) -> dict:
+    sec = cfg.get(key, {})
+    _require(isinstance(sec, dict), f"{key} must be a JSON object, got a {type(sec).__name__}")
+    return sec
+
+
+def _finite(value, name: str) -> float:
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    _require(math.isfinite(value), f"{name} must be finite, got {value}")
+    return value
+
+
+def _build_costs(cost_cfg: dict) -> GlobalObjective:
     kind = cost_cfg.get("kind")
-    mbar_override = cost_cfg.get("lipschitz_override")
 
     def need(key: str):
         _require(key in cost_cfg, f"costs.{key} is required for cost kind {kind!r}")
@@ -116,31 +129,40 @@ def _build_costs(cost_cfg: dict) -> tuple[GlobalObjective, float | None]:
         costs = quadratic_family(need("matrices"), linear_terms=need("linear_terms"))
     elif kind == "quartic":
         costs = quartic_family(need("centers"))
-        if mbar_override is not None:
-            for c in costs:
-                c.global_lipschitz = float(mbar_override)
     else:
         raise ConfigError(f"unknown cost kind {kind!r}")
-    return GlobalObjective(costs=costs), (float(mbar_override) if mbar_override is not None else None)
+    if "lipschitz_override" in cost_cfg:
+        mbar = _finite(cost_cfg["lipschitz_override"], "costs.lipschitz_override")
+        _require(mbar > 0, f"costs.lipschitz_override must be positive, got {mbar}")
+        for c in costs:
+            c.global_lipschitz = mbar
+    return GlobalObjective(costs=costs)
 
 
 def scenario_from_dict(cfg: dict) -> Scenario:
     """Validate a config dict and resolve it into a runnable scenario.
 
     Gates checked here, each rejected with the violated hypothesis or the
-    offending field named: schema version, required cost fields, the gain
-    field set, gain positivity and theta < alpha*gamma, graph
-    connectivity, event mode needing a global gradient-Lipschitz modulus
-    per agent and (for the "varphi" threshold denominator with nonzero
-    sigma) restricted strong convexity of an all-quadratic objective,
-    balanced integral states for the primary algorithms, a known
-    threshold denominator, and trigger-parameter ranges.
+    offending field named: schema version, every section being a JSON
+    object, an integer agent count, finite numbers (horizon, step, box,
+    literal initial state, gains, a positive Lipschitz override), required
+    cost fields, the gain field set, gain positivity and
+    theta < alpha*gamma, graph connectivity, event mode needing a global
+    gradient-Lipschitz modulus per agent and (for the "varphi" threshold
+    denominator with nonzero sigma) restricted strong convexity of an
+    all-quadratic objective, balanced integral states for the primary
+    algorithms, the trigger field set (eps0 and eps live at the top level),
+    a known trigger preset and threshold denominator, and trigger-parameter
+    ranges.
     """
+    _require(isinstance(cfg, dict), "a scenario config must be a JSON object")
     version = cfg.get("schema_version")
     _require(version == SCHEMA_VERSION, f"schema_version {version!r} does not match supported {SCHEMA_VERSION}")
 
-    gspec = cfg.get("graph", {})
-    g = build_graph(gspec.get("edges", []), n=gspec.get("n"))
+    gspec = _section(cfg, "graph")
+    n = gspec.get("n")
+    _require(n is None or (isinstance(n, int) and not isinstance(n, bool)), f"graph.n must be an integer, got {n!r}")
+    g = build_graph(gspec.get("edges", []), n=n)
     if not is_connected(g):
         comps = connected_components(g)
         raise ConfigError(
@@ -148,35 +170,36 @@ def scenario_from_dict(cfg: dict) -> Scenario:
             + ", ".join("{" + ",".join(str(v + 1) for v in c) + "}" for c in comps)
         )
 
-    obj, mbar_override = _build_costs(cfg.get("costs", {}))
+    obj = _build_costs(_section(cfg, "costs"))
     _require(obj.n == g.n, f"{obj.n} costs declared for a graph of {g.n} agents")
 
-    gain_cfg = cfg.get("gains", {})
+    gain_cfg = _section(cfg, "gains")
     bad = sorted(set(gain_cfg) ^ set(GainParams.__dataclass_fields__))
     _require(not bad, f"gains: unknown or missing field(s) {bad}; expected exactly alpha, beta, gamma, theta")
-    gains = GainParams(**{k: float(v) for k, v in gain_cfg.items()})
+    gains = GainParams(**{k: _finite(v, f"gains.{k}") for k, v in gain_cfg.items()})
 
     algorithm = cfg.get("algorithm", "continuous")
     _require(algorithm in ALGORITHMS, f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
 
-    integ = cfg.get("integration", {})
-    step = float(integ.get("step", 0.01))
-    horizon = float(integ.get("horizon", 50.0))
+    integ = _section(cfg, "integration")
+    step = _finite(integ.get("step", 0.01), "integration.step")
+    horizon = _finite(integ.get("horizon", 50.0), "integration.horizon")
     _require(step > 0, "integration step must be positive")
     _require(horizon >= step, "horizon must cover at least one step")
 
-    init_cfg = cfg.get("initial", {})
+    init_cfg = _section(cfg, "initial")
     initial = InitialSpec()
     if "x" in init_cfg or "y" in init_cfg:
         _require("x" in init_cfg and "y" in init_cfg, "literal initial state needs both x and y")
-        initial.x = np.asarray(init_cfg["x"], dtype=float)
-        initial.y = np.asarray(init_cfg["y"], dtype=float)
-        if "v" in init_cfg:
-            initial.v = np.asarray(init_cfg["v"], dtype=float)
+        for key in ("x", "y", "v"):
+            if key in init_cfg:
+                lit = np.asarray(init_cfg[key], dtype=float)
+                _require(bool(np.all(np.isfinite(lit))), f"initial.{key} must be finite")
+                setattr(initial, key, lit)
     else:
         box = init_cfg.get("box")
-        _require(box is not None and len(box) == 2, "initial needs literals x/y or a box [lo, hi]")
-        initial.box = (float(box[0]), float(box[1]))
+        _require(isinstance(box, list) and len(box) == 2, "initial needs literals x/y or a box [lo, hi]")
+        initial.box = (_finite(box[0], "initial.box"), _finite(box[1], "initial.box"))
         initial.seed = int(init_cfg.get("seed", presets.DEFAULT_SEED))
 
     if initial.v is not None and algorithm in ("continuous", "event"):
@@ -188,21 +211,28 @@ def scenario_from_dict(cfg: dict) -> Scenario:
             "alternative algorithm tolerates arbitrary v(0)",
         )
 
-    diag_cfg = cfg.get("diagnostics", {})
+    diag_cfg = _section(cfg, "diagnostics")
     diagnostics = Diagnostics(
         lyapunov=bool(diag_cfg.get("lyapunov", False)),
         rate_fit=bool(diag_cfg.get("rate_fit", False)),
     )
 
-    trig_cfg = cfg.get("trigger", {})
-    trigger = None
-    eps0 = trig_cfg.get("eps0", cfg.get("eps0"))
-    eps = float(trig_cfg.get("eps", cfg.get("eps", 0.1)))
+    trig_cfg = _section(cfg, "trigger")
+    for key in ("eps0", "eps"):
+        _require(key not in trig_cfg, f"trigger.{key} is not read; set the top-level field {key} instead")
+    known = ("preset", "threshold_denominator", *TRIGGER_FIELDS)
+    unknown = sorted(set(trig_cfg) - set(known))
+    _require(not unknown, f"trigger: unknown field(s) {unknown}; known fields are {', '.join(known)}")
+    preset = trig_cfg.get("preset")
+    _require(preset in (None, "local-only"), f'trigger.preset must be "local-only", got {preset!r}')
+    fixed = [k for k in TRIGGER_FIELDS if k in trig_cfg]
+    _require(preset is None or not fixed, f"trigger.preset {preset!r} sets every trigger parameter; drop {fixed}")
     denom = trig_cfg.get("threshold_denominator", "varphi")
     _require(
         denom in ("varphi", "rate"),
         f'trigger.threshold_denominator must be "varphi" or "rate", got {denom!r}',
     )
+    trigger = None
     if algorithm == "event":
         missing = [i + 1 for i, c in enumerate(obj.costs) if c.global_lipschitz is None]
         _require(
@@ -211,17 +241,12 @@ def scenario_from_dict(cfg: dict) -> Scenario:
             f"global modulus for every agent, missing for agent(s) {missing}; quartic "
             "costs need an explicit lipschitz_override",
         )
-        if trig_cfg.get("preset") == "local-only":
-            trigger = TriggerParams.local_only(g.n)
-        elif any(k in trig_cfg for k in ("sigma", "delta", "phi_rate", "kappa", "chi0")):
-            base = TriggerParams.defaults(g.n)
-            fields = {}
-            for name in ("sigma", "delta", "phi_rate", "kappa", "chi0"):
-                val = trig_cfg.get(name, getattr(base, name))
-                fields[name] = np.broadcast_to(np.atleast_1d(np.asarray(val, dtype=float)), (g.n,)).copy()
-            trigger = TriggerParams(**fields)
-        else:
-            trigger = TriggerParams.defaults(g.n)
+        base = TriggerParams.local_only(g.n) if preset == "local-only" else TriggerParams.defaults(g.n)
+        fields = {}
+        for name in TRIGGER_FIELDS:
+            val = trig_cfg.get(name, getattr(base, name))
+            fields[name] = np.broadcast_to(np.atleast_1d(np.asarray(val, dtype=float)), (g.n,)).copy()
+        trigger = TriggerParams(**fields)
         if denom == "varphi" and np.any(trigger.sigma != 0.0) and obj.all_quadratic():
             _require(
                 estimate_mf(obj, None).satisfied,
@@ -231,6 +256,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
                 "or use the \"local-only\" trigger preset",
             )
 
+    eps0 = cfg.get("eps0")
     return Scenario(
         name=str(cfg.get("name", "scenario")),
         graph=g,
@@ -243,10 +269,8 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         diagnostics=diagnostics,
         trigger=trigger,
         eps0=float(eps0) if eps0 is not None else None,
-        eps=eps,
+        eps=float(cfg.get("eps", 0.1)),
         threshold_denominator=str(denom),
-        mbar_override=mbar_override,
-        config=cfg,
     )
 
 
@@ -315,15 +339,14 @@ class RunReport:
         return all(self.checks.values())
 
 
-def _solution_distance(x_agents: np.ndarray, mini: MinimizerResult) -> tuple[float, float]:
-    """(max_i distance to x*, max_i distance to the whole solution set)."""
-    d = x_agents - mini.x[None, :]
-    to_point = float(np.linalg.norm(d, axis=1).max())
-    if mini.unique or mini.null_basis is None:
-        return to_point, to_point
-    B = mini.null_basis
-    d_set = d - (d @ B) @ B.T
-    return to_point, float(np.linalg.norm(d_set, axis=1).max())
+def _solution_distance(x: np.ndarray, mini: MinimizerResult, to_set: bool = True) -> np.ndarray:
+    """max_i distance of agent positions x (..., n, p) to the whole solution
+    set, x* plus the span of ``null_basis`` (or to x* alone), as (...)."""
+    d = x - mini.x
+    if to_set and not mini.unique and mini.null_basis is not None:
+        B = mini.null_basis
+        d = d - (d @ B) @ B.T
+    return np.linalg.norm(d, axis=-1).max(axis=-1)
 
 
 def _estimate_mf_for(scenario: Scenario, xstar: np.ndarray):
@@ -342,7 +365,6 @@ def _prepare_certificates(scenario: Scenario, state0: SwarmState):
     sd = spectral(g)
     mini = minimizer_oracle(obj)
     mf_est = _estimate_mf_for(scenario, mini.x)
-    obj.restricted_convexity = mf_est.value if mf_est.satisfied else None
     eps0 = scenario.eps0 if scenario.eps0 is not None else default_eps0(gains)
     eq = analysis.equilibrium_point(obj, gains, mini.x)
     ctx = None
@@ -366,7 +388,6 @@ def _prepare_certificates(scenario: Scenario, state0: SwarmState):
                     scenario.trigger,
                     mf_est.value,
                     mf_est.exact,
-                    Mbar_override=scenario.mbar_override,
                     base=consts,
                 )
                 phis = varphi_all(g, gains, eps0, consts.eps8)
@@ -427,11 +448,9 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None) -> RunReport:
         checks["chi_floor"] = bool(event_run.chi_floor_margin >= -CHI_FLOOR_TOL)
 
     final = traj.final_state()
-    terminal_error = terminal_error_set = None
-    if mini is not None:
-        terminal_error, terminal_error_set = _solution_distance(final.x, mini)
-    kn = np.eye(g.n) - np.ones((g.n, g.n)) / g.n
-    consensus_residual = float(np.linalg.norm(kn @ final.x))
+    terminal_error = float(_solution_distance(final.x, mini, to_set=False))
+    terminal_error_set = float(_solution_distance(final.x, mini))
+    consensus_residual = float(np.linalg.norm(sd.kn @ final.x))
     avg = final.x.mean(axis=0)
     gradient_sum_residual = float(np.linalg.norm(obj.sum_grad(avg)))
     eq_res = equilibrium_residual(final, g, obj, gains)
@@ -440,7 +459,7 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None) -> RunReport:
     rate_bound = None
     if consts is not None:
         rate_bound = consts.rate_bound_event if scenario.algorithm == "event" else consts.rate_bound_continuous
-    if scenario.diagnostics.rate_fit and mini is not None and mini.unique:
+    if scenario.diagnostics.rate_fit and mini.unique:
         try:
             fitted = analysis.fit_rate(traj, mini.x).rate
         except ValueError:
@@ -470,43 +489,31 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None) -> RunReport:
     return report
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-def _write_trajectory_csv(path: Path, traj: Trajectory, seed: int | None):
-    n, p = traj.x.shape[1], traj.x.shape[2]
-    chi = traj.chi
-    cols = ["t"]
-    cols += [f"x_{i+1}_{k+1}" for i in range(n) for k in range(p)]
-    cols += [f"y_{i+1}_{k+1}" for i in range(n) for k in range(p)]
-    cols += [f"v_{i+1}_{k+1}" for i in range(n) for k in range(p)]
-    if chi is not None:
-        cols += [f"chi_{i+1}" for i in range(n)]
-    extra_names = sorted(traj.extras)
-    cols += extra_names
-    m = traj.samples
-    blocks = [traj.t[:, None], traj.x.reshape(m, -1), traj.y.reshape(m, -1), traj.v.reshape(m, -1)]
-    if chi is not None:
-        blocks.append(chi)
-    blocks += [traj.extras[name][:, None] for name in extra_names]
+def _write_csv(path: Path, header: list[str], rows, seed: int | None = None):
+    """The one CSV writer: an optional ``# seed=`` line, the header, then each
+    row of Python ints and floats written with ``repr`` (exact round trip)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if seed is not None:
             fh.write(f"# seed={seed}\n")
-        fh.write(",".join(cols) + "\n")
-        # rows go out CSV_CHUNK at a time, so only one chunk is ever held
-        # as Python floats; repr of a float is what _fmt writes
-        for start in range(0, m, CSV_CHUNK):
-            rows = np.hstack([blk[start : start + CSV_CHUNK] for blk in blocks]).tolist()
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
-def _write_events_csv(path: Path, event_run):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["agent", "k", "t", "chi_at_trigger", "error_norm_sq", "qhat"])
-        for ev in event_run.trigger_state.events:
-            w.writerow([ev.agent + 1, ev.index, _fmt(ev.t), _fmt(ev.chi), _fmt(ev.error_sq), _fmt(ev.qhat)])
+def _write_trajectory_csv(path: Path, traj: Trajectory, seed: int | None):
+    """Columns t, the packed state u (x, y, v, then chi), and the extras by name."""
+    n, p = traj.n, traj.p
+    header = ["t"] + [f"{a}_{i+1}_{k+1}" for a in "xyv" for i in range(n) for k in range(p)]
+    if traj.chi is not None:
+        header += [f"chi_{i+1}" for i in range(n)]
+    names = sorted(traj.extras)
+
+    def rows():  # CSV_CHUNK samples at a time, so only one chunk is held as Python floats
+        for start in range(0, traj.samples, CSV_CHUNK):
+            part = slice(start, start + CSV_CHUNK)
+            cols = [traj.t[part], traj.u[part], *(traj.extras[k][part] for k in names)]
+            yield from np.column_stack(cols).tolist()
+
+    _write_csv(path, header + names, rows(), seed)
 
 
 def _emit(scenario: Scenario, report: RunReport, out_dir: Path):
@@ -523,7 +530,9 @@ def _emit(scenario: Scenario, report: RunReport, out_dir: Path):
 
     if report.event_run is not None:
         ev_path = out_dir / f"{base}_events.csv"
-        _write_events_csv(ev_path, report.event_run)
+        evs = report.event_run.trigger_state.events
+        rows = [[ev.agent + 1, ev.index, float(ev.t), ev.chi, ev.error_sq, ev.qhat] for ev in evs]
+        _write_csv(ev_path, ["agent", "k", "t", "chi_at_trigger", "error_norm_sq", "qhat"], rows)
         report.files["events"] = str(ev_path)
 
     summary = {
@@ -551,16 +560,6 @@ def _emit(scenario: Scenario, report: RunReport, out_dir: Path):
     report.files["summary"] = str(summary_path)
 
 
-def error_curve(report: RunReport) -> np.ndarray:
-    """max_i distance of agent positions to the minimizer set, per sample."""
-    traj, mini = report.trajectory, report.minimizer
-    d = traj.x - mini.x[None, None, :]
-    if not mini.unique and mini.null_basis is not None:
-        B = mini.null_basis
-        d = d - np.einsum("mnk,kj->mnj", d @ B, B.T)
-    return np.linalg.norm(d, axis=2).max(axis=1)
-
-
 def compare(scenarios: list[Scenario], out_path, seed: int | None = None) -> Path:
     """Run scenarios sharing (step, horizon) and merge their error curves
     into one CSV: a time column plus one error column per scenario."""
@@ -577,17 +576,13 @@ def compare(scenarios: list[Scenario], out_path, seed: int | None = None) -> Pat
     t_axis = None
     for sc in scenarios:
         rep = run(sc, out_dir=None, seed=seed)
-        curves.append(error_curve(rep))
+        curves.append(_solution_distance(rep.trajectory.x, rep.minimizer))
         base = sc.name + ("" if sc.name not in names else f"_{len(names)}")
         names.append(base)
         t_axis = rep.trajectory.t
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t"] + [f"error_{name}" for name in names])
-        for k in range(t_axis.shape[0]):
-            w.writerow([_fmt(t_axis[k])] + [_fmt(c[k]) for c in curves])
+    _write_csv(out_path, ["t"] + [f"error_{name}" for name in names], np.column_stack([t_axis, *curves]).tolist())
     return out_path
 
 

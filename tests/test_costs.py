@@ -329,3 +329,22 @@ def test_estimate_mf_batch_matches_sample_loop_fixed(obj2):
         for seed in range(50):
             samples = np.random.default_rng(seed).uniform(-10.0, 10.0, (200, obj.p))
             assert estimate_mf(obj, xstar, samples).value == _loop_mf(obj, xstar, samples)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 40), p=st.integers(1, 6))
+def test_summed_system_matches_per_cost_sums(seed, n, p):
+    # the family's stacked sums equal a Python loop over the costs bit for bit
+    rng = np.random.default_rng(seed)
+    mats = [q @ q.T / p + 0.5 * np.eye(p) for q in rng.standard_normal((n, p, p))]
+    vecs = rng.uniform(-2.0, 2.0, (n, p))
+    families = [
+        quadratic_family(mats, shifts=vecs),
+        quadratic_family(mats, linear_terms=vecs),
+        quadratic_family(SCENARIO1_A, shifts=SCENARIO1_SHIFTS),
+        quadratic_family(SCENARIO3_C, linear_terms=SCENARIO3_LINEAR),
+    ]
+    for obj in map(GlobalObjective, families):
+        S, r = obj.family.summed_system()
+        assert np.array_equal(S, sum(c.quad_matrix for c in obj.costs))
+        assert np.array_equal(r, sum(c.quad_matrix @ c.center - c.linear for c in obj.costs))

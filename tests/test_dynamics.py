@@ -9,6 +9,7 @@ from socopt.dynamics import (
     GainParams,
     HypothesisError,
     SwarmState,
+    Trajectory,
     equilibrium_residual,
     integrate,
     rk4_step,
@@ -16,7 +17,7 @@ from socopt.dynamics import (
     rhs_continuous,
     v_balance_violation,
 )
-from socopt.events import TriggerParams, TriggerState, chi_rhs, rhs_event
+from socopt.events import TriggerParams, TriggerState, chi_rhs, make_trigger_law, rhs_event, simulate_event
 from socopt.graph import build_graph
 
 from conftest import heavy_ball_closed_form, random_connected_graph
@@ -174,8 +175,6 @@ def test_divergence_caught_on_nan_step(field):
 def test_nonfinite_gradient_raises_divergence(path3, gains_theta35):
     # agent 2's gradient turns NaN once its position passes 1; the run stops
     # on that step in every loop, keeping the last finite state
-    from socopt.events import TriggerParams, make_trigger_law, simulate_event
-
     turns_nan = custom_cost(lambda x: 0.0, lambda x: np.where(x < 1.0, x, np.nan), dimension=1)
     ok = custom_cost(lambda x: 0.0, lambda x: np.zeros_like(x), dimension=1)
     obj = GlobalObjective([ok, turns_nan, ok])
@@ -214,6 +213,49 @@ def test_state_views_write_through():
     plain = SwarmState(0.0, np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)))
     with pytest.raises(AttributeError, match="no chi"):
         plain.chi = np.ones(2)
+
+
+@pytest.mark.parametrize("event", [False, True])
+def test_trajectory_rows_are_packed_states(event, path3, obj3, gains_theta35):
+    s0 = _state(np.random.default_rng(7), 3, 3)
+    if event:
+        law = make_trigger_law(path3, gains_theta35, TriggerParams.local_only(3))
+        traj = simulate_event(s0, path3, obj3, gains_theta35, law, 0.01, 1.0).trajectory
+    else:
+        traj = integrate(lambda s: rhs_continuous(s, path3, obj3, gains_theta35), s0, 0.01, 1.0)
+    m, w = traj.samples, 3 * 3
+    assert traj.u.shape == (m, 3 * w + (3 if event else 0))
+    for k in range(m):
+        assert np.all(traj.u[k] == traj.state_at(k).u)
+        assert traj.state_at(k).t == traj.t[k]
+    for i, name in enumerate("xyv"):
+        view = getattr(traj, name)
+        assert view.shape == (m, 3, 3) and np.shares_memory(view, traj.u)
+        assert np.all(view.reshape(m, w) == traj.u[:, i * w : (i + 1) * w])
+    if event:
+        assert traj.chi.shape == (m, 3) and np.shares_memory(traj.chi, traj.u)
+        assert np.all(traj.chi == traj.u[:, 3 * w :])
+    else:
+        assert traj.chi is None
+
+    again = Trajectory(traj.t, traj.x, traj.y, traj.v, traj.chi)
+    assert np.all(again.u == traj.u) and np.all(again.t == traj.t) and again.extras == {}
+    for name in ("x", "y", "v") + (("chi",) if event else ()):
+        assert np.all(getattr(again, name) == getattr(traj, name))
+        assert not np.shares_memory(getattr(again, name), traj.u)
+
+
+def test_trajectory_constructor_validates():
+    t, z = np.arange(4.0), np.zeros((4, 2, 3))
+    with pytest.raises(ValueError):
+        Trajectory(t, z, z, z[:, :1])
+    with pytest.raises(ValueError):
+        Trajectory(t, z[0], z[0], z[0])
+    with pytest.raises(ValueError):
+        Trajectory(t, z, z, z, chi=np.zeros(2))
+    traj = Trajectory(t, z, z, z)
+    traj.y = 1.0  # writes through into u
+    assert np.all(traj.u[:, 6:12] == 1.0) and np.all(traj.u[:, :6] == 0.0)
 
 
 # -- the packed stepper against a per-block reference -------------------------

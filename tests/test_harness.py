@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,6 +12,8 @@ from socopt import events, harness
 from socopt.cli import main as cli_main
 from socopt.harness import (
     ConfigError,
+    _emit,
+    _solution_distance,
     _write_trajectory_csv,
     certificate_constants,
     compare,
@@ -161,6 +164,72 @@ def test_gate_config_fields_named(field, tmp_path, capsys):
     assert field in capsys.readouterr().err
 
 
+def _set(path: str, value):
+    """A mutation setting one (dotted) config field."""
+
+    def mutate(cfg):
+        *head, last = path.split(".")
+        node = cfg
+        for key in head:
+            node = node.setdefault(key, {})
+        node[last] = value
+
+    return mutate
+
+
+def _literal_initial(cfg):
+    cfg["initial"] = {"x": [[float("inf"), 0.0, 0.0]] + [[0.0] * 3] * 2, "y": [[0.0] * 3] * 3}
+
+
+# each mutation of cdc18-scenario3-event, and the text the rejection must name
+BAD_CONFIGS = {
+    "costs-array": (_set("costs", []), "costs"),
+    "diagnostics-bool": (_set("diagnostics", True), "diagnostics"),
+    "trigger-array": (_set("trigger", [1]), "trigger"),
+    "initial-number": (_set("initial", 5), "initial"),
+    "graph-string": (_set("graph", "ring"), "graph"),
+    "gains-array": (_set("gains", ["alpha", "beta", "gamma", "theta"]), "gains"),
+    "integration-number": (_set("integration", 0.1), "integration"),
+    "graph-n-fraction": (_set("graph.n", 2.5), "graph.n"),
+    "horizon-infinite": (_set("integration.horizon", float("inf")), "integration.horizon"),
+    "box-nan": (_set("initial.box", [float("nan"), 5.0]), "initial.box"),
+    "literal-initial-infinite": (_literal_initial, "initial.x"),
+    "gain-nan": (_set("gains.alpha", float("nan")), "gains.alpha"),
+    "lipschitz-zero": (_set("costs.lipschitz_override", 0.0), "lipschitz_override"),
+    "lipschitz-negative": (_set("costs.lipschitz_override", -1.0), "lipschitz_override"),
+    "lipschitz-nan": (_set("costs.lipschitz_override", float("nan")), "lipschitz_override"),
+    "trigger-unknown-key": (_set("trigger.sigmaa", 0.3), "sigmaa"),
+    "trigger-unknown-preset": (_set("trigger.preset", "local_only"), "trigger.preset"),
+    "trigger-preset-and-sigma": (_set("trigger", {"preset": "local-only", "sigma": 0.3}), "trigger.preset"),
+    "trigger-eps0": (_set("trigger.eps0", 0.9), "top-level field eps0"),
+    "trigger-eps": (_set("trigger.eps", 0.2), "top-level field eps"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_rejected_at_load(case, tmp_path, capsys):
+    mutate, named = BAD_CONFIGS[case]
+    cfg = preset_config("cdc18-scenario3-event")
+    cfg["integration"]["horizon"] = 0.05
+    mutate(cfg)
+    with pytest.raises(ConfigError, match=named):
+        scenario_from_dict(cfg)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))  # NaN and Infinity as JSON literals
+    assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_config_accepts_top_level_eps_and_unknown_diagnostics():
+    cfg = preset_config("cdc18-scenario3-event")
+    cfg.update(eps0=0.9, eps=0.2)
+    cfg["diagnostics"]["constants"] = False
+    cfg["costs"]["lipschitz_override"] = 40.0  # any cost kind takes it
+    sc = scenario_from_dict(cfg)
+    assert (sc.eps0, sc.eps) == (0.9, 0.2)
+    assert certificate_constants(sc).Mbar == 40.0
+
+
 def test_load_scenario_roundtrip(tmp_path):
     cfg = preset_config("cdc18-scenario3")
     path = tmp_path / "s3.json"
@@ -225,6 +294,69 @@ def test_trajectory_csv_matches_per_value_writer(tmp_path, run3_event):
     _write_trajectory_csv(tmp_path / "new.csv", rep.trajectory, rep.seed)
     _write_trajectory_csv_reference(tmp_path / "ref.csv", rep.trajectory, rep.seed)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_events_csv_matches_per_value_writer(tmp_path, run3_event):
+    sc, rep = run3_event
+    _emit(sc, dataclasses.replace(rep, files={}), tmp_path)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["agent", "k", "t", "chi_at_trigger", "error_norm_sq", "qhat"])
+        for ev in rep.event_run.trigger_state.events:
+            w.writerow([ev.agent + 1, ev.index] + [repr(float(v)) for v in (ev.t, ev.chi, ev.error_sq, ev.qhat)])
+    assert len(rep.event_run.trigger_state.events) > 1000
+    assert (tmp_path / "cdc18-scenario3-event_events.csv").read_bytes() == ref.read_bytes()
+
+
+def _error_curve_reference(rep):
+    """max_i distance to the minimizer set per sample, projected with einsum."""
+    mini = rep.minimizer
+    d = rep.trajectory.x - mini.x[None, None, :]
+    if not mini.unique:
+        B = mini.null_basis
+        d = d - np.einsum("mnk,kj->mnj", d @ B, B.T)
+    return np.linalg.norm(d, axis=2).max(axis=1)
+
+
+@pytest.mark.parametrize(
+    "preset,algorithms",
+    [("cdc18-scenario1", ("continuous", "alternative")), ("cdc18-scenario3", ("continuous", "event"))],
+)
+def test_compare_csv_matches_per_value_writer(preset, algorithms, tmp_path):
+    scenarios = []
+    for algorithm in algorithms:
+        cfg = preset_config(preset)
+        cfg["integration"]["horizon"] = 3.0
+        cfg["name"] = f"{preset}-{algorithm}"
+        cfg["algorithm"] = algorithm
+        scenarios.append(scenario_from_dict(cfg))
+    out = compare(scenarios, tmp_path / "cmp.csv")
+    reports = [run(sc) for sc in scenarios]
+    curves = [_error_curve_reference(rep) for rep in reports]
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["t"] + [f"error_{sc.name}" for sc in scenarios])
+        t = reports[0].trajectory.t
+        for k in range(t.shape[0]):
+            w.writerow([repr(float(t[k]))] + [repr(float(c[k])) for c in curves])
+    assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("fixture", ["run1", "run2", "run3"])
+def test_solution_distance_one_function(fixture, request):
+    # the (m, n, p) curve equals the einsum curve and the per-sample values bit for bit
+    _, rep = request.getfixturevalue(fixture)
+    x, mini = rep.trajectory.x, rep.minimizer
+    curve = _solution_distance(x, mini)
+    assert curve.shape == (rep.trajectory.samples,)
+    assert np.array_equal(curve, _error_curve_reference(rep))
+    assert np.array_equal(curve, [_solution_distance(x[k], mini) for k in range(x.shape[0])])
+    assert curve[-1] == rep.terminal_error_to_solution_set
+    to_point = np.linalg.norm(x[-1] - mini.x, axis=1).max()
+    assert _solution_distance(x[-1], mini, to_set=False) == to_point == rep.terminal_error
+    assert mini.unique or curve[-1] < to_point
 
 
 def test_event_run_computes_varphi_once(monkeypatch):
@@ -357,7 +489,10 @@ def test_cli_compare(tmp_path):
 
 
 def test_cli_entrypoint_subprocess(tmp_path):
-    env = dict(os.environ, SOCOPT_OUT_DIR=str(tmp_path))
+    # the child imports socopt from the package directory this test imported
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, SOCOPT_OUT_DIR=str(tmp_path), PYTHONPATH=pythonpath)
     proc = subprocess.run(
         [sys.executable, "-m", "socopt.cli", "run", "--preset", "heavy-ball"],
         capture_output=True,
