@@ -88,6 +88,8 @@ class _Packed:
         x, y, v = (np.asarray(a, dtype=float) for a in (x, y, v))
         if not (x.shape == y.shape == v.shape) or x.ndim != self._ndim:
             raise ValueError(f"x, y, v must share one shape with {self._ndim} axes")
+        if np.shape(t) != x.shape[:-2]:
+            raise ValueError(f"t must have shape {x.shape[:-2]}, got {np.shape(t)}")
         parts = [a.reshape(x.shape[:-2] + (-1,)) for a in (x, y, v)]
         if chi is not None:
             chi = np.asarray(chi, dtype=float)
@@ -122,11 +124,8 @@ class SwarmState(_Packed):
     states v, each (n, p), and in event mode the internal variables chi (n,)."""
 
     def _like(self, t: float, u: np.ndarray) -> "SwarmState":
-        """A state with this one's layout over the packed array u, unchecked
-        (``_unchecked`` inlined: this runs four times per step)."""
-        s = object.__new__(SwarmState)
-        s._bind(t, u, self.n, self.p, self.chi is not None)
-        return s
+        """A state with this one's layout over the packed array u, unchecked."""
+        return SwarmState._unchecked(t, u, self.n, self.p, self.chi is not None)
 
     def copy(self) -> "SwarmState":
         return self._like(self.t, self.u.copy())

@@ -268,8 +268,8 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         initial=initial,
         diagnostics=diagnostics,
         trigger=trigger,
-        eps0=float(eps0) if eps0 is not None else None,
-        eps=float(cfg.get("eps", 0.1)),
+        eps0=_finite(eps0, "eps0") if eps0 is not None else None,
+        eps=_finite(cfg.get("eps", 0.1), "eps"),
         threshold_denominator=str(denom),
     )
 

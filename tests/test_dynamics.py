@@ -253,6 +253,8 @@ def test_trajectory_constructor_validates():
         Trajectory(t, z[0], z[0], z[0])
     with pytest.raises(ValueError):
         Trajectory(t, z, z, z, chi=np.zeros(2))
+    with pytest.raises(ValueError, match="t must have shape"):
+        Trajectory(t[:3], z, z, z)
     traj = Trajectory(t, z, z, z)
     traj.y = 1.0  # writes through into u
     assert np.all(traj.u[:, 6:12] == 1.0) and np.all(traj.u[:, :6] == 0.0)

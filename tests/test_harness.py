@@ -203,6 +203,8 @@ BAD_CONFIGS = {
     "trigger-preset-and-sigma": (_set("trigger", {"preset": "local-only", "sigma": 0.3}), "trigger.preset"),
     "trigger-eps0": (_set("trigger.eps0", 0.9), "top-level field eps0"),
     "trigger-eps": (_set("trigger.eps", 0.2), "top-level field eps"),
+    "eps-nan": (_set("eps", float("nan")), "eps must be finite"),
+    "eps0-string": (_set("eps0", "big"), "eps0 must be a number"),
 }
 
 
