@@ -11,7 +11,7 @@ envelopes; and an empirical rate fit compared against the certified
 bound eps3/(2*eps4) or eps9/(2*eps10).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -28,9 +28,15 @@ class ConstantsError(ValueError):
 def _validate_design(gains: GainParams, eps0: float, eps: float):
     lo = gains.theta / (gains.alpha * gains.gamma)
     if not (lo < eps0 < 1.0):
-        raise ConstantsError(f"eps0 must lie in ({lo:.6g}, 1); got {eps0}")
+        raise ConstantsError(f"eps0 must lie in (theta/(alpha*gamma), 1) = ({lo:.6g}, 1); got {eps0}")
     if eps <= 0:
         raise ConstantsError(f"eps must be positive, got {eps}")
+
+
+def _symbol(formula: str, default=None):
+    """A certificate field carrying the formula ``to_report`` writes beside
+    it; ``default=MISSING`` makes the field required."""
+    return field(default=default, metadata={"formula": formula})
 
 
 @dataclass
@@ -39,78 +45,62 @@ class CertificateConstants:
     produced them.  Fields are None until the corresponding computation
     has run (the event-side constants need global curvature data)."""
 
-    eps0: float
-    eps: float
-    mf: float
+    eps0: float = _symbol("free design parameter in (theta/(alpha*gamma), 1)", MISSING)
+    eps: float = _symbol("free design parameter > 0", MISSING)
+    mf: float = _symbol("restricted strong convexity modulus of the summed objective", MISSING)
     mf_exact: bool = True
 
     # continuous-communication certificate
-    m1: float | None = None
-    M_D: float | None = None
-    D_radius: float | None = None
-    V1_at_0: float | None = None
-    eps1: float | None = None
-    eps2: float | None = None
-    eps3: float | None = None
-    eps4: float | None = None
-    eps_tilde1: float | None = None
-    iota1: float | None = None
-    rate_bound_continuous: float | None = None
+    m1: float | None = _symbol(
+        "min(mf/2, rho2*mf^2*alpha*gamma*eps0 / (2*(alpha*gamma*eps0-theta)*(mf^2+16*M_D^2)))"
+    )
+    M_D: float | None = _symbol("max over agents of the gradient-Lipschitz bound on the ball D")
+    D_radius: float | None = _symbol(
+        "sqrt(2*V1(0) / (gamma^2*eps0*(1-sqrt(eps0)))); radius of the invariant ball D around x*"
+    )
+    V1_at_0: float | None = _symbol("V1 evaluated at the initial state")
+    eps1: float | None = _symbol("min(gamma*(1-eps0), alpha*gamma*eps0*m1)")
+    eps2: float | None = _symbol("max(gamma/alpha + gamma^2/theta + theta/alpha^2, alpha^2*M_D^2/theta)")
+    eps3: float | None = _symbol("min(eps1, eps*theta/2)")
+    eps4: float | None = _symbol(
+        "max(1 + eps*eps2/eps1 + eps/alpha, "
+        "(1+eps*eps2/eps1)*(gamma^2*eps0 + alpha*beta*rho + alpha*M_D/2) + eps*M_D/2, "
+        "(1+eps*eps2/eps1)*theta*gamma*eps0/(beta*rho2) + eps*alpha)"
+    )
+    eps_tilde1: float | None = _symbol("(1+eps*eps2/eps1)*gamma^2*eps0*(1-eps0)/2")
+    iota1: float | None = _symbol("mf/(4*M_D)")
+    rate_bound_continuous: float | None = _symbol("eps3/(2*eps4)")
 
     # event-triggered certificate
-    Mbar: float | None = None
-    m2: float | None = None
-    eps5: float | None = None
-    eps6: float | None = None
-    eps7: float | None = None
-    eps8: float | None = None
-    eps9: float | None = None
-    eps10: float | None = None
-    eps_tilde2: float | None = None
-    iota2: float | None = None
-    k_d: float | None = None
-    rate_bound_event: float | None = None
+    Mbar: float | None = _symbol("max over agents of the global gradient-Lipschitz modulus")
+    m2: float | None = _symbol(
+        "min(mf/2, 4*rho2*mf^2*alpha / ((alpha*gamma*eps0-theta)*beta*(mf^2+16*Mbar^2)))"
+    )
+    eps5: float | None = _symbol("min(gamma*(1-eps0)/2, m2*alpha)")
+    eps6: float | None = _symbol("max(gamma/alpha + gamma^2/theta + theta/alpha^2, alpha^2*Mbar^2/theta)")
+    eps7: float | None = _symbol("1 + eps*eps6/eps5")
+    eps8: float | None = _symbol("eps/(4*eps7)")
+    eps9: float | None = _symbol("min(eps5, eps*theta/4, k_d)")
+    eps10: float | None = _symbol(
+        "max(eps7 + eps/alpha, "
+        "eps7*(gamma^2*eps0 + alpha*beta*rho + alpha*Mbar/2) + eps*Mbar/2, "
+        "eps7*theta*gamma*eps0/(beta*rho2) + eps*alpha/rho2)"
+    )
+    eps_tilde2: float | None = _symbol("eps7*gamma^2*eps0*(1-eps0)/2")
+    iota2: float | None = _symbol("mf/(4*Mbar)")
+    k_d: float | None = _symbol("min over agents of (rate - (1-delta)/kappa)")
+    rate_bound_event: float | None = _symbol("eps9/(2*eps10)")
 
     def to_report(self) -> dict:
-        """One entry per symbol: value plus the formula it came from."""
-        formulas = {
-            "eps0": "free design parameter in (theta/(alpha*gamma), 1)",
-            "eps": "free design parameter > 0",
-            "mf": "restricted strong convexity modulus of the summed objective"
-            + ("" if self.mf_exact else " (sampled lower estimate, not certified)"),
-            "m1": "min(mf/2, rho2*mf^2*alpha*gamma*eps0 / (2*(alpha*gamma*eps0-theta)*(mf^2+16*M_D^2)))",
-            "M_D": "max over agents of the gradient-Lipschitz bound on the ball D",
-            "D_radius": "sqrt(2*V1(0) / (gamma^2*eps0*(1-sqrt(eps0)))); radius of the invariant ball D around x*",
-            "V1_at_0": "V1 evaluated at the initial state",
-            "eps1": "min(gamma*(1-eps0), alpha*gamma*eps0*m1)",
-            "eps2": "max(gamma/alpha + gamma^2/theta + theta/alpha^2, alpha^2*M_D^2/theta)",
-            "eps3": "min(eps1, eps*theta/2)",
-            "eps4": "max(1 + eps*eps2/eps1 + eps/alpha, "
-            "(1+eps*eps2/eps1)*(gamma^2*eps0 + alpha*beta*rho + alpha*M_D/2) + eps*M_D/2, "
-            "(1+eps*eps2/eps1)*theta*gamma*eps0/(beta*rho2) + eps*alpha)",
-            "eps_tilde1": "(1+eps*eps2/eps1)*gamma^2*eps0*(1-eps0)/2",
-            "iota1": "mf/(4*M_D)",
-            "rate_bound_continuous": "eps3/(2*eps4)",
-            "Mbar": "max over agents of the global gradient-Lipschitz modulus",
-            "m2": "min(mf/2, 4*rho2*mf^2*alpha / ((alpha*gamma*eps0-theta)*beta*(mf^2+16*Mbar^2)))",
-            "eps5": "min(gamma*(1-eps0)/2, m2*alpha)",
-            "eps6": "max(gamma/alpha + gamma^2/theta + theta/alpha^2, alpha^2*Mbar^2/theta)",
-            "eps7": "1 + eps*eps6/eps5",
-            "eps8": "eps/(4*eps7)",
-            "eps9": "min(eps5, eps*theta/4, k_d)",
-            "eps10": "max(eps7 + eps/alpha, "
-            "eps7*(gamma^2*eps0 + alpha*beta*rho + alpha*Mbar/2) + eps*Mbar/2, "
-            "eps7*theta*gamma*eps0/(beta*rho2) + eps*alpha/rho2)",
-            "eps_tilde2": "eps7*gamma^2*eps0*(1-eps0)/2",
-            "iota2": "mf/(4*Mbar)",
-            "k_d": "min over agents of (rate - (1-delta)/kappa)",
-            "rate_bound_event": "eps9/(2*eps10)",
-        }
+        """One entry per computed symbol: value plus the formula it came from."""
         out = {}
-        for name, formula in formulas.items():
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = {"value": float(val), "formula": formula}
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if "formula" in f.metadata and val is not None:
+                formula = f.metadata["formula"]
+                if f.name == "mf" and not self.mf_exact:
+                    formula += " (sampled lower estimate, not certified)"
+                out[f.name] = {"value": float(val), "formula": formula}
         return out
 
 

@@ -12,13 +12,13 @@ environment variable.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .dynamics import DivergenceError, HypothesisError
 from .graph import GraphError
 from .harness import ConfigError, compare, default_out_dir, load_preset, load_scenario, run
+from .harness import certificate_constants, write_constants
 from .presets import preset_names
 
 
@@ -60,8 +60,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    from .harness import certificate_constants  # noqa: PLC0415
-
     scenarios = _load(args)
     out_dir = Path(args.out) if args.out else default_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -71,11 +69,9 @@ def _cmd_constants(args) -> int:
             print(f"{sc.name}: certificate constants unavailable "
                   "(needs a positive restricted strong convexity modulus and n > 1)")
             continue
-        payload = json.dumps(consts.to_report(), indent=2, sort_keys=True)
-        path = out_dir / f"{sc.name}_constants.json"
-        path.write_text(payload + "\n", encoding="utf-8")
+        path = write_constants(out_dir, sc.name, consts)
         print(f"{sc.name}: wrote {path}")
-        print(payload)
+        print(path.read_text(encoding="utf-8"), end="")
     return 0
 
 

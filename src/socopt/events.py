@@ -44,6 +44,9 @@ class TriggerConfigError(ValueError):
     """Trigger parameters outside their admissible ranges."""
 
 
+TRIGGER_FIELDS = ("sigma", "delta", "phi_rate", "kappa", "chi0")
+
+
 @dataclass
 class TriggerParams:
     """Per-agent design parameters of the triggering law.
@@ -60,26 +63,22 @@ class TriggerParams:
     chi0: np.ndarray
 
     def __post_init__(self):
-        arrays = {}
-        for name in ("sigma", "delta", "phi_rate", "kappa", "chi0"):
-            arrays[name] = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-        n = max(a.shape[0] for a in arrays.values())
+        arrays = {name: np.atleast_1d(np.asarray(getattr(self, name), dtype=float)) for name in TRIGGER_FIELDS}
         for name, a in arrays.items():
-            if a.shape[0] == 1 and n > 1:
-                a = np.full(n, a[0])
-            if a.shape[0] != n:
-                raise TriggerConfigError(f"{name} has length {a.shape[0]}, expected {n}")
+            if a.shape != arrays["sigma"].shape:
+                raise TriggerConfigError(f"{name} has shape {a.shape}, sigma has {arrays['sigma'].shape}")
             setattr(self, name, a)
-        if np.any(self.sigma < 0) or np.any(self.sigma >= 1):
+        # written so that NaN fails every range
+        if not np.all((self.sigma >= 0) & (self.sigma < 1)):
             raise TriggerConfigError("sigma must lie in [0, 1)")
-        if np.any(self.phi_rate <= 0):
+        if not np.all(self.phi_rate > 0):
             raise TriggerConfigError("chi decay rate must be positive")
-        if np.any(self.delta < 0) or np.any(self.delta > 1):
+        if not np.all((self.delta >= 0) & (self.delta <= 1)):
             raise TriggerConfigError("delta must lie in [0, 1]")
-        if np.any(self.chi0 <= 0):
+        if not np.all(self.chi0 > 0):
             raise TriggerConfigError("chi(0) must be positive")
         lo = (1.0 - self.delta) / self.phi_rate
-        if np.any(self.kappa <= lo):
+        if not np.all(self.kappa > lo):
             raise TriggerConfigError(
                 f"kappa must exceed (1-delta)/rate per agent; got kappa={self.kappa.tolist()}, "
                 f"floor={lo.tolist()}"
@@ -175,13 +174,14 @@ def make_trigger_law(
     eps0: float | None = None,
     eps8: float | None = None,
     denominator: str = "varphi",
-    varphi: np.ndarray | None = None,
 ) -> TriggerLaw:
     """Resolve the threshold coefficients for a concrete graph and gains.
 
-    The "varphi" denominator with sigma nonzero somewhere needs the
-    threshold constants: pass them as ``varphi`` when already computed
-    (``varphi_all``), or pass ``eps8`` to have them computed here.
+    ``eps0`` defaults to ``default_eps0``.  Given the event certificate's
+    ``eps8``, the per-agent threshold constants varphi_i are computed here
+    (``varphi_all``) and kept as ``TriggerLaw.varphi``, which the Lyapunov
+    V3 column also reads.  The "varphi" denominator with sigma nonzero
+    somewhere needs them, so it needs ``eps8``.
     """
     if eps0 is None:
         eps0 = default_eps0(gains)
@@ -191,17 +191,14 @@ def make_trigger_law(
     if denominator not in ("varphi", "rate"):
         raise TriggerConfigError(f"unknown threshold denominator {denominator!r}")
     lead = (gains.alpha * gains.gamma * eps0 - gains.theta) * gains.beta
-    phis = None
+    phis = None if eps8 is None else varphi_all(g, gains, eps0, eps8)
     if np.all(params.sigma == 0.0):
         c = np.zeros(g.n)
     elif denominator == "rate":
         c = lead * params.sigma / (4.0 * params.phi_rate)
+    elif phis is None:
+        raise TriggerConfigError("eps8 is required to derive the threshold constants")
     else:
-        phis = varphi
-        if phis is None:
-            if eps8 is None:
-                raise TriggerConfigError("eps8 is required to derive the threshold constants")
-            phis = varphi_all(g, gains, eps0, eps8)
         c = lead * params.sigma / (4.0 * phis)
     return TriggerLaw(params=params, eps0=eps0, c=c, varphi=phis)
 
@@ -321,26 +318,20 @@ def _process_triggers(ts: TriggerState, g: NetworkGraph, law: TriggerLaw, x: np.
     Returns ``rule_terms`` against the caches as the sample leaves them.
     """
     undecided = np.ones(g.n, dtype=bool)
-    queue: list[int] = []  # selected agents this sweep has yet to re-check
-    stale = True
-    while True:
-        if stale:
-            err_sq, qh = rule_terms(ts, g, x)
-            margin = _bracket_and_margin(law, ts.chi, err_sq, qh)[1]
-            stale = False
-        if not queue:
-            queue = np.flatnonzero(undecided & (margin >= 0.0)).tolist()
-            if not queue:
-                return err_sq, qh
-            undecided[queue] = False
-        i = queue.pop(0)
-        if margin[i] >= 0.0:
-            ts.xhat[i], ts.last_event[i] = x[i], t
-            ts.counts[i] += 1
-            ts.events.append(
-                EventRecord(i, int(ts.counts[i]), t, float(ts.chi[i]), error_sq=float(err_sq[i]), qhat=float(qh[i]))
-            )
-            stale = True
+    err_sq, qh = rule_terms(ts, g, x)
+    margin = _bracket_and_margin(law, ts.chi, err_sq, qh)[1]
+    while (selected := np.flatnonzero(undecided & (margin >= 0.0))).size:
+        undecided[selected] = False
+        for i in selected.tolist():
+            if margin[i] >= 0.0:
+                ts.xhat[i], ts.last_event[i] = x[i], t
+                ts.counts[i] += 1
+                ts.events.append(
+                    EventRecord(i, int(ts.counts[i]), t, float(ts.chi[i]), error_sq=float(err_sq[i]), qhat=float(qh[i]))
+                )
+                err_sq, qh = rule_terms(ts, g, x)
+                margin = _bracket_and_margin(law, ts.chi, err_sq, qh)[1]
+    return err_sq, qh
 
 
 def simulate_event(

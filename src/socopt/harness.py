@@ -13,7 +13,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from .costs import (
     quartic_family,
 )
 from .dynamics import (
+    EquilibriumResidual,
     GainParams,
     SwarmState,
     Trajectory,
@@ -38,11 +39,11 @@ from .dynamics import (
     v_balance_violation,
 )
 from .events import (
+    TRIGGER_FIELDS,
     TriggerParams,
     default_eps0,
     make_trigger_law,
     simulate_event,
-    varphi_all,
     zeno_report,
 )
 from .graph import NetworkGraph, build_graph, connected_components, is_connected, spectral
@@ -55,7 +56,6 @@ V_BALANCE_TOL = 1e-10
 DISCIPLINE_TOL = 1e-9
 CHI_FLOOR_TOL = 1e-9
 CSV_CHUNK = 128  # trajectory samples per block of CSV rows
-TRIGGER_FIELDS = ("sigma", "delta", "phi_rate", "kappa", "chi0")
 
 
 class ConfigError(ValueError):
@@ -90,9 +90,9 @@ class Scenario:
     horizon: float
     initial: InitialSpec
     diagnostics: Diagnostics
+    eps0: float
+    eps: float
     trigger: TriggerParams | None = None
-    eps0: float | None = None
-    eps: float = 0.1
     threshold_denominator: str = "varphi"
 
 
@@ -114,6 +114,22 @@ def _finite(value, name: str) -> float:
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
     _require(math.isfinite(value), f"{name} must be finite, got {value}")
     return value
+
+
+def _finite_array(value, name: str, shapes: tuple, expected: str) -> np.ndarray:
+    """``value`` as a float array of one of ``shapes``, every entry finite,
+    broadcast to (a copy of) the last shape."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    _require(arr is not None and arr.shape in shapes, f"{name} must be {expected}")
+    _require(bool(np.all(np.isfinite(arr))), f"{name} must be finite")
+    return np.broadcast_to(arr, shapes[-1]).copy()
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _build_costs(cost_cfg: dict) -> GlobalObjective:
@@ -161,8 +177,14 @@ def scenario_from_dict(cfg: dict) -> Scenario:
 
     gspec = _section(cfg, "graph")
     n = gspec.get("n")
-    _require(n is None or (isinstance(n, int) and not isinstance(n, bool)), f"graph.n must be an integer, got {n!r}")
-    g = build_graph(gspec.get("edges", []), n=n)
+    _require(n is None or _is_int(n), f"graph.n must be an integer, got {n!r}")
+    edges = gspec.get("edges", [])
+    _require(isinstance(edges, (list, tuple)), f"graph.edges must be a list of [i, j, weight], got {edges!r}")
+    for k, e in enumerate(edges):
+        ok = isinstance(e, (list, tuple)) and len(e) == 3 and _is_int(e[0]) and _is_int(e[1])
+        _require(ok, f"graph.edges[{k}] must be [i, j, weight] with integer i and j, got {e!r}")
+        _finite(e[2], f"graph.edges[{k}] weight")
+    g = build_graph(edges, n=n)
     if not is_connected(g):
         comps = connected_components(g)
         raise ConfigError(
@@ -177,6 +199,12 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     bad = sorted(set(gain_cfg) ^ set(GainParams.__dataclass_fields__))
     _require(not bad, f"gains: unknown or missing field(s) {bad}; expected exactly alpha, beta, gamma, theta")
     gains = GainParams(**{k: _finite(v, f"gains.{k}") for k, v in gain_cfg.items()})
+    eps0 = default_eps0(gains) if cfg.get("eps0") is None else _finite(cfg["eps0"], "eps0")
+    eps = _finite(cfg.get("eps", 0.1), "eps")
+    try:
+        analysis._validate_design(gains, eps0, eps)
+    except analysis.ConstantsError as exc:
+        raise ConfigError(f"design-parameter hypothesis violated: {exc}") from None
 
     algorithm = cfg.get("algorithm", "continuous")
     _require(algorithm in ALGORITHMS, f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
@@ -191,16 +219,19 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     initial = InitialSpec()
     if "x" in init_cfg or "y" in init_cfg:
         _require("x" in init_cfg and "y" in init_cfg, "literal initial state needs both x and y")
+        shape = (g.n, obj.p)
         for key in ("x", "y", "v"):
             if key in init_cfg:
-                lit = np.asarray(init_cfg[key], dtype=float)
-                _require(bool(np.all(np.isfinite(lit))), f"initial.{key} must be finite")
+                lit = _finite_array(init_cfg[key], f"initial.{key}", (shape,), f"an {shape[0]} x {shape[1]} array")
                 setattr(initial, key, lit)
     else:
         box = init_cfg.get("box")
         _require(isinstance(box, list) and len(box) == 2, "initial needs literals x/y or a box [lo, hi]")
         initial.box = (_finite(box[0], "initial.box"), _finite(box[1], "initial.box"))
-        initial.seed = int(init_cfg.get("seed", presets.DEFAULT_SEED))
+        _require(initial.box[0] <= initial.box[1], f"initial.box [lo, hi] needs lo <= hi, got {list(initial.box)}")
+        seed = init_cfg.get("seed", presets.DEFAULT_SEED)
+        _require(_is_int(seed) and seed >= 0, f"initial.seed must be a non-negative integer, got {seed!r}")
+        initial.seed = seed
 
     if initial.v is not None and algorithm in ("continuous", "event"):
         drift = np.abs(initial.v.sum(axis=0)).max()
@@ -212,10 +243,10 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         )
 
     diag_cfg = _section(cfg, "diagnostics")
-    diagnostics = Diagnostics(
-        lyapunov=bool(diag_cfg.get("lyapunov", False)),
-        rate_fit=bool(diag_cfg.get("rate_fit", False)),
-    )
+    flags = {k: diag_cfg.get(k, False) for k in Diagnostics.__dataclass_fields__}
+    for k, v in flags.items():
+        _require(isinstance(v, bool), f"diagnostics.{k} must be true or false, got {v!r}")
+    diagnostics = Diagnostics(**flags)
 
     trig_cfg = _section(cfg, "trigger")
     for key in ("eps0", "eps"):
@@ -227,6 +258,8 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     _require(preset in (None, "local-only"), f'trigger.preset must be "local-only", got {preset!r}')
     fixed = [k for k in TRIGGER_FIELDS if k in trig_cfg]
     _require(preset is None or not fixed, f"trigger.preset {preset!r} sets every trigger parameter; drop {fixed}")
+    per_agent = ((), (1,), (g.n,)), f"a number or a list of {g.n} numbers"
+    overrides = {k: _finite_array(trig_cfg[k], f"trigger.{k}", *per_agent) for k in fixed}
     denom = trig_cfg.get("threshold_denominator", "varphi")
     _require(
         denom in ("varphi", "rate"),
@@ -242,11 +275,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
             "costs need an explicit lipschitz_override",
         )
         base = TriggerParams.local_only(g.n) if preset == "local-only" else TriggerParams.defaults(g.n)
-        fields = {}
-        for name in TRIGGER_FIELDS:
-            val = trig_cfg.get(name, getattr(base, name))
-            fields[name] = np.broadcast_to(np.atleast_1d(np.asarray(val, dtype=float)), (g.n,)).copy()
-        trigger = TriggerParams(**fields)
+        trigger = replace(base, **overrides)
         if denom == "varphi" and np.any(trigger.sigma != 0.0) and obj.all_quadratic():
             _require(
                 estimate_mf(obj, None).satisfied,
@@ -256,7 +285,6 @@ def scenario_from_dict(cfg: dict) -> Scenario:
                 "or use the \"local-only\" trigger preset",
             )
 
-    eps0 = cfg.get("eps0")
     return Scenario(
         name=str(cfg.get("name", "scenario")),
         graph=g,
@@ -267,9 +295,9 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         horizon=horizon,
         initial=initial,
         diagnostics=diagnostics,
+        eps0=eps0,
+        eps=eps,
         trigger=trigger,
-        eps0=_finite(eps0, "eps0") if eps0 is not None else None,
-        eps=_finite(cfg.get("eps", 0.1), "eps"),
         threshold_denominator=str(denom),
     )
 
@@ -293,10 +321,8 @@ def make_initial(scenario: Scenario, seed: int | None = None) -> tuple[SwarmStat
     n, p = scenario.graph.n, scenario.obj.p
     init = scenario.initial
     if init.x is not None:
-        x = init.x.reshape(n, p)
-        y = init.y.reshape(n, p)
-        v = init.v.reshape(n, p) if init.v is not None else np.zeros((n, p))
-        return SwarmState(0.0, x, y, v), None
+        v = init.v if init.v is not None else np.zeros((n, p))
+        return SwarmState(0.0, init.x, init.y, v), None
     used = seed if seed is not None else init.seed
     rng = np.random.default_rng(used)
     lo, hi = init.box
@@ -322,7 +348,7 @@ class RunReport:
     terminal_error_to_solution_set: float | None
     consensus_residual: float
     gradient_sum_residual: float
-    equilibrium_residuals: tuple[float, float, float]
+    equilibrium_residuals: EquilibriumResidual
     fitted_rate: float | None
     rate_bound: float | None
     checks: dict[str, bool]
@@ -337,6 +363,14 @@ class RunReport:
     @property
     def passed(self) -> bool:
         return all(self.checks.values())
+
+
+# the RunReport fields summary.json carries
+SUMMARY_FIELDS = (
+    "name", "algorithm", "seed", "terminal_error", "terminal_error_to_solution_set", "consensus_residual",
+    "gradient_sum_residual", "equilibrium_residuals", "fitted_rate", "rate_bound", "checks", "trigger_summary",
+    "runtime_s", "files",
+)
 
 
 def _solution_distance(x: np.ndarray, mini: MinimizerResult, to_set: bool = True) -> np.ndarray:
@@ -359,41 +393,27 @@ def _estimate_mf_for(scenario: Scenario, xstar: np.ndarray):
 
 
 def _prepare_certificates(scenario: Scenario, state0: SwarmState):
-    """Minimizer, equilibrium, Lyapunov context, and constants, as far as
+    """Spectral data, minimizer, Lyapunov context and constants, as far as
     the scenario's data allows."""
-    g, obj, gains = scenario.graph, scenario.obj, scenario.gains
+    g, obj, gains, eps0, eps = scenario.graph, scenario.obj, scenario.gains, scenario.eps0, scenario.eps
     sd = spectral(g)
     mini = minimizer_oracle(obj)
-    mf_est = _estimate_mf_for(scenario, mini.x)
-    eps0 = scenario.eps0 if scenario.eps0 is not None else default_eps0(gains)
-    eq = analysis.equilibrium_point(obj, gains, mini.x)
-    ctx = None
-    consts = None
-    phis = None
+    ctx = consts = None
     if g.n > 1:
-        ctx = analysis.LyapunovContext(g=g, sd=sd, obj=obj, gains=gains, eps0=eps0, eps=scenario.eps, eq=eq)
+        eq = analysis.equilibrium_point(obj, gains, mini.x)
+        ctx = analysis.LyapunovContext(g=g, sd=sd, obj=obj, gains=gains, eps0=eps0, eps=eps, eq=eq)
+        mf_est = _estimate_mf_for(scenario, mini.x)
         if mf_est.satisfied:
             V1_0 = ctx.sample(state0)["V1"]
             consts = analysis.certificate_continuous(
-                g, sd, obj, gains, eps0, scenario.eps, V1_0, mini.x, mf_est.value, mf_est.exact
+                g, sd, obj, gains, eps0, eps, V1_0, mini.x, mf_est.value, mf_est.exact
             )
             if scenario.algorithm == "event":
                 consts = analysis.certificate_event(
-                    g,
-                    sd,
-                    obj,
-                    gains,
-                    eps0,
-                    scenario.eps,
-                    scenario.trigger,
-                    mf_est.value,
-                    mf_est.exact,
-                    base=consts,
+                    g, sd, obj, gains, eps0, eps, scenario.trigger, mf_est.value, mf_est.exact, base=consts
                 )
-                phis = varphi_all(g, gains, eps0, consts.eps8)
             ctx.consts = consts
-            ctx.varphi = phis
-    return sd, mini, mf_est, eps0, eq, ctx, consts, phis
+    return sd, mini, ctx, consts
 
 
 def certificate_constants(scenario: Scenario, seed: int | None = None) -> analysis.CertificateConstants | None:
@@ -403,8 +423,7 @@ def certificate_constants(scenario: Scenario, seed: int | None = None) -> analys
     positive restricted strong convexity modulus).
     """
     state0, _ = make_initial(scenario, seed)
-    *_, consts, _phis = _prepare_certificates(scenario, state0)
-    return consts
+    return _prepare_certificates(scenario, state0)[3]
 
 
 def run(scenario: Scenario, out_dir=None, seed: int | None = None) -> RunReport:
@@ -417,7 +436,7 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None) -> RunReport:
     """
     state0, used_seed = make_initial(scenario, seed)
     t_start = time.perf_counter()
-    sd, mini, mf_est, eps0, eq, ctx, consts, phis = _prepare_certificates(scenario, state0)
+    sd, mini, ctx, consts = _prepare_certificates(scenario, state0)
     g, obj, gains = scenario.graph, scenario.obj, scenario.gains
 
     event_run = None
@@ -426,12 +445,14 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None) -> RunReport:
             g,
             gains,
             scenario.trigger,
-            eps0=eps0,
+            eps0=scenario.eps0,
+            eps8=None if consts is None else consts.eps8,
             denominator=scenario.threshold_denominator,
-            varphi=phis,
         )
         event_run = simulate_event(state0, g, obj, gains, law, scenario.step, scenario.horizon)
         traj = event_run.trajectory
+        if ctx is not None:
+            ctx.varphi = law.varphi  # the V3 column's threshold constants
     else:
         rhs_fn = rhs_continuous if scenario.algorithm == "continuous" else rhs_alternative
         traj = integrate(lambda s: rhs_fn(s, g, obj, gains), state0, scenario.step, scenario.horizon)
@@ -453,7 +474,6 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None) -> RunReport:
     consensus_residual = float(np.linalg.norm(sd.kn @ final.x))
     avg = final.x.mean(axis=0)
     gradient_sum_residual = float(np.linalg.norm(obj.sum_grad(avg)))
-    eq_res = equilibrium_residual(final, g, obj, gains)
 
     fitted = None
     rate_bound = None
@@ -473,7 +493,7 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None) -> RunReport:
         terminal_error_to_solution_set=terminal_error_set,
         consensus_residual=consensus_residual,
         gradient_sum_residual=gradient_sum_residual,
-        equilibrium_residuals=(eq_res.r_y, eq_res.r_grad, eq_res.r_consensus),
+        equilibrium_residuals=equilibrium_residual(final, g, obj, gains),
         fitted_rate=fitted,
         rate_bound=rate_bound,
         checks=checks,
@@ -497,6 +517,17 @@ def _write_csv(path: Path, header: list[str], rows, seed: int | None = None):
             fh.write(f"# seed={seed}\n")
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def _write_json(path: Path, payload: dict) -> Path:
+    """The one JSON writer: sorted keys, two-space indent, a final newline."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return path
+
+
+def write_constants(out_dir: Path, name: str, consts: analysis.CertificateConstants) -> Path:
+    """Write ``<name>_constants.json``: each certificate symbol's value and formula."""
+    return _write_json(out_dir / f"{name}_constants.json", consts.to_report())
 
 
 def _write_trajectory_csv(path: Path, traj: Trajectory, seed: int | None):
@@ -524,9 +555,7 @@ def _emit(scenario: Scenario, report: RunReport, out_dir: Path):
     report.files["trajectory"] = str(traj_path)
 
     if report.constants is not None:
-        const_path = out_dir / f"{base}_constants.json"
-        const_path.write_text(json.dumps(report.constants.to_report(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        report.files["constants"] = str(const_path)
+        report.files["constants"] = str(write_constants(out_dir, base, report.constants))
 
     if report.event_run is not None:
         ev_path = out_dir / f"{base}_events.csv"
@@ -535,29 +564,9 @@ def _emit(scenario: Scenario, report: RunReport, out_dir: Path):
         _write_csv(ev_path, ["agent", "k", "t", "chi_at_trigger", "error_norm_sq", "qhat"], rows)
         report.files["events"] = str(ev_path)
 
-    summary = {
-        "name": report.name,
-        "algorithm": report.algorithm,
-        "seed": report.seed,
-        "terminal_error": report.terminal_error,
-        "terminal_error_to_solution_set": report.terminal_error_to_solution_set,
-        "consensus_residual": report.consensus_residual,
-        "gradient_sum_residual": report.gradient_sum_residual,
-        "equilibrium_residuals": {
-            "r_y": report.equilibrium_residuals[0],
-            "r_grad": report.equilibrium_residuals[1],
-            "r_consensus": report.equilibrium_residuals[2],
-        },
-        "fitted_rate": report.fitted_rate,
-        "rate_bound": report.rate_bound,
-        "checks": report.checks,
-        "trigger_summary": report.trigger_summary,
-        "runtime_s": report.runtime_s,
-        "files": report.files,
-    }
-    summary_path = out_dir / f"{base}_summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    report.files["summary"] = str(summary_path)
+    summary = {name: getattr(report, name) for name in SUMMARY_FIELDS}
+    summary["equilibrium_residuals"] = report.equilibrium_residuals._asdict()
+    report.files["summary"] = str(_write_json(out_dir / f"{base}_summary.json", summary))
 
 
 def compare(scenarios: list[Scenario], out_path, seed: int | None = None) -> Path:

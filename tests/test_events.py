@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from socopt import events
 from socopt.dynamics import SwarmState
 from socopt.events import (
     EventRecord,
@@ -23,6 +24,8 @@ from socopt.events import (
 )
 from socopt.dynamics import rhs_continuous
 from socopt.graph import build_graph
+from socopt.harness import run, scenario_from_dict
+from socopt.presets import preset_config
 
 from conftest import random_connected_graph
 
@@ -290,6 +293,35 @@ def test_sweep_veto_is_not_reconsidered(path3, gains_theta35):
     assert ts.counts.tolist() == [2, 1, 2]
     assert [ev.agent for ev in ts.events] == [0, 2]
     assert trigger_margin(1, ts, path3, law, x) >= 0.0
+
+
+def test_rule_terms_once_per_sample_plus_once_per_broadcast(monkeypatch):
+    # the sweep computes the terms once as the sample starts and once right
+    # after each broadcast, never otherwise
+    calls = 0
+    per_sample = []  # (rule_terms calls, broadcasts) at each sample
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return rule_terms(*args)
+
+    def recorded(ts, *args):
+        calls0, events0 = calls, len(ts.events)
+        out = _process_triggers(ts, *args)
+        per_sample.append((calls - calls0, len(ts.events) - events0))
+        return out
+
+    monkeypatch.setattr(events, "rule_terms", counted)
+    monkeypatch.setattr(events, "_process_triggers", recorded)
+    cfg = preset_config("cdc18-scenario3-event")
+    cfg["integration"]["horizon"] = 5.0
+    cfg["diagnostics"] = {"lyapunov": False, "rate_fit": False}
+    rep = run(scenario_from_dict(cfg))
+    assert len(per_sample) == rep.trajectory.samples
+    assert all(n_calls == 1 + fired for n_calls, fired in per_sample)
+    assert max(fired for _, fired in per_sample) >= 2
+    assert sum(fired for _, fired in per_sample) == len(rep.event_run.trigger_state.events) - 3
 
 
 def test_trigger_margin_nonpositive_after_broadcast(path3, gains_theta35):

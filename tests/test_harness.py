@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -181,6 +182,10 @@ def _literal_initial(cfg):
     cfg["initial"] = {"x": [[float("inf"), 0.0, 0.0]] + [[0.0] * 3] * 2, "y": [[0.0] * 3] * 3}
 
 
+def _literal_initial_short(cfg):
+    cfg["initial"] = {"x": [[0.0] * 3] * 2, "y": [[0.0] * 3] * 3}
+
+
 # each mutation of cdc18-scenario3-event, and the text the rejection must name
 BAD_CONFIGS = {
     "costs-array": (_set("costs", []), "costs"),
@@ -205,6 +210,26 @@ BAD_CONFIGS = {
     "trigger-eps": (_set("trigger.eps", 0.2), "top-level field eps"),
     "eps-nan": (_set("eps", float("nan")), "eps must be finite"),
     "eps0-string": (_set("eps0", "big"), "eps0 must be a number"),
+    "eps0-above-one": (_set("eps0", 2.0), "eps0 must lie in"),
+    "eps0-below-range": (_set("eps0", 0.1), "eps0 must lie in"),
+    "eps-negative": (_set("eps", -3.0), "eps must be positive"),
+    "trigger-kappa-nan": (_set("trigger.kappa", float("nan")), "trigger.kappa must be finite"),
+    "trigger-sigma-nan": (_set("trigger.sigma", float("nan")), "trigger.sigma must be finite"),
+    "trigger-delta-nan": (_set("trigger.delta", float("nan")), "trigger.delta must be finite"),
+    "trigger-chi0-nan": (_set("trigger.chi0", float("nan")), "trigger.chi0 must be finite"),
+    "trigger-rate-nan": (_set("trigger.phi_rate", [1.0, float("nan"), 1.0]), "trigger.phi_rate must be finite"),
+    "trigger-sigma-short": (_set("trigger.sigma", [0.1, 0.2]), "trigger.sigma must be a number or a list of 3"),
+    "trigger-sigma-string": (_set("trigger.sigma", "a"), "trigger.sigma must be a number or a list of 3"),
+    "edges-number": (_set("graph.edges", 5), "graph.edges must be a list"),
+    "edges-no-weight": (_set("graph.edges", [[1, 2], [2, 3]]), "graph.edges[0] must be [i, j, weight]"),
+    "edges-fraction": (_set("graph.edges", [[1, 2, 1.0], [2.5, 3, 1.0]]), "graph.edges[1] must be [i, j, weight]"),
+    "edges-weight-nan": (_set("graph.edges", [[1, 2, 1.0], [2, 3, float("nan")]]), "graph.edges[1] weight must be finite"),
+    "seed-fraction": (_set("initial.seed", 1.5), "initial.seed must be a non-negative integer"),
+    "seed-negative": (_set("initial.seed", -1), "initial.seed must be a non-negative integer"),
+    "lyapunov-string": (_set("diagnostics.lyapunov", "no"), "diagnostics.lyapunov must be true or false"),
+    "rate-fit-number": (_set("diagnostics.rate_fit", 1), "diagnostics.rate_fit must be true or false"),
+    "box-reversed": (_set("initial.box", [5.0, -5.0]), "initial.box [lo, hi] needs lo <= hi"),
+    "literal-initial-shape": (_literal_initial_short, "initial.x must be an 3 x 3 array"),
 }
 
 
@@ -214,12 +239,39 @@ def test_bad_config_rejected_at_load(case, tmp_path, capsys):
     cfg = preset_config("cdc18-scenario3-event")
     cfg["integration"]["horizon"] = 0.05
     mutate(cfg)
-    with pytest.raises(ConfigError, match=named):
+    with pytest.raises(ConfigError, match=re.escape(named)):
         scenario_from_dict(cfg)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))  # NaN and Infinity as JSON literals
     assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "preset,key,value",
+    [
+        ("heavy-ball", "eps0", 2.0),
+        ("cdc18-scenario3", "eps0", 2.0),
+        ("cdc18-scenario3", "eps0", 0.1),  # below theta/(alpha*gamma) = 0.2917
+        ("cdc18-scenario3", "eps", -1.0),
+    ],
+)
+def test_design_parameters_rejected_at_load(preset, key, value, tmp_path, capsys):
+    cfg = preset_config(preset)
+    cfg[key] = value
+    with pytest.raises(ConfigError, match=f"design-parameter hypothesis violated: {key} must"):
+        scenario_from_dict(cfg)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert f"{key} must" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_eps0_resolved_at_load(name):
+    sc = load_preset(name)
+    assert type(sc.eps0) is float and type(sc.eps) is float
+    assert sc.eps0 == events.default_eps0(sc.gains)
 
 
 def test_config_accepts_top_level_eps_and_unknown_diagnostics():
@@ -362,6 +414,7 @@ def test_solution_distance_one_function(fixture, request):
 
 
 def test_event_run_computes_varphi_once(monkeypatch):
+    # make_trigger_law is the one caller on the run path; V3 reads law.varphi
     calls = []
     varphi_all = events.varphi_all
 
@@ -369,7 +422,6 @@ def test_event_run_computes_varphi_once(monkeypatch):
         calls.append(args)
         return varphi_all(*args)
 
-    monkeypatch.setattr(harness, "varphi_all", counted)
     monkeypatch.setattr(events, "varphi_all", counted)
     cfg = preset_config("cdc18-scenario3-event")
     cfg["integration"]["horizon"] = 0.5

@@ -1,10 +1,11 @@
 """The benchmark's kernel micro-timings still run against the package.
 
 ``perfbench/kernels.py`` calls ``rhs_continuous``, ``rhs_alternative``,
-``rhs_event``, ``rk4_step``, ``TriggerState(...)``, ``Trajectory.state_at``
-and more on the inputs of each workload.  These tests run it on short
-versions of two workloads so that an API change that would break the
-traced benchmark fails here first.
+``rhs_event``, ``rk4_step``, ``TriggerState(...)``, ``Trajectory.state_at``,
+``make_trigger_law(eps0=, eps8=, denominator=)`` and more on the inputs of
+each workload.  These tests run it on short versions of the three
+workloads and of the event scaling step so that an API change that would
+break the traced benchmark fails here first.
 """
 
 from pathlib import Path
@@ -26,6 +27,13 @@ PRESET_KERNELS = {
     "events.rhs_event_us",
     "analysis.lyapunov_sample_us",
     "analysis.fit_rate_ms",
+}
+RING_EVENT_KERNELS = {
+    "costs.grad_stack_us",
+    "graph.laplacian_apply_us",
+    "events.qhat_us",
+    "events.trigger_sweep_us",
+    "events.rhs_event_us",
 }
 RING_CONTINUOUS_KERNELS = {
     "costs.grad_stack_us",
@@ -69,3 +77,21 @@ def test_kernel_timings_ring_continuous(kernels):
 
     cfgs = [workloads.ring_config(workloads.DEFAULT_SEED, 3, alg, 0.2) for alg in ("continuous", "alternative")]
     _check(kernels.kernel_timings("ring300-continuous", cfgs, _run(cfgs)), RING_CONTINUOUS_KERNELS)
+
+
+def _ring3_event(workloads):
+    return workloads.ring_config(workloads.DEFAULT_SEED, 3, "event", 0.2)
+
+
+def test_kernel_timings_ring_event(kernels):
+    import workloads
+
+    cfgs = [_ring3_event(workloads)]
+    _check(kernels.kernel_timings("ring300-event", cfgs, _run(cfgs)), RING_EVENT_KERNELS)
+
+
+def test_event_step_timing(kernels):
+    import workloads
+
+    step_us = kernels._step_us(_ring3_event(workloads), "event")
+    assert np.isfinite(step_us) and step_us > 0.0

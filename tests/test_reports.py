@@ -17,7 +17,6 @@ should show here.
 import hashlib
 import json
 
-
 from socopt.cli import main as cli_main
 from socopt.harness import run, scenario_from_dict
 from socopt.presets import preset_config, preset_names
