@@ -160,16 +160,20 @@ def scenario_from_dict(cfg: dict) -> Scenario:
 
     Gates checked here, each rejected with the violated hypothesis or the
     offending field named: schema version, every section being a JSON
-    object, an integer agent count, finite numbers (horizon, step, box,
-    literal initial state, gains, a positive Lipschitz override), required
-    cost fields, the gain field set, gain positivity and
-    theta < alpha*gamma, graph connectivity, event mode needing a global
-    gradient-Lipschitz modulus per agent and (for the "varphi" threshold
-    denominator with nonzero sigma) restricted strong convexity of an
-    all-quadratic objective, balanced integral states for the primary
-    algorithms, the trigger field set (eps0 and eps live at the top level),
-    a known trigger preset and threshold denominator, and trigger-parameter
-    ranges.
+    object, an integer agent count, edges as [i, j, weight] with integer
+    ends, finite numbers (edge weights, horizon, step, box, literal initial
+    state, gains, eps0, eps, a positive Lipschitz override), required cost
+    fields, the gain field set, gain positivity and theta < alpha*gamma,
+    eps0 in (theta/(alpha*gamma), 1) and eps > 0 (eps0 defaults to the
+    midpoint), graph connectivity, literal initial states of shape (n, p),
+    a box with lo <= hi and a non-negative integer seed, boolean
+    diagnostics flags, event mode needing a global gradient-Lipschitz
+    modulus per agent and (for the "varphi" threshold denominator with
+    nonzero sigma) restricted strong convexity of an all-quadratic
+    objective, balanced integral states for the primary algorithms, the
+    trigger field set (eps0 and eps live at the top level), a known trigger
+    preset and threshold denominator, trigger fields that are finite
+    numbers or lists of n, and trigger-parameter ranges.
     """
     _require(isinstance(cfg, dict), "a scenario config must be a JSON object")
     version = cfg.get("schema_version")
@@ -222,7 +226,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         shape = (g.n, obj.p)
         for key in ("x", "y", "v"):
             if key in init_cfg:
-                lit = _finite_array(init_cfg[key], f"initial.{key}", (shape,), f"an {shape[0]} x {shape[1]} array")
+                lit = _finite_array(init_cfg[key], f"initial.{key}", (shape,), f"an array of shape {shape}")
                 setattr(initial, key, lit)
     else:
         box = init_cfg.get("box")

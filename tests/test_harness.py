@@ -210,9 +210,6 @@ BAD_CONFIGS = {
     "trigger-eps": (_set("trigger.eps", 0.2), "top-level field eps"),
     "eps-nan": (_set("eps", float("nan")), "eps must be finite"),
     "eps0-string": (_set("eps0", "big"), "eps0 must be a number"),
-    "eps0-above-one": (_set("eps0", 2.0), "eps0 must lie in"),
-    "eps0-below-range": (_set("eps0", 0.1), "eps0 must lie in"),
-    "eps-negative": (_set("eps", -3.0), "eps must be positive"),
     "trigger-kappa-nan": (_set("trigger.kappa", float("nan")), "trigger.kappa must be finite"),
     "trigger-sigma-nan": (_set("trigger.sigma", float("nan")), "trigger.sigma must be finite"),
     "trigger-delta-nan": (_set("trigger.delta", float("nan")), "trigger.delta must be finite"),
@@ -229,7 +226,7 @@ BAD_CONFIGS = {
     "lyapunov-string": (_set("diagnostics.lyapunov", "no"), "diagnostics.lyapunov must be true or false"),
     "rate-fit-number": (_set("diagnostics.rate_fit", 1), "diagnostics.rate_fit must be true or false"),
     "box-reversed": (_set("initial.box", [5.0, -5.0]), "initial.box [lo, hi] needs lo <= hi"),
-    "literal-initial-shape": (_literal_initial_short, "initial.x must be an 3 x 3 array"),
+    "literal-initial-shape": (_literal_initial_short, "initial.x must be an array of shape (3, 3)"),
 }
 
 

@@ -79,19 +79,10 @@ def test_kernel_timings_ring_continuous(kernels):
     _check(kernels.kernel_timings("ring300-continuous", cfgs, _run(cfgs)), RING_CONTINUOUS_KERNELS)
 
 
-def _ring3_event(workloads):
-    return workloads.ring_config(workloads.DEFAULT_SEED, 3, "event", 0.2)
-
-
-def test_kernel_timings_ring_event(kernels):
+def test_kernel_timings_ring_event_and_event_step(kernels):
     import workloads
 
-    cfgs = [_ring3_event(workloads)]
+    cfgs = [workloads.ring_config(workloads.DEFAULT_SEED, 3, "event", 0.2)]
     _check(kernels.kernel_timings("ring300-event", cfgs, _run(cfgs)), RING_EVENT_KERNELS)
-
-
-def test_event_step_timing(kernels):
-    import workloads
-
-    step_us = kernels._step_us(_ring3_event(workloads), "event")
+    step_us = kernels._step_us(cfgs[0], "event")
     assert np.isfinite(step_us) and step_us > 0.0
