@@ -184,10 +184,9 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     _require(n is None or _is_int(n), f"graph.n must be an integer, got {n!r}")
     edges = gspec.get("edges", [])
     _require(isinstance(edges, (list, tuple)), f"graph.edges must be a list of [i, j, weight], got {edges!r}")
-    for k, e in enumerate(edges):
-        ok = isinstance(e, (list, tuple)) and len(e) == 3 and _is_int(e[0]) and _is_int(e[1])
-        _require(ok, f"graph.edges[{k}] must be [i, j, weight] with integer i and j, got {e!r}")
-        _finite(e[2], f"graph.edges[{k}] weight")
+    if edges:
+        ends = _finite_array(edges, "graph.edges", ((len(edges), 3),), "a list of [i, j, weight]")[:, :2]
+        _require(bool(np.all(ends % 1 == 0)), "graph.edges must have integer vertex indices i and j")
     g = build_graph(edges, n=n)
     if not is_connected(g):
         comps = connected_components(g)
