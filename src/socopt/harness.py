@@ -183,7 +183,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     n = gspec.get("n")
     _require(n is None or _is_int(n), f"graph.n must be an integer, got {n!r}")
     edges = gspec.get("edges", [])
-    _require(isinstance(edges, (list, tuple)), f"graph.edges must be a list of [i, j, weight], got a {type(edges).__name__}")
+    _require(isinstance(edges, (list, tuple)), f"graph.edges must be a list, got a {type(edges).__name__}")
     if edges:
         ends = _finite_array(edges, "graph.edges", ((len(edges), 3),), "a list of [i, j, weight]")[:, :2]
         _require(bool(np.all(ends % 1 == 0)), "graph.edges must have integer vertex indices i and j")

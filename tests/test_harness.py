@@ -219,7 +219,7 @@ BAD_CONFIGS = {
     "trigger-sigma-string": (_set("trigger.sigma", "a"), "trigger.sigma must be a number or a list of 3"),
     "edges-number": (_set("graph.edges", 5), "graph.edges must be a list"),
     "edges-no-weight": (_set("graph.edges", [[1, 2], [2, 3]]), "graph.edges must be a list of [i, j, weight]"),
-    "edges-fraction": (_set("graph.edges", [[1, 2, 1.0], [2.5, 3, 1.0]]), "graph.edges must have integer vertex indices"),
+    "edges-fraction": (_set("graph.edges", [[1, 2, 1.0], [2.5, 3, 1.0]]), "graph.edges must have integer"),
     "edges-weight-nan": (_set("graph.edges", [[1, 2, 1.0], [2, 3, float("nan")]]), "graph.edges must be finite"),
     "seed-fraction": (_set("initial.seed", 1.5), "initial.seed must be a non-negative integer"),
     "seed-negative": (_set("initial.seed", -1), "initial.seed must be a non-negative integer"),
