@@ -15,7 +15,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .costs import GlobalObjective, curvature_on_set
+from .costs import GlobalObjective, curvature_on_set, rowdot
 from .dynamics import GainParams, SwarmState, Trajectory
 from .events import TriggerParams
 from .graph import NetworkGraph, SpectralData
@@ -151,7 +151,7 @@ class LyapunovContext:
         convex with minimum value 0 at consensus on x*."""
         obj, xbar = self.obj, self.eq.xbar
         gs = obj.grad_stack(xbar)
-        at_star = obj.f_stack(xbar) - np.matmul(xbar[:, None, :], gs[:, :, None])[:, 0, 0]
+        at_star = obj.f_stack(xbar) - rowdot(xbar, gs)
         # g_i . x_i for every sample as one (m, p) @ (p,) product per agent,
         # and the agents summed in index order, which keeps W1's rounding
         gx = np.matmul(np.swapaxes(x, -3, -2), gs[:, :, None])[..., 0]
@@ -339,25 +339,20 @@ class RateFit:
     truncated: bool
 
 
-def fit_rate(
-    traj: Trajectory,
-    xstar: np.ndarray,
-    window: tuple[float, float] = (0.2, 0.8),
-    noise_floor: float = 1e-13,
-) -> RateFit:
+def fit_rate(traj: Trajectory, xstar: np.ndarray) -> RateFit:
     """Fit -log||x(t) - xbar|| by least squares over a trajectory window.
 
-    The default window keeps the middle 60% of the horizon, skipping the
-    transient and the tail.  Samples at or below the floating-point noise
-    floor truncate the window (flagged in the result).
+    The window keeps the middle 60% of the horizon, [0.2 T, 0.8 T],
+    skipping the transient and the tail.  Samples at or below the
+    floating-point noise floor 1e-13 truncate the window (flagged in the
+    result).
     """
     xbar = np.tile(np.asarray(xstar, dtype=float), (traj.x.shape[1], 1))
     errs = np.linalg.norm(traj.x - xbar[None, :, :], axis=(1, 2))
     T = traj.t[-1]
-    lo, hi = window
-    mask = (traj.t >= lo * T) & (traj.t <= hi * T)
+    mask = (traj.t >= 0.2 * T) & (traj.t <= 0.8 * T)
     truncated = False
-    above = errs > noise_floor
+    above = errs > 1e-13
     if not np.all(above[mask]):
         truncated = True
         mask = mask & above

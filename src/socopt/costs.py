@@ -11,7 +11,8 @@ every one is quartic, the objective stacks that data once into a
 ``QuadraticFamily`` or ``QuarticFamily`` and evaluates all agents'
 gradients and values in one array expression; the batched gradients are
 bit-equal to the closures.  Custom and mixed objectives have no family and
-loop over the closures.  Elsewhere the closures serve as the scalar oracles
+loop over the closures.  Every batched row inner product in the package
+goes through ``rowdot``, which rounds like the per-row dot product.  Elsewhere the closures serve as the scalar oracles
 of finite-difference gradient checking and curvature bounds.
 
 The module also provides the independent oracles the test and acceptance
@@ -28,6 +29,16 @@ import numpy as np
 
 class CostError(ValueError):
     """Invalid cost definition or a cost violating a precondition."""
+
+
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products of matching rows, a_k . b_k over the last axis, with
+    the leading axes broadcast.
+
+    Each product is a 1 x p by p x 1 matmul, so it rounds like the per-row
+    ``a_k @ b_k`` of a loop; ``(a * b).sum(-1)`` and its relatives do not.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 @dataclass
@@ -65,8 +76,7 @@ class QuadraticFamily:
     def grad(self, x: np.ndarray) -> np.ndarray:
         """Per-agent gradients at stacked positions x (n, p), or at one
         point x (p,) shared by all agents.  Here and in ``f`` the batched
-        matmuls round like the closures' per-agent products; einsum does
-        not."""
+        matmuls round like the closures' per-agent products."""
         return np.matmul(self.A, (x - self.a)[:, :, None])[:, :, 0] + self.b
 
     def f(self, x: np.ndarray) -> np.ndarray:
@@ -74,7 +84,7 @@ class QuadraticFamily:
         (..., n), in the closures' evaluation order 0.5*d @ A @ d + b @ x."""
         d = x - self.a
         quad = np.matmul(np.matmul((0.5 * d)[..., None, :], self.A), d[..., :, None])
-        return quad[..., 0, 0] + np.matmul(x[..., None, :], self.b[:, :, None])[..., 0, 0]
+        return quad[..., 0, 0] + rowdot(x, self.b)
 
     def summed_system(self) -> tuple[np.ndarray, np.ndarray]:
         """(S, r) with S = sum_i A_i and r = sum_i (A_i a_i - b_i), so that the
@@ -91,20 +101,16 @@ class QuarticFamily:
 
     B: np.ndarray
 
-    @staticmethod
-    def _sq_norms(d: np.ndarray) -> np.ndarray:
-        # a batched 1 x p by p x 1 product rounds like the per-agent d @ d
-        return np.matmul(d[..., None, :], d[..., :, None])[..., 0]
-
     def grad(self, x: np.ndarray) -> np.ndarray:
         """Per-agent gradients at stacked positions x (n, p), or at one
         point x (p,) shared by all agents."""
         d = x - self.B
-        return 4.0 * self._sq_norms(d) * d
+        return 4.0 * rowdot(d, d)[..., None] * d
 
     def f(self, x: np.ndarray) -> np.ndarray:
         """Per-agent values at positions x of shape (..., n, p) or (p,), as (..., n)."""
-        sq = self._sq_norms(x - self.B)[..., 0]
+        d = x - self.B
+        sq = rowdot(d, d)
         return sq * sq
 
 
@@ -279,19 +285,17 @@ def central_difference(f, x: np.ndarray, h: float) -> np.ndarray:
     return g
 
 
-def gradient_check(cost: CostFunction, samples, h: float = 1e-6) -> float:
+def gradient_check(cost: CostFunction, samples) -> float:
     """Max relative error between the analytic gradient and central differences.
 
-    The error at a sample is ||grad(x) - centraldiff(f, x, h)|| divided by
-    max(1, ||grad(x)||).
+    The error at a sample is ||grad(x) - centraldiff(f, x, 1e-6)|| divided
+    by max(1, ||grad(x)||).
     """
-    if h <= 0:
-        raise CostError("finite-difference step must be positive")
     worst = 0.0
     for x in samples:
         x = np.asarray(x, dtype=float)
         g = cost.grad(x)
-        fd = central_difference(cost.f, x, h)
+        fd = central_difference(cost.f, x, 1e-6)
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(fd))):
             raise CostError(f"non-finite evaluation at sample {x.tolist()}")
         err = float(np.linalg.norm(g - fd)) / max(1.0, float(np.linalg.norm(g)))
@@ -315,21 +319,17 @@ class MinimizerResult:
     null_basis: np.ndarray | None = None
 
 
-def minimizer_oracle(
-    obj: GlobalObjective,
-    tol: float = 1e-8,
-    max_iter: int = 10**6,
-    x0: np.ndarray | None = None,
-) -> MinimizerResult:
+def minimizer_oracle(obj: GlobalObjective) -> MinimizerResult:
     """Find x* minimizing the sum of the private costs.
 
     All-quadratic objectives solve the stationarity system directly; a
     singular system returns one (minimum-norm) solution flagged as
     non-unique.  Otherwise a damped gradient descent with backtracking
-    runs until ||sum grad|| <= tol.  This solver is deliberately
-    independent of the agent dynamics it is used to judge.
+    runs from the origin until ||sum grad|| <= 1e-8, for at most 10**6
+    iterations.  This solver is deliberately independent of the agent
+    dynamics it is used to judge.
     """
-    p = obj.p
+    tol = 1e-8
     if obj.all_quadratic():
         S, b = obj.family.summed_system()
         evals = np.linalg.eigvalsh(S)
@@ -345,10 +345,10 @@ def minimizer_oracle(
         res = float(np.linalg.norm(obj.sum_grad(x)))
         return MinimizerResult(x=x, residual=res, unique=unique, method="linear-solve", null_basis=basis)
 
-    x = np.zeros(p) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(obj.p)
     fval = obj.sum_f(x)
     step = 1.0
-    for _ in range(max_iter):
+    for _ in range(10**6):
         g = obj.sum_grad(x)
         gn = float(np.linalg.norm(g))
         if gn <= tol:
@@ -449,9 +449,8 @@ def estimate_mf(obj: GlobalObjective, xstar: np.ndarray, samples=None) -> MfEsti
     else:
         gsum = np.array([obj.sum_grad(xi) for xi in x]).reshape(x.shape)
     d = x - xstar
-    # 1 x p by p x 1 products round like the per-sample dot products
-    dn2 = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
-    num = np.matmul((gsum - obj.sum_grad(xstar))[:, None, :], d[:, :, None])[:, 0, 0]
+    dn2 = rowdot(d, d)
+    num = rowdot(gsum - obj.sum_grad(xstar), d)
     keep = dn2 >= 1e-20
     best = float(np.fmin.reduce(num[keep] / dn2[keep], initial=np.inf))  # NaN ratios skipped
     if not np.isfinite(best):

@@ -19,7 +19,9 @@ chi decay rate.  The "local-only" preset sigma = delta = 0 needs neither
 and no network-wide quantities at all.
 
 ``rule_terms`` computes ||e_i||^2 and qhat_i for all agents at once, qhat
-over the graph's edge list, as does ``varphi_all``; certificates stay dense.
+over the graph's edge list and stored weights, as does ``varphi_all``;
+every inner product there is a ``rowdot``, so each agent's terms round
+like its own per-agent test.  Certificates stay dense.
 
 Triggers are monitored at integration sample boundaries only, matching a
 sampled implementation.  ``simulate_event`` runs the shared stepper and
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import GlobalObjective
+from .costs import GlobalObjective, rowdot
 from .dynamics import GainParams, SwarmState, Trajectory, _law, integrate
 from .graph import NetworkGraph
 
@@ -106,15 +108,13 @@ class TriggerParams:
         )
 
     @classmethod
-    def local_only(cls, n: int, phi_rate: float = 1.0, kappa: float | None = None, chi0: float = 1.0) -> "TriggerParams":
+    def local_only(cls, n: int, phi_rate: float = 1.0, chi0: float = 1.0) -> "TriggerParams":
         """sigma = delta = 0: the law needs no derived threshold constant
-        and no network-wide quantities."""
+        and no network-wide quantities; kappa = 2/rate + 1."""
         rate = np.full(n, float(phi_rate))
-        if kappa is None:
-            kappa_arr = 2.0 / rate + 1.0
-        else:
-            kappa_arr = np.full(n, float(kappa))
-        return cls(sigma=np.zeros(n), delta=np.zeros(n), phi_rate=rate, kappa=kappa_arr, chi0=np.full(n, float(chi0)))
+        return cls(
+            sigma=np.zeros(n), delta=np.zeros(n), phi_rate=rate, kappa=2.0 / rate + 1.0, chi0=np.full(n, float(chi0))
+        )
 
 
 def default_eps0(gains: GainParams) -> float:
@@ -130,14 +130,13 @@ def varphi_all(g: NetworkGraph, gains: GainParams, eps0: float, eps8: float) -> 
              + gamma^2*theta*eps0^2 / (4*eps8)
              + alpha^2*beta^2/(gamma*(1-eps0)) * (L_ii - sum_{j!=i} L_jj L_ij)
 
-    The cross sum runs over the edges leaving i (L_ij = 0 off them).
+    The cross sum runs over the edges leaving i (L_ij = -w_ij on them, 0 off them).
     """
     _validate_eps0(gains, eps0)
     if eps8 <= 0:
         raise TriggerConfigError(f"eps8 must be positive, got {eps8}")
-    L = g.laplacian
-    lii = np.diag(L)
-    cross = np.bincount(g.src, weights=lii[g.dst] * L[g.src, g.dst], minlength=g.n)
+    lii = np.diag(g.laplacian)
+    cross = np.bincount(g.src, weights=lii[g.dst] * -g.w, minlength=g.n)
     a, b, gm, th = gains.alpha, gains.beta, gains.gamma, gains.theta
     lead = (a * gm * eps0 - th) * b
     return (
@@ -239,17 +238,15 @@ class TriggerState:
 def rule_terms(ts: TriggerState, g: NetworkGraph, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(||e_i||^2, qhat_i) for every agent, each of shape (n,).
 
-    e_i = xhat_i - x_i is the staleness error and qhat_i = -1/2 sum_{j in N_i}
-    L_ij ||xhat_j - xhat_i||^2 >= 0 the cached local disagreement, summed
+    e_i = xhat_i - x_i is the staleness error and qhat_i = 1/2 sum_{j in N_i}
+    w_ij ||xhat_j - xhat_i||^2 >= 0 the cached local disagreement, summed
     in ascending j.  Agent i's terms read only x_i and the caches of i and
     its neighbors.
     """
     e = ts.xhat - x
     d = ts.xhat[g.dst] - ts.xhat[g.src]
-    # batched row products round like the per-edge dot product d_k @ d_k
-    dd = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
-    qh = np.bincount(g.src, weights=(-0.5 * g.laplacian[g.src, g.dst]) * dd, minlength=g.n)
-    return np.einsum("ij,ij->i", e, e), qh
+    qh = np.bincount(g.src, weights=(0.5 * g.w) * rowdot(d, d), minlength=g.n)
+    return rowdot(e, e), qh
 
 
 def _bracket_and_margin(law: TriggerLaw, chi: np.ndarray, err_sq: np.ndarray, qh: np.ndarray):

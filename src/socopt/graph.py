@@ -1,11 +1,13 @@
 """Weighted undirected communication graphs and their spectral data.
 
 The agent network is a weighted undirected graph with adjacency matrix A
-(symmetric, nonnegative, zero diagonal) and Laplacian L = Deg - A.  Every
-convergence certificate downstream needs exact spectral quantities of L:
-its spectral radius, its smallest positive eigenvalue, and the orthonormal
-eigenbasis split that diagonalizes it away from the all-ones direction.
-Matrices and certificates are dense; hot-path neighbor sums use ``src``/``dst``.
+(symmetric, nonnegative, zero diagonal) and Laplacian L = Deg - A.  A
+graph stores L and its directed edge list ``src``/``dst`` with the edge
+weights ``w``; A itself is not kept.  Every convergence certificate
+downstream needs exact spectral quantities of L: its spectral radius, its
+smallest positive eigenvalue, and the orthonormal eigenbasis split that
+diagonalizes it away from the all-ones direction.  L and the certificates
+are dense; hot-path neighbor sums run over ``src``/``dst``/``w``.
 """
 
 from dataclasses import dataclass
@@ -25,27 +27,25 @@ class NetworkGraph:
     ----------
     n : int
         Number of agents (vertices).
-    adjacency : ndarray, shape (n, n)
-        Symmetric nonnegative weight matrix with zero diagonal.
     laplacian : ndarray, shape (n, n)
-        L = Deg - A; rows sum to zero.
-    degrees : ndarray, shape (n,)
-        Weighted degree of each vertex.
+        L = Deg - A; rows sum to zero, and L_ii is the weighted degree.
     src, dst : ndarray of int, shape (2|E|,)
-        Directed edges src -> dst (both ways), ``np.nonzero(adjacency > 0)``,
-        so the edges leaving i list ``neighbors(i)`` in order.
+        Directed edges src -> dst (both ways), ``np.nonzero(A > 0)``, so
+        ``src`` is sorted and the edges leaving i list ``neighbors(i)`` in
+        ascending order.
+    w : ndarray, shape (2|E|,)
+        Edge weights A[src, dst] = -L[src, dst].
     """
 
     n: int
-    adjacency: np.ndarray
     laplacian: np.ndarray
-    degrees: np.ndarray
     src: np.ndarray
     dst: np.ndarray
+    w: np.ndarray
 
     def neighbors(self, i: int) -> list[int]:
-        """Indices j with a positive edge weight to vertex i."""
-        return [int(j) for j in np.nonzero(self.adjacency[i] > 0.0)[0]]
+        """Indices j with a positive edge weight to vertex i, ascending."""
+        return self.dst[self.src == i].tolist()
 
 
 @dataclass(frozen=True)
@@ -125,12 +125,9 @@ def build_graph(edges, n: int | None = None, indexing: str = "auto") -> NetworkG
         seen.add(key)
         A[i, j] = A[j, i] = w
 
-    deg = A.sum(axis=1)
-    L = np.diag(deg) - A
+    L = np.diag(A.sum(axis=1)) - A
     src, dst = np.nonzero(A > 0.0)
-    return NetworkGraph(
-        n=n, adjacency=_freeze(A), laplacian=_freeze(L), degrees=_freeze(deg), src=_freeze(src), dst=_freeze(dst)
-    )
+    return NetworkGraph(n=n, laplacian=_freeze(L), src=_freeze(src), dst=_freeze(dst), w=_freeze(A[src, dst]))
 
 
 def connected_components(g: NetworkGraph) -> list[list[int]]:
@@ -149,12 +146,12 @@ def is_connected(g: NetworkGraph) -> bool:
     return len(connected_components(g)) == 1
 
 
-def spectral(g: NetworkGraph, zero_tol_factor: float = 1e-9) -> SpectralData:
+def spectral(g: NetworkGraph) -> SpectralData:
     """Eigendecomposition of the Laplacian of a connected graph.
 
-    Eigenvalues below ``zero_tol_factor * rho`` in magnitude are treated
-    as zero; a connected graph must have exactly one.  The scale-relative
-    cutoff survives rescaling all edge weights.
+    Eigenvalues below 1e-9 * max(rho, 1) in magnitude are treated as zero;
+    a connected graph must have exactly one.  The scale-relative cutoff
+    survives rescaling all edge weights.
 
     Raises
     ------
@@ -169,7 +166,7 @@ def spectral(g: NetworkGraph, zero_tol_factor: float = 1e-9) -> SpectralData:
         )
     vals, vecs = np.linalg.eigh(g.laplacian)
     rho = float(vals[-1])
-    tol = zero_tol_factor * max(rho, 1.0)
+    tol = 1e-9 * max(rho, 1.0)
     n_zero = int(np.sum(np.abs(vals) <= tol))
     if g.n > 1 and n_zero != 1:
         raise GraphError(f"expected one zero eigenvalue, found {n_zero}")

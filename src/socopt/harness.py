@@ -10,8 +10,8 @@ invariants, and emits plot-ready CSV plus JSON reports.
 """
 
 import json
-import math
 import os
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -51,6 +51,16 @@ from .graph import NetworkGraph, build_graph, connected_components, is_connected
 SCHEMA_VERSION = 1
 OUT_DIR_ENV = "SOCOPT_OUT_DIR"
 ALGORITHMS = ("continuous", "alternative", "event")
+# the top-level config fields, and the data fields of each cost kind
+CONFIG_FIELDS = (
+    "schema_version", "name", "graph", "costs", "gains", "algorithm", "trigger", "integration", "initial",
+    "diagnostics", "eps0", "eps",
+)
+COST_FIELDS = {
+    "quadratic_shift": ("matrices", "shifts"),
+    "quadratic_linear": ("matrices", "linear_terms"),
+    "quartic": ("centers",),
+}
 
 V_BALANCE_TOL = 1e-10
 DISCIPLINE_TOL = 1e-9
@@ -107,25 +117,30 @@ def _section(cfg: dict, key: str) -> dict:
     return sec
 
 
+def _known_fields(sec: dict, name: str, known: tuple):
+    """Reject the keys of ``sec`` outside ``known``, naming them."""
+    unknown = sorted(set(sec) - set(known))
+    _require(not unknown, f"{name}: unknown field(s) {unknown}; known fields are {', '.join(known)}")
+
+
 def _finite(value, name: str) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
-    _require(math.isfinite(value), f"{name} must be finite, got {value}")
-    return value
+    """A JSON number (an int or float, not a bool or a string), finite."""
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool), f"{name} must be a number, got {value!r}")
+    # false for NaN, the infinities and ints beyond the float range
+    _require(abs(value) <= sys.float_info.max, f"{name} must be finite, got {value}")
+    return float(value)
 
 
 def _finite_array(value, name: str, shapes: tuple, expected: str) -> np.ndarray:
-    """``value`` as a float array of one of ``shapes``, every entry finite,
-    broadcast to (a copy of) the last shape."""
+    """``value`` as a float array of one of ``shapes``, every entry a finite
+    JSON number, broadcast to (a copy of) the last shape."""
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
         arr = None
-    _require(arr is not None and arr.shape in shapes, f"{name} must be {expected}")
+    _require(arr is not None and arr.dtype.kind in "iuf" and arr.shape in shapes, f"{name} must be {expected}")
     _require(bool(np.all(np.isfinite(arr))), f"{name} must be finite")
-    return np.broadcast_to(arr, shapes[-1]).copy()
+    return np.broadcast_to(arr.astype(float), shapes[-1]).copy()
 
 
 def _is_int(value) -> bool:
@@ -134,19 +149,17 @@ def _is_int(value) -> bool:
 
 def _build_costs(cost_cfg: dict) -> GlobalObjective:
     kind = cost_cfg.get("kind")
-
-    def need(key: str):
+    _require(isinstance(kind, str) and kind in COST_FIELDS, f"unknown cost kind {kind!r}")
+    _known_fields(cost_cfg, f"costs (kind {kind})", ("kind", *COST_FIELDS[kind], "lipschitz_override"))
+    for key in COST_FIELDS[kind]:
         _require(key in cost_cfg, f"costs.{key} is required for cost kind {kind!r}")
-        return cost_cfg[key]
 
     if kind == "quadratic_shift":
-        costs = quadratic_family(need("matrices"), shifts=need("shifts"))
+        costs = quadratic_family(cost_cfg["matrices"], shifts=cost_cfg["shifts"])
     elif kind == "quadratic_linear":
-        costs = quadratic_family(need("matrices"), linear_terms=need("linear_terms"))
-    elif kind == "quartic":
-        costs = quartic_family(need("centers"))
+        costs = quadratic_family(cost_cfg["matrices"], linear_terms=cost_cfg["linear_terms"])
     else:
-        raise ConfigError(f"unknown cost kind {kind!r}")
+        costs = quartic_family(cost_cfg["centers"])
     if "lipschitz_override" in cost_cfg:
         mbar = _finite(cost_cfg["lipschitz_override"], "costs.lipschitz_override")
         _require(mbar > 0, f"costs.lipschitz_override must be positive, got {mbar}")
@@ -160,12 +173,14 @@ def scenario_from_dict(cfg: dict) -> Scenario:
 
     Gates checked here, each rejected with the violated hypothesis or the
     offending field named: schema version, every section being a JSON
-    object, an integer agent count, edges as [i, j, weight] with integer
-    ends, finite numbers (edge weights, horizon, step, box, literal initial
-    state, gains, eps0, eps, a positive Lipschitz override), required cost
-    fields, the gain field set, gain positivity and theta < alpha*gamma,
-    eps0 in (theta/(alpha*gamma), 1) and eps > 0 (eps0 defaults to the
-    midpoint), graph connectivity, literal initial states of shape (n, p),
+    object, no unknown key in any section but ``diagnostics``, an integer
+    agent count, edges as [i, j, weight] with integer ends, finite JSON
+    numbers, not strings or booleans (edge entries, horizon, step, box,
+    literal initial state, gains, eps0, eps, a positive Lipschitz
+    override), required cost fields, the gain field set, gain positivity
+    and theta < alpha*gamma, eps0 in (theta/(alpha*gamma), 1) and eps > 0
+    (eps0 defaults to the midpoint), graph connectivity, literal initial
+    states of shape (n, p),
     a box with lo <= hi and a non-negative integer seed, boolean
     diagnostics flags, event mode needing a global gradient-Lipschitz
     modulus per agent and (for the "varphi" threshold denominator with
@@ -177,9 +192,14 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     """
     _require(isinstance(cfg, dict), "a scenario config must be a JSON object")
     version = cfg.get("schema_version")
-    _require(version == SCHEMA_VERSION, f"schema_version {version!r} does not match supported {SCHEMA_VERSION}")
+    _require(
+        _is_int(version) and version == SCHEMA_VERSION,
+        f"schema_version {version!r} does not match supported {SCHEMA_VERSION}",
+    )
+    _known_fields(cfg, "config", CONFIG_FIELDS)
 
     gspec = _section(cfg, "graph")
+    _known_fields(gspec, "graph", ("n", "edges"))
     n = gspec.get("n")
     _require(n is None or _is_int(n), f"graph.n must be an integer, got {n!r}")
     edges = gspec.get("edges", [])
@@ -213,6 +233,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     _require(algorithm in ALGORITHMS, f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
 
     integ = _section(cfg, "integration")
+    _known_fields(integ, "integration", ("step", "horizon"))
     step = _finite(integ.get("step", 0.01), "integration.step")
     horizon = _finite(integ.get("horizon", 50.0), "integration.horizon")
     _require(step > 0, "integration step must be positive")
@@ -220,7 +241,9 @@ def scenario_from_dict(cfg: dict) -> Scenario:
 
     init_cfg = _section(cfg, "initial")
     initial = InitialSpec()
-    if "x" in init_cfg or "y" in init_cfg:
+    literal = "x" in init_cfg or "y" in init_cfg
+    _known_fields(init_cfg, "initial", ("x", "y", "v") if literal else ("box", "seed"))
+    if literal:
         _require("x" in init_cfg and "y" in init_cfg, "literal initial state needs both x and y")
         shape = (g.n, obj.p)
         for key in ("x", "y", "v"):
@@ -254,9 +277,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     trig_cfg = _section(cfg, "trigger")
     for key in ("eps0", "eps"):
         _require(key not in trig_cfg, f"trigger.{key} is not read; set the top-level field {key} instead")
-    known = ("preset", "threshold_denominator", *TRIGGER_FIELDS)
-    unknown = sorted(set(trig_cfg) - set(known))
-    _require(not unknown, f"trigger: unknown field(s) {unknown}; known fields are {', '.join(known)}")
+    _known_fields(trig_cfg, "trigger", ("preset", "threshold_denominator", *TRIGGER_FIELDS))
     preset = trig_cfg.get("preset")
     _require(preset in (None, "local-only"), f'trigger.preset must be "local-only", got {preset!r}')
     fixed = [k for k in TRIGGER_FIELDS if k in trig_cfg]

@@ -13,7 +13,7 @@ PATH3_L = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
 def test_path3_laplacian(path3):
     assert path3.n == 3
     np.testing.assert_array_equal(path3.laplacian, PATH3_L)
-    np.testing.assert_array_equal(path3.degrees, [1.0, 2.0, 1.0])
+    np.testing.assert_array_equal(np.diag(path3.laplacian), [1.0, 2.0, 1.0])
 
 
 def test_empty_edge_set_zero_laplacian():

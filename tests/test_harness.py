@@ -227,6 +227,24 @@ BAD_CONFIGS = {
     "rate-fit-number": (_set("diagnostics.rate_fit", 1), "diagnostics.rate_fit must be true or false"),
     "box-reversed": (_set("initial.box", [5.0, -5.0]), "initial.box [lo, hi] needs lo <= hi"),
     "literal-initial-shape": (_literal_initial_short, "initial.x must be an array of shape (3, 3)"),
+    # numbers must be JSON numbers: no numeric strings, no booleans
+    "eps0-numeric-string": (_set("eps0", "0.9"), "eps0 must be a number"),
+    "gain-numeric-string": (_set("gains.alpha", "2"), "gains.alpha must be a number"),
+    "gain-bool": (_set("gains.alpha", True), "gains.alpha must be a number"),
+    "trigger-sigma-numeric-string": (_set("trigger.sigma", "0.3"), "trigger.sigma must be a number or a list of 3"),
+    "trigger-sigma-bool": (_set("trigger.sigma", False), "trigger.sigma must be a number or a list of 3"),
+    "step-numeric-string": (_set("integration.step", "0.01"), "integration.step must be a number"),
+    "edges-weight-string": (_set("graph.edges", [[1, 2, 1.0], [2, 3, "1.0"]]), "graph.edges must be a list of"),
+    "box-strings": (_set("initial.box", ["-5", "5"]), "initial.box must be a number"),
+    "lipschitz-string": (_set("costs.lipschitz_override", "3"), "costs.lipschitz_override must be a number"),
+    "schema-version-bool": (_set("schema_version", True), "schema_version True does not match"),
+    "eps-huge-int": (_set("eps", 10**400), "eps must be finite"),  # float() overflows
+    # unknown keys in a section with a fixed key set
+    "config-unknown-key": (_set("eps_0", 0.9), "config: unknown field(s) ['eps_0']"),
+    "graph-unknown-key": (_set("graph.nodes", 3), "graph: unknown field(s) ['nodes']"),
+    "costs-unknown-key": (_set("costs.shifts", SCENARIO1_SHIFTS), "unknown field(s) ['shifts']"),
+    "integration-unknown-key": (_set("integration.setp", 0.001), "integration: unknown field(s) ['setp']"),
+    "initial-unknown-key": (_set("initial.sed", 7), "initial: unknown field(s) ['sed']"),
 }
 
 
