@@ -10,10 +10,10 @@ canonical data.  When every cost of a ``GlobalObjective`` is quadratic, or
 every one is quartic, the objective stacks that data once into a
 ``QuadraticFamily`` or ``QuarticFamily`` and evaluates all agents'
 gradients and values in one array expression; the batched gradients are
-bit-equal to the closures.  Custom and mixed objectives have no family and
-loop over the closures.  Every batched row inner product in the package
-goes through ``rowdot``, which rounds like the per-row dot product.  Elsewhere the closures serve as the scalar oracles
-of finite-difference gradient checking and curvature bounds.
+bit-equal to the closures (every batched row inner product in the package
+is a ``rowdot``).  Custom and mixed objectives have no family and loop
+over the closures, which elsewhere serve as the scalar oracles of
+finite-difference gradient checking and curvature bounds.
 
 The module also provides the independent oracles the test and acceptance
 suites are built on: finite-difference gradient checking, the
@@ -32,12 +32,9 @@ class CostError(ValueError):
 
 
 def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Inner products of matching rows, a_k . b_k over the last axis, with
-    the leading axes broadcast.
-
-    Each product is a 1 x p by p x 1 matmul, so it rounds like the per-row
-    ``a_k @ b_k`` of a loop; ``(a * b).sum(-1)`` and its relatives do not.
-    """
+    """Row inner products a_k . b_k over the last axis, leading axes
+    broadcast.  Each is a 1 x p by p x 1 matmul, so it rounds like the
+    per-row ``a_k @ b_k`` of a loop; ``(a * b).sum(-1)`` does not."""
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 

@@ -18,10 +18,9 @@ the derived per-agent threshold constant (the default); "rate" reuses the
 chi decay rate.  The "local-only" preset sigma = delta = 0 needs neither
 and no network-wide quantities at all.
 
-``rule_terms`` computes ||e_i||^2 and qhat_i for all agents at once, qhat
-over the graph's edge list and stored weights, as does ``varphi_all``;
-every inner product there is a ``rowdot``, so each agent's terms round
-like its own per-agent test.  Certificates stay dense.
+``rule_terms`` computes ||e_i||^2 and qhat_i for all agents at once with
+``rowdot``, so they round like each agent's own test; qhat, like
+``varphi_all``, sums over the edge list and weights.  Certificates stay dense.
 
 Triggers are monitored at integration sample boundaries only, matching a
 sampled implementation.  ``simulate_event`` runs the shared stepper and

@@ -1,13 +1,12 @@
 """Weighted undirected communication graphs and their spectral data.
 
 The agent network is a weighted undirected graph with adjacency matrix A
-(symmetric, nonnegative, zero diagonal) and Laplacian L = Deg - A.  A
-graph stores L and its directed edge list ``src``/``dst`` with the edge
-weights ``w``; A itself is not kept.  Every convergence certificate
-downstream needs exact spectral quantities of L: its spectral radius, its
-smallest positive eigenvalue, and the orthonormal eigenbasis split that
-diagonalizes it away from the all-ones direction.  L and the certificates
-are dense; hot-path neighbor sums run over ``src``/``dst``/``w``.
+(symmetric, nonnegative, zero diagonal) and Laplacian L = Deg - A.  Every
+convergence certificate downstream needs exact spectral quantities of L:
+its spectral radius, its smallest positive eigenvalue, and the orthonormal
+eigenbasis split that diagonalizes it away from the all-ones direction.
+L is stored dense; A is not, only its edge list ``src``/``dst`` and
+weights ``w``, over which the hot-path neighbor sums run.
 """
 
 from dataclasses import dataclass
@@ -30,9 +29,8 @@ class NetworkGraph:
     laplacian : ndarray, shape (n, n)
         L = Deg - A; rows sum to zero, and L_ii is the weighted degree.
     src, dst : ndarray of int, shape (2|E|,)
-        Directed edges src -> dst (both ways), ``np.nonzero(A > 0)``, so
-        ``src`` is sorted and the edges leaving i list ``neighbors(i)`` in
-        ascending order.
+        Directed edges src -> dst (both ways), ``np.nonzero(A > 0)``: sorted
+        by ``src``, and the edges leaving i list ``neighbors(i)`` in order.
     w : ndarray, shape (2|E|,)
         Edge weights A[src, dst] = -L[src, dst].
     """

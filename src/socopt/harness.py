@@ -140,7 +140,7 @@ def _finite_array(value, name: str, shapes: tuple, expected: str) -> np.ndarray:
         arr = None
     _require(arr is not None and arr.dtype.kind in "iuf" and arr.shape in shapes, f"{name} must be {expected}")
     _require(bool(np.all(np.isfinite(arr))), f"{name} must be finite")
-    return np.broadcast_to(arr.astype(float), shapes[-1]).copy()
+    return np.broadcast_to(arr, shapes[-1]).astype(float)
 
 
 def _is_int(value) -> bool:

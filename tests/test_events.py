@@ -204,7 +204,7 @@ def _qhat_reference(i, xhat, g):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**6), n=st.integers(1, 12), p=st.integers(1, 4))
-@example(seed=1221, n=10, p=3)  # einsum's ||e||^2 rounded agent 2's margin off by 3.4e-12 relative
+@example(seed=1221, n=10, p=3)  # an einsum ||e||^2 put agent 2's margin 3.4e-12 relative off here
 def test_rule_terms_match_neighbor_loop_reference(seed, n, p, gains_theta35):
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, n)
