@@ -22,7 +22,6 @@ from .costs import (
     CostFunction,
     GlobalObjective,
     curvature_on_set,
-    custom_cost,
     estimate_mf,
     gradient_check,
     minimizer_oracle,

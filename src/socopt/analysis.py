@@ -201,7 +201,6 @@ class LyapunovContext:
 
 
 def certificate_continuous(
-    g: NetworkGraph,
     sd: SpectralData,
     obj: GlobalObjective,
     gains: GainParams,
@@ -264,7 +263,6 @@ def certificate_continuous(
 
 
 def certificate_event(
-    g: NetworkGraph,
     sd: SpectralData,
     obj: GlobalObjective,
     gains: GainParams,

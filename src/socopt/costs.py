@@ -1,19 +1,17 @@
 """Private convex costs, their gradients, and curvature oracles.
 
-Three built-in families cover the simulation scenarios: quadratic costs in
-shift form 0.5*(x-a)^T A (x-a), quadratic costs in linear form
-0.5*x^T C x + a^T x, and quartic costs ||x-b||^4.  Custom costs are plain
-(f, grad) pairs.
+Two built-in families cover the simulation scenarios: quadratic costs, in
+shift form 0.5*(x-a)^T A (x-a) or linear form 0.5*x^T C x + a^T x, and
+quartic costs ||x-b||^4.
 
 Each cost is a ``CostFunction`` carrying scalar (f, grad) closures and its
-canonical data.  When every cost of a ``GlobalObjective`` is quadratic, or
-every one is quartic, the objective stacks that data once into a
-``QuadraticFamily`` or ``QuarticFamily`` and evaluates all agents'
-gradients and values in one array expression; the batched gradients are
-bit-equal to the closures (every batched row inner product in the package
-is a ``rowdot``).  Custom and mixed objectives have no family and loop
-over the closures, which elsewhere serve as the scalar oracles of
-finite-difference gradient checking and curvature bounds.
+canonical data.  Every cost of a ``GlobalObjective`` has the same built-in
+kind (mixed kinds are rejected), and the objective stacks that data once
+into a ``QuadraticFamily`` or ``QuarticFamily``, which evaluates all
+agents' gradients and values in one array expression.  The batched values
+are bit-equal to the closures (every batched row inner product in the
+package is a ``rowdot``); the closures serve as the scalar oracles of
+finite-difference gradient checking and of the tests of the families.
 
 The module also provides the independent oracles the test and acceptance
 suites are built on: finite-difference gradient checking, the
@@ -50,7 +48,7 @@ class CostFunction:
     """
 
     dimension: int
-    kind: str  # "quadratic" | "quartic" | "custom"
+    kind: str  # "quadratic" | "quartic"
     f: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     global_lipschitz: float | None = None
@@ -111,7 +109,7 @@ class QuarticFamily:
         return sq * sq
 
 
-def _family(costs: list[CostFunction]) -> QuadraticFamily | QuarticFamily | None:
+def _family(costs: list[CostFunction]) -> QuadraticFamily | QuarticFamily:
     kinds = {c.kind for c in costs}
     if kinds == {"quadratic"}:
         return QuadraticFamily(
@@ -121,20 +119,19 @@ def _family(costs: list[CostFunction]) -> QuadraticFamily | QuarticFamily | None
         )
     if kinds == {"quartic"}:
         return QuarticFamily(B=np.stack([c.quartic_center for c in costs]))
-    return None
+    raise CostError(f"an objective needs costs of one built-in kind, quadratic or quartic; got kinds {sorted(kinds)}")
 
 
 @dataclass
 class GlobalObjective:
     """Sum of private costs, one per agent.
 
-    ``family`` stacks the costs' data when they all share a built-in kind
-    (built once here); it is None for custom and mixed objectives, whose
-    per-agent evaluations loop over the closures.
+    ``family`` stacks the costs' data (built once here), and every
+    evaluation goes through it; the costs must share one built-in kind.
     """
 
     costs: list[CostFunction]
-    family: QuadraticFamily | QuarticFamily | None = field(init=False, repr=False)
+    family: QuadraticFamily | QuarticFamily = field(init=False, repr=False)
 
     def __post_init__(self):
         dims = {c.dimension for c in self.costs}
@@ -151,34 +148,26 @@ class GlobalObjective:
         return self.costs[0].dimension
 
     def all_quadratic(self) -> bool:
-        return all(c.kind == "quadratic" for c in self.costs)
+        return isinstance(self.family, QuadraticFamily)
 
     def grad_stack(self, x: np.ndarray) -> np.ndarray:
         """Per-agent gradients for stacked positions x of shape (n, p)."""
-        if self.family is not None:
-            return self.family.grad(x)
-        return np.stack([c.grad(x[i]) for i, c in enumerate(self.costs)])
+        return self.family.grad(x)
 
     def f_stack(self, x: np.ndarray) -> np.ndarray:
         """Per-agent values f_i(x_i) for positions x of shape (..., n, p), as (..., n)."""
-        if self.family is not None:
-            return self.family.f(x)
-        rows = np.reshape(x, (-1, self.n, self.p))
-        vals = [[c.f(row[i]) for i, c in enumerate(self.costs)] for row in rows]
-        return np.reshape(np.array(vals, dtype=float), np.shape(x)[:-1])
+        return self.family.f(x)
 
     def sum_grad(self, z: np.ndarray) -> np.ndarray:
         """Gradient of the global objective at a single point z, summed in
         agent index order like a loop over the closures (``sum(axis=0)``
         switches to pairwise summation when p = 1)."""
-        g = self.family.grad(z) if self.family is not None else [c.grad(z) for c in self.costs]
-        return np.add.accumulate(g, axis=0)[-1]
+        return np.add.accumulate(self.family.grad(z), axis=0)[-1]
 
     def sum_f(self, z: np.ndarray) -> float:
         """Value of the global objective at a single point z, summed in
         agent index order like a loop over the closures."""
-        vals = self.family.f(z).tolist() if self.family is not None else [c.f(z) for c in self.costs]
-        return float(sum(vals))
+        return float(sum(self.family.f(z).tolist()))
 
 
 def _as_matrix(M, p=None) -> np.ndarray:
@@ -266,10 +255,6 @@ def quartic_family(centers) -> list[CostFunction]:
 
         out.append(CostFunction(dimension=b.shape[0], kind="quartic", f=f, grad=grad, quartic_center=b))
     return out
-
-
-def custom_cost(f, grad, dimension: int, global_lipschitz: float | None = None) -> CostFunction:
-    return CostFunction(dimension=dimension, kind="custom", f=f, grad=grad, global_lipschitz=global_lipschitz)
 
 
 def central_difference(f, x: np.ndarray, h: float) -> np.ndarray:
@@ -386,8 +371,7 @@ def curvature_on_set(cost: CostFunction, radius: float, center: np.ndarray) -> f
 
     Quadratics are curvature-constant, so the bound is the top eigenvalue
     regardless of the ball.  For quartics the Hessian 4||z||^2 I + 8 z z^T
-    has norm 12||z||^2, maximized on the ball boundary.  Custom costs are
-    bounded by sampling finite-difference Hessians.
+    has norm 12||z||^2, maximized on the ball boundary.
     """
     if radius < 0:
         raise CostError("radius must be nonnegative")
@@ -397,22 +381,7 @@ def curvature_on_set(cost: CostFunction, radius: float, center: np.ndarray) -> f
     if cost.kind == "quartic":
         reach = radius + float(np.linalg.norm(center - cost.quartic_center))
         return 12.0 * reach**2
-    # custom: sampled finite-difference Hessian norms
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    h = 1e-5
-    for _ in range(64):
-        u = rng.normal(size=cost.dimension)
-        u /= max(np.linalg.norm(u), 1e-12)
-        x = center + radius * u * rng.uniform(0.0, 1.0)
-        H = np.stack(
-            [
-                (cost.grad(x + h * e) - cost.grad(x - h * e)) / (2 * h)
-                for e in np.eye(cost.dimension)
-            ]
-        )
-        worst = max(worst, float(np.linalg.norm(H, 2)))
-    return worst
+    raise CostError(f"no curvature bound for cost kind {cost.kind!r}")
 
 
 @dataclass
@@ -428,7 +397,7 @@ def estimate_mf(obj: GlobalObjective, xstar: np.ndarray, samples=None) -> MfEsti
     """Estimate the restricted strong convexity modulus m_f at x*.
 
     All-quadratic objectives give the exact value min-eig of the summed
-    matrices.  Otherwise the sampled minimum of
+    matrices.  For quartics the sampled minimum of
     sum_i (grad f_i(x) - grad f_i(x*))^T (x - x*) / ||x - x*||^2 is a
     lower estimate only, never a certificate.  ``satisfied`` flags
     whether the estimate is strictly positive.
@@ -438,13 +407,11 @@ def estimate_mf(obj: GlobalObjective, xstar: np.ndarray, samples=None) -> MfEsti
         val = float(evals[0]) if abs(evals[0]) > 1e-12 * max(1.0, float(evals[-1])) else 0.0
         return MfEstimate(value=val, exact=True, satisfied=val > 0.0)
     if samples is None:
-        raise CostError("non-quadratic objective needs sample points for the estimate")
+        raise CostError("a quartic objective needs sample points for the estimate")
     xstar = np.asarray(xstar, dtype=float)
     x = np.asarray(samples, dtype=float).reshape(-1, obj.p)
-    if obj.family is not None:  # gradients summed in agent order, like sum_grad
-        gsum = np.add.accumulate(obj.family.grad(x[:, None, :]), axis=1)[:, -1]
-    else:
-        gsum = np.array([obj.sum_grad(xi) for xi in x]).reshape(x.shape)
+    # gradients summed in agent order, like sum_grad
+    gsum = np.add.accumulate(obj.family.grad(x[:, None, :]), axis=1)[:, -1]
     d = x - xstar
     dn2 = rowdot(d, d)
     num = rowdot(gsum - obj.sum_grad(xstar), d)

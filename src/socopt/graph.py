@@ -80,13 +80,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def build_graph(edges, n: int | None = None, indexing: str = "auto") -> NetworkGraph:
+def build_graph(edges, n: int | None = None) -> NetworkGraph:
     """Build a graph from an edge list of (i, j, weight) triples.
 
-    Vertex indices may be 0-based or 1-based; with ``indexing="auto"`` the
-    list is treated as 0-based if any index is 0, else 1-based.  ``n`` may
-    be given explicitly (required for graphs with isolated trailing
-    vertices or an empty edge list).
+    Vertex indices may be 0-based or 1-based: the list is treated as
+    0-based if any index is 0, else 1-based.  ``n`` may be given
+    explicitly (required for graphs with isolated trailing vertices or an
+    empty edge list).
 
     Raises
     ------
@@ -94,11 +94,7 @@ def build_graph(edges, n: int | None = None, indexing: str = "auto") -> NetworkG
         On self-loops, nonpositive weights, or duplicate edges.
     """
     edges = [(int(i), int(j), float(w)) for i, j, w in edges]
-    if indexing not in ("auto", "zero", "one"):
-        raise GraphError(f"unknown indexing mode {indexing!r}")
-    if indexing == "auto":
-        indexing = "zero" if any(i == 0 or j == 0 for i, j, _ in edges) else "one"
-    off = 1 if indexing == "one" else 0
+    off = 0 if any(i == 0 or j == 0 for i, j, _ in edges) else 1
     edges = [(i - off, j - off, w) for i, j, w in edges]
 
     if n is None:

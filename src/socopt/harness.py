@@ -147,19 +147,26 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _build_costs(cost_cfg: dict) -> GlobalObjective:
+def _build_costs(cost_cfg: dict, n: int) -> GlobalObjective:
+    """The objective of n agents; the cost data are finite JSON numbers, a
+    vector of one length p per agent and, for quadratics, a p x p matrix."""
     kind = cost_cfg.get("kind")
     _require(isinstance(kind, str) and kind in COST_FIELDS, f"unknown cost kind {kind!r}")
     _known_fields(cost_cfg, f"costs (kind {kind})", ("kind", *COST_FIELDS[kind], "lipschitz_override"))
     for key in COST_FIELDS[kind]:
         _require(key in cost_cfg, f"costs.{key} is required for cost kind {kind!r}")
 
-    if kind == "quadratic_shift":
-        costs = quadratic_family(cost_cfg["matrices"], shifts=cost_cfg["shifts"])
-    elif kind == "quadratic_linear":
-        costs = quadratic_family(cost_cfg["matrices"], linear_terms=cost_cfg["linear_terms"])
+    vec_key = COST_FIELDS[kind][-1]  # shifts, linear_terms or centers
+    try:  # p is the length of the first vector; a malformed field fails its shape check
+        p = max(len(cost_cfg[vec_key][0]), 1)
+    except (TypeError, IndexError, KeyError):
+        p = 1
+    vecs = _finite_array(cost_cfg[vec_key], f"costs.{vec_key}", ((n, p),), f"an array of shape ({n}, p)")
+    if kind == "quartic":
+        costs = quartic_family(vecs)
     else:
-        costs = quartic_family(cost_cfg["centers"])
+        mats = _finite_array(cost_cfg["matrices"], "costs.matrices", ((n, p, p),), f"an array of shape ({n}, {p}, {p})")
+        costs = quadratic_family(mats, **{vec_key: vecs})
     if "lipschitz_override" in cost_cfg:
         mbar = _finite(cost_cfg["lipschitz_override"], "costs.lipschitz_override")
         _require(mbar > 0, f"costs.lipschitz_override must be positive, got {mbar}")
@@ -176,16 +183,16 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     object, no unknown key in any section but ``diagnostics``, an integer
     agent count, edges as [i, j, weight] with integer ends, finite JSON
     numbers, not strings or booleans (edge entries, horizon, step, box,
-    literal initial state, gains, eps0, eps, a positive Lipschitz
-    override), required cost fields, the gain field set, gain positivity
-    and theta < alpha*gamma, eps0 in (theta/(alpha*gamma), 1) and eps > 0
-    (eps0 defaults to the midpoint), graph connectivity, literal initial
-    states of shape (n, p),
-    a box with lo <= hi and a non-negative integer seed, boolean
-    diagnostics flags, event mode needing a global gradient-Lipschitz
-    modulus per agent and (for the "varphi" threshold denominator with
-    nonzero sigma) restricted strong convexity of an all-quadratic
-    objective, balanced integral states for the primary algorithms, the
+    literal initial state, cost data, gains, eps0, eps, a positive
+    Lipschitz override), required cost fields, cost vectors of shape
+    (n, p) and matrices of shape (n, p, p), the gain field set, gain
+    positivity and theta < alpha*gamma, eps0 in (theta/(alpha*gamma), 1)
+    and eps > 0 (eps0 defaults to the midpoint), graph connectivity,
+    literal initial states of shape (n, p), a box with lo <= hi and a
+    non-negative integer seed, boolean diagnostics flags, event mode
+    needing a global gradient-Lipschitz modulus per agent and (for the
+    "varphi" threshold denominator with nonzero sigma) restricted strong
+    convexity of an all-quadratic objective, balanced integral states for the primary algorithms, the
     trigger field set (eps0 and eps live at the top level), a known trigger
     preset and threshold denominator, trigger fields that are finite
     numbers or lists of n, and trigger-parameter ranges.
@@ -215,8 +222,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
             + ", ".join("{" + ",".join(str(v + 1) for v in c) + "}" for c in comps)
         )
 
-    obj = _build_costs(_section(cfg, "costs"))
-    _require(obj.n == g.n, f"{obj.n} costs declared for a graph of {g.n} agents")
+    obj = _build_costs(_section(cfg, "costs"), g.n)
 
     gain_cfg = _section(cfg, "gains")
     bad = sorted(set(gain_cfg) ^ set(GainParams.__dataclass_fields__))
@@ -328,11 +334,13 @@ def scenario_from_dict(cfg: dict) -> Scenario:
 
 def load_scenario(path) -> Scenario:
     """Load and validate a scenario config file (JSON)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return scenario_from_dict(cfg)
 
 
@@ -408,7 +416,7 @@ def _solution_distance(x: np.ndarray, mini: MinimizerResult, to_set: bool = True
 
 
 def _estimate_mf_for(scenario: Scenario, xstar: np.ndarray):
-    """Exact for all-quadratic objectives, sampled otherwise."""
+    """Exact for quadratic objectives, sampled for quartics."""
     if scenario.obj.all_quadratic():
         return estimate_mf(scenario.obj, xstar)
     rng = np.random.default_rng(0)
@@ -430,11 +438,11 @@ def _prepare_certificates(scenario: Scenario, state0: SwarmState):
         if mf_est.satisfied:
             V1_0 = ctx.sample(state0)["V1"]
             consts = analysis.certificate_continuous(
-                g, sd, obj, gains, eps0, eps, V1_0, mini.x, mf_est.value, mf_est.exact
+                sd, obj, gains, eps0, eps, V1_0, mini.x, mf_est.value, mf_est.exact
             )
             if scenario.algorithm == "event":
                 consts = analysis.certificate_event(
-                    g, sd, obj, gains, eps0, eps, scenario.trigger, mf_est.value, mf_est.exact, base=consts
+                    sd, obj, gains, eps0, eps, scenario.trigger, mf_est.value, mf_est.exact, base=consts
                 )
             ctx.consts = consts
     return sd, mini, ctx, consts

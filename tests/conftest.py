@@ -57,7 +57,7 @@ def random_connected_graph(rng, n):
         if (i, j) not in seen:
             seen.add((i, j))
             edges.append((i, j, float(rng.uniform(0.5, 2.0))))
-    return build_graph([(i, j, w) for i, j, w in edges], n=n, indexing="zero")
+    return build_graph(edges, n=n)  # 0-based: the tree starts with edge (0, 1)
 
 
 # the preset runs are expensive enough to share across test modules

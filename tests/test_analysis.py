@@ -65,9 +65,9 @@ def test_v1_quadratic_lower_bound(path3, obj3, gains_theta35, setup3):
         assert ctx.sample(s)["V1"] >= coeff * dx2 - 1e-9
 
 
-def test_continuous_certificate_positivity(path3, obj3, gains_theta35, setup3):
+def test_continuous_certificate_positivity(obj3, gains_theta35, setup3):
     sd, mini, mf, eq, eps0 = setup3
-    consts = certificate_continuous(path3, sd, obj3, gains_theta35, eps0, 0.1, 50.0, mini.x, mf.value)
+    consts = certificate_continuous(sd, obj3, gains_theta35, eps0, 0.1, 50.0, mini.x, mf.value)
     assert consts.eps1 > 0 and consts.eps2 > 0 and consts.eps3 > 0
     assert consts.eps4 > 1
     assert consts.m1 <= mf.value / 2.0
@@ -84,24 +84,24 @@ def test_certificate_default_design_parameter(path3, obj3, gains_theta5):
     sd = spectral(path3)
     mini = minimizer_oracle(obj3)
     mf = estimate_mf(obj3, mini.x)
-    consts = certificate_continuous(path3, sd, obj3, gains_theta5, eps0, 0.1, 10.0, mini.x, mf.value)
+    consts = certificate_continuous(sd, obj3, gains_theta5, eps0, 0.1, 10.0, mini.x, mf.value)
     for name in ("eps1", "eps2", "eps3", "m1", "M_D", "D_radius"):
         assert getattr(consts, name) > 0
     assert consts.eps4 > 1
 
 
-def test_continuous_certificate_rejects_bad_inputs(path3, obj3, gains_theta35, setup3):
+def test_continuous_certificate_rejects_bad_inputs(obj3, gains_theta35, setup3):
     sd, mini, mf, _, _ = setup3
     with pytest.raises(ConstantsError, match="eps0"):
-        certificate_continuous(path3, sd, obj3, gains_theta35, 0.05, 0.1, 1.0, mini.x, mf.value)
+        certificate_continuous(sd, obj3, gains_theta35, 0.05, 0.1, 1.0, mini.x, mf.value)
     with pytest.raises(ConstantsError, match="convexity"):
-        certificate_continuous(path3, sd, obj3, gains_theta35, 0.7, 0.1, 1.0, mini.x, 0.0)
+        certificate_continuous(sd, obj3, gains_theta35, 0.7, 0.1, 1.0, mini.x, 0.0)
 
 
-def test_event_certificate(path3, obj3, gains_theta35, setup3):
+def test_event_certificate(obj3, gains_theta35, setup3):
     sd, mini, mf, _, eps0 = setup3
     params = TriggerParams.defaults(3)
-    consts = certificate_event(path3, sd, obj3, gains_theta35, eps0, 0.1, params, mf.value)
+    consts = certificate_event(sd, obj3, gains_theta35, eps0, 0.1, params, mf.value)
     assert consts.eps5 > 0 and consts.eps6 > 0 and consts.eps8 > 0 and consts.eps9 > 0
     assert consts.eps7 > 1 and consts.eps10 > 1
     assert consts.eps7 == pytest.approx(1.0 + 0.1 * consts.eps6 / consts.eps5)
@@ -112,18 +112,18 @@ def test_event_certificate(path3, obj3, gains_theta35, setup3):
     assert consts.Mbar == pytest.approx(max(c.global_lipschitz for c in obj3.costs))
 
 
-def test_event_certificate_rejects_kd_nonpositive(path3, obj3, gains_theta35, setup3):
+def test_event_certificate_rejects_kd_nonpositive(obj3, gains_theta35, setup3):
     sd, mini, mf, _, eps0 = setup3
     params = TriggerParams.defaults(3)
     # sidestep construction-time validation to exercise the certificate gate
     params.kappa = (1.0 - params.delta) / params.phi_rate - 1e-6
     with pytest.raises(ConstantsError, match="k_d"):
-        certificate_event(path3, sd, obj3, gains_theta35, eps0, 0.1, params, mf.value)
+        certificate_event(sd, obj3, gains_theta35, eps0, 0.1, params, mf.value)
 
 
-def test_constants_report_has_formulas(path3, obj3, gains_theta35, setup3):
+def test_constants_report_has_formulas(obj3, gains_theta35, setup3):
     sd, mini, mf, _, eps0 = setup3
-    consts = certificate_continuous(path3, sd, obj3, gains_theta35, eps0, 0.1, 25.0, mini.x, mf.value)
+    consts = certificate_continuous(sd, obj3, gains_theta35, eps0, 0.1, 25.0, mini.x, mf.value)
     report = consts.to_report()
     assert report["eps3"]["formula"] == "min(eps1, eps*theta/2)"
     assert report["eps3"]["value"] == pytest.approx(consts.eps3)
@@ -133,7 +133,7 @@ def test_constants_report_has_formulas(path3, obj3, gains_theta35, setup3):
 def test_v3_at_equilibrium_is_chi_term(path3, obj3, gains_theta35, setup3):
     sd, mini, mf, eq, eps0 = setup3
     params = TriggerParams.defaults(3)
-    consts = certificate_event(path3, sd, obj3, gains_theta35, eps0, 0.1, params, mf.value)
+    consts = certificate_event(sd, obj3, gains_theta35, eps0, 0.1, params, mf.value)
     from socopt.events import varphi_all
 
     phis = varphi_all(path3, gains_theta35, eps0, consts.eps8)
@@ -151,7 +151,7 @@ def test_v3_at_equilibrium_is_chi_term(path3, obj3, gains_theta35, setup3):
 def test_w4_lower_bound_random_states(path3, obj3, gains_theta35, setup3):
     sd, mini, mf, eq, eps0 = setup3
     params = TriggerParams.defaults(3)
-    consts = certificate_event(path3, sd, obj3, gains_theta35, eps0, 0.1, params, mf.value)
+    consts = certificate_event(sd, obj3, gains_theta35, eps0, 0.1, params, mf.value)
     ctx = LyapunovContext(
         g=path3, sd=sd, obj=obj3, gains=gains_theta35, eps0=eps0, eps=0.1, eq=eq, consts=consts
     )
@@ -164,7 +164,7 @@ def test_w4_lower_bound_random_states(path3, obj3, gains_theta35, setup3):
 
 def test_v2_lower_bound_random_states(path3, obj3, gains_theta35, setup3):
     sd, mini, mf, eq, eps0 = setup3
-    consts = certificate_continuous(path3, sd, obj3, gains_theta35, eps0, 0.1, 25.0, mini.x, mf.value)
+    consts = certificate_continuous(sd, obj3, gains_theta35, eps0, 0.1, 25.0, mini.x, mf.value)
     ctx = LyapunovContext(
         g=path3, sd=sd, obj=obj3, gains=gains_theta35, eps0=eps0, eps=0.1, eq=eq, consts=consts
     )

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from socopt.analysis import LyapunovContext, equilibrium_point
 from socopt.costs import (
     CostError,
+    CostFunction,
     GlobalObjective,
     central_difference,
     curvature_on_set,
-    custom_cost,
     estimate_mf,
     gradient_check,
     minimizer_oracle,
@@ -92,16 +92,17 @@ def test_gradient_check_quartics(obj2):
 
 
 def test_gradient_check_constant_cost():
-    cost = custom_cost(lambda x: 3.0, lambda x: np.zeros_like(x), dimension=2)
+    # the zero quadratic: f and its gradient are exactly 0 everywhere
+    (cost,) = quadratic_family([np.zeros((2, 2))], shifts=[np.zeros(2)])
     rng = np.random.default_rng(44)
     assert gradient_check(cost, rng.uniform(-5, 5, (20, 2))) == 0.0
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero")
 def test_gradient_check_nonfinite_named():
-    cost = custom_cost(lambda x: float(1.0 / x[0]), lambda x: np.array([-1.0 / x[0] ** 2]), dimension=1)
-    with pytest.raises(CostError, match=r"non-finite.*\[0\.0\]"):
-        gradient_check(cost, [np.array([0.0])])
+    # ||x||^4 overflows at 1e100, so the central difference is inf - inf
+    (cost,) = quartic_family([[0.0]])
+    with pytest.raises(CostError, match=r"non-finite evaluation at sample \[1e\+100\]"):
+        gradient_check(cost, [np.array([1e100])])
 
 
 def test_minimizer_linear_solve_matches_dense_oracle(obj3):
@@ -166,15 +167,6 @@ def test_estimate_mf_identity():
     est = estimate_mf(obj, np.zeros(3))
     assert est.exact and est.satisfied
     assert est.value == pytest.approx(1.0)
-
-
-def test_estimate_mf_linear_cost_flagged():
-    cost = custom_cost(lambda x: float(x.sum()), lambda x: np.ones_like(x), dimension=2)
-    obj = GlobalObjective([cost, cost])
-    rng = np.random.default_rng(5)
-    est = estimate_mf(obj, np.zeros(2), rng.uniform(-5, 5, (50, 2)))
-    assert est.value == pytest.approx(0.0, abs=1e-12)
-    assert not est.satisfied
 
 
 @settings(max_examples=30, deadline=None)
@@ -246,7 +238,7 @@ def _closure_w1(obj, xstar, x):
 def test_family_matches_closure_loop(seed, kind, n, p, gains_theta35):
     rng = np.random.default_rng(seed)
     obj = _random_objective(rng, kind, n, p)
-    assert obj.family is not None
+    assert obj.all_quadratic() == (kind != "quartic")
     scale = 10.0 ** rng.uniform(-3.0, 2.0)
     x = rng.uniform(-1.0, 1.0, (n, p)) * scale
     grads = obj.grad_stack(x)
@@ -268,30 +260,17 @@ def test_family_matches_closure_loop(seed, kind, n, p, gains_theta35):
         assert ctx._w1(samples) == pytest.approx(_closure_w1(obj, xstar, samples), rel=1e-12, abs=0.0)
 
 
-def test_custom_and_mixed_objectives_take_per_agent_path():
-    calls = []
-
-    def grad(x):
-        calls.append(x)
-        return 2.0 * x
-
-    custom = custom_cost(lambda x: float(x @ x), grad, 2)
+def test_mixed_and_custom_objectives_rejected():
+    # an objective is one stacked family: mixed or unknown kinds are refused
     quad = quadratic_family([np.eye(2), 2.0 * np.eye(2)], shifts=[[1.0, 2.0], [0.0, -1.0]])
     quart = quartic_family([[0.5, 1.0]])
-    rng = np.random.default_rng(3)
-    for costs in ([*quad, *quart], [custom, custom, *quad]):
-        obj = GlobalObjective(costs)
-        assert obj.family is None
-        x = rng.uniform(-2.0, 2.0, (obj.n, 2))
-        ref_grads = np.stack([c.grad(x[i]) for i, c in enumerate(costs)])
-        ref_f = [[c.f(x[i]) for i, c in enumerate(costs)]]
-        ref_sum = _closure_sum_grad(obj, x[0])
-        calls.clear()
-        np.testing.assert_array_equal(obj.grad_stack(x), ref_grads)
-        np.testing.assert_array_equal(obj.f_stack(x[None]), ref_f)
-        np.testing.assert_array_equal(obj.sum_grad(x[0]), ref_sum)
-    # the custom closure saw agents 0 and 1 in grad_stack, then x[0] twice in sum_grad
-    np.testing.assert_array_equal(calls, [x[0], x[1], x[0], x[0]])
+    with pytest.raises(CostError, match=r"one built-in kind.*\['quadratic', 'quartic'\]"):
+        GlobalObjective([*quad, *quart])
+    custom = CostFunction(dimension=2, kind="custom", f=lambda x: float(x @ x), grad=lambda x: 2.0 * x)
+    with pytest.raises(CostError, match=r"one built-in kind.*\['custom'\]"):
+        GlobalObjective([custom, custom])
+    with pytest.raises(CostError, match="'custom'"):
+        curvature_on_set(custom, 1.0, np.zeros(2))
 
 
 def _loop_mf(obj, xstar, samples):
@@ -315,9 +294,6 @@ def test_estimate_mf_batch_matches_sample_loop(seed, n, p):
     samples = rng.uniform(-10.0, 10.0, (50, p))
     samples[0] = xstar  # a sample at x* itself is skipped
     assert estimate_mf(obj, xstar, samples).value == _loop_mf(obj, xstar, samples)
-    mixed = GlobalObjective([*obj.costs, custom_cost(lambda z: float(z @ z), lambda z: 2.0 * z, p)])
-    assert mixed.family is None
-    assert estimate_mf(mixed, xstar, samples).value == _loop_mf(mixed, xstar, samples)
 
 
 def test_estimate_mf_batch_matches_sample_loop_fixed(obj2):

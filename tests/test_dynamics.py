@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socopt.costs import GlobalObjective, custom_cost, quadratic_family
+from socopt.costs import GlobalObjective, quadratic_family
 from socopt.dynamics import (
     DivergenceError,
     GainParams,
@@ -21,6 +21,11 @@ from socopt.events import TriggerParams, TriggerState, chi_rhs, make_trigger_law
 from socopt.graph import build_graph
 
 from conftest import heavy_ball_closed_form, random_connected_graph
+
+
+def _zero_objective(n, p):
+    """n zero quadratics in dimension p: every gradient is exactly 0."""
+    return GlobalObjective(quadratic_family(np.zeros((n, p, p)), shifts=np.zeros((n, p))))
 
 
 def _state(rng, n, p, zero_v_sum=True):
@@ -102,8 +107,7 @@ def test_heavy_ball_matches_closed_form(run_heavy_ball):
 
 def test_equilibrium_stays_constant(path3, gains_theta35):
     # zero-gradient costs at a consensus state: nothing moves
-    zero = custom_cost(lambda x: 0.0, lambda x: np.zeros_like(x), dimension=2)
-    obj = GlobalObjective([zero, zero, zero])
+    obj = _zero_objective(3, 2)
     c = np.array([1.0, -1.0])
     s0 = SwarmState(0.0, np.tile(c, (3, 1)), np.zeros((3, 2)), np.zeros((3, 2)))
     traj = integrate(lambda s: rhs_continuous(s, path3, obj, gains_theta35), s0, 0.01, 1.0)
@@ -145,10 +149,10 @@ def test_v_sum_conserved(path3, obj3, gains_theta35):
     assert v_balance_violation(traj) <= 1e-10
 
 
-def test_divergence_reports_last_state(path3, gains_theta35):
-    # a concave pseudo-cost makes the flow unstable
-    bad = custom_cost(lambda x: -5e3 * float(x @ x), lambda x: -1e4 * x, dimension=1)
-    obj = GlobalObjective([bad, bad, bad])
+def test_divergence_reports_last_state(path3, gains_theta35, monkeypatch):
+    # the gradient of a concave pseudo-cost -5e3 ||x||^2 makes the flow unstable
+    obj = _zero_objective(3, 1)
+    monkeypatch.setattr(obj, "grad_stack", lambda x: -1e4 * x)
     s0 = SwarmState(0.0, [[1.0], [1.1], [0.9]], [[0.0]] * 3, [[0.0]] * 3)
     with pytest.raises(DivergenceError) as exc:
         integrate(lambda s: rhs_continuous(s, path3, obj, gains_theta35), s0, 0.01, 10.0)
@@ -172,12 +176,16 @@ def test_divergence_caught_on_nan_step(field):
     assert exc.value.last_state.t == 0.0
 
 
-def test_nonfinite_gradient_raises_divergence(path3, gains_theta35):
+def test_nonfinite_gradient_raises_divergence(path3, gains_theta35, monkeypatch):
     # agent 2's gradient turns NaN once its position passes 1; the run stops
     # on that step in every loop, keeping the last finite state
-    turns_nan = custom_cost(lambda x: 0.0, lambda x: np.where(x < 1.0, x, np.nan), dimension=1)
-    ok = custom_cost(lambda x: 0.0, lambda x: np.zeros_like(x), dimension=1)
-    obj = GlobalObjective([ok, turns_nan, ok])
+    def grad_stack(x):
+        g = np.zeros_like(x)
+        g[1] = np.where(x[1] < 1.0, x[1], np.nan)
+        return g
+
+    obj = _zero_objective(3, 1)
+    monkeypatch.setattr(obj, "grad_stack", grad_stack)
     s0 = SwarmState(0.0, [[0.0], [0.5], [0.0]], [[0.0], [10.0], [0.0]], [[0.0]] * 3)
     law = make_trigger_law(path3, gains_theta35, TriggerParams.local_only(3))
     runs = {

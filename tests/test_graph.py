@@ -83,8 +83,9 @@ def test_single_vertex_spectral():
 
 
 def test_indexing_modes():
-    g0 = build_graph([(0, 1, 2.0)], indexing="zero")
-    g1 = build_graph([(1, 2, 2.0)], indexing="one")
+    # a list naming vertex 0 is 0-based, any other is 1-based
+    g0 = build_graph([(0, 1, 2.0)])
+    g1 = build_graph([(1, 2, 2.0)])
     np.testing.assert_array_equal(g0.laplacian, g1.laplacian)
 
 

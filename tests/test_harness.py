@@ -178,6 +178,23 @@ def _set(path: str, value):
     return mutate
 
 
+def _set_entry(path: str, index: tuple, value):
+    """A mutation setting one entry of a (dotted) array field."""
+
+    def mutate(cfg):
+        node = cfg
+        for key in (*path.split("."), *index[:-1]):
+            node = node[key]
+        node[index[-1]] = value
+
+    return mutate
+
+
+def _quartic_costs(centers):
+    """A mutation replacing the costs with quartics on the given centers."""
+    return _set("costs", {"kind": "quartic", "centers": centers})
+
+
 def _literal_initial(cfg):
     cfg["initial"] = {"x": [[float("inf"), 0.0, 0.0]] + [[0.0] * 3] * 2, "y": [[0.0] * 3] * 3}
 
@@ -245,6 +262,24 @@ BAD_CONFIGS = {
     "costs-unknown-key": (_set("costs.shifts", SCENARIO1_SHIFTS), "unknown field(s) ['shifts']"),
     "integration-unknown-key": (_set("integration.setp", 0.001), "integration: unknown field(s) ['setp']"),
     "initial-unknown-key": (_set("initial.sed", 7), "initial: unknown field(s) ['sed']"),
+    # cost data: finite JSON numbers, one vector (n, p) and one matrix (n, p, p) per agent
+    "linear-terms-numeric-string": (
+        _set_entry("costs.linear_terms", (0, 0), "0.6132"),
+        "costs.linear_terms must be an array of shape (3, p)",
+    ),
+    "linear-terms-nan": (_set_entry("costs.linear_terms", (0, 0), float("nan")), "costs.linear_terms must be finite"),
+    "matrices-number": (_set("costs.matrices", 5), "costs.matrices must be an array of shape (3, 3, 3)"),
+    "matrices-ragged": (
+        _set_entry("costs.matrices", (0,), [[1.0, 0.0, 0.0], [0.0, 1.0]]),
+        "costs.matrices must be an array of shape (3, 3, 3)",
+    ),
+    "matrices-nan": (_set_entry("costs.matrices", (0, 0, 0), float("nan")), "costs.matrices must be finite"),
+    "centers-3d": (_quartic_costs([[[0.0, 0.0, 0.0]]] * 3), "costs.centers must be an array of shape (3, p)"),
+    "centers-numeric-string": (
+        _quartic_costs([["1", 0.0, 0.0], [2.5, 2.0, 3.0], [-3.5, -2.7, -1.0]]),
+        "costs.centers must be an array of shape (3, p)",
+    ),
+    "centers-number": (_quartic_costs(3), "costs.centers must be an array of shape (3, p)"),
 }
 
 
@@ -545,6 +580,15 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "theta < alpha*gamma" in err
+
+
+@pytest.mark.parametrize("case", ["missing", "directory"])
+def test_cli_rejects_unreadable_config_path(case, tmp_path, capsys):
+    path = tmp_path / "missing.json" if case == "missing" else tmp_path
+    with pytest.raises(ConfigError, match=f"cannot read config {re.escape(str(path))}"):
+        load_scenario(path)
+    assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert f"cannot read config {path}" in capsys.readouterr().err
 
 
 def test_cli_compare(tmp_path):
