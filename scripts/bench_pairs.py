@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on the benchmark's end-to-end metrics, in alternating pairs.
+
+Usage: python scripts/bench_pairs.py BASE CHANGE [--pairs 10] [--seconds 20]
+           [--case WORKLOAD[:SEED] ...] [--out FILE]
+
+For each case it runs ``perfbench/run.py --workload W --seed S --trace 0``
+once in BASE and once in CHANGE, and repeats that pair ``--pairs`` times,
+BASE first in even pairs and CHANGE first in odd ones, so that drift of
+the host's speed falls on both sides alike.  Each run is a fresh process
+started in its own checkout.  The output (standard output, or ``--out``)
+is one JSON object: the host, and per case and metric the median and
+quartiles of each side, the change's median relative to the base's, the
+number of pairs in which the change did better, and each side's
+run-by-run values; plus each side's correctness and failure counts.  The
+default cases are the three workloads at the default seed.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from importlib.metadata import version
+from pathlib import Path
+
+# metric -> True when lower is better (the end-to-end metrics of BENCHMARK.json)
+LOWER_IS_BETTER = {
+    "wall_s": True,
+    "setup_s": True,
+    "agent_steps_per_s": False,
+    "peak_rss_mb": True,
+    "triggers_total": True,
+}
+DEFAULT_CASES = ("presets", "ring300-event", "ring300-continuous")
+
+
+def run_once(checkout: Path, workload: str, seed: int | None, seconds: float) -> dict:
+    """One benchmark process in ``checkout``; its final JSON line."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "0", "--seconds", str(seconds)]
+    if seed is not None:
+        cmd += ["--seed", str(seed)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def host() -> dict:
+    """What the timings were taken on."""
+    return {
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": version("numpy"),
+    }
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": med, "q3": q3}
+
+
+def summarize(base: list[dict], change: list[dict]) -> dict:
+    out = {}
+    for name, lower in LOWER_IS_BETTER.items():
+        b = [r["metrics"][name]["value"] for r in base]
+        c = [r["metrics"][name]["value"] for r in change]
+        qb, qc = quartiles(b), quartiles(c)
+        out[name] = {
+            "base": qb,
+            "change": qc,
+            "change_over_base": qc["median"] / qb["median"] if qb["median"] else None,
+            "pairs_better": sum((y < x) if lower else (y > x) for x, y in zip(b, c)),
+            "base_runs": b,
+            "change_runs": c,
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("base", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--case", action="append", metavar="WORKLOAD[:SEED]", help="repeatable")
+    parser.add_argument("--out", type=Path)
+    args = parser.parse_args(argv)
+
+    report = {"host": host(), "pairs": args.pairs, "seconds": args.seconds, "cases": {}}
+    for case in args.case or DEFAULT_CASES:
+        workload, _, seed = case.partition(":")
+        seed = int(seed) if seed else None
+        runs = {"base": [], "change": []}
+        for k in range(args.pairs):
+            for side in ("base", "change")[:: 1 if k % 2 == 0 else -1]:
+                runs[side].append(run_once(getattr(args, side), workload, seed, args.seconds))
+            print(f"{case}: pair {k + 1}/{args.pairs}", file=sys.stderr)
+        report["cases"][case] = {
+            "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
+            "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
+            "attempted": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
+            "metrics": summarize(runs["base"], runs["change"]),
+        }
+    text = json.dumps(report, indent=1)
+    if args.out:
+        args.out.write_text(text + "\n", encoding="utf-8")
+    else:
+        print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -170,12 +170,10 @@ class GlobalObjective:
         return float(sum(self.family.f(z).tolist()))
 
 
-def _as_matrix(M, p=None) -> np.ndarray:
+def _as_matrix(M) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise CostError(f"expected a square matrix, got shape {M.shape}")
-    if p is not None and M.shape[0] != p:
-        raise CostError(f"matrix is {M.shape[0]}x{M.shape[0]}, expected {p}x{p}")
     return M
 
 

@@ -23,13 +23,21 @@ and no network-wide quantities at all.
 ``varphi_all``, sums over the edge list and weights.  Certificates stay dense.
 
 Triggers are monitored at integration sample boundaries only, matching a
-sampled implementation.  ``simulate_event`` runs the shared stepper and
-loop of ``dynamics`` on the state augmented with chi: the right-hand
-side is ``rhs_event`` plus the chi law ``chi_rhs``, whose bracket
+sampled implementation.  At a sample, agents fire in sweeps.  A sweep
+selects the undecided agents whose rule holds; those with no selected
+neighbour of lower index fire at once, as one batch, and the rest are
+re-checked one by one in index order.  This decides exactly as
+re-checking every selected agent in index order would, because agent i's
+terms read only x_i and the caches of i and N_i, and a batch agent of
+higher index than a re-checked agent i is never i's neighbour.
+``simulate_event`` runs the shared stepper and loop of ``dynamics`` on
+the state augmented with chi: the right-hand side is the law of
+``rhs_event`` plus the chi law ``chi_rhs``, whose bracket
 ||e_i||^2 - c_i*qhat_i is frozen at its start-of-step value (the error is
 discontinuous at triggers, so freezing keeps the stages consistent).  A
-per-sample hook processes the triggers, records the invariant margins and
-freezes the next step's bracket.
+per-sample hook processes the triggers, records the invariant margins,
+freezes the next step's bracket and forms L xhat once for the step's
+four stages (the caches change only there).
 """
 
 from dataclasses import dataclass, field
@@ -277,7 +285,8 @@ def rhs_event(
 ) -> np.ndarray:
     """Continuous dynamics with the Laplacian terms fed by the caches;
     ``extra`` blocks (the chi law's dchi) are appended to the packed
-    derivative."""
+    derivative.  ``simulate_event`` applies the same law with L xhat
+    formed once per sample."""
     return _law(state, obj, gains, g.laplacian @ ts.xhat, state.v, *extra)
 
 
@@ -300,33 +309,51 @@ class EventRun:
 def _process_triggers(ts: TriggerState, g: NetworkGraph, law: TriggerLaw, x: np.ndarray, t: float):
     """Fire the agents whose rule holds at this sample, in sweeps.
 
-    A sweep first selects every agent not yet decided at this sample
-    whose rule holds against the caches as the sweep starts.  Then, in
-    index order, it re-checks each selected agent against the caches as
-    they stand, which includes broadcasts made earlier in the same sweep
-    (the terms are recomputed only after a broadcast).  A neighbor's
-    broadcast changes qhat, so a selected agent can be vetoed there; a
-    vetoed agent counts as decided and is not reconsidered at this
-    sample.  Sweeps repeat until one selects nobody.  A broadcast copies
-    the agent's position into its cache and logs the terms it fired on;
-    its error is then zero, so an agent fires at most once per sample.
+    A sweep selects every agent not yet decided at this sample whose rule
+    holds against the caches as the sweep starts; the selected agents now
+    count as decided.  A selected agent is held if it has a selected
+    neighbour of lower index.  The agents that are not held fire at once
+    on their sweep-start terms, which no earlier broadcast of the sweep
+    can have touched.  Then each held agent, in index order, is
+    re-checked against the caches as they stand (the terms are recomputed
+    after the batch and after each later broadcast); a neighbour's
+    broadcast changes qhat, so a held agent can be vetoed there.  This
+    decides exactly as re-checking every selected agent in index order
+    would: a batch agent of higher index than a held agent i is never i's
+    neighbour (i would hold it), so firing it first leaves i's terms
+    unchanged.  Sweeps repeat until one selects nobody.  A broadcast
+    copies the agent's position into its cache, and each sweep logs its
+    broadcasts in agent order with the terms each fired on.  An agent's
+    error is zero after it broadcasts, so it fires at most once per
+    sample.
 
     Returns ``rule_terms`` against the caches as the sample leaves them.
     """
+
+    def broadcast(agents):
+        ts.xhat[agents], ts.last_event[agents] = x[agents], t
+        ts.counts[agents] += 1
+        err_sq, qh = rule_terms(ts, g, x)
+        return err_sq, qh, _bracket_and_margin(law, ts.chi, err_sq, qh)[1]
+
     undecided = np.ones(g.n, dtype=bool)
     err_sq, qh = rule_terms(ts, g, x)
     margin = _bracket_and_margin(law, ts.chi, err_sq, qh)[1]
-    while (selected := np.flatnonzero(undecided & (margin >= 0.0))).size:
-        undecided[selected] = False
-        for i in selected.tolist():
+    while (selected := undecided & (margin >= 0.0)).any():
+        undecided &= ~selected
+        held = np.zeros(g.n, dtype=bool)
+        held[g.src[selected[g.src] & selected[g.dst] & (g.dst < g.src)]] = True
+        batch = np.flatnonzero(selected & ~held)
+        fired = [(i, err_sq[i], qh[i]) for i in batch.tolist()]
+        err_sq, qh, margin = broadcast(batch)
+        for i in np.flatnonzero(held).tolist():
             if margin[i] >= 0.0:
-                ts.xhat[i], ts.last_event[i] = x[i], t
-                ts.counts[i] += 1
-                ts.events.append(
-                    EventRecord(i, int(ts.counts[i]), t, float(ts.chi[i]), error_sq=float(err_sq[i]), qhat=float(qh[i]))
-                )
-                err_sq, qh = rule_terms(ts, g, x)
-                margin = _bracket_and_margin(law, ts.chi, err_sq, qh)[1]
+                fired.append((i, err_sq[i], qh[i]))
+                err_sq, qh, margin = broadcast(i)
+        ts.events.extend(
+            EventRecord(i, int(ts.counts[i]), t, float(ts.chi[i]), error_sq=float(e), qhat=float(q))
+            for i, e, q in sorted(fired)
+        )
     return err_sq, qh
 
 
@@ -351,15 +378,16 @@ def simulate_event(
     ts = TriggerState.initialize(initial.x, law.params)
     state0 = SwarmState(initial.t, initial.x, initial.y, initial.v, ts.chi)
     decay = law.params.phi_rate + law.params.delta / law.params.kappa
-    discipline, floor_margin, bracket = -np.inf, np.inf, None
+    discipline, floor_margin, bracket, lx = -np.inf, np.inf, None, None
 
     def rhs(s: SwarmState) -> np.ndarray:
-        return rhs_event(s, ts, g, obj, gains, chi_rhs(s.chi, bracket, law.params))
+        return _law(s, obj, gains, lx, s.v, chi_rhs(s.chi, bracket, law.params))
 
     def on_sample(s: SwarmState) -> None:
-        nonlocal discipline, floor_margin, bracket
+        nonlocal discipline, floor_margin, bracket, lx
         ts.chi = s.chi
         bracket, margin = _bracket_and_margin(law, ts.chi, *_process_triggers(ts, g, law, s.x, s.t))
+        lx = g.laplacian @ ts.xhat
         discipline = max(discipline, float(margin.max()))
         floor = law.params.chi0 * np.exp(-decay * s.t)
         floor_margin = min(floor_margin, float(np.min(s.chi - floor)))

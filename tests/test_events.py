@@ -10,6 +10,7 @@ from socopt.events import (
     TriggerConfigError,
     TriggerParams,
     TriggerState,
+    _bracket_and_margin,
     _process_triggers,
     chi_rhs,
     default_eps0,
@@ -297,21 +298,100 @@ def test_sweep_veto_is_not_reconsidered(path3, gains_theta35):
     assert trigger_margin(1, ts, path3, law, x) >= 0.0
 
 
-def test_rule_terms_once_per_sample_plus_once_per_broadcast(monkeypatch):
-    # the sweep computes the terms once as the sample starts and once right
-    # after each broadcast, never otherwise
+def _one_at_a_time(ts, g, law, x, t, sweeps=None):
+    """Reference oracle: the sweep as it ran before batching.  Every
+    selected agent is re-checked in index order against the caches as they
+    stand, with the terms recomputed after each broadcast.  ``sweeps``, if
+    given, collects (selected, fired) agent lists per sweep."""
+    undecided = np.ones(g.n, dtype=bool)
+    err_sq, qh = rule_terms(ts, g, x)
+    margin = _bracket_and_margin(law, ts.chi, err_sq, qh)[1]
+    while (selected := np.flatnonzero(undecided & (margin >= 0.0))).size:
+        undecided[selected] = False
+        fired = []
+        for i in selected.tolist():
+            if margin[i] >= 0.0:
+                ts.xhat[i], ts.last_event[i] = x[i], t
+                ts.counts[i] += 1
+                ts.events.append(
+                    EventRecord(i, int(ts.counts[i]), t, float(ts.chi[i]), error_sq=float(err_sq[i]), qhat=float(qh[i]))
+                )
+                fired.append(i)
+                err_sq, qh = rule_terms(ts, g, x)
+                margin = _bracket_and_margin(law, ts.chi, err_sq, qh)[1]
+        if sweeps is not None:
+            sweeps.append((selected.tolist(), fired))
+    return err_sq, qh
+
+
+def _copy(ts):
+    return TriggerState(ts.xhat.copy(), ts.chi.copy(), ts.last_event.copy(), ts.counts.copy(), list(ts.events))
+
+
+def _held(g, selected):
+    """The selected agents with a selected neighbour of lower index."""
+    return {i for i in selected if any(j < i for j in g.neighbors(i) if j in selected)}
+
+
+def _assert_same_sample(ts, ref, out, ref_out):
+    # repr is exact for floats, so equal reprs are equal bits
+    assert repr(ts.events) == repr(ref.events)
+    for a, b in [(ts.xhat, ref.xhat), (ts.counts, ref.counts), (ts.last_event, ref.last_event), *zip(out, ref_out)]:
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 12), p=st.integers(1, 3))
+def test_batched_sweep_matches_one_at_a_time_oracle(seed, n, p, gains_theta35):
+    # small chi makes most rules hold; sigma up to 0.99 with the rate
+    # denominator makes c*qhat large enough for neighbours to veto
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n)
+    params = TriggerParams(
+        sigma=rng.uniform(0.0, 0.99, n),
+        delta=rng.uniform(0.0, 1.0, n),
+        phi_rate=rng.uniform(0.5, 2.0, n),
+        kappa=rng.uniform(2.5, 5.0, n),
+        chi0=np.ones(n),
+    )
+    law = make_trigger_law(g, gains_theta35, params, denominator="rate")
+    x = rng.uniform(-5, 5, (n, p))
+    xhat = np.where(rng.random((n, 1)) < 0.2, x, rng.uniform(-5, 5, (n, p)))
+    ts = _trigger_state(xhat, chi=10.0 ** rng.uniform(-4, 1, n))
+    ref = _copy(ts)
+    _assert_same_sample(ts, ref, _process_triggers(ts, g, law, x, 1.0), _one_at_a_time(ref, g, law, x, 1.0))
+
+
+def test_batched_sweep_matches_oracle_on_path3_veto(path3, gains_theta35):
+    law = make_trigger_law(path3, gains_theta35, TriggerParams.defaults(3), denominator="rate")
+    x = np.array([[1.0], [1.5], [0.0]])
+    ts = _trigger_state([[0.0], [0.0], [2.0]], chi=[0.1, 0.1, 0.1])
+    ref = _copy(ts)
+    _assert_same_sample(ts, ref, _process_triggers(ts, path3, law, x, 1.0), _one_at_a_time(ref, path3, law, x, 1.0))
+
+
+def test_rule_terms_once_per_sample_sweep_and_held_broadcast(monkeypatch):
+    # the sweep computes the terms once as the sample starts, once after
+    # each sweep's batch, and once after each broadcast of a held agent,
+    # never otherwise; the oracle, run on a copy, says which sweeps
+    # selected anyone and which held agents fired
     calls = 0
-    per_sample = []  # (rule_terms calls, broadcasts) at each sample
+    per_sample = []  # (rule_terms calls, expected calls, broadcasts) at each sample
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return rule_terms(*args)
 
-    def recorded(ts, *args):
+    def recorded(ts, g, law, x, t):
+        sweeps = []
+        ref = _copy(ts)
+        ref_out = _one_at_a_time(ref, g, law, x, t, sweeps)
         calls0, events0 = calls, len(ts.events)
-        out = _process_triggers(ts, *args)
-        per_sample.append((calls - calls0, len(ts.events) - events0))
+        out = _process_triggers(ts, g, law, x, t)
+        _assert_same_sample(ts, ref, out, ref_out)
+        held_fired = sum(len(_held(g, set(sel)) & set(fired)) for sel, fired in sweeps)
+        per_sample.append((calls - calls0, 1 + len(sweeps) + held_fired, len(ts.events) - events0))
         return out
 
     monkeypatch.setattr(events, "rule_terms", counted)
@@ -321,9 +401,10 @@ def test_rule_terms_once_per_sample_plus_once_per_broadcast(monkeypatch):
     cfg["diagnostics"] = {"lyapunov": False, "rate_fit": False}
     rep = run(scenario_from_dict(cfg))
     assert len(per_sample) == rep.trajectory.samples
-    assert all(n_calls == 1 + fired for n_calls, fired in per_sample)
-    assert max(fired for _, fired in per_sample) >= 2
-    assert sum(fired for _, fired in per_sample) == len(rep.event_run.trigger_state.events) - 3
+    assert all(n_calls == expected for n_calls, expected, _ in per_sample)
+    assert any(n_calls < 1 + fired for n_calls, _, fired in per_sample)
+    assert max(fired for _, _, fired in per_sample) >= 2
+    assert sum(fired for _, _, fired in per_sample) == len(rep.event_run.trigger_state.events) - 3
 
 
 def test_trigger_margin_nonpositive_after_broadcast(path3, gains_theta35):

@@ -5,9 +5,11 @@
 ``make_trigger_law(eps0=, eps8=, denominator=)`` and more on the inputs of
 each workload.  These tests run it on short versions of the three
 workloads and of the event scaling step so that an API change that would
-break the traced benchmark fails here first.
+break the traced benchmark fails here first.  The last test applies the
+benchmark's correctness gate to its event runs at three recorded seeds.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -86,3 +88,25 @@ def test_kernel_timings_ring_event_and_event_step(kernels):
     _check(kernels.kernel_timings("ring300-event", cfgs, _run(cfgs)), RING_EVENT_KERNELS)
     step_us = kernels._step_us(cfgs[0], "event")
     assert np.isfinite(step_us) and step_us > 0.0
+
+
+@pytest.mark.parametrize(
+    "workload, seed, name",
+    [
+        ("ring300-event", 12345, "ring300-event"),
+        ("ring300-event", 1, "ring300-event"),
+        ("ring300-event", 7, "ring300-event"),
+        ("presets", 12345, "cdc18-scenario3-event"),
+    ],
+)
+def test_event_outcomes_match_benchmark_reference(monkeypatch, workload, seed, name):
+    # the benchmark's correctness gate: trigger counts exact and terminal
+    # errors within its tolerance of the outcomes recorded in reference.json
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    recorded = json.loads((PERFBENCH / "reference.json").read_text())["seeds"][workload][str(seed)]
+    [cfg] = [c for c in workloads.workload_configs(workload, seed) if c["name"] == name]
+    [ref] = [r for r in recorded if r["name"] == name]
+    _, [outcome], _ = workloads.run_pass([cfg])
+    assert workloads.mismatch(outcome, ref) is None
