@@ -35,14 +35,20 @@ LOWER_IS_BETTER = {
     "triggers_total": True,
 }
 DEFAULT_CASES = ("presets", "ring300-event", "ring300-continuous")
+STDERR_TAIL = 20  # lines of a failed run's stderr to show
 
 
 def run_once(checkout: Path, workload: str, seed: int | None, seconds: float) -> dict:
-    """One benchmark process in ``checkout``; its final JSON line."""
+    """One benchmark process in ``checkout``; its final JSON line.  A run
+    that exits non-zero stops the comparison with the tail of its stderr."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "0", "--seconds", str(seconds)]
     if seed is not None:
         cmd += ["--seed", str(seed)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        case = workload if seed is None else f"{workload}:{seed}"
+        tail = "\n".join(proc.stderr.splitlines()[-STDERR_TAIL:])
+        raise SystemExit(f"{checkout}: case {case} exited {proc.returncode}; end of its stderr:\n{tail}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 

@@ -21,6 +21,10 @@ and no network-wide quantities at all.
 ``rule_terms`` computes ||e_i||^2 and qhat_i for all agents at once with
 ``rowdot``, so they round like each agent's own test; qhat, like
 ``varphi_all``, sums over the edge list and weights.  Certificates stay dense.
+qhat reads only the caches, so a run forms it in full once, at t = 0, and
+carries it from sample to sample; after each broadcast only the qhat of
+the broadcasting agents and their neighbours is recomputed, bit-equal to
+a full pass (see ``_process_triggers``).
 
 Triggers are monitored at integration sample boundaries only, matching a
 sampled implementation.  At a sample, agents fire in sweeps.  A sweep
@@ -306,7 +310,7 @@ class EventRun:
         return self.trajectory.chi
 
 
-def _process_triggers(ts: TriggerState, g: NetworkGraph, law: TriggerLaw, x: np.ndarray, t: float):
+def _process_triggers(ts: TriggerState, g: NetworkGraph, law: TriggerLaw, x: np.ndarray, t: float, qh: np.ndarray):
     """Fire the agents whose rule holds at this sample, in sweeps.
 
     A sweep selects every agent not yet decided at this sample whose rule
@@ -315,7 +319,7 @@ def _process_triggers(ts: TriggerState, g: NetworkGraph, law: TriggerLaw, x: np.
     neighbour of lower index.  The agents that are not held fire at once
     on their sweep-start terms, which no earlier broadcast of the sweep
     can have touched.  Then each held agent, in index order, is
-    re-checked against the caches as they stand (the terms are recomputed
+    re-checked against the caches as they stand (the terms are refreshed
     after the batch and after each later broadcast); a neighbour's
     broadcast changes qhat, so a held agent can be vetoed there.  This
     decides exactly as re-checking every selected agent in index order
@@ -327,17 +331,37 @@ def _process_triggers(ts: TriggerState, g: NetworkGraph, law: TriggerLaw, x: np.
     error is zero after it broadcasts, so it fires at most once per
     sample.
 
-    Returns ``rule_terms`` against the caches as the sample leaves them.
+    ``qh`` is qhat against the caches as the sample finds them; it is not
+    modified.  The terms are kept equal, bit for bit, to ``rule_terms``
+    against the caches as they stand, without a full pass: as the sample
+    starts only ||e||^2 is formed, since no cache has moved since qhat
+    was last refreshed.  A broadcast of the set S sets ||e_i||^2 to 0 on
+    S, which is what the full pass gives as xhat_i = x_i exactly, and
+    recomputes qhat on S and its neighbours, the only agents whose
+    neighbourhood caches moved.  That recompute sums, with ``bincount``,
+    the same edge terms as the full pass over the edges leaving those
+    agents; ``bincount`` adds each bin in input order and the subset keeps
+    each agent's edge order, so every sum rounds as the full pass does.
+
+    Returns (||e||^2, qhat) against the caches as the sample leaves them.
     """
 
     def broadcast(agents):
         ts.xhat[agents], ts.last_event[agents] = x[agents], t
         ts.counts[agents] += 1
-        err_sq, qh = rule_terms(ts, g, x)
-        return err_sq, qh, _bracket_and_margin(law, ts.chi, err_sq, qh)[1]
+        err_sq[agents] = 0.0
+        touched = np.zeros(g.n, dtype=bool)
+        touched[agents] = True
+        touched[g.dst[touched[g.src]]] = True
+        edges = touched[g.src]
+        src = g.src[edges]
+        d = ts.xhat[g.dst[edges]] - ts.xhat[src]
+        qh[touched] = np.bincount(src, weights=(0.5 * g.w[edges]) * rowdot(d, d), minlength=g.n)[touched]
+        return _bracket_and_margin(law, ts.chi, err_sq, qh)[1]
 
     undecided = np.ones(g.n, dtype=bool)
-    err_sq, qh = rule_terms(ts, g, x)
+    stale = ts.xhat - x
+    err_sq, qh = rowdot(stale, stale), qh.copy()
     margin = _bracket_and_margin(law, ts.chi, err_sq, qh)[1]
     while (selected := undecided & (margin >= 0.0)).any():
         undecided &= ~selected
@@ -345,11 +369,11 @@ def _process_triggers(ts: TriggerState, g: NetworkGraph, law: TriggerLaw, x: np.
         held[g.src[selected[g.src] & selected[g.dst] & (g.dst < g.src)]] = True
         batch = np.flatnonzero(selected & ~held)
         fired = [(i, err_sq[i], qh[i]) for i in batch.tolist()]
-        err_sq, qh, margin = broadcast(batch)
+        margin = broadcast(batch)
         for i in np.flatnonzero(held).tolist():
             if margin[i] >= 0.0:
                 fired.append((i, err_sq[i], qh[i]))
-                err_sq, qh, margin = broadcast(i)
+                margin = broadcast(i)
         ts.events.extend(
             EventRecord(i, int(ts.counts[i]), t, float(ts.chi[i]), error_sq=float(e), qhat=float(q))
             for i, e, q in sorted(fired)
@@ -379,14 +403,16 @@ def simulate_event(
     state0 = SwarmState(initial.t, initial.x, initial.y, initial.v, ts.chi)
     decay = law.params.phi_rate + law.params.delta / law.params.kappa
     discipline, floor_margin, bracket, lx = -np.inf, np.inf, None, None
+    qh = rule_terms(ts, g, initial.x)[1]
 
     def rhs(s: SwarmState) -> np.ndarray:
         return _law(s, obj, gains, lx, s.v, chi_rhs(s.chi, bracket, law.params))
 
     def on_sample(s: SwarmState) -> None:
-        nonlocal discipline, floor_margin, bracket, lx
+        nonlocal discipline, floor_margin, bracket, lx, qh
         ts.chi = s.chi
-        bracket, margin = _bracket_and_margin(law, ts.chi, *_process_triggers(ts, g, law, s.x, s.t))
+        err_sq, qh = _process_triggers(ts, g, law, s.x, s.t, qh)
+        bracket, margin = _bracket_and_margin(law, ts.chi, err_sq, qh)
         lx = g.laplacian @ ts.xhat
         discipline = max(discipline, float(margin.max()))
         floor = law.params.chi0 * np.exp(-decay * s.t)

@@ -1,9 +1,12 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from socopt import events
+from socopt.costs import GlobalObjective, quadratic_family
 from socopt.dynamics import SwarmState
 from socopt.events import (
     EventRecord,
@@ -25,8 +28,6 @@ from socopt.events import (
 )
 from socopt.dynamics import rhs_continuous
 from socopt.graph import build_graph
-from socopt.harness import run, scenario_from_dict
-from socopt.presets import preset_config
 
 from conftest import random_connected_graph
 
@@ -84,7 +85,7 @@ def test_fresh_broadcast_never_fires(path3, gains_theta35):
     law = make_trigger_law(path3, gains_theta35, params, eps8=1e-3)
     x = np.random.default_rng(0).uniform(-5, 5, (3, 3))
     ts = _trigger_state(x)  # caches equal the state: zero error
-    _process_triggers(ts, path3, law, x, 1.0)
+    _process_triggers(ts, path3, law, x, 1.0, rule_terms(ts, path3, x)[1])
     assert ts.counts.tolist() == [1, 1, 1]
     assert ts.events == []
 
@@ -95,7 +96,7 @@ def test_static_error_specialization(path3, gains_theta35):
     law = make_trigger_law(path3, gains_theta35, params)
     x = np.zeros((3, 1))
     ts = _trigger_state(np.array([[0.1], [0.2], [0.21]]), chi=[0.04, 0.04, 0.04])
-    _process_triggers(ts, path3, law, x, 1.0)
+    _process_triggers(ts, path3, law, x, 1.0, rule_terms(ts, path3, x)[1])
     assert [ev.agent for ev in ts.events] == [1, 2]
     np.testing.assert_array_equal(ts.xhat[1:], x[1:])
     np.testing.assert_array_equal(ts.xhat[0], [0.1])
@@ -292,7 +293,7 @@ def test_sweep_veto_is_not_reconsidered(path3, gains_theta35):
     x = np.array([[1.0], [1.5], [0.0]])
     ts = _trigger_state([[0.0], [0.0], [2.0]], chi=[0.1, 0.1, 0.1])
     assert all(trigger_margin(i, ts, path3, law, x) >= 0.0 for i in range(3))
-    _process_triggers(ts, path3, law, x, 1.0)
+    _process_triggers(ts, path3, law, x, 1.0, rule_terms(ts, path3, x)[1])
     assert ts.counts.tolist() == [2, 1, 2]
     assert [ev.agent for ev in ts.events] == [0, 2]
     assert trigger_margin(1, ts, path3, law, x) >= 0.0
@@ -328,11 +329,6 @@ def _copy(ts):
     return TriggerState(ts.xhat.copy(), ts.chi.copy(), ts.last_event.copy(), ts.counts.copy(), list(ts.events))
 
 
-def _held(g, selected):
-    """The selected agents with a selected neighbour of lower index."""
-    return {i for i in selected if any(j < i for j in g.neighbors(i) if j in selected)}
-
-
 def _assert_same_sample(ts, ref, out, ref_out):
     # repr is exact for floats, so equal reprs are equal bits
     assert repr(ts.events) == repr(ref.events)
@@ -359,7 +355,8 @@ def test_batched_sweep_matches_one_at_a_time_oracle(seed, n, p, gains_theta35):
     xhat = np.where(rng.random((n, 1)) < 0.2, x, rng.uniform(-5, 5, (n, p)))
     ts = _trigger_state(xhat, chi=10.0 ** rng.uniform(-4, 1, n))
     ref = _copy(ts)
-    _assert_same_sample(ts, ref, _process_triggers(ts, g, law, x, 1.0), _one_at_a_time(ref, g, law, x, 1.0))
+    out = _process_triggers(ts, g, law, x, 1.0, rule_terms(ts, g, x)[1])
+    _assert_same_sample(ts, ref, out, _one_at_a_time(ref, g, law, x, 1.0))
 
 
 def test_batched_sweep_matches_oracle_on_path3_veto(path3, gains_theta35):
@@ -367,44 +364,54 @@ def test_batched_sweep_matches_oracle_on_path3_veto(path3, gains_theta35):
     x = np.array([[1.0], [1.5], [0.0]])
     ts = _trigger_state([[0.0], [0.0], [2.0]], chi=[0.1, 0.1, 0.1])
     ref = _copy(ts)
-    _assert_same_sample(ts, ref, _process_triggers(ts, path3, law, x, 1.0), _one_at_a_time(ref, path3, law, x, 1.0))
+    out = _process_triggers(ts, path3, law, x, 1.0, rule_terms(ts, path3, x)[1])
+    _assert_same_sample(ts, ref, out, _one_at_a_time(ref, path3, law, x, 1.0))
 
 
-def test_rule_terms_once_per_sample_sweep_and_held_broadcast(monkeypatch):
-    # the sweep computes the terms once as the sample starts, once after
-    # each sweep's batch, and once after each broadcast of a held agent,
-    # never otherwise; the oracle, run on a copy, says which sweeps
-    # selected anyone and which held agents fired
-    calls = 0
-    per_sample = []  # (rule_terms calls, expected calls, broadcasts) at each sample
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(2, 12), p=st.integers(1, 3))
+def test_carried_terms_match_full_pass(seed, n, p, gains_theta35):
+    # a run makes one full rule_terms pass, at t = 0, and carries qhat from
+    # there; at every sample the terms the sweep returns equal a fresh full
+    # pass against the caches it leaves, byte for byte, and the sample
+    # equals the one-at-a-time oracle run on a copy.  A small chi0 makes
+    # most rules hold at once, so batches and held agents occur; sigma up
+    # to 0.3 leaves c*qhat large enough for some vetoes but small enough
+    # that neighbours often fire at the same sample
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n)
+    obj = GlobalObjective(quadratic_family([np.eye(p)] * n, shifts=rng.uniform(-5, 5, (n, p))))
+    params = TriggerParams(
+        sigma=rng.uniform(0.0, 0.3, n),
+        delta=rng.uniform(0.0, 1.0, n),
+        phi_rate=rng.uniform(0.5, 2.0, n),
+        kappa=rng.uniform(2.5, 5.0, n),
+        chi0=10.0 ** rng.uniform(-6, -3, n),
+    )
+    law = make_trigger_law(g, gains_theta35, params, denominator="rate")
+    s0 = SwarmState(0.0, rng.uniform(-5, 5, (n, p)), rng.uniform(-5, 5, (n, p)), np.zeros((n, p)))
+    full_passes, samples = 0, 0
 
     def counted(*args):
-        nonlocal calls
-        calls += 1
+        nonlocal full_passes
+        full_passes += 1
         return rule_terms(*args)
 
-    def recorded(ts, g, law, x, t):
-        sweeps = []
+    def checked(ts, g, law, x, t, qh):
+        nonlocal samples
+        samples += 1
         ref = _copy(ts)
-        ref_out = _one_at_a_time(ref, g, law, x, t, sweeps)
-        calls0, events0 = calls, len(ts.events)
-        out = _process_triggers(ts, g, law, x, t)
+        ref_out = _one_at_a_time(ref, g, law, x, t)
+        out = _process_triggers(ts, g, law, x, t, qh)
         _assert_same_sample(ts, ref, out, ref_out)
-        held_fired = sum(len(_held(g, set(sel)) & set(fired)) for sel, fired in sweeps)
-        per_sample.append((calls - calls0, 1 + len(sweeps) + held_fired, len(ts.events) - events0))
+        for a, b in zip(out, rule_terms(ts, g, x)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         return out
 
-    monkeypatch.setattr(events, "rule_terms", counted)
-    monkeypatch.setattr(events, "_process_triggers", recorded)
-    cfg = preset_config("cdc18-scenario3-event")
-    cfg["integration"]["horizon"] = 5.0
-    cfg["diagnostics"] = {"lyapunov": False, "rate_fit": False}
-    rep = run(scenario_from_dict(cfg))
-    assert len(per_sample) == rep.trajectory.samples
-    assert all(n_calls == expected for n_calls, expected, _ in per_sample)
-    assert any(n_calls < 1 + fired for n_calls, _, fired in per_sample)
-    assert max(fired for _, _, fired in per_sample) >= 2
-    assert sum(fired for _, _, fired in per_sample) == len(rep.event_run.trigger_state.events) - 3
+    with patch.object(events, "rule_terms", counted), patch.object(events, "_process_triggers", checked):
+        er = simulate_event(s0, g, obj, gains_theta35, law, 0.01, 0.5)
+    assert full_passes == 1
+    assert samples == er.trajectory.samples
 
 
 def test_trigger_margin_nonpositive_after_broadcast(path3, gains_theta35):
@@ -413,7 +420,7 @@ def test_trigger_margin_nonpositive_after_broadcast(path3, gains_theta35):
     rng = np.random.default_rng(6)
     x = rng.uniform(-5, 5, (3, 3))
     ts = _trigger_state(rng.uniform(-5, 5, (3, 3)), chi=[0.01, 0.01, 0.01])
-    _process_triggers(ts, path3, law, x, 1.0)
+    _process_triggers(ts, path3, law, x, 1.0, rule_terms(ts, path3, x)[1])
     fired = [ev.agent for ev in ts.events]
     assert fired
     for i in fired:
