@@ -7,6 +7,8 @@ an event-mode run on a 30-agent ring with chords (agents of degree up to
 terms, which the three-agent path cannot show), this module pins
 
 - per-agent trigger counts, exactly;
+- in event mode, a SHA-256 of every event's (agent, index, t), in log
+  order, exactly;
 - the terminal errors, to 1e-12 relative;
 - a SHA-256 of the raw float64 bytes of the stored t, x, y, v and chi
   arrays, exactly;
@@ -113,6 +115,11 @@ def _sha256(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
 
 
+def _events_sha256(events) -> str:
+    """SHA-256 of the event log as float64 rows (agent, index, t)."""
+    return _sha256(np.array([(ev.agent, ev.index, ev.t) for ev in events], dtype=float))
+
+
 def fingerprint(rep) -> dict:
     """Everything this module pins about one run, as plain JSON data."""
     traj, er = rep.trajectory, rep.event_run
@@ -130,6 +137,7 @@ def fingerprint(rep) -> dict:
         excesses["V3_envelope"] = envelope_excess(traj.t, cols["V3"], c.eps9 / c.eps10)
     return {
         "trigger_counts": None if er is None else er.trigger_state.counts.tolist(),
+        "events_sha256": None if er is None else _events_sha256(er.trigger_state.events),
         "terminal_error": rep.terminal_error,
         "terminal_error_to_solution_set": rep.terminal_error_to_solution_set,
         "sha256": {name: _sha256(a) for name, a in arrays.items()},
@@ -152,6 +160,7 @@ def test_golden(run_name, golden, request):
     got, ref = fingerprint(rep), golden[run_name]
 
     assert got["trigger_counts"] == ref["trigger_counts"]
+    assert got["events_sha256"] == ref["events_sha256"]
     for key in ("terminal_error", "terminal_error_to_solution_set"):
         assert got[key] == pytest.approx(ref[key], rel=ERROR_RTOL, abs=0.0)
     assert got["sha256"] == ref["sha256"]
