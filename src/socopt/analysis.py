@@ -230,7 +230,10 @@ def certificate_continuous(
     rho, rho2 = sd.rho, sd.rho2
 
     D_radius = float(np.sqrt(2.0 * V1_at_0 / (gm**2 * eps0 * (1.0 - np.sqrt(eps0)))))
-    M_D = max(curvature_on_set(c, D_radius, xstar) for c in obj.costs)
+    if obj.all_quadratic():  # curvature-constant: the largest top eigenvalue, in one batched call
+        M_D = float(np.linalg.eigvalsh(obj.family.A)[:, -1].max())
+    else:
+        M_D = max(curvature_on_set(c, D_radius, xstar) for c in obj.costs)
 
     lead = a * gm * eps0 - th  # positive by the eps0 range check
     m1 = min(mf / 2.0, rho2 * mf**2 * a * gm * eps0 / (2.0 * lead * (mf**2 + 16.0 * M_D**2)))
