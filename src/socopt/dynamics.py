@@ -17,12 +17,20 @@ A state packs its arrays into one float64 array u = [x, y, v(, chi)], and
 every right-hand side returns its derivative in that layout; a trajectory
 stores sample k as row k of one (m, N) array in it.  One helper, ``_views``,
 binds the x, y, v and chi views of both, for any leading axes.  All three
-variants share one classical 4th-order stepper, ``rk4_step``, which
-advances u as a whole, and one fixed-step loop, ``integrate``, which
-calls an optional hook at every committed sample (where event mode
-processes its triggers).  The fixed step keeps trigger counts and
-trajectories exactly reproducible across runs; the default step 0.01 is
-the sample length used throughout the bundled scenarios.
+variants share one fixed-step loop, ``integrate``, which calls an
+optional hook at every committed sample (where event mode processes its
+triggers), and one method, classical RK4, in one of two steppers.
+``rk4_step`` advances u as a whole by four evaluations of the law.  With
+a quadratic objective the law is affine in u between samples, u' = M u + c,
+and RK4 on it is exactly u <- R(hM) u + S(hM) c for RK4's stability
+polynomials R and S; ``affine_stepper`` probes M and c from the law itself
+(N + 1 evaluations) and takes each step as that one matrix step, equal to
+``rk4_step`` up to rounding.  Forming R and S costs O(N^3), so the routing
+rule ``exact_affine`` takes the propagator only for quadratic objectives
+with a packed state of at most AFFINE_MAX_SIZE entries; quartic objectives
+and larger swarms step with ``rk4_step``.  The fixed step keeps trigger
+counts and trajectories exactly reproducible across runs; the default
+step 0.01 is the sample length used throughout the bundled scenarios.
 """
 
 from dataclasses import dataclass
@@ -34,6 +42,7 @@ from .costs import GlobalObjective
 from .graph import NetworkGraph
 
 DIVERGENCE_LIMIT = 1e12
+AFFINE_MAX_SIZE = 256  # largest packed state the affine propagator takes (see ``exact_affine``)
 
 
 class HypothesisError(ValueError):
@@ -197,17 +206,65 @@ def rk4_step(rhs: RhsFunc, state: SwarmState, h: float) -> SwarmState:
     return state._like(t + h, u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
 
 
+def exact_affine(obj: GlobalObjective, size: int) -> bool:
+    """The routing rule: a run of packed state size ``size`` steps with the
+    affine propagator when its law is affine in u (a quadratic objective)
+    and size <= AFFINE_MAX_SIZE, and with ``rk4_step`` otherwise."""
+    return obj.all_quadratic() and size <= AFFINE_MAX_SIZE
+
+
+def probe_affine(rhs: RhsFunc, like: SwarmState) -> tuple[np.ndarray, np.ndarray]:
+    """(M, c) of a right-hand side that is affine in u, rhs(u) = M u + c,
+    from N + 1 evaluations: c at u = 0 and column j of M as rhs(e_j) - c.
+    ``like`` gives the layout and the time of the probe states."""
+    eye = np.eye(like.u.size)
+    c = rhs(like._like(like.t, np.zeros(like.u.size)))
+    return np.column_stack([rhs(like._like(like.t, e)) - c for e in eye]), c
+
+
+def rk4_matrices(M: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(R, S) such that one classical RK4 step of u' = M u + c is exactly
+    u <- R u + S c: with P = I + hM/2 (I + hM/3 (I + hM/4)) (Horner's rule
+    for RK4's stability polynomials), R = I + hM P and S = h P."""
+    eye = np.eye(M.shape[0])
+    hM = h * M
+    P = eye + (hM / 2.0) @ (eye + (hM / 3.0) @ (eye + hM / 4.0))
+    return eye + hM @ P, h * P
+
+
+def affine_stepper(rhs: RhsFunc, like: SwarmState, h: float, varying: bool) -> Callable[[SwarmState], SwarmState]:
+    """The RK4 step of an affine right-hand side as one matrix step,
+    u <- R u + S c, with (M, c) probed once from ``rhs``.  When ``varying``,
+    c is re-read at every step by one ``rhs`` call at u = 0: the matrix M
+    stays fixed but the constant term may change between steps (event
+    mode's L xhat and frozen chi bracket)."""
+    M, c = probe_affine(rhs, like)
+    R, S = rk4_matrices(M, h)
+    zero = like._like(like.t, np.zeros(like.u.size))
+    Sc = S @ c
+
+    def step(state: SwarmState) -> SwarmState:
+        return state._like(state.t + h, R @ state.u + (S @ rhs(zero) if varying else Sc))
+
+    return step
+
+
 def integrate(
     rhs: RhsFunc,
     initial: SwarmState,
     step: float,
     horizon: float,
     on_sample: SampleHook | None = None,
+    affine: bool = False,
 ) -> Trajectory:
     """Fixed-step integration, sampling at t = 0, h, 2h, ..., horizon.
 
     ``on_sample``, if given, is called with every committed sample
-    (including t = 0) before the next step starts from it.  Raises
+    (including t = 0) before the next step starts from it.  With
+    ``affine``, the caller asserts that ``rhs`` is affine in u, and each
+    step is ``affine_stepper``'s matrix step, built after the t = 0 hook;
+    with a hook, its constant term is re-read at every step, since the
+    hook may move it.  Otherwise each step is ``rk4_step``.  Raises
     DivergenceError, carrying the last finite state, as soon as any
     state entry is non-finite or the state norm exceeds the divergence
     cutoff.
@@ -228,8 +285,12 @@ def integrate(
             on_sample(s)
 
     commit(0, state)
+    if affine:
+        advance = affine_stepper(rhs, state, step, varying=on_sample is not None)
+    else:
+        advance = lambda s: rk4_step(rhs, s, step)
     for k in range(n_steps):
-        new = rk4_step(rhs, state, step)
+        new = advance(state)
         new.t = (k + 1) * step  # avoid accumulated time roundoff
         if not new.norm() <= DIVERGENCE_LIMIT:  # also catches NaN
             raise DivergenceError(new.t, state)

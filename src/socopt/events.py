@@ -34,14 +34,18 @@ re-checked one by one in index order.  This decides exactly as
 re-checking every selected agent in index order would, because agent i's
 terms read only x_i and the caches of i and N_i, and a batch agent of
 higher index than a re-checked agent i is never i's neighbour.
-``simulate_event`` runs the shared stepper and loop of ``dynamics`` on
-the state augmented with chi: the right-hand side is the law of
-``rhs_event`` plus the chi law ``chi_rhs``, whose bracket
-||e_i||^2 - c_i*qhat_i is frozen at its start-of-step value (the error is
-discontinuous at triggers, so freezing keeps the stages consistent).  A
-per-sample hook processes the triggers, records the invariant margins,
-freezes the next step's bracket and forms L xhat once for the step's
-four stages (the caches change only there).
+``simulate_event`` runs the loop of ``dynamics`` on the state augmented
+with chi: the right-hand side is the law of ``rhs_event`` plus the chi
+law ``chi_rhs``, whose bracket ||e_i||^2 - c_i*qhat_i is frozen at its
+start-of-step value (the error is discontinuous at triggers, so freezing
+keeps the stages consistent).  A per-sample hook processes the triggers,
+records the invariant margins, freezes the next step's bracket and forms
+L xhat once for the step (the caches change only there).  The run steps
+by the routing rule ``dynamics.exact_affine``: with a quadratic objective
+and a small swarm the law is affine in the state between samples, with a
+fixed matrix and a constant term that moves with L xhat and the bracket,
+so each step is the affine propagator's matrix step with that term
+re-read once per step; otherwise each step is ``rk4_step``.
 """
 
 from dataclasses import dataclass, field
@@ -49,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import GlobalObjective, rowdot
-from .dynamics import GainParams, SwarmState, Trajectory, _law, integrate
+from .dynamics import GainParams, SwarmState, Trajectory, _law, exact_affine, integrate
 from .graph import NetworkGraph
 
 
@@ -418,7 +422,7 @@ def simulate_event(
         floor = law.params.chi0 * np.exp(-decay * s.t)
         floor_margin = min(floor_margin, float(np.min(s.chi - floor)))
 
-    traj = integrate(rhs, state0, step, horizon, on_sample)
+    traj = integrate(rhs, state0, step, horizon, on_sample, affine=exact_affine(obj, state0.u.size))
     return EventRun(
         trajectory=traj,
         trigger_state=ts,

@@ -33,6 +33,7 @@ from .dynamics import (
     SwarmState,
     Trajectory,
     equilibrium_residual,
+    exact_affine,
     integrate,
     rhs_alternative,
     rhs_continuous,
@@ -487,7 +488,13 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None) -> RunReport:
             ctx.varphi = law.varphi  # the V3 column's threshold constants
     else:
         rhs_fn = rhs_continuous if scenario.algorithm == "continuous" else rhs_alternative
-        traj = integrate(lambda s: rhs_fn(s, g, obj, gains), state0, scenario.step, scenario.horizon)
+        traj = integrate(
+            lambda s: rhs_fn(s, g, obj, gains),
+            state0,
+            scenario.step,
+            scenario.horizon,
+            affine=exact_affine(obj, state0.u.size),
+        )
     if scenario.diagnostics.lyapunov and ctx is not None:
         traj.extras = ctx.values(traj.x, traj.y, traj.v, traj.chi)
     runtime = time.perf_counter() - t_start

@@ -1,17 +1,24 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from socopt import dynamics
 from socopt.costs import GlobalObjective, quadratic_family
 from socopt.dynamics import (
+    AFFINE_MAX_SIZE,
     DivergenceError,
     GainParams,
     HypothesisError,
     SwarmState,
     Trajectory,
+    affine_stepper,
     equilibrium_residual,
+    exact_affine,
     integrate,
+    probe_affine,
     rk4_step,
     rhs_alternative,
     rhs_continuous,
@@ -19,8 +26,11 @@ from socopt.dynamics import (
 )
 from socopt.events import TriggerParams, TriggerState, chi_rhs, make_trigger_law, rhs_event, simulate_event
 from socopt.graph import build_graph
+from socopt.harness import load_preset, make_initial, run, scenario_from_dict
+from socopt.presets import preset_config
 
 from conftest import heavy_ball_closed_form, random_connected_graph
+from test_golden import ring30_event_scenario
 
 
 def _zero_objective(n, p):
@@ -178,7 +188,9 @@ def test_divergence_caught_on_nan_step(field):
 
 def test_nonfinite_gradient_raises_divergence(path3, gains_theta35, monkeypatch):
     # agent 2's gradient turns NaN once its position passes 1; the run stops
-    # on that step in every loop, keeping the last finite state
+    # on that step in every loop, keeping the last finite state.  The patched
+    # gradient is not affine, so the runs must not take the affine propagator.
+    monkeypatch.setattr(dynamics, "AFFINE_MAX_SIZE", 0)
     def grad_stack(x):
         g = np.zeros_like(x)
         g[1] = np.where(x[1] < 1.0, x[1], np.nan)
@@ -327,3 +339,97 @@ def test_rk4_step_matches_block_reference(seed, n, p, gains_theta35):
         new = rk4_step(rhs, SwarmState(0.25, x, y, v, c), h)
         assert np.all(new.u == _block_rk4(ref, x, y, v, c, h)), name
         assert new.t == 0.25 + h
+
+
+# -- the affine propagator of small quadratic runs ----------------------------
+
+AFFINE_PRESETS = ("cdc18-scenario1", "cdc18-scenario3", "cdc18-scenario3-event")
+
+
+def _preset_law(name, rng):
+    """A preset's right-hand side (in event mode with random caches and a
+    random frozen bracket, both writable) and a maker of random states in
+    its layout."""
+    sc = load_preset(name)
+    g, obj, gains, n, p = sc.graph, sc.obj, sc.gains, sc.graph.n, sc.obj.p
+    event = sc.algorithm == "event"
+
+    def random_state():
+        x, y, v = rng.uniform(-5.0, 5.0, (3, n, p))
+        return SwarmState(0.0, x, y, v, rng.uniform(0.1, 2.0, n) if event else None)
+
+    if not event:
+        rhs_fn = rhs_continuous if sc.algorithm == "continuous" else rhs_alternative
+        return (lambda s: rhs_fn(s, g, obj, gains)), random_state, None
+    ts = TriggerState(xhat=rng.uniform(-5.0, 5.0, (n, p)), chi=np.ones(n), last_event=np.zeros(n), counts=np.ones(n))
+    bracket = rng.uniform(-1.0, 1.0, n)
+    rhs = lambda s: rhs_event(s, ts, g, obj, gains, chi_rhs(s.chi, bracket, sc.trigger))
+    return rhs, random_state, (ts.xhat, bracket)
+
+
+@pytest.mark.parametrize("name", AFFINE_PRESETS)
+def test_probed_affine_map_matches_law(name):
+    rng = np.random.default_rng(5)
+    rhs, random_state, _ = _preset_law(name, rng)
+    M, c = probe_affine(rhs, random_state())
+    for _ in range(20):
+        s = random_state()
+        law = rhs(s)
+        assert np.abs(M @ s.u + c - law).max() <= 1e-14 * np.abs(law).max()
+
+
+@pytest.mark.parametrize("name", AFFINE_PRESETS)
+def test_affine_step_matches_rk4_step(name):
+    rng = np.random.default_rng(6)
+    rhs, random_state, caches = _preset_law(name, rng)
+    h = 0.01
+    step = affine_stepper(rhs, random_state(), h, varying=caches is not None)
+    for _ in range(5):
+        if caches is not None:  # event mode: move the constant term between steps
+            for a in caches:
+                a[...] = rng.uniform(-5.0, 5.0, a.shape)
+        s = random_state()
+        new, ref = step(s), rk4_step(rhs, s, h)
+        assert new.t == ref.t == h
+        assert np.abs(new.u - ref.u).max() <= 1e-12 * np.abs(ref.u).max()
+
+
+def test_routing_rule(obj2, obj3):
+    assert exact_affine(obj3, AFFINE_MAX_SIZE)
+    assert not exact_affine(obj3, AFFINE_MAX_SIZE + 1)
+    assert not exact_affine(obj2, 27)
+
+
+@pytest.mark.parametrize("case", ["quartic", "above-size"])
+def test_runs_off_the_rule_step_with_rk4_bit_for_bit(case):
+    # scenario2 (quartic) and a quadratic 30-agent ring (packed size 270)
+    # integrate exactly as rk4_step does
+    if case == "quartic":
+        sc = load_preset("cdc18-scenario2")
+    else:
+        sc = replace(ring30_event_scenario(), algorithm="continuous")
+    sc = replace(sc, horizon=0.5)
+    s0, _ = make_initial(sc)
+    assert not exact_affine(sc.obj, s0.u.size)
+    ref = integrate(lambda s: rhs_continuous(s, sc.graph, sc.obj, sc.gains), s0, sc.step, sc.horizon)
+    assert np.array_equal(run(sc).trajectory.u, ref.u)
+
+
+def test_diverging_quadratic_run_stops_where_rk4_does(monkeypatch):
+    # scenario1 with the alternative variant diverges (slowest mode +0.17/s)
+    cfg = preset_config("cdc18-scenario1")
+    cfg["algorithm"] = "alternative"
+    cfg["integration"]["horizon"] = 200.0
+    cfg["diagnostics"] = {"lyapunov": False, "rate_fit": False}
+    sc = scenario_from_dict(cfg)
+    stops = {}
+    for path in ("affine", "rk4"):
+        with monkeypatch.context() as m:
+            if path == "affine":  # the propagator path never calls rk4_step
+                m.setattr(dynamics, "rk4_step", None)
+            else:
+                m.setattr(dynamics, "AFFINE_MAX_SIZE", 0)
+            with pytest.raises(DivergenceError) as exc:
+                run(sc)
+        stops[path] = exc.value.t
+    assert stops["affine"] == stops["rk4"] < 200.0

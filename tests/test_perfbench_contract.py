@@ -6,7 +6,9 @@
 each workload.  These tests run it on short versions of the three
 workloads and of the event scaling step so that an API change that would
 break the traced benchmark fails here first.  The last test applies the
-benchmark's correctness gate to its event runs at three recorded seeds.
+benchmark's correctness gate, at three recorded seeds, to the ring300-event
+run and to every quadratic preset of the presets workload (the runs the
+affine propagator steps, and the event preset among them).
 """
 
 import json
@@ -90,17 +92,17 @@ def test_kernel_timings_ring_event_and_event_step(kernels):
     assert np.isfinite(step_us) and step_us > 0.0
 
 
+GATE_SEEDS = (12345, 1, 7)
+QUADRATIC_PRESETS = ("cdc18-scenario1", "cdc18-scenario3", "cdc18-scenario3-event", "heavy-ball")
+
+
 @pytest.mark.parametrize(
     "workload, seed, name",
-    [
-        ("ring300-event", 12345, "ring300-event"),
-        ("ring300-event", 1, "ring300-event"),
-        ("ring300-event", 7, "ring300-event"),
-        ("presets", 12345, "cdc18-scenario3-event"),
-    ],
+    [("ring300-event", seed, "ring300-event") for seed in GATE_SEEDS]
+    + [("presets", seed, name) for seed in GATE_SEEDS for name in QUADRATIC_PRESETS],
 )
 def test_event_outcomes_match_benchmark_reference(monkeypatch, workload, seed, name):
-    # the benchmark's correctness gate: trigger counts exact and terminal
+    # the benchmark's correctness gate: broadcast counts exact and terminal
     # errors within its tolerance of the outcomes recorded in reference.json
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads

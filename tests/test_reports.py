@@ -22,15 +22,15 @@ from socopt.harness import run, scenario_from_dict
 from socopt.presets import preset_config, preset_names
 
 REPORT_SHA256 = {
-    "cdc18-scenario1_summary.json": "c92b69a26a3bd4e2c922dff2b6316cfafd4e064c45342e799ac7c0caca195404",
+    "cdc18-scenario1_summary.json": "25c0a44161d3b450036032b356784a3a076d9a03c21c1a3aefc1ab8714392902",
     "cdc18-scenario2_constants.json": "be59d7e845e2fead07e8d134fc7e20659235b35d934b4fb3bad4477e610d4336",
     "cdc18-scenario2_summary.json": "ddfab2f5aa1c08b66bce1103928d1d7a1e54bdc3f06e344bc9cc427fcad6f8ff",
     "cdc18-scenario3_constants.json": "990b176856ba36cabf2de22d6fe8bb39adec95e4169da29dc9f9282a880f38d4",
-    "cdc18-scenario3_summary.json": "d9f71523a9c9ad4cd11772eaf245039e2458d91146cddb72de3f4fb8646a8ef0",
+    "cdc18-scenario3_summary.json": "7570aebcf9aa3b4541c3791a42ba0eb1b732e98fcbcdeab053732f95eab6b702",
     "cdc18-scenario3-event_constants.json": "91fdec9b6aa9a3e88f69784962f34ae966393af77e1f38c23cb832ad37764ffc",
-    "cdc18-scenario3-event_events.csv": "5f36c8a225c97c91e13846969b2d6a07fb8a31589a3ba2c8da3f45f182fa3670",
-    "cdc18-scenario3-event_summary.json": "483eae235e5ae47301a873e3b7d66f5fcdd6e51081ce10c04da6d49cbf608225",
-    "heavy-ball_summary.json": "00b34fbf5b56351679100fb4c9da8c8535c79bb49a6681596599e25e58ba5b10",
+    "cdc18-scenario3-event_events.csv": "955ea275bdd96ca1a1fac1eeb3ccd6673b34de83c5799abf9188392a3f4630e4",
+    "cdc18-scenario3-event_summary.json": "de432d29e19389ec744df557fb3aab8d1a221d5dca0c09883fe02d46aa23b087",
+    "heavy-ball_summary.json": "ef8cd4b9c67e9a462731991bca5b09da32aca1d45b3adc208e05bed9c23c406c",
 }
 
 CONSTANTS_CLI_SHA256 = {
