@@ -222,24 +222,19 @@ def probe_affine(rhs: RhsFunc, like: SwarmState) -> tuple[np.ndarray, np.ndarray
     return np.column_stack([rhs(like._like(like.t, e)) - c for e in eye]), c
 
 
-def rk4_matrices(M: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(R, S) such that one classical RK4 step of u' = M u + c is exactly
-    u <- R u + S c: with P = I + hM/2 (I + hM/3 (I + hM/4)) (Horner's rule
-    for RK4's stability polynomials), R = I + hM P and S = h P."""
+def affine_stepper(rhs: RhsFunc, like: SwarmState, h: float, varying: bool) -> Callable[[SwarmState], SwarmState]:
+    """One classical RK4 step of an affine right-hand side u' = M u + c as
+    one matrix step u <- R u + S c, with (M, c) probed once from ``rhs``:
+    R = I + hM P and S = h P, with P = I + hM/2 (I + hM/3 (I + hM/4)) by
+    Horner's rule (RK4's stability polynomials).  When ``varying``, c is
+    re-read at every step by one ``rhs`` call at u = 0: M stays fixed but
+    the constant term may change between steps (event mode's L xhat and
+    frozen chi bracket)."""
+    M, c = probe_affine(rhs, like)
     eye = np.eye(M.shape[0])
     hM = h * M
     P = eye + (hM / 2.0) @ (eye + (hM / 3.0) @ (eye + hM / 4.0))
-    return eye + hM @ P, h * P
-
-
-def affine_stepper(rhs: RhsFunc, like: SwarmState, h: float, varying: bool) -> Callable[[SwarmState], SwarmState]:
-    """The RK4 step of an affine right-hand side as one matrix step,
-    u <- R u + S c, with (M, c) probed once from ``rhs``.  When ``varying``,
-    c is re-read at every step by one ``rhs`` call at u = 0: the matrix M
-    stays fixed but the constant term may change between steps (event
-    mode's L xhat and frozen chi bracket)."""
-    M, c = probe_affine(rhs, like)
-    R, S = rk4_matrices(M, h)
+    R, S = eye + hM @ P, h * P
     zero = like._like(like.t, np.zeros(like.u.size))
     Sc = S @ c
 
