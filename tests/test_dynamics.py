@@ -336,9 +336,13 @@ def test_rk4_step_matches_block_reference(seed, n, p, gains_theta35):
         ),
     }
     for name, (rhs, ref, c) in cases.items():
-        new = rk4_step(rhs, SwarmState(0.25, x, y, v, c), h)
+        state = SwarmState(0.25, x, y, v, c)
+        new = rk4_step(rhs, state, h)
         assert np.all(new.u == _block_rk4(ref, x, y, v, c, h)), name
         assert new.t == 0.25 + h
+        # the affine propagator takes the same step up to rounding
+        step = affine_stepper(rhs, state, h, varying=False)
+        assert np.abs(step(state).u - new.u).max() <= 1e-12 * np.abs(new.u).max(), name
 
 
 # -- the affine propagator of small quadratic runs ----------------------------
