@@ -11,9 +11,12 @@ the host's speed falls on both sides alike.  Each run is a fresh process
 started in its own checkout.  The output (standard output, or ``--out``)
 is one JSON object: the host, and per case and metric the median and
 quartiles of each side, the change's median relative to the base's, the
-number of pairs in which the change did better, and each side's
+number of pairs in which the change did better, whether the change's
+median is within the metric's bound of the base's, and each side's
 run-by-run values; plus each side's correctness and failure counts.  The
-default cases are the three workloads at the default seed.
+metrics, their direction and their bounds are the ``end_to_end`` table
+of the repository's BENCHMARK.json.  The default cases are the three
+workloads at the default seed.
 """
 
 import argparse
@@ -26,14 +29,8 @@ import sys
 from importlib.metadata import version
 from pathlib import Path
 
-# metric -> True when lower is better (the end-to-end metrics of BENCHMARK.json)
-LOWER_IS_BETTER = {
-    "wall_s": True,
-    "setup_s": True,
-    "agent_steps_per_s": False,
-    "peak_rss_mb": True,
-    "triggers_total": True,
-}
+# [{"name", "unit", "better": "lower" | "higher", "bound"}, ...]
+END_TO_END = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
 DEFAULT_CASES = ("presets", "ring300-event", "ring300-continuous")
 STDERR_TAIL = 20  # lines of a failed run's stderr to show
 
@@ -67,9 +64,16 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": med, "q3": q3}
 
 
+def within_bound(base: float, change: float, lower: bool, bound: float) -> bool:
+    """Whether ``change`` is no worse than ``base`` by more than the
+    relative ``bound``."""
+    return change <= base * (1.0 + bound) if lower else change >= base * (1.0 - bound)
+
+
 def summarize(base: list[dict], change: list[dict]) -> dict:
     out = {}
-    for name, lower in LOWER_IS_BETTER.items():
+    for metric in END_TO_END:
+        name, lower = metric["name"], metric["better"] == "lower"
         b = [r["metrics"][name]["value"] for r in base]
         c = [r["metrics"][name]["value"] for r in change]
         qb, qc = quartiles(b), quartiles(c)
@@ -78,6 +82,7 @@ def summarize(base: list[dict], change: list[dict]) -> dict:
             "change": qc,
             "change_over_base": qc["median"] / qb["median"] if qb["median"] else None,
             "pairs_better": sum((y < x) if lower else (y > x) for x, y in zip(b, c)),
+            "within_bound": within_bound(qb["median"], qc["median"], lower, metric["bound"]),
             "base_runs": b,
             "change_runs": c,
         }

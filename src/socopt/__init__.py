@@ -11,7 +11,6 @@ envelopes and triggering invariants along simulated trajectories.
 from .analysis import (
     LyapunovContext,
     CertificateConstants,
-    check_combined_convexity,
     certificate_continuous,
     certificate_event,
     equilibrium_point,
@@ -19,11 +18,9 @@ from .analysis import (
 )
 from .costs import (
     CostError,
-    CostFunction,
     GlobalObjective,
     curvature_on_set,
     estimate_mf,
-    gradient_check,
     minimizer_oracle,
     quadratic_family,
     quartic_family,

@@ -230,10 +230,7 @@ def certificate_continuous(
     rho, rho2 = sd.rho, sd.rho2
 
     D_radius = float(np.sqrt(2.0 * V1_at_0 / (gm**2 * eps0 * (1.0 - np.sqrt(eps0)))))
-    if obj.all_quadratic():  # curvature-constant: the largest top eigenvalue, in one batched call
-        M_D = float(np.linalg.eigvalsh(obj.family.A)[:, -1].max())
-    else:
-        M_D = max(curvature_on_set(c, D_radius, xstar) for c in obj.costs)
+    M_D = curvature_on_set(obj, D_radius, xstar)
 
     lead = a * gm * eps0 - th  # positive by the eps0 range check
     m1 = min(mf / 2.0, rho2 * mf**2 * a * gm * eps0 / (2.0 * lead * (mf**2 + 16.0 * M_D**2)))
@@ -286,13 +283,12 @@ def certificate_event(
         raise ConstantsError("certificate needs at least two agents (no positive Laplacian eigenvalue)")
     if mf <= 0:
         raise ConstantsError(f"restricted strong convexity modulus must be positive, got {mf}")
-    missing = [i for i, c in enumerate(obj.costs) if c.global_lipschitz is None]
-    if missing:
+    if obj.global_lipschitz is None:
         raise ConstantsError(
-            f"agents {missing} have no global gradient-Lipschitz modulus; "
+            "the costs have no global gradient-Lipschitz modulus; "
             "event-triggered certification needs one per agent"
         )
-    Mbar = max(c.global_lipschitz for c in obj.costs)
+    Mbar = float(obj.global_lipschitz.max())
     k_d = trigger_params.k_d
     if k_d <= 0:
         raise ConstantsError(f"k_d = min(rate - (1-delta)/kappa) must be positive, got {k_d}")
@@ -369,47 +365,6 @@ def fit_rate(traj: Trajectory, xstar: np.ndarray) -> RateFit:
         samples_used=int(t_sel.size),
         truncated=truncated,
     )
-
-
-@dataclass
-class CombinedConvexityReport:
-    margin: float
-    m: float
-    iota: float
-    ok: bool
-
-
-def check_combined_convexity(
-    obj: GlobalObjective,
-    xstar: np.ndarray,
-    g: NetworkGraph,
-    sd: SpectralData,
-    r_coeff: float,
-    samples,
-    mf: float,
-    Mbar: float,
-) -> CombinedConvexityReport:
-    """Sample the combined convexity/disagreement inequality.
-
-    For stacked states x, checks
-    (grad f(x) - grad f(x*))^T (x - x*) + r * x^T (L kron I) x
-    >= m ||x - x*||^2 with m = min(mf - 2*Mbar*iota, rho2/(2r(1+1/iota^2)))
-    and iota = mf/(4*Mbar).  A negative margin beyond tolerance flags
-    inconsistent curvature data.
-    """
-    if r_coeff <= 0:
-        raise ConstantsError(f"r must be positive, got {r_coeff}")
-    iota = mf / (4.0 * Mbar)
-    m = min(mf - 2.0 * Mbar * iota, sd.rho2 / (2.0 * r_coeff * (1.0 + 1.0 / iota**2)))
-    xbar = np.tile(np.asarray(xstar, dtype=float), (obj.n, 1))
-    grad_star = obj.grad_stack(xbar)
-    worst = np.inf
-    for x in samples:
-        x = np.asarray(x, dtype=float).reshape(obj.n, obj.p)
-        d = x - xbar
-        lhs = _dot(obj.grad_stack(x) - grad_star, d) + r_coeff * _dot(x, g.laplacian @ x)
-        worst = min(worst, lhs - m * _dot(d, d))
-    return CombinedConvexityReport(margin=float(worst), m=float(m), iota=float(iota), ok=worst >= -1e-9)
 
 
 def envelope_excess(t: np.ndarray, values: np.ndarray, rate: float) -> float:

@@ -1,26 +1,22 @@
-"""Private convex costs, their gradients, and curvature oracles.
+"""Private convex costs, stacked per objective, and curvature oracles.
 
 Two built-in families cover the simulation scenarios: quadratic costs, in
 shift form 0.5*(x-a)^T A (x-a) or linear form 0.5*x^T C x + a^T x, and
 quartic costs ||x-b||^4.
 
-Each cost is a ``CostFunction`` carrying scalar (f, grad) closures and its
-canonical data.  Every cost of a ``GlobalObjective`` has the same built-in
-kind (mixed kinds are rejected), and the objective stacks that data once
-into a ``QuadraticFamily`` or ``QuarticFamily``, which evaluates all
-agents' gradients and values in one array expression.  The batched values
-are bit-equal to the closures (every batched row inner product in the
-package is a ``rowdot``); the closures serve as the scalar oracles of
-finite-difference gradient checking and of the tests of the families.
+An objective is one ``GlobalObjective``: the costs of all agents stacked
+into a ``QuadraticFamily`` or ``QuarticFamily``, which evaluates every
+agent's gradient and value in one array expression, plus each agent's
+global gradient-Lipschitz modulus when the costs have one.  Every
+batched row inner product in the package is a ``rowdot``, which rounds
+like a per-agent loop.
 
-The module also provides the independent oracles the test and acceptance
-suites are built on: finite-difference gradient checking, the
-global-minimizer solve, curvature bounds on balls, and a sampled lower
-estimate of restricted strong convexity.
+The module also provides the oracles the run and its certificates are
+built on: the global-minimizer solve, curvature bounds on balls, and a
+sampled lower estimate of restricted strong convexity.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,28 +32,6 @@ def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-@dataclass
-class CostFunction:
-    """A private cost: evaluator, gradient, and curvature metadata.
-
-    ``global_lipschitz`` is the global gradient-Lipschitz modulus when one
-    exists (quartics have none and leave it ``None`` unless the caller
-    supplies an explicit override).  For quadratics ``quad_matrix``,
-    ``center`` and ``linear`` store the canonical data
-    grad(x) = quad_matrix @ (x - center) + linear.
-    """
-
-    dimension: int
-    kind: str  # "quadratic" | "quartic"
-    f: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
-    global_lipschitz: float | None = None
-    quad_matrix: np.ndarray | None = None
-    center: np.ndarray | None = None
-    linear: np.ndarray | None = None
-    quartic_center: np.ndarray | None = None
-
-
 @dataclass(frozen=True)
 class QuadraticFamily:
     """Quadratic costs of all agents, stacked: A (n, p, p), centres a and
@@ -71,12 +45,12 @@ class QuadraticFamily:
     def grad(self, x: np.ndarray) -> np.ndarray:
         """Per-agent gradients at stacked positions x (n, p), or at one
         point x (p,) shared by all agents.  Here and in ``f`` the batched
-        matmuls round like the closures' per-agent products."""
+        matmuls round like per-agent products."""
         return np.matmul(self.A, (x - self.a)[:, :, None])[:, :, 0] + self.b
 
     def f(self, x: np.ndarray) -> np.ndarray:
         """Per-agent values at positions x of shape (..., n, p) or (p,), as
-        (..., n), in the closures' evaluation order 0.5*d @ A @ d + b @ x."""
+        (..., n), in the per-agent evaluation order 0.5*d @ A @ d + b @ x."""
         d = x - self.a
         quad = np.matmul(np.matmul((0.5 * d)[..., None, :], self.A), d[..., :, None])
         return quad[..., 0, 0] + rowdot(x, self.b)
@@ -109,43 +83,28 @@ class QuarticFamily:
         return sq * sq
 
 
-def _family(costs: list[CostFunction]) -> QuadraticFamily | QuarticFamily:
-    kinds = {c.kind for c in costs}
-    if kinds == {"quadratic"}:
-        return QuadraticFamily(
-            A=np.stack([c.quad_matrix for c in costs]),
-            a=np.stack([c.center for c in costs]),
-            b=np.stack([c.linear for c in costs]),
-        )
-    if kinds == {"quartic"}:
-        return QuarticFamily(B=np.stack([c.quartic_center for c in costs]))
-    raise CostError(f"an objective needs costs of one built-in kind, quadratic or quartic; got kinds {sorted(kinds)}")
-
-
 @dataclass
 class GlobalObjective:
-    """Sum of private costs, one per agent.
+    """Sum of private costs, one per agent, as one stacked family.
 
-    ``family`` stacks the costs' data (built once here), and every
-    evaluation goes through it; the costs must share one built-in kind.
+    Every evaluation goes through ``family``.  ``global_lipschitz`` holds
+    each agent's global gradient-Lipschitz modulus (n,), or is None when
+    the costs have none (quartics without an override).
     """
 
-    costs: list[CostFunction]
-    family: QuadraticFamily | QuarticFamily = field(init=False, repr=False)
-
-    def __post_init__(self):
-        dims = {c.dimension for c in self.costs}
-        if len(dims) != 1:
-            raise CostError(f"costs disagree on dimension: {sorted(dims)}")
-        self.family = _family(self.costs)
+    family: QuadraticFamily | QuarticFamily
+    global_lipschitz: np.ndarray | None = None
 
     @property
     def n(self) -> int:
-        return len(self.costs)
+        return self._centers().shape[0]
 
     @property
     def p(self) -> int:
-        return self.costs[0].dimension
+        return self._centers().shape[1]
+
+    def _centers(self) -> np.ndarray:
+        return self.family.a if self.all_quadratic() else self.family.B
 
     def all_quadratic(self) -> bool:
         return isinstance(self.family, QuadraticFamily)
@@ -160,127 +119,64 @@ class GlobalObjective:
 
     def sum_grad(self, z: np.ndarray) -> np.ndarray:
         """Gradient of the global objective at a single point z, summed in
-        agent index order like a loop over the closures (``sum(axis=0)``
+        agent index order like a loop over the agents (``sum(axis=0)``
         switches to pairwise summation when p = 1)."""
         return np.add.accumulate(self.family.grad(z), axis=0)[-1]
 
     def sum_f(self, z: np.ndarray) -> float:
         """Value of the global objective at a single point z, summed in
-        agent index order like a loop over the closures."""
+        agent index order like a loop over the agents."""
         return float(sum(self.family.f(z).tolist()))
 
 
-def _as_matrix(M) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise CostError(f"expected a square matrix, got shape {M.shape}")
-    return M
-
-
-def _quadratic(A: np.ndarray, center: np.ndarray, linear: np.ndarray) -> CostFunction:
-    evals = np.linalg.eigvalsh(A)
-    asym = float(np.abs(A - A.T).max())
-    if asym > 1e-12 * max(1.0, float(np.abs(A).max())):
-        raise CostError(f"quadratic matrix is asymmetric (max |A - A^T| = {asym:.3e})")
-    if evals[0] < -1e-10 * max(1.0, evals[-1]):
-        raise CostError(
-            f"quadratic matrix is indefinite; eigenvalues {np.array2string(evals, precision=6)}"
-        )
-
-    def f(x, A=A, a=center, b=linear):
-        d = x - a
-        return float(0.5 * d @ A @ d + b @ x)
-
-    def grad(x, A=A, a=center, b=linear):
-        return A @ (x - a) + b
-
-    return CostFunction(
-        dimension=A.shape[0],
-        kind="quadratic",
-        f=f,
-        grad=grad,
-        global_lipschitz=float(evals[-1]),
-        quad_matrix=A,
-        center=center,
-        linear=linear,
-    )
-
-
-def quadratic_family(matrices, shifts=None, linear_terms=None) -> list[CostFunction]:
-    """Build quadratic costs, one per matrix.
+def quadratic_family(matrices, shifts=None, linear_terms=None) -> GlobalObjective:
+    """The objective of quadratic costs, one per matrix.
 
     With ``shifts``: f_i = 0.5*(x - a_i)^T A_i (x - a_i).
     With ``linear_terms``: f_i = 0.5*x^T C_i x + a_i^T x.
-    Matrices must be symmetric positive semi-definite; violations are
-    rejected with the offending eigenvalues in the message.
+    Matrices must be symmetric positive semi-definite; a violation is
+    rejected naming the first offending agent (1-based), with the
+    asymmetry or the eigenvalues in the message.  Each agent's global
+    modulus is the top eigenvalue of its matrix.
     """
     if (shifts is None) == (linear_terms is None):
         raise CostError("provide exactly one of shifts or linear_terms")
-    vecs = shifts if shifts is not None else linear_terms
-    if len(vecs) != len(matrices):
-        raise CostError(f"{len(matrices)} matrices but {len(vecs)} vectors")
-    out = []
-    for M, vec in zip(matrices, vecs):
-        A = _as_matrix(M)
-        v = np.asarray(vec, dtype=float).reshape(-1)
-        if v.shape[0] != A.shape[0]:
-            raise CostError(f"vector length {v.shape[0]} does not match matrix size {A.shape[0]}")
-        if shifts is not None:
-            out.append(_quadratic(A, center=v, linear=np.zeros_like(v)))
-        else:
-            out.append(_quadratic(A, center=np.zeros_like(v), linear=v))
-    return out
+    A = np.array(matrices, dtype=float, order="C")
+    if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        raise CostError(f"expected a stack of square matrices, got shape {A.shape}")
+    v = np.array(shifts if shifts is not None else linear_terms, dtype=float, order="C")
+    if len(v) != len(A):
+        raise CostError(f"{len(A)} matrices but {len(v)} vectors")
+    v = v.reshape(len(A), -1)
+    if v.shape[1] != A.shape[1]:
+        raise CostError(f"vector length {v.shape[1]} does not match matrix size {A.shape[1]}")
+
+    evals = np.linalg.eigvalsh(A)  # (n, p), ascending per agent
+    asym = np.abs(A - A.transpose(0, 2, 1)).max(axis=(1, 2))
+    bad = np.flatnonzero(asym > 1e-12 * np.maximum(1.0, np.abs(A).max(axis=(1, 2))))
+    if bad.size:
+        i = bad[0]
+        raise CostError(f"quadratic matrix of agent {i + 1} is asymmetric (max |A - A^T| = {asym[i]:.3e})")
+    bad = np.flatnonzero(evals[:, 0] < -1e-10 * np.maximum(1.0, evals[:, -1]))
+    if bad.size:
+        i = bad[0]
+        raise CostError(
+            f"quadratic matrix of agent {i + 1} is indefinite; "
+            f"eigenvalues {np.array2string(evals[i], precision=6)}"
+        )
+    zeros = np.zeros_like(v)
+    a, b = (v, zeros) if shifts is not None else (zeros, v)
+    return GlobalObjective(QuadraticFamily(A=A, a=a, b=b), global_lipschitz=evals[:, -1])
 
 
-def quartic_family(centers) -> list[CostFunction]:
-    """Build quartic costs f_i = ||x - b_i||^4 with grad = 4||x-b||^2 (x-b).
+def quartic_family(centers) -> GlobalObjective:
+    """The objective of quartic costs f_i = ||x - b_i||^4, grad = 4||x-b||^2 (x-b).
 
     Quartics are not globally gradient-Lipschitz, so ``global_lipschitz``
-    stays unset; event-triggered runs must supply an explicit override.
+    stays None; event-triggered runs must supply an explicit override.
     """
-    out = []
-    for b in centers:
-        b = np.asarray(b, dtype=float).reshape(-1)
-
-        def f(x, b=b):
-            d = x - b
-            sq = float(d @ d)
-            return sq * sq
-
-        def grad(x, b=b):
-            d = x - b
-            return 4.0 * float(d @ d) * d
-
-        out.append(CostFunction(dimension=b.shape[0], kind="quartic", f=f, grad=grad, quartic_center=b))
-    return out
-
-
-def central_difference(f, x: np.ndarray, h: float) -> np.ndarray:
-    """Central finite-difference gradient of f at x with step h."""
-    g = np.zeros_like(x, dtype=float)
-    for k in range(x.shape[0]):
-        e = np.zeros_like(g)
-        e[k] = h
-        g[k] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return g
-
-
-def gradient_check(cost: CostFunction, samples) -> float:
-    """Max relative error between the analytic gradient and central differences.
-
-    The error at a sample is ||grad(x) - centraldiff(f, x, 1e-6)|| divided
-    by max(1, ||grad(x)||).
-    """
-    worst = 0.0
-    for x in samples:
-        x = np.asarray(x, dtype=float)
-        g = cost.grad(x)
-        fd = central_difference(cost.f, x, 1e-6)
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(fd))):
-            raise CostError(f"non-finite evaluation at sample {x.tolist()}")
-        err = float(np.linalg.norm(g - fd)) / max(1.0, float(np.linalg.norm(g)))
-        worst = max(worst, err)
-    return worst
+    B = np.array(centers, dtype=float, order="C")
+    return GlobalObjective(QuarticFamily(B=B.reshape(B.shape[0], -1)))
 
 
 @dataclass
@@ -364,22 +260,22 @@ def minimizer_oracle(obj: GlobalObjective) -> MinimizerResult:
     return MinimizerResult(x=x, residual=res, unique=True, method="descent")
 
 
-def curvature_on_set(cost: CostFunction, radius: float, center: np.ndarray) -> float:
-    """Gradient-Lipschitz bound for one cost over the ball B(center, radius).
+def curvature_on_set(obj: GlobalObjective, radius: float, center: np.ndarray) -> float:
+    """Gradient-Lipschitz bound over the ball B(center, radius), the
+    maximum over the agents' costs.
 
-    Quadratics are curvature-constant, so the bound is the top eigenvalue
-    regardless of the ball.  For quartics the Hessian 4||z||^2 I + 8 z z^T
+    Quadratics are curvature-constant, so the bound is the largest top
+    eigenvalue of the matrices regardless of the ball (not an override of
+    ``global_lipschitz``).  For a quartic the Hessian 4||z||^2 I + 8 z z^T
     has norm 12||z||^2, maximized on the ball boundary.
     """
     if radius < 0:
         raise CostError("radius must be nonnegative")
-    center = np.asarray(center, dtype=float)
-    if cost.kind == "quadratic":
-        return float(np.linalg.eigvalsh(cost.quad_matrix)[-1])
-    if cost.kind == "quartic":
-        reach = radius + float(np.linalg.norm(center - cost.quartic_center))
-        return 12.0 * reach**2
-    raise CostError(f"no curvature bound for cost kind {cost.kind!r}")
+    if obj.all_quadratic():
+        return float(np.linalg.eigvalsh(obj.family.A)[:, -1].max())
+    d = np.asarray(center, dtype=float) - obj.family.B
+    reach = radius + np.sqrt(rowdot(d, d))
+    return float((12.0 * reach**2).max())
 
 
 @dataclass

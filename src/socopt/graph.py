@@ -30,7 +30,7 @@ class NetworkGraph:
         L = Deg - A; rows sum to zero, and L_ii is the weighted degree.
     src, dst : ndarray of int, shape (2|E|,)
         Directed edges src -> dst (both ways), ``np.nonzero(A > 0)``: sorted
-        by ``src``, and the edges leaving i list ``neighbors(i)`` in order.
+        by ``src``, and the edges leaving i list i's neighbours ascending.
     w : ndarray, shape (2|E|,)
         Edge weights A[src, dst] = -L[src, dst].
     """
@@ -40,10 +40,6 @@ class NetworkGraph:
     src: np.ndarray
     dst: np.ndarray
     w: np.ndarray
-
-    def neighbors(self, i: int) -> list[int]:
-        """Indices j with a positive edge weight to vertex i, ascending."""
-        return self.dst[self.src == i].tolist()
 
 
 @dataclass(frozen=True)

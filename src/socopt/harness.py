@@ -20,6 +20,7 @@ import numpy as np
 
 from . import analysis, presets
 from .costs import (
+    CostError,
     GlobalObjective,
     MinimizerResult,
     estimate_mf,
@@ -164,16 +165,18 @@ def _build_costs(cost_cfg: dict, n: int) -> GlobalObjective:
         p = 1
     vecs = _finite_array(cost_cfg[vec_key], f"costs.{vec_key}", ((n, p),), f"an array of shape ({n}, p)")
     if kind == "quartic":
-        costs = quartic_family(vecs)
+        obj = quartic_family(vecs)
     else:
         mats = _finite_array(cost_cfg["matrices"], "costs.matrices", ((n, p, p),), f"an array of shape ({n}, {p}, {p})")
-        costs = quadratic_family(mats, **{vec_key: vecs})
+        try:
+            obj = quadratic_family(mats, **{vec_key: vecs})
+        except CostError as exc:  # an asymmetric or indefinite matrix, agent named
+            raise ConfigError(f"costs.matrices: {exc}") from None
     if "lipschitz_override" in cost_cfg:
         mbar = _finite(cost_cfg["lipschitz_override"], "costs.lipschitz_override")
         _require(mbar > 0, f"costs.lipschitz_override must be positive, got {mbar}")
-        for c in costs:
-            c.global_lipschitz = mbar
-    return GlobalObjective(costs=costs)
+        obj.global_lipschitz = np.full(n, mbar)
+    return obj
 
 
 def scenario_from_dict(cfg: dict) -> Scenario:
@@ -298,12 +301,11 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     )
     trigger = None
     if algorithm == "event":
-        missing = [i + 1 for i, c in enumerate(obj.costs) if c.global_lipschitz is None]
         _require(
-            not missing,
+            obj.global_lipschitz is not None,
             "global gradient-Lipschitz hypothesis violated: event mode requires a "
-            f"global modulus for every agent, missing for agent(s) {missing}; quartic "
-            "costs need an explicit lipschitz_override",
+            "global modulus for every agent, and quartic costs have none; set an "
+            "explicit costs.lipschitz_override",
         )
         base = TriggerParams.local_only(g.n) if preset == "local-only" else TriggerParams.defaults(g.n)
         trigger = replace(base, **overrides)

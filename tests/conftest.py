@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from socopt.costs import GlobalObjective, quadratic_family, quartic_family
+from socopt.costs import quadratic_family, quartic_family
 from socopt.dynamics import GainParams
 from socopt.graph import build_graph
 from socopt.harness import load_preset, run
@@ -21,17 +21,17 @@ def path3():
 
 @pytest.fixture(scope="session")
 def obj1():
-    return GlobalObjective(quadratic_family(SCENARIO1_A, shifts=SCENARIO1_SHIFTS))
+    return quadratic_family(SCENARIO1_A, shifts=SCENARIO1_SHIFTS)
 
 
 @pytest.fixture(scope="session")
 def obj2():
-    return GlobalObjective(quartic_family(SCENARIO2_CENTERS))
+    return quartic_family(SCENARIO2_CENTERS)
 
 
 @pytest.fixture(scope="session")
 def obj3():
-    return GlobalObjective(quadratic_family(SCENARIO3_C, linear_terms=SCENARIO3_LINEAR))
+    return quadratic_family(SCENARIO3_C, linear_terms=SCENARIO3_LINEAR)
 
 
 @pytest.fixture(scope="session")

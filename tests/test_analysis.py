@@ -4,7 +4,6 @@ import pytest
 from socopt.analysis import (
     ConstantsError,
     LyapunovContext,
-    check_combined_convexity,
     certificate_continuous,
     certificate_event,
     envelope_excess,
@@ -16,6 +15,8 @@ from socopt.costs import estimate_mf, minimizer_oracle
 from socopt.dynamics import SwarmState, Trajectory, equilibrium_residual
 from socopt.events import TriggerParams, default_eps0
 from socopt.graph import spectral
+
+from oracle import check_combined_convexity, per_agent_costs
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +75,7 @@ def test_continuous_certificate_positivity(obj3, gains_theta35, setup3):
     assert consts.D_radius > 0
     assert consts.rate_bound_continuous == pytest.approx(consts.eps3 / (2 * consts.eps4))
     # quadratics: curvature bound on any ball is the top eigenvalue
-    assert consts.M_D == pytest.approx(max(c.global_lipschitz for c in obj3.costs))
+    assert consts.M_D == pytest.approx(max(c.global_lipschitz for c in per_agent_costs(obj3)))
 
 
 def test_certificate_default_design_parameter(path3, obj3, gains_theta5):
@@ -109,7 +110,7 @@ def test_event_certificate(obj3, gains_theta35, setup3):
     assert consts.eps8 < 0.1 / 4.0
     assert consts.k_d == pytest.approx(params.k_d)
     assert consts.rate_bound_event == pytest.approx(consts.eps9 / (2 * consts.eps10))
-    assert consts.Mbar == pytest.approx(max(c.global_lipschitz for c in obj3.costs))
+    assert consts.Mbar == pytest.approx(max(c.global_lipschitz for c in per_agent_costs(obj3)))
 
 
 def test_event_certificate_rejects_kd_nonpositive(obj3, gains_theta35, setup3):
@@ -209,7 +210,7 @@ def test_fit_rate_truncates_noise_floor():
 
 def test_combined_convexity_zero_at_consensus_optimum(path3, obj3, gains_theta35, setup3):
     sd, mini, mf, _, eps0 = setup3
-    Mbar = max(c.global_lipschitz for c in obj3.costs)
+    Mbar = obj3.global_lipschitz.max()
     xbar = np.tile(mini.x, (3, 1))
     rep = check_combined_convexity(obj3, mini.x, path3, sd, 1.0, [xbar], mf.value, Mbar)
     assert rep.margin == pytest.approx(0.0, abs=1e-10)
@@ -217,7 +218,7 @@ def test_combined_convexity_zero_at_consensus_optimum(path3, obj3, gains_theta35
 
 def test_combined_convexity_sampled_margin(path3, obj3, gains_theta35, setup3):
     sd, mini, mf, _, eps0 = setup3
-    Mbar = max(c.global_lipschitz for c in obj3.costs)
+    Mbar = obj3.global_lipschitz.max()
     gains = gains_theta35
     r = (gains.alpha * gains.gamma * eps0 - gains.theta) * gains.beta / (8.0 * gains.alpha)
     rng = np.random.default_rng(3)

@@ -6,15 +6,12 @@ from hypothesis import strategies as st
 from socopt.analysis import LyapunovContext, equilibrium_point
 from socopt.costs import (
     CostError,
-    CostFunction,
-    GlobalObjective,
-    central_difference,
     curvature_on_set,
     estimate_mf,
-    gradient_check,
     minimizer_oracle,
     quadratic_family,
     quartic_family,
+    rowdot,
 )
 from socopt.graph import spectral
 from socopt.presets import (
@@ -26,83 +23,84 @@ from socopt.presets import (
 )
 
 from conftest import random_connected_graph
+from oracle import central_difference, curvature_bound, gradient_check, per_agent_costs, quadratic_cost, quartic_cost
 
 
 def test_quadratic_gradient_vanishes_at_shift(obj1):
-    for cost, a in zip(obj1.costs, SCENARIO1_SHIFTS):
-        np.testing.assert_allclose(cost.grad(np.asarray(a)), 0.0, atol=1e-14)
+    grads = obj1.grad_stack(np.asarray(SCENARIO1_SHIFTS, dtype=float))
+    np.testing.assert_allclose(grads, 0.0, atol=1e-14)
 
 
 def test_identity_quadratic():
-    (cost,) = quadratic_family([np.eye(3)], shifts=[np.zeros(3)])
+    obj = quadratic_family([np.eye(3)], shifts=[np.zeros(3)])
     x = np.ones(3)
-    assert cost.f(x) == pytest.approx(1.5)
-    np.testing.assert_allclose(cost.grad(x), [1.0, 1.0, 1.0])
+    assert obj.f_stack(x[None]) == pytest.approx([1.5])
+    np.testing.assert_allclose(obj.grad_stack(x[None]), [[1.0, 1.0, 1.0]])
 
 
 def test_lipschitz_is_top_eigenvalue(obj1):
     a2 = np.asarray(SCENARIO1_A[1])
-    assert obj1.costs[1].global_lipschitz == pytest.approx(np.linalg.eigvalsh(a2)[-1])
+    assert obj1.global_lipschitz[1] == pytest.approx(np.linalg.eigvalsh(a2)[-1])
 
 
 def test_asymmetric_matrix_rejected():
-    with pytest.raises(CostError, match="asymmetric"):
-        quadratic_family([[[1.0, 0.5], [0.0, 1.0]]], shifts=[[0.0, 0.0]])
+    with pytest.raises(CostError, match=r"matrix of agent 2 is asymmetric \(max \|A - A\^T\| = 5.000e-01\)"):
+        quadratic_family([np.eye(2), [[1.0, 0.5], [0.0, 1.0]]], shifts=[[0.0, 0.0]] * 2)
 
 
 def test_indefinite_matrix_rejected_with_eigenvalues():
-    with pytest.raises(CostError, match="indefinite.*-1"):
+    with pytest.raises(CostError, match="matrix of agent 1 is indefinite.*-1"):
         quadratic_family([[[1.0, 0.0], [0.0, -1.0]]], shifts=[[0.0, 0.0]])
 
 
 def test_quartic_gradient_at_center(obj2):
-    for cost, b in zip(obj2.costs, SCENARIO2_CENTERS):
-        np.testing.assert_allclose(cost.grad(np.asarray(b)), 0.0, atol=1e-14)
+    grads = obj2.grad_stack(np.asarray(SCENARIO2_CENTERS, dtype=float))
+    np.testing.assert_allclose(grads, 0.0, atol=1e-14)
 
 
 def test_quartic_gradient_unit_offset(obj2):
-    cost = obj2.costs[0]
-    b = cost.quartic_center
+    b = obj2.family.B[0]
     x = b + np.array([1.0, 0.0, 0.0])
-    np.testing.assert_allclose(cost.grad(x), [4.0, 0.0, 0.0], atol=1e-14)
-    fd = central_difference(cost.f, x, 1e-6)
-    np.testing.assert_allclose(cost.grad(x), fd, atol=1e-5)
+    g = obj2.grad_stack(x)[0]
+    np.testing.assert_allclose(g, [4.0, 0.0, 0.0], atol=1e-14)
+    fd = central_difference(obj2.f_stack, x, 1e-6)[0]
+    np.testing.assert_allclose(g, fd, atol=1e-5)
 
 
 def test_quartic_centers_stored_verbatim(obj2):
-    np.testing.assert_array_equal(obj2.costs[1].quartic_center, [2.5, 2.0, 3.0])
+    np.testing.assert_array_equal(obj2.family.B[1], [2.5, 2.0, 3.0])
 
 
 def test_quartic_not_globally_lipschitz(obj2):
-    assert all(c.global_lipschitz is None for c in obj2.costs)
+    assert obj2.global_lipschitz is None
 
 
 def test_gradient_check_quadratics(obj1, obj3):
     rng = np.random.default_rng(42)
     samples = rng.uniform(-5.0, 5.0, (100, 3))
-    for cost in (*obj1.costs, *obj3.costs):
-        assert gradient_check(cost, samples) <= 1e-6
+    for obj in (obj1, obj3):
+        assert gradient_check(obj, samples) <= 1e-6
 
 
 def test_gradient_check_quartics(obj2):
     rng = np.random.default_rng(43)
     samples = rng.uniform(-5.0, 5.0, (100, 3))
-    for cost in obj2.costs:
-        assert gradient_check(cost, samples) <= 1e-5
+    assert gradient_check(obj2, samples) <= 1e-5
 
 
 def test_gradient_check_constant_cost():
     # the zero quadratic: f and its gradient are exactly 0 everywhere
-    (cost,) = quadratic_family([np.zeros((2, 2))], shifts=[np.zeros(2)])
+    obj = quadratic_family([np.zeros((2, 2))], shifts=[np.zeros(2)])
     rng = np.random.default_rng(44)
-    assert gradient_check(cost, rng.uniform(-5, 5, (20, 2))) == 0.0
+    assert gradient_check(obj, rng.uniform(-5, 5, (20, 2))) == 0.0
 
 
 def test_gradient_check_nonfinite_named():
     # ||x||^4 overflows at 1e100, so the central difference is inf - inf
-    (cost,) = quartic_family([[0.0]])
-    with pytest.raises(CostError, match=r"non-finite evaluation at sample \[1e\+100\]"):
-        gradient_check(cost, [np.array([1e100])])
+    obj = quartic_family([[0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(CostError, match=r"non-finite evaluation at sample \[1e\+100\]"):
+            gradient_check(obj, [np.array([1e100])])
 
 
 def test_minimizer_linear_solve_matches_dense_oracle(obj3):
@@ -115,7 +113,7 @@ def test_minimizer_linear_solve_matches_dense_oracle(obj3):
 
 
 def test_minimizer_single_agent_center():
-    obj = GlobalObjective(quadratic_family([np.eye(2)], shifts=[[3.0, -1.0]]))
+    obj = quadratic_family([np.eye(2)], shifts=[[3.0, -1.0]])
     res = minimizer_oracle(obj)
     np.testing.assert_allclose(res.x, [3.0, -1.0], atol=1e-12)
 
@@ -137,21 +135,38 @@ def test_minimizer_singular_flagged(obj1):
 
 
 def test_curvature_quadratic_radius_independent(obj3):
-    c = obj3.costs[0]
-    top = np.linalg.eigvalsh(np.asarray(SCENARIO3_C[0]))[-1]
-    assert curvature_on_set(c, 1.0, np.zeros(3)) == pytest.approx(top)
-    assert curvature_on_set(c, 100.0, np.ones(3)) == pytest.approx(top)
+    top = max(np.linalg.eigvalsh(np.asarray(C))[-1] for C in SCENARIO3_C)
+    assert curvature_on_set(obj3, 1.0, np.zeros(3)) == pytest.approx(top)
+    assert curvature_on_set(obj3, 100.0, np.ones(3)) == pytest.approx(top)
 
 
-def test_curvature_quartic_unit_ball(obj2):
-    c = obj2.costs[0]
-    assert curvature_on_set(c, 1.0, c.quartic_center) == pytest.approx(12.0)
+def test_curvature_quadratic_ignores_override(obj3):
+    # M(D) is the matrices' curvature; an override replaces only the global moduli
+    obj = quadratic_family(SCENARIO3_C, linear_terms=SCENARIO3_LINEAR)
+    obj.global_lipschitz = np.full(3, 400.0)
+    assert curvature_on_set(obj, 1.0, np.zeros(3)) == curvature_on_set(obj3, 1.0, np.zeros(3))
 
 
-def test_curvature_quartic_degenerate_ball(obj2):
-    c = obj2.costs[1]
-    center = c.quartic_center + np.array([2.0, 0.0, 0.0])
-    assert curvature_on_set(c, 0.0, center) == pytest.approx(12.0 * 4.0)
+def test_curvature_quartic_unit_ball():
+    c = np.asarray(SCENARIO2_CENTERS[0], dtype=float)
+    assert curvature_on_set(quartic_family([c]), 1.0, c) == pytest.approx(12.0)
+
+
+def test_curvature_quartic_degenerate_ball():
+    c = np.asarray(SCENARIO2_CENTERS[1], dtype=float)
+    center = c + np.array([2.0, 0.0, 0.0])
+    assert curvature_on_set(quartic_family([c]), 0.0, center) == pytest.approx(12.0 * 4.0)
+
+
+def test_curvature_quartic_is_max_over_agents(obj2):
+    center = np.zeros(3)
+    far = max(np.linalg.norm(np.asarray(b, dtype=float)) for b in SCENARIO2_CENTERS)
+    assert curvature_on_set(obj2, 0.5, center) == pytest.approx(12.0 * (0.5 + far) ** 2)
+
+
+def test_curvature_negative_radius_rejected(obj2):
+    with pytest.raises(CostError, match="radius"):
+        curvature_on_set(obj2, -1.0, np.zeros(3))
 
 
 def test_estimate_mf_exact_singular(obj1):
@@ -163,7 +178,7 @@ def test_estimate_mf_exact_singular(obj1):
 
 
 def test_estimate_mf_identity():
-    obj = GlobalObjective(quadratic_family([np.eye(3)], shifts=[np.zeros(3)]))
+    obj = quadratic_family([np.eye(3)], shifts=[np.zeros(3)])
     est = estimate_mf(obj, np.zeros(3))
     assert est.exact and est.satisfied
     assert est.value == pytest.approx(1.0)
@@ -173,45 +188,44 @@ def test_estimate_mf_identity():
 @given(seed=st.integers(0, 10**6))
 def test_convexity_inequality_sampled(seed, obj1, obj2, obj3):
     rng = np.random.default_rng(seed)
-    for cost in (*obj1.costs, *obj2.costs, *obj3.costs):
-        x = rng.uniform(-10.0, 10.0, 3)
-        z = rng.uniform(-10.0, 10.0, 3)
-        assert float((cost.grad(x) - cost.grad(z)) @ (x - z)) >= -1e-12
+    for obj in (obj1, obj2, obj3):
+        x = rng.uniform(-10.0, 10.0, (3, 3))
+        z = rng.uniform(-10.0, 10.0, (3, 3))
+        assert np.all(rowdot(obj.grad_stack(x) - obj.grad_stack(z), x - z) >= -1e-12)
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_quadratic_lipschitz_sampled(seed, obj3):
     rng = np.random.default_rng(seed)
-    for cost in obj3.costs:
-        x = rng.uniform(-10.0, 10.0, 3)
-        z = rng.uniform(-10.0, 10.0, 3)
-        lhs = np.linalg.norm(cost.grad(x) - cost.grad(z))
-        assert lhs <= cost.global_lipschitz * np.linalg.norm(x - z) + 1e-10
+    x = rng.uniform(-10.0, 10.0, (3, 3))
+    z = rng.uniform(-10.0, 10.0, (3, 3))
+    lhs = np.linalg.norm(obj3.grad_stack(x) - obj3.grad_stack(z), axis=1)
+    assert np.all(lhs <= obj3.global_lipschitz * np.linalg.norm(x - z, axis=1) + 1e-10)
 
 
-# -- batched cost families against the per-agent closures ---------------------
+# -- batched cost families against the per-agent closures of the oracle -------
 
 FAMILY_KINDS = ("quadratic_shift", "quadratic_linear", "quartic")
 
 
 def _random_objective(rng, kind, n, p):
     if kind == "quartic":
-        return GlobalObjective(quartic_family(rng.uniform(-3.0, 3.0, (n, p))))
+        return quartic_family(rng.uniform(-3.0, 3.0, (n, p)))
     mats = []
     for _ in range(n):
         q = rng.standard_normal((p, p))
         mats.append(q @ q.T / p + rng.uniform(0.0, 1.0) * np.eye(p))
     vecs = rng.uniform(-3.0, 3.0, (n, p))
     if kind == "quadratic_shift":
-        return GlobalObjective(quadratic_family(mats, shifts=vecs))
-    return GlobalObjective(quadratic_family(mats, linear_terms=vecs))
+        return quadratic_family(mats, shifts=vecs)
+    return quadratic_family(mats, linear_terms=vecs)
 
 
 def _closure_sum_grad(obj, z):
     """Scalar reference: the global gradient summed closure by closure."""
     total = np.zeros(obj.p)
-    for c in obj.costs:
+    for c in per_agent_costs(obj):
         total = total + c.grad(z)
     return total
 
@@ -220,7 +234,7 @@ def _closure_w1(obj, xstar, x):
     """Scalar reference for W1 over samples x (m, n, p): one closure call
     per agent and sample."""
     total = np.zeros(x.shape[0])
-    for i, c in enumerate(obj.costs):
+    for i, c in enumerate(per_agent_costs(obj)):
         gi = c.grad(xstar)
         at_star = c.f(xstar) - float(gi @ xstar)
         f_vals = np.array([c.f(xi) for xi in x[:, i]])
@@ -241,36 +255,24 @@ def test_family_matches_closure_loop(seed, kind, n, p, gains_theta35):
     assert obj.all_quadratic() == (kind != "quartic")
     scale = 10.0 ** rng.uniform(-3.0, 2.0)
     x = rng.uniform(-1.0, 1.0, (n, p)) * scale
+    costs = per_agent_costs(obj)
     grads = obj.grad_stack(x)
-    for i, c in enumerate(obj.costs):
+    for i, c in enumerate(costs):
         assert np.all(grads[i] == c.grad(x[i]))
     z = rng.uniform(-1.0, 1.0, p) * scale
     assert np.all(obj.sum_grad(z) == _closure_sum_grad(obj, z))
     samples = rng.uniform(-1.0, 1.0, (7, n, p)) * scale
-    ref_f = [[c.f(xs[i]) for i, c in enumerate(obj.costs)] for xs in samples]
+    ref_f = [[c.f(xs[i]) for i, c in enumerate(costs)] for xs in samples]
     assert np.all(obj.f_stack(samples) == np.array(ref_f))
 
     xstar = rng.uniform(-1.0, 1.0, p)
     eq = equilibrium_point(obj, gains_theta35, xstar)
     gain = -(gains_theta35.alpha / gains_theta35.theta)
-    assert all(np.all(eq.vbar[i] == gain * c.grad(xstar)) for i, c in enumerate(obj.costs))
+    assert all(np.all(eq.vbar[i] == gain * c.grad(xstar)) for i, c in enumerate(costs))
     if n > 1:
         g = random_connected_graph(rng, n)
         ctx = LyapunovContext(g=g, sd=spectral(g), obj=obj, gains=gains_theta35, eps0=0.8, eps=0.1, eq=eq)
         assert ctx._w1(samples) == pytest.approx(_closure_w1(obj, xstar, samples), rel=1e-12, abs=0.0)
-
-
-def test_mixed_and_custom_objectives_rejected():
-    # an objective is one stacked family: mixed or unknown kinds are refused
-    quad = quadratic_family([np.eye(2), 2.0 * np.eye(2)], shifts=[[1.0, 2.0], [0.0, -1.0]])
-    quart = quartic_family([[0.5, 1.0]])
-    with pytest.raises(CostError, match=r"one built-in kind.*\['quadratic', 'quartic'\]"):
-        GlobalObjective([*quad, *quart])
-    custom = CostFunction(dimension=2, kind="custom", f=lambda x: float(x @ x), grad=lambda x: 2.0 * x)
-    with pytest.raises(CostError, match=r"one built-in kind.*\['custom'\]"):
-        GlobalObjective([custom, custom])
-    with pytest.raises(CostError, match="'custom'"):
-        curvature_on_set(custom, 1.0, np.zeros(2))
 
 
 def _loop_mf(obj, xstar, samples):
@@ -300,7 +302,7 @@ def test_estimate_mf_batch_matches_sample_loop_fixed(obj2):
     # scenario2 as the harness samples it, and 12 agents in one dimension,
     # where a pairwise sum over agents would round differently
     rng = np.random.default_rng(7)
-    line = GlobalObjective(quartic_family(rng.uniform(-3.0, 3.0, (12, 1))))
+    line = quartic_family(rng.uniform(-3.0, 3.0, (12, 1)))
     for obj, xstar in ((obj2, minimizer_oracle(obj2).x), (line, np.array([0.5]))):
         for seed in range(50):
             samples = np.random.default_rng(seed).uniform(-10.0, 10.0, (200, obj.p))
@@ -320,7 +322,53 @@ def test_summed_system_matches_per_cost_sums(seed, n, p):
         quadratic_family(SCENARIO1_A, shifts=SCENARIO1_SHIFTS),
         quadratic_family(SCENARIO3_C, linear_terms=SCENARIO3_LINEAR),
     ]
-    for obj in map(GlobalObjective, families):
+    for obj in families:
+        costs = per_agent_costs(obj)
         S, r = obj.family.summed_system()
-        assert np.array_equal(S, sum(c.quad_matrix for c in obj.costs))
-        assert np.array_equal(r, sum(c.quad_matrix @ c.center - c.linear for c in obj.costs))
+        assert np.array_equal(S, sum(c.quad_matrix for c in costs))
+        assert np.array_equal(r, sum(c.quad_matrix @ c.center - c.linear for c in costs))
+
+
+# -- the batched construction against each agent's own computation ------------
+
+
+def _psd_stack(rng, n, p):
+    """n random PSD matrices, some singular, as separate arrays."""
+    mats = []
+    for _ in range(n):
+        q = rng.standard_normal((p, int(rng.integers(1, p + 1))))
+        mats.append(q @ q.T * 10.0 ** rng.uniform(-2.0, 2.0))
+    return mats
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 20), p=st.sampled_from([1, 2, 3, 5]))
+def test_batched_moduli_and_curvature_match_per_agent(seed, n, p):
+    rng = np.random.default_rng(seed)
+    mats = _psd_stack(rng, n, p)
+    vecs = rng.uniform(-3.0, 3.0, (n, p))
+    obj = quadratic_family(mats, linear_terms=vecs)
+    refs = [quadratic_cost(np.array(A), np.zeros(p), v) for A, v in zip(mats, vecs)]
+    assert obj.global_lipschitz.tolist() == [np.linalg.eigvalsh(A)[-1] for A in mats]
+    assert obj.global_lipschitz.tolist() == [c.global_lipschitz for c in refs]
+    centers = rng.uniform(-3.0, 3.0, (n, p))
+    quart = quartic_family(centers)
+    quart_refs = [quartic_cost(b) for b in centers]
+    for radius in (0.0, 3.5, 211.0, float(rng.uniform(0.0, 50.0))):
+        ball = rng.uniform(-5.0, 5.0, p)
+        assert curvature_on_set(obj, radius, ball) == max(curvature_bound(c, radius, ball) for c in refs)
+        assert curvature_on_set(quart, radius, ball) == max(curvature_bound(c, radius, ball) for c in quart_refs)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5])
+def test_batched_rejection_names_first_offending_agent(p):
+    rng = np.random.default_rng(p)
+    mats = _psd_stack(rng, 6, p)
+    mats[3] = mats[3] - (np.linalg.eigvalsh(mats[3])[-1] + 1.0) * np.eye(p)
+    mats[4] = -np.eye(p)
+    with pytest.raises(CostError, match="agent 4 is indefinite"):
+        quadratic_family(mats, shifts=np.zeros((6, p)))
+    if p > 1:
+        mats[2] = mats[2] + np.triu(np.ones((p, p)), 1)
+        with pytest.raises(CostError, match="agent 3 is asymmetric"):
+            quadratic_family(mats, shifts=np.zeros((6, p)))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socopt import dynamics
-from socopt.costs import GlobalObjective, quadratic_family
+from socopt.costs import quadratic_family
 from socopt.dynamics import (
     AFFINE_MAX_SIZE,
     DivergenceError,
@@ -30,12 +30,13 @@ from socopt.harness import load_preset, make_initial, run, scenario_from_dict
 from socopt.presets import preset_config
 
 from conftest import heavy_ball_closed_form, random_connected_graph
+from oracle import per_agent_costs
 from test_golden import ring30_event_scenario
 
 
 def _zero_objective(n, p):
     """n zero quadratics in dimension p: every gradient is exactly 0."""
-    return GlobalObjective(quadratic_family(np.zeros((n, p, p)), shifts=np.zeros((n, p))))
+    return quadratic_family(np.zeros((n, p, p)), shifts=np.zeros((n, p)))
 
 
 def _state(rng, n, p, zero_v_sum=True):
@@ -54,7 +55,7 @@ def test_gain_gate():
 
 def test_single_agent_reduces_to_heavy_ball():
     g = build_graph([], n=1)
-    obj = GlobalObjective(quadratic_family([np.eye(2)], shifts=[np.zeros(2)]))
+    obj = quadratic_family([np.eye(2)], shifts=[np.zeros(2)])
     gains = GainParams(alpha=2.0, beta=2.0, gamma=6.0, theta=5.0)
     state = SwarmState(0.0, [[1.0, -2.0]], [[0.5, 0.0]], [[0.0, 0.0]])
     _, dy, dv = rhs_continuous(state, g, obj, gains).reshape(3, 1, 2)
@@ -72,7 +73,7 @@ def test_consensus_state_rhs(path3, obj3, gains_theta35):
 
 
 def test_dv_hand_product(path3, gains_theta35):
-    obj = GlobalObjective(quadratic_family([np.eye(1)] * 3, shifts=[[0.0]] * 3))
+    obj = quadratic_family([np.eye(1)] * 3, shifts=[[0.0]] * 3)
     state = SwarmState(0.0, [[0.0], [1.0], [2.0]], np.zeros((3, 1)), np.zeros((3, 1)))
     dv = rhs_continuous(state, path3, obj, gains_theta35).reshape(3, 3, 1)[2]
     np.testing.assert_allclose(dv, [[-2.0], [0.0], [2.0]])
@@ -129,7 +130,7 @@ def test_equilibrium_residual_values(path3, obj3, gains_theta35, run3):
     _, rep3 = run3
     xstar = rep3.minimizer.x
     xbar = np.tile(xstar, (3, 1))
-    vbar = np.stack([-(gains_theta35.alpha / gains_theta35.theta) * c.grad(xstar) for c in obj3.costs])
+    vbar = np.stack([-(gains_theta35.alpha / gains_theta35.theta) * c.grad(xstar) for c in per_agent_costs(obj3)])
     at_eq = SwarmState(0.0, xbar, np.zeros((3, 3)), vbar)
     res = equilibrium_residual(at_eq, path3, obj3, gains_theta35)
     assert max(res) <= 1e-12
@@ -319,7 +320,7 @@ def test_rk4_step_matches_block_reference(seed, n, p, gains_theta35):
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, n)
     mats = [q @ q.T / p + 0.5 * np.eye(p) for q in rng.standard_normal((n, p, p))]
-    obj = GlobalObjective(quadratic_family(mats, linear_terms=rng.uniform(-2.0, 2.0, (n, p))))
+    obj = quadratic_family(mats, linear_terms=rng.uniform(-2.0, 2.0, (n, p)))
     gains = gains_theta35
     x, y, v, xhat = rng.uniform(-5.0, 5.0, (4, n, p))
     chi, bracket = rng.uniform(0.1, 2.0, n), rng.uniform(-1.0, 1.0, n)

@@ -68,7 +68,7 @@ def test_preset_graph_and_gains():
     sc3 = load_preset("cdc18-scenario3")
     assert sc3.gains.theta == 3.5
     sc2 = load_preset("cdc18-scenario2")
-    assert all(c.kind == "quartic" for c in sc2.obj.costs)
+    assert not sc2.obj.all_quadratic()
     assert "heavy-ball" in preset_names()
 
 
@@ -93,7 +93,7 @@ def test_gate_event_mode_quartic_needs_override():
         scenario_from_dict(cfg)
     cfg["costs"]["lipschitz_override"] = 400.0
     sc = scenario_from_dict(cfg)  # accepted with an explicit modulus
-    assert all(c.global_lipschitz == 400.0 for c in sc.obj.costs)
+    assert sc.obj.global_lipschitz.tolist() == [400.0] * 3
 
 
 def test_gate_event_mode_singular_quadratic_rejected():
@@ -295,6 +295,32 @@ def test_bad_config_rejected_at_load(case, tmp_path, capsys):
     path.write_text(json.dumps(cfg))  # NaN and Infinity as JSON literals
     assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 2
     assert named in capsys.readouterr().err
+
+
+def _indefinite_matrix_2(cfg):
+    cfg["costs"]["matrices"][1] = np.diag([-1.0, 1.0, 1.0]).tolist()
+
+
+def _asymmetric_matrix_3(cfg):
+    cfg["costs"]["matrices"][2][0][1] += 0.5
+
+
+@pytest.mark.parametrize(
+    "mutate,named",
+    [
+        (_indefinite_matrix_2, "costs.matrices: quadratic matrix of agent 2 is indefinite; eigenvalues [-1.  1.  1.]"),
+        (_asymmetric_matrix_3, "costs.matrices: quadratic matrix of agent 3 is asymmetric (max |A - A^T| = 5.000e-01)"),
+    ],
+)
+def test_cost_matrix_rejection_names_field_and_agent(mutate, named, tmp_path, capsys):
+    cfg = preset_config("cdc18-scenario3")
+    mutate(cfg)
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        scenario_from_dict(cfg)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert f"error: {named}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
