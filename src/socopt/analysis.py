@@ -33,6 +33,15 @@ def _validate_design(gains: GainParams, eps0: float, eps: float):
         raise ConstantsError(f"eps must be positive, got {eps}")
 
 
+def _validate_certificate(sd: SpectralData, gains: GainParams, eps0: float, eps: float, mf: float):
+    """The design range, a positive Laplacian eigenvalue and a positive m_f."""
+    _validate_design(gains, eps0, eps)
+    if sd.rho2 is None:
+        raise ConstantsError("certificate needs at least two agents (no positive Laplacian eigenvalue)")
+    if mf <= 0:
+        raise ConstantsError(f"restricted strong convexity modulus must be positive, got {mf}")
+
+
 def _symbol(formula: str, default=None):
     """A certificate field carrying the formula ``to_report`` writes beside
     it; ``default=MISSING`` makes the field required."""
@@ -219,11 +228,7 @@ def certificate_continuous(
     curvature bound M(D) is evaluated on exactly that ball.  For
     quadratics M is radius-independent and the pass structure collapses.
     """
-    _validate_design(gains, eps0, eps)
-    if sd.rho2 is None:
-        raise ConstantsError("certificate needs at least two agents (no positive Laplacian eigenvalue)")
-    if mf <= 0:
-        raise ConstantsError(f"restricted strong convexity modulus must be positive, got {mf}")
+    _validate_certificate(sd, gains, eps0, eps, mf)
     if V1_at_0 < 0:
         raise ConstantsError(f"V1(0) must be nonnegative, got {V1_at_0}")
     a, b, gm, th = gains.alpha, gains.beta, gains.gamma, gains.theta
@@ -278,11 +283,7 @@ def certificate_event(
     Requires a global gradient-Lipschitz modulus for every agent and
     trigger parameters with k_d > 0; Mbar is their maximum.
     """
-    _validate_design(gains, eps0, eps)
-    if sd.rho2 is None:
-        raise ConstantsError("certificate needs at least two agents (no positive Laplacian eigenvalue)")
-    if mf <= 0:
-        raise ConstantsError(f"restricted strong convexity modulus must be positive, got {mf}")
+    _validate_certificate(sd, gains, eps0, eps, mf)
     if obj.global_lipschitz is None:
         raise ConstantsError(
             "the costs have no global gradient-Lipschitz modulus; "

@@ -17,14 +17,16 @@ A state packs its arrays into one float64 array u = [x, y, v(, chi)], and
 every right-hand side returns its derivative in that layout; a trajectory
 stores sample k as row k of one (m, N) array in it.  One helper, ``_views``,
 binds the x, y, v and chi views of both, for any leading axes.  All three
-variants share one fixed-step loop, ``integrate``, which calls an
-optional hook at every committed sample (where event mode processes its
-triggers), and one method, classical RK4, in one of two steppers.
-``rk4_step`` advances u as a whole by four evaluations of the law.  With
-a quadratic objective the law is affine in u between samples, u' = M u + c,
-and RK4 on it is exactly u <- R(hM) u + S(hM) c for RK4's stability
-polynomials R and S; ``affine_stepper`` probes M and c from the law itself
-(N + 1 evaluations) and takes each step as that one matrix step, equal to
+variants share one fixed-step loop, ``integrate``, the one writer of a
+run's (m, N) trajectory buffer: it starts at t = 0, writes each step into
+the next row and hands the next step and an optional hook (where event
+mode processes its triggers) a state over that row.  A stepper maps a
+state to the next packed u by classical RK4, in one of two forms.
+``rk4_step`` advances u by four evaluations of the law.  With a quadratic
+objective the law is affine in u between samples, u' = M u + c, and RK4
+on it is exactly u <- R(hM) u + S(hM) c for RK4's stability polynomials
+R and S; ``affine_stepper`` probes M and c from the law itself (N + 1
+evaluations) and takes each step as that one matrix step, equal to
 ``rk4_step`` up to rounding.  Forming R and S costs O(N^3), so the routing
 rule ``exact_affine`` takes the propagator only for quadratic objectives
 with a packed state of at most AFFINE_MAX_SIZE entries; quartic objectives
@@ -50,7 +52,7 @@ class HypothesisError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """State norm exceeded the divergence cutoff during integration."""
+    """State norm exceeded the divergence cutoff; ``last_state`` copies the last committed sample."""
 
     def __init__(self, t: float, last_state: "SwarmState"):
         super().__init__(f"state norm exceeded {DIVERGENCE_LIMIT:.0e} at t={t:.4f}")
@@ -136,13 +138,6 @@ class SwarmState(_Packed):
         """A state with this one's layout over the packed array u, unchecked."""
         return SwarmState._unchecked(t, u, self.n, self.p, self.chi is not None)
 
-    def copy(self) -> "SwarmState":
-        return self._like(self.t, self.u.copy())
-
-    def norm(self) -> float:
-        """Largest |entry| over every state array; NaN if any entry is NaN."""
-        return float(np.abs(self.u).max())
-
 
 def _law(
     state: SwarmState, obj: GlobalObjective, gains: GainParams, lx: np.ndarray, coupling: np.ndarray, *extra: np.ndarray
@@ -195,15 +190,15 @@ RhsFunc = Callable[[SwarmState], np.ndarray]
 SampleHook = Callable[[SwarmState], None]
 
 
-def rk4_step(rhs: RhsFunc, state: SwarmState, h: float) -> SwarmState:
+def rk4_step(rhs: RhsFunc, state: SwarmState, h: float) -> np.ndarray:
     """One classical 4th-order step of the packed state, chi included
-    when the state carries it."""
+    when the state carries it; returns the next packed u."""
     t, u = state.t, state.u
     k1 = rhs(state)
     k2 = rhs(state._like(t + 0.5 * h, u + (0.5 * h) * k1))
     k3 = rhs(state._like(t + 0.5 * h, u + (0.5 * h) * k2))
     k4 = rhs(state._like(t + h, u + h * k3))
-    return state._like(t + h, u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+    return u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def exact_affine(obj: GlobalObjective, size: int) -> bool:
@@ -222,7 +217,7 @@ def probe_affine(rhs: RhsFunc, like: SwarmState) -> tuple[np.ndarray, np.ndarray
     return np.column_stack([rhs(like._like(like.t, e)) - c for e in eye]), c
 
 
-def affine_stepper(rhs: RhsFunc, like: SwarmState, h: float, varying: bool) -> Callable[[SwarmState], SwarmState]:
+def affine_stepper(rhs: RhsFunc, like: SwarmState, h: float, varying: bool) -> Callable[[SwarmState], np.ndarray]:
     """One classical RK4 step of an affine right-hand side u' = M u + c as
     one matrix step u <- R u + S c, with (M, c) probed once from ``rhs``:
     R = I + hM P and S = h P, with P = I + hM/2 (I + hM/3 (I + hM/4)) by
@@ -238,8 +233,8 @@ def affine_stepper(rhs: RhsFunc, like: SwarmState, h: float, varying: bool) -> C
     zero = like._like(like.t, np.zeros(like.u.size))
     Sc = S @ c
 
-    def step(state: SwarmState) -> SwarmState:
-        return state._like(state.t + h, R @ state.u + (S @ rhs(zero) if varying else Sc))
+    def step(state: SwarmState) -> np.ndarray:
+        return R @ state.u + (S @ rhs(zero) if varying else Sc)
 
     return step
 
@@ -252,47 +247,46 @@ def integrate(
     on_sample: SampleHook | None = None,
     affine: bool = False,
 ) -> Trajectory:
-    """Fixed-step integration, sampling at t = 0, h, 2h, ..., horizon.
+    """Fixed-step integration from t = 0, sampling at t = 0, h, 2h, ..., horizon.
 
-    ``on_sample``, if given, is called with every committed sample
-    (including t = 0) before the next step starts from it.  With
-    ``affine``, the caller asserts that ``rhs`` is affine in u, and each
-    step is ``affine_stepper``'s matrix step, built after the t = 0 hook;
-    with a hook, its constant term is re-read at every step, since the
-    hook may move it.  Otherwise each step is ``rk4_step``.  Raises
-    DivergenceError, carrying the last finite state, as soon as any
-    state entry is non-finite or the state norm exceeds the divergence
-    cutoff.
+    The returned trajectory is the run's one buffer: ``initial`` is copied
+    into row 0, each step's next packed u into the next row, and the hook
+    and the next step see a state over that row.  ``on_sample``, if
+    given, is called with every committed sample (including t = 0)
+    before the next step starts from it.  With ``affine``, the caller
+    asserts that ``rhs`` is affine in u, and each step is
+    ``affine_stepper``'s matrix step, built after the t = 0 hook; with a
+    hook, its constant term is re-read at every step, since the hook may
+    move it.  Otherwise each step is ``rk4_step``.  Raises
+    DivergenceError, carrying a copy of the last finite sample, as soon
+    as any entry of a row is non-finite or exceeds the divergence cutoff.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     if horizon < step:
         raise ValueError("horizon must be at least one step")
-    n_steps = int(round(horizon / step))
-    state = initial.copy()
-
-    ts = np.empty(n_steps + 1)
-    us = np.empty((n_steps + 1, state.u.size))
-
-    def commit(k: int, s: SwarmState):
-        ts[k], us[k] = s.t, s.u
-        if on_sample is not None:
-            on_sample(s)
-
-    commit(0, state)
+    if initial.t != 0:
+        raise ValueError(f"integration starts at t = 0; the initial state is at t = {initial.t}")
+    m = int(round(horizon / step)) + 1
+    us = np.empty((m, initial.u.size))
+    traj = Trajectory._unchecked(step * np.arange(m), us, initial.n, initial.p, initial.chi is not None)
+    us[0] = initial.u
+    state = initial._like(0.0, us[0])
+    if on_sample is not None:
+        on_sample(state)
     if affine:
         advance = affine_stepper(rhs, state, step, varying=on_sample is not None)
     else:
         advance = lambda s: rk4_step(rhs, s, step)
-    for k in range(n_steps):
-        new = advance(state)
-        new.t = (k + 1) * step  # avoid accumulated time roundoff
-        if not new.norm() <= DIVERGENCE_LIMIT:  # also catches NaN
-            raise DivergenceError(new.t, state)
-        state = new
-        commit(k + 1, state)
-
-    return Trajectory._unchecked(ts, us, state.n, state.p, state.chi is not None)
+    for k in range(1, m):
+        row = us[k]
+        row[...] = advance(state)
+        if not np.abs(row).max() <= DIVERGENCE_LIMIT:  # also catches NaN
+            raise DivergenceError(float(traj.t[k]), state._like(state.t, state.u.copy()))
+        state = state._like(float(traj.t[k]), row)
+        if on_sample is not None:
+            on_sample(state)
+    return traj
 
 
 class EquilibriumResidual(NamedTuple):

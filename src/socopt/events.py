@@ -259,9 +259,16 @@ def rule_terms(ts: TriggerState, g: NetworkGraph, x: np.ndarray) -> tuple[np.nda
     its neighbors.
     """
     e = ts.xhat - x
-    d = ts.xhat[g.dst] - ts.xhat[g.src]
-    qh = np.bincount(g.src, weights=(0.5 * g.w) * rowdot(d, d), minlength=g.n)
-    return rowdot(e, e), qh
+    return rowdot(e, e), _edge_qhat(ts, g, slice(None))
+
+
+def _edge_qhat(ts: TriggerState, g: NetworkGraph, edges) -> np.ndarray:
+    """qhat_i over the edges (i, j) that ``edges`` selects, shape (n,).
+    ``bincount`` adds each bin in edge-list order, so a subset holding all
+    of agent i's edges gives qhat_i as the full list does, bit for bit."""
+    src = g.src[edges]
+    d = ts.xhat[g.dst[edges]] - ts.xhat[src]
+    return np.bincount(src, weights=(0.5 * g.w[edges]) * rowdot(d, d), minlength=g.n)
 
 
 def _bracket_and_margin(law: TriggerLaw, chi: np.ndarray, err_sq: np.ndarray, qh: np.ndarray):
@@ -342,10 +349,8 @@ def _process_triggers(ts: TriggerState, g: NetworkGraph, law: TriggerLaw, x: np.
     was last refreshed.  A broadcast of the set S sets ||e_i||^2 to 0 on
     S, which is what the full pass gives as xhat_i = x_i exactly, and
     recomputes qhat on S and its neighbours, the only agents whose
-    neighbourhood caches moved.  That recompute sums, with ``bincount``,
-    the same edge terms as the full pass over the edges leaving those
-    agents; ``bincount`` adds each bin in input order and the subset keeps
-    each agent's edge order, so every sum rounds as the full pass does.
+    neighbourhood caches moved, by ``_edge_qhat`` over the edges leaving
+    them, which rounds as the full pass does.
 
     Returns (||e||^2, qhat) against the caches as the sample leaves them.
     """
@@ -357,10 +362,7 @@ def _process_triggers(ts: TriggerState, g: NetworkGraph, law: TriggerLaw, x: np.
         touched = np.zeros(g.n, dtype=bool)
         touched[agents] = True
         touched[g.dst[touched[g.src]]] = True
-        edges = touched[g.src]
-        src = g.src[edges]
-        d = ts.xhat[g.dst[edges]] - ts.xhat[src]
-        qh[touched] = np.bincount(src, weights=(0.5 * g.w[edges]) * rowdot(d, d), minlength=g.n)[touched]
+        qh[touched] = _edge_qhat(ts, g, touched[g.src])[touched]
         return _bracket_and_margin(law, ts.chi, err_sq, qh)[1]
 
     undecided = np.ones(g.n, dtype=bool)
