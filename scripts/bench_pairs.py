@@ -12,10 +12,11 @@ started in its own checkout.  The output (standard output, or ``--out``)
 is one JSON object: the host, and per case and metric the median and
 quartiles of each side, the change's median relative to the base's, the
 number of pairs in which the change did better, whether the change's
-median is within the metric's bound of the base's, and each side's
-run-by-run values; plus each side's correctness and failure counts.  The
-metrics, their direction and their bounds are the ``end_to_end`` table
-of the repository's BENCHMARK.json.  The default cases are the three
+median is within the metric's bound of the base's, whether the
+comparison is resolved (see ``resolved``), and each side's run-by-run
+values; plus each side's correctness and failure counts.  The metrics,
+their direction and their bounds are the ``end_to_end`` table of the
+repository's BENCHMARK.json.  The default cases are the three
 workloads at the default seed.
 """
 
@@ -70,6 +71,16 @@ def within_bound(base: float, change: float, lower: bool, bound: float) -> bool:
     return change <= base * (1.0 + bound) if lower else change >= base * (1.0 - bound)
 
 
+def resolved(base: list[float], change: list[float], lower: bool, bound: float) -> bool:
+    """Whether the runs can tell a change of the relative ``bound``: the
+    base's spread (q3 - q1) / median is within the bound, or else every
+    change run beats every base run."""
+    q = quartiles(base)
+    if q["q3"] - q["q1"] <= bound * abs(q["median"]):
+        return True
+    return max(change) < min(base) if lower else min(change) > max(base)
+
+
 def summarize(base: list[dict], change: list[dict]) -> dict:
     out = {}
     for metric in END_TO_END:
@@ -83,6 +94,7 @@ def summarize(base: list[dict], change: list[dict]) -> dict:
             "change_over_base": qc["median"] / qb["median"] if qb["median"] else None,
             "pairs_better": sum((y < x) if lower else (y > x) for x, y in zip(b, c)),
             "within_bound": within_bound(qb["median"], qc["median"], lower, metric["bound"]),
+            "resolved": resolved(b, c, lower, metric["bound"]),
             "base_runs": b,
             "change_runs": c,
         }

@@ -120,7 +120,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         last = exc.last_state
         print(f"error: {exc}", file=sys.stderr)
-        print(f"last finite state at t={last.t:.4f}:", file=sys.stderr)
+        print(f"last finite state at t={exc.last_t:.4f}:", file=sys.stderr)
         print(f"  x={last.x.tolist()}", file=sys.stderr)
         print(f"  y={last.y.tolist()}", file=sys.stderr)
         print(f"  v={last.v.tolist()}", file=sys.stderr)

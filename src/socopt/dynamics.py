@@ -13,15 +13,17 @@ replacing theta*v_i with theta*sum_j L_ij v_j, and tolerates arbitrary
 v(0); the event-triggered variant feeds the last broadcasts xhat and adds
 the chi ODE.  ``_law`` is the one implementation of this law.
 
-A state packs its arrays into one float64 array u = [x, y, v(, chi)], and
-every right-hand side returns its derivative in that layout; a trajectory
-stores sample k as row k of one (m, N) array in it.  One helper, ``_views``,
-binds the x, y, v and chi views of both, for any leading axes.  All three
-variants share one fixed-step loop, ``integrate``, the one writer of a
-run's (m, N) trajectory buffer: it starts at t = 0, writes each step into
-the next row and hands the next step and an optional hook (where event
-mode processes its triggers) a state over that row.  A stepper maps a
-state to the next packed u by classical RK4, in one of two forms.
+The law is autonomous, so a state is a point of phase space with no
+clock: one float64 array u = [x, y, v(, chi)], the layout every
+right-hand side returns its derivative in.  A trajectory owns the time
+axis and stores sample k as row k of one (m, N) array.  One helper,
+``_views``, binds the x, y, v and chi views of both.  All three variants
+share one fixed-step loop, ``integrate``, the one writer of a run's
+trajectory buffer: it samples at t = 0, h, 2h, ..., writes each step into
+the next row and hands the next step a state over that row, and an
+optional hook (where event mode processes its triggers) the pair
+(t, state).  A stepper maps a state to the next packed u by classical
+RK4, in one of two forms.
 ``rk4_step`` advances u by four evaluations of the law.  With a quadratic
 objective the law is affine in u between samples, u' = M u + c, and RK4
 on it is exactly u <- R(hM) u + S(hM) c for RK4's stability polynomials
@@ -52,12 +54,13 @@ class HypothesisError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """State norm exceeded the divergence cutoff; ``last_state`` copies the last committed sample."""
+    """Some entry of the state at sample time ``t`` exceeded the divergence
+    cutoff in magnitude or was not finite; ``last_state`` copies the last
+    committed sample, taken at ``last_t``."""
 
-    def __init__(self, t: float, last_state: "SwarmState"):
-        super().__init__(f"state norm exceeded {DIVERGENCE_LIMIT:.0e} at t={t:.4f}")
-        self.t = t
-        self.last_state = last_state
+    def __init__(self, t: float, last_t: float, last_state: "SwarmState"):
+        super().__init__(f"a state entry exceeded {DIVERGENCE_LIMIT:.0e} in magnitude or was not finite at t={t:.4f}")
+        self.t, self.last_t, self.last_state = t, last_t, last_state
 
 
 @dataclass(frozen=True)
@@ -83,60 +86,37 @@ class GainParams:
 def _views(u: np.ndarray, n: int, p: int, has_chi: bool):
     """x, y, v (..., n, p) and chi (..., n, or None) views into packed states
     u of shape (..., 3*n*p [+ n]); besides the one concatenation in
-    ``_Packed.__init__``, the only code that knows the layout [x, y, v(, chi)]."""
+    ``SwarmState.__init__``, the only code that knows the layout [x, y, v(, chi)]."""
     blocks = u[..., : 3 * n * p].reshape(u.shape[:-1] + (3, n, p))
     return blocks[..., 0, :, :], blocks[..., 1, :, :], blocks[..., 2, :, :], u[..., 3 * n * p :] if has_chi else None
 
 
-class _Packed:
-    """x, y, v (..., n, p) and optionally chi (..., n), packed along the last
-    axis of one float64 array u and bound once as views into it; assigning
-    to one of them (or to u) writes into u."""
+class SwarmState:
+    """A point of phase space: positions x, velocities y, integral states v,
+    each (n, p), and in event mode the internal variables chi (n,), bound
+    once as views into one packed float64 array u."""
 
-    _ndim = 2  # axes of x the public constructor accepts
+    __slots__ = ("u", "n", "p", "x", "y", "v", "chi")
 
-    def __init__(self, t, x, y, v, chi=None):
+    def __init__(self, x, y, v, chi=None):
         x, y, v = (np.asarray(a, dtype=float) for a in (x, y, v))
-        if not (x.shape == y.shape == v.shape) or x.ndim != self._ndim:
-            raise ValueError(f"x, y, v must share one shape with {self._ndim} axes")
-        if np.shape(t) != x.shape[:-2]:
-            raise ValueError(f"t must have shape {x.shape[:-2]}, got {np.shape(t)}")
-        parts = [a.reshape(x.shape[:-2] + (-1,)) for a in (x, y, v)]
+        if not (x.shape == y.shape == v.shape) or x.ndim != 2:
+            raise ValueError("x, y, v must share one (n, p) shape")
+        parts = [x.ravel(), y.ravel(), v.ravel()]
         if chi is not None:
             chi = np.asarray(chi, dtype=float)
-            if chi.shape != x.shape[:-1]:
-                raise ValueError(f"chi must have shape {x.shape[:-1]}")
+            if chi.shape != x.shape[:1]:
+                raise ValueError(f"chi must have shape {x.shape[:1]}")
             parts.append(chi)
-        self._bind(t, np.concatenate(parts, axis=-1), *x.shape[-2:], chi is not None)
+        self.u, (self.n, self.p) = np.concatenate(parts), x.shape
+        self.x, self.y, self.v, self.chi = _views(self.u, self.n, self.p, chi is not None)
 
-    @classmethod
-    def _unchecked(cls, t, u: np.ndarray, n: int, p: int, has_chi: bool):
-        """An instance over the packed array u, without validation."""
-        obj = object.__new__(cls)
-        obj._bind(t, u, n, p, has_chi)
-        return obj
-
-    def _bind(self, t, u: np.ndarray, n: int, p: int, has_chi: bool):
-        x, y, v, chi = _views(u, n, p, has_chi)
-        vars(self).update(t=t, u=u, n=n, p=p, x=x, y=y, v=v, chi=chi)
-
-    def __setattr__(self, name, value):
-        if name in ("u", "x", "y", "v", "chi"):
-            view = getattr(self, name)
-            if view is None:
-                raise AttributeError(f"this {type(self).__name__} carries no chi")
-            view[...] = value
-        else:
-            object.__setattr__(self, name, value)
-
-
-class SwarmState(_Packed):
-    """Agent states at one instant: positions x, velocities y, integral
-    states v, each (n, p), and in event mode the internal variables chi (n,)."""
-
-    def _like(self, t: float, u: np.ndarray) -> "SwarmState":
+    def _like(self, u: np.ndarray) -> "SwarmState":
         """A state with this one's layout over the packed array u, unchecked."""
-        return SwarmState._unchecked(t, u, self.n, self.p, self.chi is not None)
+        s = object.__new__(SwarmState)
+        s.u, s.n, s.p = u, self.n, self.p
+        s.x, s.y, s.v, s.chi = _views(u, self.n, self.p, self.chi is not None)
+        return s
 
 
 def _law(
@@ -164,40 +144,41 @@ def rhs_alternative(state: SwarmState, g: NetworkGraph, obj: GlobalObjective, ga
     return _law(state, obj, gains, g.laplacian @ state.x, g.laplacian @ state.v)
 
 
-class Trajectory(_Packed):
-    """Sampled trajectory: row k of the (m, N) array u is the packed state
-    at t[k], so x, y, v are (m, n, p) and chi (m, n) views into u.
-    ``extras`` holds per-sample diagnostic columns by name."""
+class Trajectory:
+    """Sampled trajectory, built by ``integrate``: row k of the (m, N) array
+    u is the packed state at t[k], in the layout of the state ``like``, so
+    x, y, v are (m, n, p) and chi (m, n) views into u.  ``extras`` holds
+    per-sample diagnostic columns by name."""
 
-    _ndim = 3
-
-    def _bind(self, t, u: np.ndarray, n: int, p: int, has_chi: bool):
-        super()._bind(np.asarray(t, dtype=float), u, n, p, has_chi)
+    def __init__(self, t: np.ndarray, u: np.ndarray, like: SwarmState):
+        self.t, self.u, self.n, self.p = t, u, like.n, like.p
+        self.x, self.y, self.v, self.chi = _views(u, like.n, like.p, like.chi is not None)
         self.extras: dict[str, np.ndarray] = {}
+        self._like = like._like
 
     @property
     def samples(self) -> int:
         return self.t.shape[0]
 
     def state_at(self, k: int) -> SwarmState:
-        return SwarmState._unchecked(float(self.t[k]), self.u[k].copy(), self.n, self.p, self.chi is not None)
+        return self._like(self.u[k].copy())
 
     def final_state(self) -> SwarmState:
         return self.state_at(self.samples - 1)
 
 
 RhsFunc = Callable[[SwarmState], np.ndarray]
-SampleHook = Callable[[SwarmState], None]
+SampleHook = Callable[[float, SwarmState], None]
 
 
 def rk4_step(rhs: RhsFunc, state: SwarmState, h: float) -> np.ndarray:
     """One classical 4th-order step of the packed state, chi included
     when the state carries it; returns the next packed u."""
-    t, u = state.t, state.u
+    u = state.u
     k1 = rhs(state)
-    k2 = rhs(state._like(t + 0.5 * h, u + (0.5 * h) * k1))
-    k3 = rhs(state._like(t + 0.5 * h, u + (0.5 * h) * k2))
-    k4 = rhs(state._like(t + h, u + h * k3))
+    k2 = rhs(state._like(u + (0.5 * h) * k1))
+    k3 = rhs(state._like(u + (0.5 * h) * k2))
+    k4 = rhs(state._like(u + h * k3))
     return u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
@@ -211,10 +192,10 @@ def exact_affine(obj: GlobalObjective, size: int) -> bool:
 def probe_affine(rhs: RhsFunc, like: SwarmState) -> tuple[np.ndarray, np.ndarray]:
     """(M, c) of a right-hand side that is affine in u, rhs(u) = M u + c,
     from N + 1 evaluations: c at u = 0 and column j of M as rhs(e_j) - c.
-    ``like`` gives the layout and the time of the probe states."""
+    ``like`` gives the layout of the probe states."""
     eye = np.eye(like.u.size)
-    c = rhs(like._like(like.t, np.zeros(like.u.size)))
-    return np.column_stack([rhs(like._like(like.t, e)) - c for e in eye]), c
+    c = rhs(like._like(np.zeros(like.u.size)))
+    return np.column_stack([rhs(like._like(e)) - c for e in eye]), c
 
 
 def affine_stepper(rhs: RhsFunc, like: SwarmState, h: float, varying: bool) -> Callable[[SwarmState], np.ndarray]:
@@ -230,7 +211,7 @@ def affine_stepper(rhs: RhsFunc, like: SwarmState, h: float, varying: bool) -> C
     hM = h * M
     P = eye + (hM / 2.0) @ (eye + (hM / 3.0) @ (eye + hM / 4.0))
     R, S = eye + hM @ P, h * P
-    zero = like._like(like.t, np.zeros(like.u.size))
+    zero = like._like(np.zeros(like.u.size))
     Sc = S @ c
 
     def step(state: SwarmState) -> np.ndarray:
@@ -247,33 +228,32 @@ def integrate(
     on_sample: SampleHook | None = None,
     affine: bool = False,
 ) -> Trajectory:
-    """Fixed-step integration from t = 0, sampling at t = 0, h, 2h, ..., horizon.
+    """Fixed-step integration sampling at t = 0, h, 2h, ..., horizon.
 
-    The returned trajectory is the run's one buffer: ``initial`` is copied
-    into row 0, each step's next packed u into the next row, and the hook
-    and the next step see a state over that row.  ``on_sample``, if
-    given, is called with every committed sample (including t = 0)
-    before the next step starts from it.  With ``affine``, the caller
-    asserts that ``rhs`` is affine in u, and each step is
-    ``affine_stepper``'s matrix step, built after the t = 0 hook; with a
-    hook, its constant term is re-read at every step, since the hook may
-    move it.  Otherwise each step is ``rk4_step``.  Raises
-    DivergenceError, carrying a copy of the last finite sample, as soon
-    as any entry of a row is non-finite or exceeds the divergence cutoff.
+    The returned trajectory owns the time axis and is the run's one
+    buffer: ``initial`` is copied into row 0, each step's next packed u
+    into the next row, and the hook and the next step see a state over
+    that row.  ``on_sample``, if given, is called as
+    ``on_sample(t[k], state)`` with every committed sample (including
+    t = 0) before the next step starts from it.  With ``affine``, the caller asserts that ``rhs`` is affine
+    in u, and each step is ``affine_stepper``'s matrix step, built after
+    the t = 0 hook; with a hook, its constant term is re-read at every
+    step, since the hook may move it.  Otherwise each step is
+    ``rk4_step``.  Raises DivergenceError, carrying a copy of the last
+    finite sample, as soon as any entry of a row is non-finite or exceeds
+    the divergence cutoff in magnitude.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     if horizon < step:
         raise ValueError("horizon must be at least one step")
-    if initial.t != 0:
-        raise ValueError(f"integration starts at t = 0; the initial state is at t = {initial.t}")
     m = int(round(horizon / step)) + 1
     us = np.empty((m, initial.u.size))
-    traj = Trajectory._unchecked(step * np.arange(m), us, initial.n, initial.p, initial.chi is not None)
+    traj = Trajectory(step * np.arange(m), us, initial)
     us[0] = initial.u
-    state = initial._like(0.0, us[0])
+    state = initial._like(us[0])
     if on_sample is not None:
-        on_sample(state)
+        on_sample(0.0, state)
     if affine:
         advance = affine_stepper(rhs, state, step, varying=on_sample is not None)
     else:
@@ -282,10 +262,10 @@ def integrate(
         row = us[k]
         row[...] = advance(state)
         if not np.abs(row).max() <= DIVERGENCE_LIMIT:  # also catches NaN
-            raise DivergenceError(float(traj.t[k]), state._like(state.t, state.u.copy()))
-        state = state._like(float(traj.t[k]), row)
+            raise DivergenceError(float(traj.t[k]), float(traj.t[k - 1]), state._like(state.u.copy()))
+        state = state._like(row)
         if on_sample is not None:
-            on_sample(state)
+            on_sample(float(traj.t[k]), state)
     return traj
 
 

@@ -38,14 +38,16 @@ higher index than a re-checked agent i is never i's neighbour.
 with chi: the right-hand side is the law of ``rhs_event`` plus the chi
 law ``chi_rhs``, whose bracket ||e_i||^2 - c_i*qhat_i is frozen at its
 start-of-step value (the error is discontinuous at triggers, so freezing
-keeps the stages consistent).  A per-sample hook processes the triggers,
-records the invariant margins, freezes the next step's bracket and forms
-L xhat once for the step (the caches change only there).  The run steps
-by the routing rule ``dynamics.exact_affine``: with a quadratic objective
-and a small swarm the law is affine in the state between samples, with a
-fixed matrix and a constant term that moves with L xhat and the bracket,
-so each step is the affine propagator's matrix step with that term
-re-read once per step; otherwise each step is ``rk4_step``.
+keeps the stages consistent).  The law is autonomous and a state carries
+no clock, so a per-sample hook, called with (t, state), processes the
+triggers, records the invariant margins, freezes the next step's bracket
+and forms L xhat once for the step (the caches change only there).  The
+run steps by the routing rule ``dynamics.exact_affine``: with a
+quadratic objective and a small swarm the law is affine in the state
+between samples, with a fixed matrix and a constant term that moves with
+L xhat and the bracket, so each step is the affine propagator's matrix
+step with that term re-read once per step; otherwise each step is
+``rk4_step``.
 """
 
 from dataclasses import dataclass, field
@@ -406,7 +408,7 @@ def simulate_event(
     every cache is fresh.
     """
     ts = TriggerState.initialize(initial.x, law.params)
-    state0 = SwarmState(initial.t, initial.x, initial.y, initial.v, ts.chi)
+    state0 = SwarmState(initial.x, initial.y, initial.v, ts.chi)
     decay = law.params.phi_rate + law.params.delta / law.params.kappa
     discipline, floor_margin, bracket, lx = -np.inf, np.inf, None, None
     qh = rule_terms(ts, g, initial.x)[1]
@@ -414,14 +416,14 @@ def simulate_event(
     def rhs(s: SwarmState) -> np.ndarray:
         return _law(s, obj, gains, lx, s.v, chi_rhs(s.chi, bracket, law.params))
 
-    def on_sample(s: SwarmState) -> None:
+    def on_sample(t: float, s: SwarmState) -> None:
         nonlocal discipline, floor_margin, bracket, lx, qh
         ts.chi = s.chi
-        err_sq, qh = _process_triggers(ts, g, law, s.x, s.t, qh)
+        err_sq, qh = _process_triggers(ts, g, law, s.x, t, qh)
         bracket, margin = _bracket_and_margin(law, ts.chi, err_sq, qh)
         lx = g.laplacian @ ts.xhat
         discipline = max(discipline, float(margin.max()))
-        floor = law.params.chi0 * np.exp(-decay * s.t)
+        floor = law.params.chi0 * np.exp(-decay * t)
         floor_margin = min(floor_margin, float(np.min(s.chi - floor)))
 
     traj = integrate(rhs, state0, step, horizon, on_sample, affine=exact_affine(obj, state0.u.size))

@@ -193,13 +193,15 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     positivity and theta < alpha*gamma, eps0 in (theta/(alpha*gamma), 1)
     and eps > 0 (eps0 defaults to the midpoint), graph connectivity,
     literal initial states of shape (n, p), a box with lo <= hi and a
-    non-negative integer seed, boolean diagnostics flags, event mode
-    needing a global gradient-Lipschitz modulus per agent and (for the
-    "varphi" threshold denominator with nonzero sigma) restricted strong
-    convexity of an all-quadratic objective, balanced integral states for the primary algorithms, the
-    trigger field set (eps0 and eps live at the top level), a known trigger
-    preset and threshold denominator, trigger fields that are finite
-    numbers or lists of n, and trigger-parameter ranges.
+    non-negative integer seed, boolean diagnostics flags, a horizon of a
+    whole number of steps, event mode needing a global gradient-Lipschitz
+    modulus per agent and (for the "varphi" threshold denominator with
+    nonzero sigma) two or more agents and restricted strong convexity of an
+    all-quadratic objective, balanced integral states for the primary
+    algorithms, the trigger field set (eps0 and eps live at the top
+    level), a known trigger preset and threshold denominator, trigger
+    fields that are finite numbers or lists of n, and trigger-parameter
+    ranges.
     """
     _require(isinstance(cfg, dict), "a scenario config must be a JSON object")
     version = cfg.get("schema_version")
@@ -248,6 +250,11 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     horizon = _finite(integ.get("horizon", 50.0), "integration.horizon")
     _require(step > 0, "integration step must be positive")
     _require(horizon >= step, "horizon must cover at least one step")
+    steps = horizon / step
+    _require(
+        abs(steps - round(steps)) <= 1e-9 * max(1.0, steps),
+        f"integration.horizon {horizon} must be a whole number of steps of {step}; it is {steps:.6g} steps",
+    )
 
     init_cfg = _section(cfg, "initial")
     initial = InitialSpec()
@@ -309,14 +316,21 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         )
         base = TriggerParams.local_only(g.n) if preset == "local-only" else TriggerParams.defaults(g.n)
         trigger = replace(base, **overrides)
-        if denom == "varphi" and np.any(trigger.sigma != 0.0) and obj.all_quadratic():
+        if denom == "varphi" and np.any(trigger.sigma != 0.0):
+            ways_out = 'set trigger.threshold_denominator to "rate" or use the "local-only" trigger preset'
             _require(
-                estimate_mf(obj, None).satisfied,
-                "restricted strong convexity hypothesis violated: the summed quadratic "
-                "matrix is singular (m_f = 0), so the threshold constants varphi_i of the "
-                "event trigger do not exist; set trigger.threshold_denominator to \"rate\" "
-                "or use the \"local-only\" trigger preset",
+                g.n >= 2,
+                "network hypothesis violated: the threshold constants varphi_i of the event trigger "
+                "come from the event certificate, which needs a positive Laplacian eigenvalue and so "
+                f"at least two agents; this graph has {g.n}; " + ways_out,
             )
+            if obj.all_quadratic():
+                _require(
+                    estimate_mf(obj, None).satisfied,
+                    "restricted strong convexity hypothesis violated: the summed quadratic "
+                    "matrix is singular (m_f = 0), so the threshold constants varphi_i of the "
+                    "event trigger do not exist; " + ways_out,
+                )
 
     return Scenario(
         name=str(cfg.get("name", "scenario")),
@@ -357,13 +371,13 @@ def make_initial(scenario: Scenario, seed: int | None = None) -> tuple[SwarmStat
     init = scenario.initial
     if init.x is not None:
         v = init.v if init.v is not None else np.zeros((n, p))
-        return SwarmState(0.0, init.x, init.y, v), None
+        return SwarmState(init.x, init.y, v), None
     used = seed if seed is not None else init.seed
     rng = np.random.default_rng(used)
     lo, hi = init.box
     x = rng.uniform(lo, hi, (n, p))
     y = rng.uniform(lo, hi, (n, p))
-    return SwarmState(0.0, x, y, np.zeros((n, p))), used
+    return SwarmState(x, y, np.zeros((n, p))), used
 
 
 @dataclass

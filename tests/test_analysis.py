@@ -33,12 +33,12 @@ def _random_state(rng, eq, scale=3.0):
     n, p = eq.xbar.shape
     v = rng.uniform(-scale, scale, (n, p))
     v -= v.mean(axis=0, keepdims=True)  # trajectories keep sum_i v_i = 0
-    return SwarmState(0.0, rng.uniform(-scale, scale, (n, p)), rng.uniform(-scale, scale, (n, p)), v + eq.vbar)
+    return SwarmState(rng.uniform(-scale, scale, (n, p)), rng.uniform(-scale, scale, (n, p)), v + eq.vbar)
 
 
 def test_equilibrium_point_residuals(path3, obj3, gains_theta35, setup3):
     _, _, _, eq, _ = setup3
-    state = SwarmState(0.0, eq.xbar, np.zeros_like(eq.xbar), eq.vbar)
+    state = SwarmState(eq.xbar, np.zeros_like(eq.xbar), eq.vbar)
     res = equilibrium_residual(state, path3, obj3, gains_theta35)
     assert max(res) <= 1e-10
     np.testing.assert_allclose(eq.vbar.sum(axis=0), 0.0, atol=1e-12)
@@ -47,7 +47,7 @@ def test_equilibrium_point_residuals(path3, obj3, gains_theta35, setup3):
 def test_v1_zero_at_equilibrium(path3, obj3, gains_theta35, setup3):
     sd, _, _, eq, eps0 = setup3
     ctx = LyapunovContext(g=path3, sd=sd, obj=obj3, gains=gains_theta35, eps0=eps0, eps=0.1, eq=eq)
-    state = SwarmState(0.0, eq.xbar, np.zeros_like(eq.xbar), eq.vbar)
+    state = SwarmState(eq.xbar, np.zeros_like(eq.xbar), eq.vbar)
     cols = ctx.sample(state)
     assert cols["W1"] == pytest.approx(0.0, abs=1e-12)
     assert cols["W2"] == pytest.approx(0.0, abs=1e-10)
@@ -142,7 +142,7 @@ def test_v3_at_equilibrium_is_chi_term(path3, obj3, gains_theta35, setup3):
         g=path3, sd=sd, obj=obj3, gains=gains_theta35, eps0=eps0, eps=0.1, eq=eq, consts=consts, varphi=phis
     )
     chi = np.array([0.5, 0.25, 1.0])
-    state = SwarmState(0.0, eq.xbar, np.zeros_like(eq.xbar), eq.vbar, chi)
+    state = SwarmState(eq.xbar, np.zeros_like(eq.xbar), eq.vbar, chi)
     expected = consts.eps7 * float(np.sum(phis * chi))
     v3 = ctx.sample(state)["V3"]
     assert v3 == pytest.approx(expected, rel=1e-9)
@@ -176,33 +176,31 @@ def test_v2_lower_bound_random_states(path3, obj3, gains_theta35, setup3):
         assert ctx.sample(s)["V2"] >= consts.eps_tilde1 * dx2 - 1e-9
 
 
+def _scalar_trajectory(t, x):
+    """A trajectory of one agent in one dimension: position x(t), y = v = 0."""
+    u = np.zeros((t.size, 3))
+    u[:, 0] = x
+    return Trajectory(t, u, SwarmState([[0.0]], [[0.0]], [[0.0]]))
+
+
 def test_fit_rate_exact_exponential():
     t = np.linspace(0.0, 10.0, 1001)
-    errs = 3.0 * np.exp(-0.7 * t)
-    # synth a trajectory whose stacked norm is that exponential
-    x = np.zeros((t.size, 1, 1))
-    x[:, 0, 0] = errs
-    traj = Trajectory(t=t, x=x, y=np.zeros_like(x), v=np.zeros_like(x))
-    fit = fit_rate(traj, np.zeros(1))
+    # a trajectory whose stacked norm is 3 exp(-0.7 t)
+    fit = fit_rate(_scalar_trajectory(t, 3.0 * np.exp(-0.7 * t)), np.zeros(1))
     assert fit.rate == pytest.approx(0.7, abs=1e-6)
     assert not fit.truncated
 
 
 def test_fit_rate_constant_error():
     t = np.linspace(0.0, 10.0, 101)
-    x = np.ones((t.size, 1, 1))
-    traj = Trajectory(t=t, x=x, y=np.zeros_like(x), v=np.zeros_like(x))
-    fit = fit_rate(traj, np.zeros(1))
+    fit = fit_rate(_scalar_trajectory(t, np.ones(t.size)), np.zeros(1))
     assert fit.rate == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fit_rate_truncates_noise_floor():
     t = np.linspace(0.0, 10.0, 1001)
     errs = np.exp(-10.0 * t)  # crosses 1e-13 around t = 3
-    x = np.zeros((t.size, 1, 1))
-    x[:, 0, 0] = errs
-    traj = Trajectory(t=t, x=x, y=np.zeros_like(x), v=np.zeros_like(x))
-    fit = fit_rate(traj, np.zeros(1))
+    fit = fit_rate(_scalar_trajectory(t, errs), np.zeros(1))
     assert fit.truncated
     assert fit.t_hi < 8.0
     assert fit.rate == pytest.approx(10.0, rel=1e-3)

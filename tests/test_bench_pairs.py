@@ -64,3 +64,19 @@ def test_within_bound_follows_direction_and_bound():
     assert bench_pairs.within_bound(1.0, 1.21, lower=True, bound=0.2) is False
     assert bench_pairs.within_bound(1.0, 0.81, lower=False, bound=0.2) is True
     assert bench_pairs.within_bound(0.0, 0.0, lower=True, bound=0.1)  # zero base, no change
+
+
+def test_resolved_needs_a_narrow_base_spread_or_a_clean_separation():
+    bound = {m["name"]: m["bound"] for m in bench_pairs.END_TO_END}["wall_s"]
+    narrow = [1.0, 1.0, 1.0, 1.0, 1.0]
+    wide = [1.0 - bound, 1.0 - bound, 1.0, 1.0 + bound, 1.0 + bound]  # (q3 - q1) / median = 2 * bound
+    out = bench_pairs.summarize(_runs(wall_s=narrow), _runs(wall_s=[5.0] * 5))
+    assert out["wall_s"]["resolved"]  # a narrow base resolves even a large regression
+    out = bench_pairs.summarize(_runs(wall_s=wide), _runs(wall_s=[1.0] * 5))
+    assert not out["wall_s"]["resolved"]  # the base's own spread exceeds the bound
+    assert out["setup_s"]["resolved"]  # every run tied: no spread
+    separated = [0.5 * (1.0 - bound)] * 5  # every change run below every base run
+    assert bench_pairs.summarize(_runs(wall_s=wide), _runs(wall_s=separated))["wall_s"]["resolved"]
+    assert bench_pairs.resolved(wide, [2.0] * 5, lower=False, bound=bound)  # higher is better, separated
+    assert not bench_pairs.resolved(wide, [1.2] * 5, lower=False, bound=bound)  # not above the base's max
+    assert bench_pairs.resolved([0.0] * 3, [0.0] * 3, lower=True, bound=0.1)  # zero base, no spread

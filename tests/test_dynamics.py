@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socopt import dynamics
+from socopt import dynamics, events
 from socopt.costs import quadratic_family
 from socopt.dynamics import (
     AFFINE_MAX_SIZE,
@@ -13,7 +13,6 @@ from socopt.dynamics import (
     GainParams,
     HypothesisError,
     SwarmState,
-    Trajectory,
     affine_stepper,
     equilibrium_residual,
     exact_affine,
@@ -43,7 +42,7 @@ def _state(rng, n, p, zero_v_sum=True):
     v = rng.uniform(-2, 2, (n, p))
     if zero_v_sum:
         v -= v.mean(axis=0, keepdims=True)
-    return SwarmState(0.0, rng.uniform(-5, 5, (n, p)), rng.uniform(-5, 5, (n, p)), v)
+    return SwarmState(rng.uniform(-5, 5, (n, p)), rng.uniform(-5, 5, (n, p)), v)
 
 
 def test_gain_gate():
@@ -57,7 +56,7 @@ def test_single_agent_reduces_to_heavy_ball():
     g = build_graph([], n=1)
     obj = quadratic_family([np.eye(2)], shifts=[np.zeros(2)])
     gains = GainParams(alpha=2.0, beta=2.0, gamma=6.0, theta=5.0)
-    state = SwarmState(0.0, [[1.0, -2.0]], [[0.5, 0.0]], [[0.0, 0.0]])
+    state = SwarmState([[1.0, -2.0]], [[0.5, 0.0]], [[0.0, 0.0]])
     _, dy, dv = rhs_continuous(state, g, obj, gains).reshape(3, 1, 2)
     expected = -gains.gamma * state.y - gains.alpha * obj.grad_stack(state.x)
     np.testing.assert_allclose(dy, expected)
@@ -66,7 +65,7 @@ def test_single_agent_reduces_to_heavy_ball():
 
 def test_consensus_state_rhs(path3, obj3, gains_theta35):
     c = np.array([0.3, -1.0, 2.0])
-    state = SwarmState(0.0, np.tile(c, (3, 1)), np.zeros((3, 3)), np.zeros((3, 3)))
+    state = SwarmState(np.tile(c, (3, 1)), np.zeros((3, 3)), np.zeros((3, 3)))
     _, dy, dv = rhs_continuous(state, path3, obj3, gains_theta35).reshape(3, 3, 3)
     np.testing.assert_allclose(dv, 0.0, atol=1e-14)
     np.testing.assert_allclose(dy, -gains_theta35.alpha * obj3.grad_stack(state.x), atol=1e-14)
@@ -74,7 +73,7 @@ def test_consensus_state_rhs(path3, obj3, gains_theta35):
 
 def test_dv_hand_product(path3, gains_theta35):
     obj = quadratic_family([np.eye(1)] * 3, shifts=[[0.0]] * 3)
-    state = SwarmState(0.0, [[0.0], [1.0], [2.0]], np.zeros((3, 1)), np.zeros((3, 1)))
+    state = SwarmState([[0.0], [1.0], [2.0]], np.zeros((3, 1)), np.zeros((3, 1)))
     dv = rhs_continuous(state, path3, obj, gains_theta35).reshape(3, 3, 1)[2]
     np.testing.assert_allclose(dv, [[-2.0], [0.0], [2.0]])
 
@@ -82,9 +81,9 @@ def test_dv_hand_product(path3, gains_theta35):
 def test_alternative_consensus_v_coupling_vanishes(path3, obj3, gains_theta35):
     rng = np.random.default_rng(0)
     state = _state(rng, 3, 3, zero_v_sum=False)
-    state.v = np.tile(np.array([1.0, -2.0, 0.5]), (3, 1))  # v in the consensus direction
+    state.v[...] = np.tile(np.array([1.0, -2.0, 0.5]), (3, 1))  # v in the consensus direction
     d_alt = rhs_alternative(state, path3, obj3, gains_theta35).reshape(3, 3, 3)
-    state0 = SwarmState(state.t, state.x, state.y, np.zeros((3, 3)))
+    state0 = SwarmState(state.x, state.y, np.zeros((3, 3)))
     d_ref = rhs_alternative(state0, path3, obj3, gains_theta35).reshape(3, 3, 3)
     np.testing.assert_allclose(d_alt[1], d_ref[1], atol=1e-12)
 
@@ -120,7 +119,7 @@ def test_equilibrium_stays_constant(path3, gains_theta35):
     # zero-gradient costs at a consensus state: nothing moves
     obj = _zero_objective(3, 2)
     c = np.array([1.0, -1.0])
-    s0 = SwarmState(0.0, np.tile(c, (3, 1)), np.zeros((3, 2)), np.zeros((3, 2)))
+    s0 = SwarmState(np.tile(c, (3, 1)), np.zeros((3, 2)), np.zeros((3, 2)))
     traj = integrate(lambda s: rhs_continuous(s, path3, obj, gains_theta35), s0, 0.01, 1.0)
     np.testing.assert_allclose(traj.x, np.tile(c, (traj.samples, 3, 1)), atol=1e-14)
     np.testing.assert_allclose(traj.y, 0.0, atol=1e-14)
@@ -131,7 +130,7 @@ def test_equilibrium_residual_values(path3, obj3, gains_theta35, run3):
     xstar = rep3.minimizer.x
     xbar = np.tile(xstar, (3, 1))
     vbar = np.stack([-(gains_theta35.alpha / gains_theta35.theta) * c.grad(xstar) for c in per_agent_costs(obj3)])
-    at_eq = SwarmState(0.0, xbar, np.zeros((3, 3)), vbar)
+    at_eq = SwarmState(xbar, np.zeros((3, 3)), vbar)
     res = equilibrium_residual(at_eq, path3, obj3, gains_theta35)
     assert max(res) <= 1e-12
 
@@ -164,7 +163,7 @@ def test_divergence_reports_last_state(path3, gains_theta35, monkeypatch):
     # the gradient of a concave pseudo-cost -5e3 ||x||^2 makes the flow unstable
     obj = _zero_objective(3, 1)
     monkeypatch.setattr(obj, "grad_stack", lambda x: -1e4 * x)
-    s0 = SwarmState(0.0, [[1.0], [1.1], [0.9]], [[0.0]] * 3, [[0.0]] * 3)
+    s0 = SwarmState([[1.0], [1.1], [0.9]], [[0.0]] * 3, [[0.0]] * 3)
     with pytest.raises(DivergenceError) as exc:
         integrate(lambda s: rhs_continuous(s, path3, obj, gains_theta35), s0, 0.01, 10.0)
     last = exc.value.last_state
@@ -176,7 +175,7 @@ def test_divergence_reports_last_state(path3, gains_theta35, monkeypatch):
 @pytest.mark.parametrize("field", ["dy", "dv", "dchi"])
 def test_divergence_caught_on_nan_step(field):
     # a NaN confined to y, v or chi must stop the run on the step that made it
-    s0 = SwarmState(0.0, [[1.0], [2.0]], [[0.0]] * 2, [[0.0]] * 2, chi=[1.0, 1.0])
+    s0 = SwarmState([[1.0], [2.0]], [[0.0]] * 2, [[0.0]] * 2, chi=[1.0, 1.0])
     block = {"dy": 1, "dv": 2, "dchi": 3}[field]
 
     def rhs(s):
@@ -187,7 +186,7 @@ def test_divergence_caught_on_nan_step(field):
     with pytest.raises(DivergenceError) as exc:
         integrate(rhs, s0, 0.01, 1.0)
     assert exc.value.t == 0.01
-    assert exc.value.last_state.t == 0.0
+    assert exc.value.last_t == 0.0
 
 
 def test_nonfinite_gradient_raises_divergence(path3, gains_theta35, monkeypatch):
@@ -202,7 +201,7 @@ def test_nonfinite_gradient_raises_divergence(path3, gains_theta35, monkeypatch)
 
     obj = _zero_objective(3, 1)
     monkeypatch.setattr(obj, "grad_stack", grad_stack)
-    s0 = SwarmState(0.0, [[0.0], [0.5], [0.0]], [[0.0], [10.0], [0.0]], [[0.0]] * 3)
+    s0 = SwarmState([[0.0], [0.5], [0.0]], [[0.0], [10.0], [0.0]], [[0.0]] * 3)
     law = make_trigger_law(path3, gains_theta35, TriggerParams.local_only(3))
     runs = {
         "continuous": lambda: integrate(lambda s: rhs_continuous(s, path3, obj, gains_theta35), s0, 0.01, 2.0),
@@ -217,7 +216,7 @@ def test_nonfinite_gradient_raises_divergence(path3, gains_theta35, monkeypatch)
 
 
 def test_integrate_validates_step(path3, obj3, gains_theta35):
-    s0 = SwarmState(0.0, np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 3)))
+    s0 = SwarmState(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 3)))
     rhs = lambda s: rhs_continuous(s, path3, obj3, gains_theta35)
     with pytest.raises(ValueError):
         integrate(rhs, s0, -0.01, 1.0)
@@ -225,43 +224,31 @@ def test_integrate_validates_step(path3, obj3, gains_theta35):
         integrate(rhs, s0, 0.01, 0.001)
 
 
-def test_integrate_starts_at_zero(path3, obj3, gains_theta35):
-    # the grid, the t = 0 broadcast of event mode and the chi floor all
-    # assume a run that starts at t = 0
-    s0 = _state(np.random.default_rng(8), 3, 3)
-    late = SwarmState(0.25, s0.x, s0.y, s0.v)
-    with pytest.raises(ValueError, match="t = 0.25"):
-        integrate(lambda s: rhs_continuous(s, path3, obj3, gains_theta35), late, 0.01, 0.03)
-
-
-def test_state_views_write_through():
-    s = SwarmState(0.0, np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)), chi=[1.0, 2.0])
-    s.v = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
-    s.chi[1] = 7.0
-    np.testing.assert_array_equal(s.u, [0.0] * 12 + [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 1.0, 7.0])
-    for name in ("x", "y", "v", "chi"):
-        assert np.shares_memory(getattr(s, name), s.u)
-    s.u = 0.5
-    np.testing.assert_array_equal(s.v, 0.5)
-    plain = SwarmState(0.0, np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)))
-    with pytest.raises(AttributeError, match="no chi"):
-        plain.chi = np.ones(2)
-
-
 @pytest.mark.parametrize("event", [False, True])
-def test_trajectory_rows_are_packed_states(event, path3, obj3, gains_theta35):
+def test_trajectory_rows_are_packed_states(event, path3, obj3, gains_theta35, monkeypatch):
     s0 = _state(np.random.default_rng(7), 3, 3)
+    seen = []  # (t, u) as each committed sample reaches the hook
+
+    def recording_integrate(rhs, initial, step, horizon, on_sample=None, affine=False):
+        def hook(t, s):
+            seen.append((t, s.u.copy()))
+            if on_sample is not None:
+                on_sample(t, s)
+
+        return integrate(rhs, initial, step, horizon, hook, affine)
+
     if event:
+        monkeypatch.setattr(events, "integrate", recording_integrate)
         law = make_trigger_law(path3, gains_theta35, TriggerParams.local_only(3))
         traj = simulate_event(s0, path3, obj3, gains_theta35, law, 0.01, 1.0).trajectory
     else:
-        traj = integrate(lambda s: rhs_continuous(s, path3, obj3, gains_theta35), s0, 0.01, 1.0)
+        traj = recording_integrate(lambda s: rhs_continuous(s, path3, obj3, gains_theta35), s0, 0.01, 1.0)
     m, w = traj.samples, 3 * 3
     assert traj.u.shape == (m, 3 * w + (3 if event else 0))
     assert np.array_equal(traj.t, 0.01 * np.arange(m))  # the grid bit for bit, no accumulated roundoff
+    assert [t for t, _ in seen] == traj.t.tolist()  # the hook's t is the grid's, bit for bit
     for k in range(m):
-        assert np.all(traj.u[k] == traj.state_at(k).u)
-        assert traj.state_at(k).t == traj.t[k]
+        assert np.all(traj.u[k] == traj.state_at(k).u) and np.all(seen[k][1] == traj.u[k])
     for i, name in enumerate("xyv"):
         view = getattr(traj, name)
         assert view.shape == (m, 3, 3) and np.shares_memory(view, traj.u)
@@ -272,26 +259,22 @@ def test_trajectory_rows_are_packed_states(event, path3, obj3, gains_theta35):
     else:
         assert traj.chi is None
 
-    again = Trajectory(traj.t, traj.x, traj.y, traj.v, traj.chi)
-    assert np.all(again.u == traj.u) and np.all(again.t == traj.t) and again.extras == {}
-    for name in ("x", "y", "v") + (("chi",) if event else ()):
-        assert np.all(getattr(again, name) == getattr(traj, name))
-        assert not np.shares_memory(getattr(again, name), traj.u)
 
-
-def test_trajectory_constructor_validates():
-    t, z = np.arange(4.0), np.zeros((4, 2, 3))
+def test_state_constructor_validates():
+    z = np.zeros((2, 3))
     with pytest.raises(ValueError):
-        Trajectory(t, z, z, z[:, :1])
+        SwarmState(z, z, z[:, :1])
     with pytest.raises(ValueError):
-        Trajectory(t, z[0], z[0], z[0])
-    with pytest.raises(ValueError):
-        Trajectory(t, z, z, z, chi=np.zeros(2))
-    with pytest.raises(ValueError, match="t must have shape"):
-        Trajectory(t[:3], z, z, z)
-    traj = Trajectory(t, z, z, z)
-    traj.y = 1.0  # writes through into u
-    assert np.all(traj.u[:, 6:12] == 1.0) and np.all(traj.u[:, :6] == 0.0)
+        SwarmState(z[0], z[0], z[0])
+    with pytest.raises(ValueError, match="chi must have shape"):
+        SwarmState(z, z, z, chi=np.zeros(3))
+    s = SwarmState(z, z + 1.0, [[2.0] * 3] * 2, chi=[3.0, 4.0])
+    np.testing.assert_array_equal(s.u, [0.0] * 6 + [1.0] * 6 + [2.0] * 6 + [3.0, 4.0])
+    for name in ("x", "y", "v", "chi"):
+        assert np.shares_memory(getattr(s, name), s.u)
+    assert SwarmState(z, z, z).chi is None
+    with pytest.raises(AttributeError):  # a state is a point of phase space: it has no clock
+        s.t = 0.0
 
 
 # -- the packed stepper against a per-block reference -------------------------
@@ -350,7 +333,7 @@ def test_rk4_step_matches_block_reference(seed, n, p, gains_theta35):
         ),
     }
     for name, (rhs, ref, c) in cases.items():
-        state = SwarmState(0.25, x, y, v, c)
+        state = SwarmState(x, y, v, c)
         new = rk4_step(rhs, state, h)
         assert isinstance(new, np.ndarray) and np.all(new == _block_rk4(ref, x, y, v, c, h)), name
         # the affine propagator takes the same step up to rounding
@@ -373,7 +356,7 @@ def _preset_law(name, rng):
 
     def random_state():
         x, y, v = rng.uniform(-5.0, 5.0, (3, n, p))
-        return SwarmState(0.0, x, y, v, rng.uniform(0.1, 2.0, n) if event else None)
+        return SwarmState(x, y, v, rng.uniform(0.1, 2.0, n) if event else None)
 
     if not event:
         rhs_fn = rhs_continuous if sc.algorithm == "continuous" else rhs_alternative

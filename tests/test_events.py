@@ -110,7 +110,7 @@ def test_chi_pure_decay(path3, obj3, gains_theta35):
     params = TriggerParams.local_only(3, phi_rate=1.0, chi0=1.0)
     law = make_trigger_law(path3, gains_theta35, params)
     rng = np.random.default_rng(1)
-    s0 = SwarmState(0.0, rng.uniform(-5, 5, (3, 3)), rng.uniform(-5, 5, (3, 3)), np.zeros((3, 3)))
+    s0 = SwarmState(rng.uniform(-5, 5, (3, 3)), rng.uniform(-5, 5, (3, 3)), np.zeros((3, 3)))
     er = simulate_event(s0, path3, obj3, gains_theta35, law, 0.01, 1.0)
     np.testing.assert_allclose(er.chi[-1], np.exp(-1.0), atol=1e-8)
 
@@ -125,7 +125,7 @@ def test_chi_rhs_zero_bracket():
 
 def test_rhs_event_fresh_cache_equals_continuous(path3, obj3, gains_theta35):
     rng = np.random.default_rng(2)
-    state = SwarmState(0.0, rng.uniform(-5, 5, (3, 3)), rng.uniform(-5, 5, (3, 3)), rng.uniform(-1, 1, (3, 3)))
+    state = SwarmState(rng.uniform(-5, 5, (3, 3)), rng.uniform(-5, 5, (3, 3)), rng.uniform(-1, 1, (3, 3)))
     ts = _trigger_state(state.x)
     d_ev = rhs_event(state, ts, path3, obj3, gains_theta35)
     d_ct = rhs_continuous(state, path3, obj3, gains_theta35)
@@ -134,7 +134,7 @@ def test_rhs_event_fresh_cache_equals_continuous(path3, obj3, gains_theta35):
 
 def test_rhs_event_dv_sums_to_zero_any_cache(path3, obj3, gains_theta35):
     rng = np.random.default_rng(3)
-    state = SwarmState(0.0, rng.uniform(-5, 5, (3, 3)), rng.uniform(-5, 5, (3, 3)), np.zeros((3, 3)))
+    state = SwarmState(rng.uniform(-5, 5, (3, 3)), rng.uniform(-5, 5, (3, 3)), np.zeros((3, 3)))
     ts = _trigger_state(rng.uniform(-5, 5, (3, 3)))  # stale caches
     dv = rhs_event(state, ts, path3, obj3, gains_theta35).reshape(3, 3, 3)[2]
     np.testing.assert_allclose(dv.sum(axis=0), 0.0, atol=1e-12)
@@ -279,7 +279,7 @@ def test_trigger_counts_monotone_in_chi0(path3, obj3, gains_theta35):
     for chi0 in (1.0, 1e-3, 1e-6):
         params = TriggerParams.local_only(3, chi0=chi0)
         law = make_trigger_law(path3, gains_theta35, params)
-        s0 = SwarmState(0.0, x0.copy(), y0.copy(), np.zeros((3, 3)))
+        s0 = SwarmState(x0.copy(), y0.copy(), np.zeros((3, 3)))
         er = simulate_event(s0, path3, obj3, gains_theta35, law, 0.01, 10.0)
         counts.append(int(er.trigger_state.counts.sum()))
     assert counts[0] <= counts[1] <= counts[2]
@@ -390,7 +390,7 @@ def test_carried_terms_match_full_pass(seed, n, p, gains_theta35):
         chi0=10.0 ** rng.uniform(-6, -3, n),
     )
     law = make_trigger_law(g, gains_theta35, params, denominator="rate")
-    s0 = SwarmState(0.0, rng.uniform(-5, 5, (n, p)), rng.uniform(-5, 5, (n, p)), np.zeros((n, p)))
+    s0 = SwarmState(rng.uniform(-5, 5, (n, p)), rng.uniform(-5, 5, (n, p)), np.zeros((n, p)))
     full_passes, samples = 0, 0
 
     def counted(*args):

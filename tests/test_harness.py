@@ -111,6 +111,24 @@ def test_gate_event_mode_singular_quadratic_rejected():
         load_preset(name)  # no bundled preset trips the gate
 
 
+def test_gate_event_mode_single_agent_rejected(tmp_path, capsys):
+    # the varphi threshold constants come from the event certificate, which
+    # needs a positive Laplacian eigenvalue: one agent is rejected at load
+    cfg = preset_config("heavy-ball")
+    cfg["algorithm"] = "event"
+    named = "network hypothesis violated"
+    with pytest.raises(ConfigError, match=f"{named}.*threshold_denominator.*rate.*local-only"):
+        scenario_from_dict(cfg)
+    path = tmp_path / "one-agent-event.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["run", str(path)]) == 2
+    assert named in capsys.readouterr().err
+    for trigger in ({"threshold_denominator": "rate"}, {"preset": "local-only"}):
+        cfg["trigger"] = trigger
+        rep = run(scenario_from_dict(cfg))
+        assert rep.passed and set(rep.checks) == {"v_balance", "trigger_discipline", "chi_positive", "chi_floor"}
+
+
 def test_gate_unbalanced_v0():
     cfg = preset_config("cdc18-scenario3")
     cfg["initial"] = {"x": [[0.0] * 3] * 3, "y": [[0.0] * 3] * 3, "v": [[1.0, 0.0, 0.0]] * 3}
@@ -214,6 +232,19 @@ BAD_CONFIGS = {
     "integration-number": (_set("integration", 0.1), "integration"),
     "graph-n-fraction": (_set("graph.n", 2.5), "graph.n"),
     "horizon-infinite": (_set("integration.horizon", float("inf")), "integration.horizon"),
+    # a horizon that is no whole number of steps would end the run at another time
+    "horizon-1.5-steps": (
+        _set("integration.horizon", 0.015),
+        "integration.horizon 0.015 must be a whole number of steps of 0.01",
+    ),
+    "horizon-2.5-steps": (
+        _set("integration.horizon", 0.025),
+        "integration.horizon 0.025 must be a whole number of steps of 0.01",
+    ),
+    "horizon-fractional-steps": (
+        _set("integration", {"step": 0.03, "horizon": 50.0}),
+        "integration.horizon 50.0 must be a whole number of steps of 0.03",
+    ),
     "box-nan": (_set("initial.box", [float("nan"), 5.0]), "initial.box"),
     "literal-initial-infinite": (_literal_initial, "initial.x"),
     "gain-nan": (_set("gains.alpha", float("nan")), "gains.alpha"),
@@ -595,6 +626,20 @@ def test_cli_constants(tmp_path, capsys):
     payload = json.loads((tmp_path / "cdc18-scenario3_constants.json").read_text())
     assert payload["eps4"]["value"] > 1
     assert "formula" in payload["m1"]
+
+
+def test_cli_divergence_exits_3(tmp_path, capsys):
+    # scenario 1 with the alternative variant diverges (slowest mode +0.17/s)
+    cfg = preset_config("cdc18-scenario1")
+    cfg["algorithm"] = "alternative"
+    cfg["integration"]["horizon"] = 200.0
+    cfg["diagnostics"] = {"lyapunov": False, "rate_fit": False}
+    path = tmp_path / "diverging.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "error: a state entry exceeded 1e+12 in magnitude or was not finite at t=161.6200" in err
+    assert "last finite state at t=161.6100:" in err
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
