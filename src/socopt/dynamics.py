@@ -235,13 +235,14 @@ def integrate(
     into the next row, and the hook and the next step see a state over
     that row.  ``on_sample``, if given, is called as
     ``on_sample(t[k], state)`` with every committed sample (including
-    t = 0) before the next step starts from it.  With ``affine``, the caller asserts that ``rhs`` is affine
-    in u, and each step is ``affine_stepper``'s matrix step, built after
-    the t = 0 hook; with a hook, its constant term is re-read at every
-    step, since the hook may move it.  Otherwise each step is
-    ``rk4_step``.  Raises DivergenceError, carrying a copy of the last
-    finite sample, as soon as any entry of a row is non-finite or exceeds
-    the divergence cutoff in magnitude.
+    t = 0) before the next step starts from it.  With ``affine``, the
+    caller asserts that ``rhs`` is affine in u, and each step is
+    ``affine_stepper``'s matrix step, built after the t = 0 hook; with a
+    hook, its constant term is re-read at every step, since the hook may
+    move it.  Otherwise each step is ``rk4_step``.  Raises
+    DivergenceError, carrying a copy of the last finite sample, as soon
+    as any entry of a row is non-finite or exceeds the divergence cutoff
+    in magnitude.
     """
     if step <= 0:
         raise ValueError("step must be positive")

@@ -84,7 +84,7 @@ def curvature_bound(cost: CostFunction, radius: float, center: np.ndarray) -> fl
     if cost.kind == "quadratic":
         return float(np.linalg.eigvalsh(cost.quad_matrix)[-1])
     reach = radius + float(np.linalg.norm(np.asarray(center, dtype=float) - cost.quartic_center))
-    return 12.0 * reach**2
+    return 12.0 * (reach * reach)  # a float's ** 2 calls libm pow, which can round apart from numpy's square
 
 
 def central_difference(f, x: np.ndarray, h: float) -> np.ndarray:
