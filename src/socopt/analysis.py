@@ -8,9 +8,15 @@ families of diagnostics, all computed from the stored trajectory after
 integration: the Lyapunov values W1..W4 / V1..V3, evaluated for every
 sample at once by ``LyapunovContext.values``; exponential decay
 envelopes; and an empirical rate fit compared against the certified
-bound eps3/(2*eps4) or eps9/(2*eps10).
+bound eps3/(2*eps4) or eps9/(2*eps10).  Where the certificate arithmetic
+leaves the float range (a power that overflows, a constant that
+underflows to 0 and then divides), the certificates and the Lyapunov
+context raise ``FloatRangeError``: the run then reports the certificate
+as unavailable.
 """
 
+import functools
+import math
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -23,6 +29,31 @@ from .graph import NetworkGraph, SpectralData
 
 class ConstantsError(ValueError):
     """Inputs outside the admissible ranges of the certificate formulas."""
+
+
+class FloatRangeError(ConstantsError):
+    """Certificate arithmetic that leaves the float range: the certificate
+    is unavailable for these inputs, which the run itself does not need."""
+
+
+def _in_float_range(fn):
+    """``fn`` raising FloatRangeError, named, where its arithmetic leaves
+    the float range: a power that overflows, a quotient by a value that
+    underflowed to 0, or a certificate constant that is not finite."""
+
+    @functools.wraps(fn)
+    def guarded(*args, **kwargs):
+        try:
+            out = fn(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise FloatRangeError(f"{fn.__qualname__} leaves the float range: {exc}") from None
+        if isinstance(out, CertificateConstants):
+            bad = [f.name for f in fields(out) if not math.isfinite(getattr(out, f.name) or 0.0)]
+            if bad:
+                raise FloatRangeError(f"{fn.__qualname__} leaves the float range: {', '.join(bad)} not finite")
+        return out
+
+    return guarded
 
 
 def _validate_design(gains: GainParams, eps0: float, eps: float):
@@ -150,10 +181,13 @@ class LyapunovContext:
     consts: CertificateConstants | None = None
     varphi: np.ndarray | None = None
     _pinv: np.ndarray = field(init=False)
+    _gamma_sq: float = field(init=False)
 
+    @_in_float_range
     def __post_init__(self):
         _validate_design(self.gains, self.eps0, self.eps)
         self._pinv = self.sd.weighted_projector(-1.0)  # R diag(1/lambda) R^T
+        self._gamma_sq = self.gains.gamma**2
 
     def _w1(self, x: np.ndarray) -> np.ndarray:
         """W1 = sum_i f_i(x_i) - g_i.x_i - (f_i(x*) - g_i.x*), g_i = grad f_i(x*);
@@ -180,7 +214,7 @@ class LyapunovContext:
         out = {"W1": self._w1(x)}
         out["W2"] = (
             0.5 * _dot(y, y)
-            + 0.5 * gn.gamma**2 * self.eps0 * _dot(dx, dx)
+            + 0.5 * self._gamma_sq * self.eps0 * _dot(dx, dx)
             + gn.gamma * self.eps0 * _dot(dx, y)
             + gn.theta * gn.gamma * self.eps0 / (2.0 * gn.beta) * _dot(dv, self._pinv @ dv)
             + gn.theta * _dot(dv, kn @ x)
@@ -209,6 +243,7 @@ class LyapunovContext:
         return {name: float(col[0]) for name, col in cols.items()}
 
 
+@_in_float_range
 def certificate_continuous(
     sd: SpectralData,
     obj: GlobalObjective,
@@ -267,6 +302,7 @@ def certificate_continuous(
     )
 
 
+@_in_float_range
 def certificate_event(
     sd: SpectralData,
     obj: GlobalObjective,

@@ -20,21 +20,26 @@ axis and stores sample k as row k of one (m, N) array.  One helper,
 ``_views``, binds the x, y, v and chi views of both.  All three variants
 share one fixed-step loop, ``integrate``, the one writer of a run's
 trajectory buffer: it samples at t = 0, h, 2h, ..., writes each step into
-the next row and hands the next step a state over that row, and an
-optional hook (where event mode processes its triggers) the pair
-(t, state).  A stepper maps a state to the next packed u by classical
-RK4, in one of two forms.
-``rk4_step`` advances u by four evaluations of the law.  With a quadratic
-objective the law is affine in u between samples, u' = M u + c, and RK4
-on it is exactly u <- R(hM) u + S(hM) c for RK4's stability polynomials
-R and S; ``affine_stepper`` probes M and c from the law itself (N + 1
-evaluations) and takes each step as that one matrix step, equal to
-``rk4_step`` up to rounding.  Forming R and S costs O(N^3), so the routing
-rule ``exact_affine`` takes the propagator only for quadratic objectives
-with a packed state of at most AFFINE_MAX_SIZE entries; quartic objectives
-and larger swarms step with ``rk4_step``.  The fixed step keeps trigger
-counts and trajectories exactly reproducible across runs; the default
-step 0.01 is the sample length used throughout the bundled scenarios.
+the next row, and hands an optional hook (where event mode processes its
+triggers) the pair (t, state) over that row.  A stepper maps a packed u
+to the next packed u by classical RK4, in one of three forms.
+``rk4_step`` advances u by four evaluations of the law.  The law is affine
+in u but for the gradient term, u' = M u + c - alpha E grad f(x), with E
+placing the per-agent gradients in the dy block, and the two other forms
+probe M and c from the law itself (N + 1 evaluations, ``probe_affine``).
+With a quadratic objective the whole law is affine, and RK4 on it is
+exactly u <- R(hM) u + S(hM) c for RK4's stability polynomials R and S:
+``affine_stepper`` takes each step as that one matrix step.  Otherwise
+``stage_stepper`` probes the law with a zero-gradient objective and forms
+each of RK4's four stages as M u + c less alpha times the gradient in the
+dy block.  Both equal ``rk4_step`` up to rounding.  The probe's dense
+N x N matrix costs O(N^2) per product and R and S O(N^3) once, so the
+routing rule ``route_for`` takes the propagator for quadratic objectives
+with a packed state of at most AFFINE_MAX_SIZE entries, the stage form
+for other objectives with at most STAGES_MAX_SIZE, and ``rk4_step`` for
+larger states.  The fixed step keeps trigger counts and trajectories
+exactly reproducible across runs; the default step 0.01 is the sample
+length used throughout the bundled scenarios.
 """
 
 from dataclasses import dataclass
@@ -42,11 +47,15 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .costs import GlobalObjective
+from .costs import GlobalObjective, QuadraticFamily
 from .graph import NetworkGraph
 
 DIVERGENCE_LIMIT = 1e12
-AFFINE_MAX_SIZE = 256  # largest packed state the affine propagator takes (see ``exact_affine``)
+AFFINE_MAX_SIZE = 256  # largest packed state the affine propagator takes (see ``route_for``)
+# largest packed state the stage form takes: past about N = 216 its four
+# dense N x N products per step cost more than rk4_step's four law
+# evaluations (measured on quartic rings, p = 3)
+STAGES_MAX_SIZE = 200
 
 
 class HypothesisError(ValueError):
@@ -147,11 +156,12 @@ def rhs_alternative(state: SwarmState, g: NetworkGraph, obj: GlobalObjective, ga
 class Trajectory:
     """Sampled trajectory, built by ``integrate``: row k of the (m, N) array
     u is the packed state at t[k], in the layout of the state ``like``, so
-    x, y, v are (m, n, p) and chi (m, n) views into u.  ``extras`` holds
-    per-sample diagnostic columns by name."""
+    x, y, v are (m, n, p) and chi (m, n) views into u.  ``stepper`` names
+    the form that stepped it ("affine", "stages" or "rk4"; see ``route_for``).
+    ``extras`` holds per-sample diagnostic columns by name."""
 
-    def __init__(self, t: np.ndarray, u: np.ndarray, like: SwarmState):
-        self.t, self.u, self.n, self.p = t, u, like.n, like.p
+    def __init__(self, t: np.ndarray, u: np.ndarray, like: SwarmState, stepper: str | None = None):
+        self.t, self.u, self.n, self.p, self.stepper = t, u, like.n, like.p, stepper
         self.x, self.y, self.v, self.chi = _views(u, like.n, like.p, like.chi is not None)
         self.extras: dict[str, np.ndarray] = {}
         self._like = like._like
@@ -169,24 +179,51 @@ class Trajectory:
 
 RhsFunc = Callable[[SwarmState], np.ndarray]
 SampleHook = Callable[[float, SwarmState], None]
+Stepper = Callable[[np.ndarray], np.ndarray]
+
+
+def _rk4(f: Callable[[np.ndarray], np.ndarray], u: np.ndarray, h: float) -> np.ndarray:
+    """Classical RK4's stages and combination for a field f of packed u."""
+    k1 = f(u)
+    k2 = f(u + (0.5 * h) * k1)
+    k3 = f(u + (0.5 * h) * k2)
+    k4 = f(u + h * k3)
+    return u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def rk4_step(rhs: RhsFunc, state: SwarmState, h: float) -> np.ndarray:
     """One classical 4th-order step of the packed state, chi included
     when the state carries it; returns the next packed u."""
-    u = state.u
-    k1 = rhs(state)
-    k2 = rhs(state._like(u + (0.5 * h) * k1))
-    k3 = rhs(state._like(u + (0.5 * h) * k2))
-    k4 = rhs(state._like(u + h * k3))
-    return u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return _rk4(lambda u: rhs(state._like(u)), state.u, h)
 
 
-def exact_affine(obj: GlobalObjective, size: int) -> bool:
-    """The routing rule: a run of packed state size ``size`` steps with the
-    affine propagator when its law is affine in u (a quadratic objective)
-    and size <= AFFINE_MAX_SIZE, and with ``rk4_step`` otherwise."""
-    return obj.all_quadratic() and size <= AFFINE_MAX_SIZE
+class Route(NamedTuple):
+    """How ``integrate`` steps a run: ``form`` is "affine", "stages" or
+    "rk4"; the stage form reads the gradient term from ``obj`` and
+    ``gains``."""
+
+    form: str
+    obj: GlobalObjective
+    gains: GainParams
+
+
+def route_for(obj: GlobalObjective, gains: GainParams, size: int) -> Route:
+    """The routing rule for a run of packed state size ``size``: the affine
+    propagator when the law is affine in u (a quadratic objective) and
+    size <= AFFINE_MAX_SIZE, the stage form for other objectives and
+    size <= STAGES_MAX_SIZE, and ``rk4_step`` otherwise."""
+    if obj.all_quadratic():
+        form = "affine" if size <= AFFINE_MAX_SIZE else "rk4"
+    else:
+        form = "stages" if size <= STAGES_MAX_SIZE else "rk4"
+    return Route(form, obj, gains)
+
+
+def whole_steps(step: float, horizon: float) -> bool:
+    """Whether ``horizon`` is a whole number of steps, to 1e-9 relative
+    (the test of both the config loader and ``integrate``)."""
+    steps = horizon / step
+    return abs(steps - round(steps)) <= 1e-9 * max(1.0, steps)
 
 
 def probe_affine(rhs: RhsFunc, like: SwarmState) -> tuple[np.ndarray, np.ndarray]:
@@ -198,14 +235,14 @@ def probe_affine(rhs: RhsFunc, like: SwarmState) -> tuple[np.ndarray, np.ndarray
     return np.column_stack([rhs(like._like(e)) - c for e in eye]), c
 
 
-def affine_stepper(rhs: RhsFunc, like: SwarmState, h: float, varying: bool) -> Callable[[SwarmState], np.ndarray]:
+def affine_stepper(rhs: RhsFunc, like: SwarmState, h: float, varying: bool) -> Stepper:
     """One classical RK4 step of an affine right-hand side u' = M u + c as
     one matrix step u <- R u + S c, with (M, c) probed once from ``rhs``:
     R = I + hM P and S = h P, with P = I + hM/2 (I + hM/3 (I + hM/4)) by
     Horner's rule (RK4's stability polynomials).  When ``varying``, c is
     re-read at every step by one ``rhs`` call at u = 0: M stays fixed but
     the constant term may change between steps (event mode's L xhat and
-    frozen chi bracket)."""
+    frozen chi bracket).  The step maps a packed u to the next."""
     M, c = probe_affine(rhs, like)
     eye = np.eye(M.shape[0])
     hM = h * M
@@ -214,8 +251,45 @@ def affine_stepper(rhs: RhsFunc, like: SwarmState, h: float, varying: bool) -> C
     zero = like._like(np.zeros(like.u.size))
     Sc = S @ c
 
-    def step(state: SwarmState) -> np.ndarray:
-        return R @ state.u + (S @ rhs(zero) if varying else Sc)
+    def step(u: np.ndarray) -> np.ndarray:
+        return R @ u + (S @ rhs(zero) if varying else Sc)
+
+    return step
+
+
+def stage_stepper(
+    rhs: Callable[[SwarmState, GlobalObjective], np.ndarray],
+    like: SwarmState,
+    h: float,
+    varying: bool,
+    obj: GlobalObjective,
+    alpha: float,
+) -> Stepper:
+    """One classical RK4 step of the law through its probed linear part.
+
+    ``rhs(state, objective)`` evaluates the law with the objective given;
+    with a zero-gradient one it is affine in u, and ``probe_affine`` gives
+    its (M, c) once.  Each RK4 stage at u is then M u + c with alpha times
+    ``obj``'s gradient at x subtracted in the dy block, which is the law up
+    to rounding.  When ``varying``, c is re-read at every step by one call
+    at u = 0, as in ``affine_stepper``.  The step maps a packed u to the next."""
+    n, p = like.n, like.p
+    w = n * p
+    flat = GlobalObjective(QuadraticFamily(np.zeros((n, p, p)), np.zeros((n, p)), np.zeros((n, p))))
+    linear = lambda s: rhs(s, flat)
+    M, c = probe_affine(linear, like)
+    zero = like._like(np.zeros(like.u.size))
+    grad = obj.family.grad
+
+    def step(u: np.ndarray) -> np.ndarray:
+        c_now = linear(zero) if varying else c
+
+        def stage(v: np.ndarray) -> np.ndarray:
+            k = M @ v + c_now
+            k[w : 2 * w] -= (alpha * grad(v[:w].reshape(n, p))).ravel()
+            return k
+
+        return _rk4(stage, u, h)
 
     return step
 
@@ -226,47 +300,54 @@ def integrate(
     step: float,
     horizon: float,
     on_sample: SampleHook | None = None,
-    affine: bool = False,
+    route: Route | None = None,
 ) -> Trajectory:
-    """Fixed-step integration sampling at t = 0, h, 2h, ..., horizon.
+    """Fixed-step integration sampling at t = 0, h, 2h, ..., horizon, a
+    whole number of steps.
 
     The returned trajectory owns the time axis and is the run's one
-    buffer: ``initial`` is copied into row 0, each step's next packed u
-    into the next row, and the hook and the next step see a state over
-    that row.  ``on_sample``, if given, is called as
-    ``on_sample(t[k], state)`` with every committed sample (including
-    t = 0) before the next step starts from it.  With ``affine``, the
-    caller asserts that ``rhs`` is affine in u, and each step is
-    ``affine_stepper``'s matrix step, built after the t = 0 hook; with a
-    hook, its constant term is re-read at every step, since the hook may
-    move it.  Otherwise each step is ``rk4_step``.  Raises
-    DivergenceError, carrying a copy of the last finite sample, as soon
-    as any entry of a row is non-finite or exceeds the divergence cutoff
-    in magnitude.
+    buffer: ``initial`` is copied into row 0 and each step's next packed
+    u into the next row.  ``on_sample``, if given, is called as
+    ``on_sample(t[k], state)`` with a state over every committed row
+    (including t = 0) before the next step starts from it.  ``route``
+    (from ``route_for``) picks the stepper, built after the t = 0 hook: the
+    affine propagator, asserting that ``rhs`` is affine in u; the stage
+    form, for which ``rhs(state, obj)`` also evaluates the law with the
+    objective ``obj`` in place of the run's; or, without a route,
+    ``rk4_step``.  With a hook, a probed constant term
+    is re-read at every step, since the hook may move it.  Raises
+    DivergenceError, carrying a copy of the last finite sample, as soon as
+    any entry of a row is non-finite or exceeds the divergence cutoff in
+    magnitude.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     if horizon < step:
         raise ValueError("horizon must be at least one step")
+    if not whole_steps(step, horizon):
+        raise ValueError(f"horizon {horizon} is not a whole number of steps of {step}")
     m = int(round(horizon / step)) + 1
     us = np.empty((m, initial.u.size))
-    traj = Trajectory(step * np.arange(m), us, initial)
+    form = "rk4" if route is None else route.form
+    traj = Trajectory(step * np.arange(m), us, initial, form)
     us[0] = initial.u
-    state = initial._like(us[0])
+    like = initial._like
     if on_sample is not None:
-        on_sample(0.0, state)
-    if affine:
-        advance = affine_stepper(rhs, state, step, varying=on_sample is not None)
+        on_sample(0.0, like(us[0]))
+    varying = on_sample is not None
+    if form == "affine":
+        advance = affine_stepper(rhs, initial, step, varying)
+    elif form == "stages":
+        advance = stage_stepper(rhs, initial, step, varying, route.obj, route.gains.alpha)
     else:
-        advance = lambda s: rk4_step(rhs, s, step)
+        advance = lambda u: rk4_step(rhs, like(u), step)
     for k in range(1, m):
         row = us[k]
-        row[...] = advance(state)
+        row[...] = advance(us[k - 1])
         if not np.abs(row).max() <= DIVERGENCE_LIMIT:  # also catches NaN
-            raise DivergenceError(float(traj.t[k]), float(traj.t[k - 1]), state._like(state.u.copy()))
-        state = state._like(row)
+            raise DivergenceError(float(traj.t[k]), float(traj.t[k - 1]), like(us[k - 1].copy()))
         if on_sample is not None:
-            on_sample(float(traj.t[k]), state)
+            on_sample(float(traj.t[k]), like(row))
     return traj
 
 

@@ -42,12 +42,13 @@ keeps the stages consistent).  The law is autonomous and a state carries
 no clock, so a per-sample hook, called with (t, state), processes the
 triggers, records the invariant margins, freezes the next step's bracket
 and forms L xhat once for the step (the caches change only there).  The
-run steps by the routing rule ``dynamics.exact_affine``: with a
-quadratic objective and a small swarm the law is affine in the state
-between samples, with a fixed matrix and a constant term that moves with
-L xhat and the bracket, so each step is the affine propagator's matrix
-step with that term re-read once per step; otherwise each step is
-``rk4_step``.
+run steps by the routing rule ``dynamics.route_for``.  In a small swarm
+the law less its gradient term is affine in the state between samples,
+with a fixed matrix and a constant term that moves with L xhat and the
+bracket: with a quadratic objective each step is the affine
+propagator's matrix step, and with a quartic one the stage form's four
+stages, each with that term re-read once per step.  Otherwise each step
+is ``rk4_step``.
 """
 
 from dataclasses import dataclass, field
@@ -55,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import GlobalObjective, rowdot
-from .dynamics import GainParams, SwarmState, Trajectory, _law, exact_affine, integrate
+from .dynamics import GainParams, SwarmState, Trajectory, _law, integrate, route_for
 from .graph import NetworkGraph
 
 
@@ -213,7 +214,10 @@ def make_trigger_law(
     elif denominator == "rate":
         c = lead * params.sigma / (4.0 * params.phi_rate)
     elif phis is None:
-        raise TriggerConfigError("eps8 is required to derive the threshold constants")
+        raise TriggerConfigError(
+            "eps8 is required to derive the threshold constants varphi_i, and the event certificate "
+            "that gives it is unavailable"
+        )
     else:
         c = lead * params.sigma / (4.0 * phis)
     return TriggerLaw(params=params, eps0=eps0, c=c, varphi=phis)
@@ -413,8 +417,8 @@ def simulate_event(
     discipline, floor_margin, bracket, lx = -np.inf, np.inf, None, None
     qh = rule_terms(ts, g, initial.x)[1]
 
-    def rhs(s: SwarmState) -> np.ndarray:
-        return _law(s, obj, gains, lx, s.v, chi_rhs(s.chi, bracket, law.params))
+    def rhs(s: SwarmState, o: GlobalObjective = obj) -> np.ndarray:
+        return _law(s, o, gains, lx, s.v, chi_rhs(s.chi, bracket, law.params))
 
     def on_sample(t: float, s: SwarmState) -> None:
         nonlocal discipline, floor_margin, bracket, lx, qh
@@ -426,7 +430,7 @@ def simulate_event(
         floor = law.params.chi0 * np.exp(-decay * t)
         floor_margin = min(floor_margin, float(np.min(s.chi - floor)))
 
-    traj = integrate(rhs, state0, step, horizon, on_sample, affine=exact_affine(obj, state0.u.size))
+    traj = integrate(rhs, state0, step, horizon, on_sample, route_for(obj, gains, state0.u.size))
     return EventRun(
         trajectory=traj,
         trigger_state=ts,

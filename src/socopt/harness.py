@@ -34,11 +34,12 @@ from .dynamics import (
     SwarmState,
     Trajectory,
     equilibrium_residual,
-    exact_affine,
     integrate,
     rhs_alternative,
     rhs_continuous,
+    route_for,
     v_balance_violation,
+    whole_steps,
 )
 from .events import (
     TRIGGER_FIELDS,
@@ -250,10 +251,9 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     horizon = _finite(integ.get("horizon", 50.0), "integration.horizon")
     _require(step > 0, "integration step must be positive")
     _require(horizon >= step, "horizon must cover at least one step")
-    steps = horizon / step
     _require(
-        abs(steps - round(steps)) <= 1e-9 * max(1.0, steps),
-        f"integration.horizon {horizon} must be a whole number of steps of {step}; it is {steps:.6g} steps",
+        whole_steps(step, horizon),
+        f"integration.horizon {horizon} must be a whole number of steps of {step}; it is {horizon / step:.6g} steps",
     )
 
     init_cfg = _section(cfg, "initial")
@@ -388,6 +388,8 @@ class RunReport:
     integration (trigger processing included) and the post-hoc Lyapunov
     diagnostics.  It excludes scenario validation, the initial state, the
     checks, residuals and rate fit that follow, and file emission.
+    ``stepper`` names the form that stepped the run ("affine", "stages" or
+    "rk4", see ``dynamics.route_for``), which sets its rounding.
     """
 
     name: str
@@ -404,6 +406,7 @@ class RunReport:
     trigger_summary: dict | None
     constants: analysis.CertificateConstants | None
     runtime_s: float
+    stepper: str
     files: dict[str, str] = field(default_factory=dict)
     trajectory: Trajectory | None = None
     event_run: object | None = None
@@ -418,7 +421,7 @@ class RunReport:
 SUMMARY_FIELDS = (
     "name", "algorithm", "seed", "terminal_error", "terminal_error_to_solution_set", "consensus_residual",
     "gradient_sum_residual", "equilibrium_residuals", "fitted_rate", "rate_bound", "checks", "trigger_summary",
-    "runtime_s", "files",
+    "runtime_s", "stepper", "files",
 )
 
 
@@ -443,24 +446,33 @@ def _estimate_mf_for(scenario: Scenario, xstar: np.ndarray):
 
 def _prepare_certificates(scenario: Scenario, state0: SwarmState):
     """Spectral data, minimizer, Lyapunov context and constants, as far as
-    the scenario's data allows."""
+    the scenario's data allows: a single agent has neither context nor
+    constants, and the constants are unavailable when m_f is not positive
+    or their arithmetic leaves the float range (the context too, when its
+    own coefficients do)."""
     g, obj, gains, eps0, eps = scenario.graph, scenario.obj, scenario.gains, scenario.eps0, scenario.eps
     sd = spectral(g)
     mini = minimizer_oracle(obj)
     ctx = consts = None
     if g.n > 1:
         eq = analysis.equilibrium_point(obj, gains, mini.x)
-        ctx = analysis.LyapunovContext(g=g, sd=sd, obj=obj, gains=gains, eps0=eps0, eps=eps, eq=eq)
+        try:
+            ctx = analysis.LyapunovContext(g=g, sd=sd, obj=obj, gains=gains, eps0=eps0, eps=eps, eq=eq)
+        except analysis.FloatRangeError:
+            return sd, mini, None, None
         mf_est = _estimate_mf_for(scenario, mini.x)
         if mf_est.satisfied:
             V1_0 = ctx.sample(state0)["V1"]
-            consts = analysis.certificate_continuous(
-                sd, obj, gains, eps0, eps, V1_0, mini.x, mf_est.value, mf_est.exact
-            )
-            if scenario.algorithm == "event":
-                consts = analysis.certificate_event(
-                    sd, obj, gains, eps0, eps, scenario.trigger, mf_est.value, mf_est.exact, base=consts
+            try:
+                consts = analysis.certificate_continuous(
+                    sd, obj, gains, eps0, eps, V1_0, mini.x, mf_est.value, mf_est.exact
                 )
+                if scenario.algorithm == "event":
+                    consts = analysis.certificate_event(
+                        sd, obj, gains, eps0, eps, scenario.trigger, mf_est.value, mf_est.exact, base=consts
+                    )
+            except analysis.FloatRangeError:
+                consts = None
             ctx.consts = consts
     return sd, mini, ctx, consts
 
@@ -505,11 +517,11 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None) -> RunReport:
     else:
         rhs_fn = rhs_continuous if scenario.algorithm == "continuous" else rhs_alternative
         traj = integrate(
-            lambda s: rhs_fn(s, g, obj, gains),
+            lambda s, o=obj: rhs_fn(s, g, o, gains),
             state0,
             scenario.step,
             scenario.horizon,
-            affine=exact_affine(obj, state0.u.size),
+            route=route_for(obj, gains, state0.u.size),
         )
     if scenario.diagnostics.lyapunov and ctx is not None:
         traj.extras = ctx.values(traj.x, traj.y, traj.v, traj.chi)
@@ -555,6 +567,7 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None) -> RunReport:
         trigger_summary=trigger_summary,
         constants=consts,
         runtime_s=runtime,
+        stepper=traj.stepper,
         trajectory=traj,
         event_run=event_run,
         minimizer=mini,

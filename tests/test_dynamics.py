@@ -9,18 +9,20 @@ from socopt import dynamics, events
 from socopt.costs import quadratic_family
 from socopt.dynamics import (
     AFFINE_MAX_SIZE,
+    STAGES_MAX_SIZE,
     DivergenceError,
     GainParams,
     HypothesisError,
     SwarmState,
     affine_stepper,
     equilibrium_residual,
-    exact_affine,
     integrate,
     probe_affine,
     rk4_step,
     rhs_alternative,
     rhs_continuous,
+    route_for,
+    stage_stepper,
     v_balance_violation,
 )
 from socopt.events import TriggerParams, TriggerState, chi_rhs, make_trigger_law, rhs_event, simulate_event
@@ -224,18 +226,31 @@ def test_integrate_validates_step(path3, obj3, gains_theta35):
         integrate(rhs, s0, 0.01, 0.001)
 
 
+@pytest.mark.parametrize("step, horizon", [(0.01, 0.015), (0.03, 0.1)])
+def test_integrate_rejects_a_horizon_of_part_steps(step, horizon, path3, obj3, gains_theta35):
+    # 1.5 and 3.33 steps: no grid of whole steps ends at the horizon
+    s0 = SwarmState(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 3)))
+    rhs = lambda s: rhs_continuous(s, path3, obj3, gains_theta35)
+    with pytest.raises(ValueError, match="whole number of steps"):
+        integrate(rhs, s0, step, horizon)
+    cfg = preset_config("cdc18-scenario3")
+    cfg["integration"] = {"step": step, "horizon": horizon}
+    with pytest.raises(ValueError, match="whole number of steps"):  # the loader applies the same test
+        scenario_from_dict(cfg)
+
+
 @pytest.mark.parametrize("event", [False, True])
 def test_trajectory_rows_are_packed_states(event, path3, obj3, gains_theta35, monkeypatch):
     s0 = _state(np.random.default_rng(7), 3, 3)
     seen = []  # (t, u) as each committed sample reaches the hook
 
-    def recording_integrate(rhs, initial, step, horizon, on_sample=None, affine=False):
+    def recording_integrate(rhs, initial, step, horizon, on_sample=None, route=None):
         def hook(t, s):
             seen.append((t, s.u.copy()))
             if on_sample is not None:
                 on_sample(t, s)
 
-        return integrate(rhs, initial, step, horizon, hook, affine)
+        return integrate(rhs, initial, step, horizon, hook, route)
 
     if event:
         monkeypatch.setattr(events, "integrate", recording_integrate)
@@ -338,7 +353,7 @@ def test_rk4_step_matches_block_reference(seed, n, p, gains_theta35):
         assert isinstance(new, np.ndarray) and np.all(new == _block_rk4(ref, x, y, v, c, h)), name
         # the affine propagator takes the same step up to rounding
         step = affine_stepper(rhs, state, h, varying=False)
-        assert np.abs(step(state) - new).max() <= 1e-12 * np.abs(new).max(), name
+        assert np.abs(step(state.u) - new).max() <= 1e-12 * np.abs(new).max(), name
 
 
 # -- the affine propagator of small quadratic runs ----------------------------
@@ -389,30 +404,125 @@ def test_affine_step_matches_rk4_step(name):
             for a in caches:
                 a[...] = rng.uniform(-5.0, 5.0, a.shape)
         s = random_state()
-        new, ref = step(s), rk4_step(rhs, s, h)
+        new, ref = step(s.u), rk4_step(rhs, s, h)
         assert isinstance(new, np.ndarray) and new.shape == ref.shape == s.u.shape
         assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_routing_rule(obj2, obj3):
-    assert exact_affine(obj3, AFFINE_MAX_SIZE)
-    assert not exact_affine(obj3, AFFINE_MAX_SIZE + 1)
-    assert not exact_affine(obj2, 27)
+def test_routing_rule(obj2, obj3, gains_theta35):
+    form = lambda obj, size: route_for(obj, gains_theta35, size).form
+    # quadratic: the propagator up to its bound, rk4_step above
+    assert form(obj3, AFFINE_MAX_SIZE) == "affine"
+    assert form(obj3, AFFINE_MAX_SIZE + 1) == "rk4"
+    # quartic: the stage form up to its own bound, rk4_step above
+    assert form(obj2, STAGES_MAX_SIZE) == "stages"
+    assert form(obj2, STAGES_MAX_SIZE + 1) == "rk4"
+    # each bound applies to its own objectives only
+    assert STAGES_MAX_SIZE < AFFINE_MAX_SIZE
+    assert form(obj3, STAGES_MAX_SIZE + 1) == "affine"
+    assert form(obj2, AFFINE_MAX_SIZE) == "rk4"
 
 
-@pytest.mark.parametrize("case", ["quartic", "above-size"])
+def _quartic_ring_scenario(n: int, horizon: float):
+    """Scenario2's gains and initial box on an n-agent unit ring with
+    seeded quartic centres, continuous, Lyapunov off."""
+    cfg = preset_config("cdc18-scenario2")
+    cfg["graph"] = {"n": n, "edges": [[i, (i + 1) % n, 1.0] for i in range(n)]}
+    cfg["costs"] = {"kind": "quartic", "centers": np.random.default_rng(n).uniform(-2.0, 2.0, (n, 3)).tolist()}
+    cfg["integration"]["horizon"] = horizon
+    cfg["diagnostics"] = {"lyapunov": False, "rate_fit": False}
+    return scenario_from_dict(cfg)
+
+
+def _rk4_reference(sc, s0):
+    return integrate(lambda s: rhs_continuous(s, sc.graph, sc.obj, sc.gains), s0, sc.step, sc.horizon)
+
+
+@pytest.mark.parametrize("case", ["quadratic-above-size", "quartic-above-size"])
 def test_runs_off_the_rule_step_with_rk4_bit_for_bit(case):
-    # scenario2 (quartic) and a quadratic 30-agent ring (packed size 270)
-    # integrate exactly as rk4_step does
-    if case == "quartic":
-        sc = load_preset("cdc18-scenario2")
+    # a quadratic 30-agent ring (packed size 270) and a quartic 23-agent ring
+    # (packed size 207) integrate exactly as rk4_step does
+    if case == "quadratic-above-size":
+        sc = replace(ring30_event_scenario(), algorithm="continuous", horizon=0.5)
     else:
-        sc = replace(ring30_event_scenario(), algorithm="continuous")
-    sc = replace(sc, horizon=0.5)
+        sc = _quartic_ring_scenario(23, 0.5)
     s0, _ = make_initial(sc)
-    assert not exact_affine(sc.obj, s0.u.size)
-    ref = integrate(lambda s: rhs_continuous(s, sc.graph, sc.obj, sc.gains), s0, sc.step, sc.horizon)
-    assert np.array_equal(run(sc).trajectory.u, ref.u)
+    assert route_for(sc.obj, sc.gains, s0.u.size).form == "rk4"
+    rep = run(sc)
+    assert rep.stepper == "rk4" and np.array_equal(rep.trajectory.u, _rk4_reference(sc, s0).u)
+
+
+def test_stage_form_steps_scenario2_as_rk4_step_does_up_to_rounding():
+    # scenario2 (quartic, packed size 27) takes the stage form.  Its stages
+    # sum the law's terms in another order, so each differs from the law's
+    # value by a few roundings of entries no larger than about ||M|| max|u|;
+    # a step then moves u by a few eps max|u| (h ||M|| < 1 here), and over a
+    # stable flow these differences add up without growth.  Allow 8 eps
+    # max|u| per step.
+    sc = replace(load_preset("cdc18-scenario2"), horizon=0.5)
+    s0, _ = make_initial(sc)
+    rep, ref = run(sc), _rk4_reference(sc, s0)
+    assert rep.stepper == "stages"
+    steps = ref.samples - 1
+    tol = 8 * np.finfo(float).eps * np.abs(ref.u).max() * steps
+    gap = np.abs(rep.trajectory.u - ref.u).max()
+    assert 0.0 < gap <= tol, f"{gap:.3e} > {tol:.3e}"
+
+
+def _event_quartic_config():
+    """Scenario2's graph, costs and gains with a Lipschitz override of 50,
+    the algorithm and trigger fields of the event preset, horizon 5."""
+    cfg, ev = preset_config("cdc18-scenario2"), preset_config("cdc18-scenario3-event")
+    cfg["costs"]["lipschitz_override"] = 50.0
+    cfg.update({key: ev[key] for key in ("algorithm", "trigger") if key in ev})  # no trigger section: defaults
+    cfg["integration"]["horizon"] = 5.0
+    return cfg
+
+
+def test_event_quartic_stage_form_triggers_as_rk4_step_does(monkeypatch):
+    sc = scenario_from_dict(_event_quartic_config())
+    reps = {}
+    for path in ("stages", "rk4"):
+        with monkeypatch.context() as m:
+            if path == "rk4":
+                m.setattr(dynamics, "STAGES_MAX_SIZE", 0)
+            reps[path] = run(sc)
+        assert reps[path].stepper == path and reps[path].passed
+    stages, rk4 = (reps[k].event_run.trigger_state for k in ("stages", "rk4"))
+    assert stages.counts.sum() == 73
+    assert stages.counts.tolist() == rk4.counts.tolist()
+    assert [(e.agent, e.index, e.t) for e in stages.events] == [(e.agent, e.index, e.t) for e in rk4.events]
+
+
+@pytest.mark.parametrize("name", ["cdc18-scenario2", "event-quartic"])
+def test_stage_step_matches_rk4_step(name):
+    # from random states, and in event mode with the caches and the frozen
+    # bracket moved between steps, as the run's hook moves them
+    rng = np.random.default_rng(8)
+    cfg = preset_config(name) if name != "event-quartic" else _event_quartic_config()
+    sc = scenario_from_dict(cfg)
+    g, obj, gains, n, p = sc.graph, sc.obj, sc.gains, sc.graph.n, sc.obj.p
+    event = sc.algorithm == "event"
+    xhat, bracket = rng.uniform(-5.0, 5.0, (n, p)), rng.uniform(-1.0, 1.0, n)
+
+    def rhs(s, o=obj):
+        if not event:
+            return rhs_continuous(s, g, o, gains)
+        ts = TriggerState(xhat=xhat, chi=s.chi, last_event=np.zeros(n), counts=np.ones(n))
+        return rhs_event(s, ts, g, o, gains, chi_rhs(s.chi, bracket, sc.trigger))
+
+    def random_state():
+        x, y, v = rng.uniform(-5.0, 5.0, (3, n, p))
+        return SwarmState(x, y, v, rng.uniform(0.1, 2.0, n) if event else None)
+
+    h = 0.01
+    step = stage_stepper(rhs, random_state(), h, event, obj, gains.alpha)
+    for _ in range(5):
+        xhat[...], bracket[...] = rng.uniform(-5.0, 5.0, (n, p)), rng.uniform(-1.0, 1.0, n)
+        s = random_state()
+        new, ref = step(s.u), rk4_step(rhs, s, h)
+        assert new.shape == ref.shape == s.u.shape
+        assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_diverging_quadratic_run_stops_where_rk4_does(monkeypatch):

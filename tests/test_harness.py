@@ -642,6 +642,67 @@ def test_cli_divergence_exits_3(tmp_path, capsys):
     assert "last finite state at t=161.6100:" in err
 
 
+def _write_config(tmp_path, preset: str, section: str, key: str, value, horizon: float = 2.0):
+    cfg = preset_config(preset)
+    cfg[section][key] = value
+    cfg["integration"]["horizon"] = horizon
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path, cfg
+
+
+@pytest.mark.parametrize(
+    "preset, section, key, value",
+    [
+        ("cdc18-scenario3", "gains", "gamma", 1e300),  # gamma**2 overflows in V1(0)
+        ("cdc18-scenario3", "gains", "alpha", 1e300),  # alpha**2 overflows in eps2
+        ("cdc18-scenario2", "initial", "box", [-5.0, 1e150]),  # eps1 underflows to 0
+        ("cdc18-scenario3", "initial", "box", [-5.0, 1e200]),  # V1(0) and the ball D are infinite
+    ],
+)
+def test_certificate_out_of_float_range_is_unavailable(preset, section, key, value, tmp_path, capsys):
+    # a certificate is a report, not a precondition: where its arithmetic
+    # leaves the float range it is unavailable, and the run finishes or diverges
+    path, cfg = _write_config(tmp_path, preset, section, key, value)
+    assert cli_main(["run", str(path), "--out", str(tmp_path)]) in (0, 3)
+    assert "Traceback" not in capsys.readouterr().err
+    assert certificate_constants(scenario_from_dict(cfg)) is None
+
+
+@pytest.mark.parametrize("key", ["gamma", "alpha"])
+def test_event_run_without_its_eps8_exits_2_naming_it(key, tmp_path, capsys):
+    # the "varphi" threshold denominator needs the event certificate's eps8
+    path, _ = _write_config(tmp_path, "cdc18-scenario3-event", "gains", key, 1e300)
+    assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "eps8" in err and "Traceback" not in err
+
+
+def _ring_scenario(n: int, horizon: float):
+    """Scenario3's gains on an n-agent unit ring with identity quadratics."""
+    cfg = preset_config("cdc18-scenario3")
+    cfg["graph"] = {"n": n, "edges": [[i, (i + 1) % n, 1.0] for i in range(n)]}
+    shifts = np.random.default_rng(n).uniform(-2.0, 2.0, (n, 3)).tolist()
+    cfg["costs"] = {"kind": "quadratic_shift", "matrices": [np.eye(3).tolist()] * n, "shifts": shifts}
+    cfg["integration"]["horizon"] = horizon
+    cfg["diagnostics"] = {"lyapunov": False, "rate_fit": False}
+    return scenario_from_dict(cfg)
+
+
+@pytest.mark.parametrize(
+    "name, stepper", [("cdc18-scenario1", "affine"), ("cdc18-scenario2", "stages"), ("ring300", "rk4")]
+)
+def test_summary_names_the_stepper(name, stepper, tmp_path):
+    # the form that stepped a run sets its rounding, so the summary says which
+    if name == "ring300":
+        sc = _ring_scenario(300, 0.02)
+    else:
+        sc = dataclasses.replace(load_preset(name), horizon=0.1)
+    rep = run(sc, out_dir=tmp_path)
+    assert rep.stepper == stepper
+    assert json.loads(open(rep.files["summary"]).read())["stepper"] == stepper
+
+
 def test_cli_rejects_bad_config(tmp_path, capsys):
     cfg = preset_config("cdc18-scenario1")
     cfg["gains"]["theta"] = 13.0

@@ -7,8 +7,8 @@ each workload.  These tests run it on short versions of the three
 workloads and of the event scaling step so that an API change that would
 break the traced benchmark fails here first.  The last test applies the
 benchmark's correctness gate, at three recorded seeds, to the ring300-event
-run and to every quadratic preset of the presets workload (the runs the
-affine propagator steps, and the event preset among them).
+run and to every preset of the presets workload (the runs the affine
+propagator and the stage form step, and the event preset among them).
 """
 
 import json
@@ -93,13 +93,13 @@ def test_kernel_timings_ring_event_and_event_step(kernels):
 
 
 GATE_SEEDS = (12345, 1, 7)
-QUADRATIC_PRESETS = ("cdc18-scenario1", "cdc18-scenario3", "cdc18-scenario3-event", "heavy-ball")
+PRESETS = presets.preset_names()
 
 
 @pytest.mark.parametrize(
     "workload, seed, name",
     [("ring300-event", seed, "ring300-event") for seed in GATE_SEEDS]
-    + [("presets", seed, name) for seed in GATE_SEEDS for name in QUADRATIC_PRESETS],
+    + [("presets", seed, name) for seed in GATE_SEEDS for name in PRESETS],
 )
 def test_event_outcomes_match_benchmark_reference(monkeypatch, workload, seed, name):
     # the benchmark's correctness gate: broadcast counts exact and terminal

@@ -22,15 +22,15 @@ from socopt.harness import run, scenario_from_dict
 from socopt.presets import preset_config, preset_names
 
 REPORT_SHA256 = {
-    "cdc18-scenario1_summary.json": "25c0a44161d3b450036032b356784a3a076d9a03c21c1a3aefc1ab8714392902",
+    "cdc18-scenario1_summary.json": "9dae8db397d19d37733969a4ad035319f4039159d4a1abec91fb2a2f693a0eef",
     "cdc18-scenario2_constants.json": "be59d7e845e2fead07e8d134fc7e20659235b35d934b4fb3bad4477e610d4336",
-    "cdc18-scenario2_summary.json": "ddfab2f5aa1c08b66bce1103928d1d7a1e54bdc3f06e344bc9cc427fcad6f8ff",
+    "cdc18-scenario2_summary.json": "61320ed8bcd2f1b742d69ed765dff8ea134b89305a5591ae9a3f7bf34f88bf81",
     "cdc18-scenario3_constants.json": "990b176856ba36cabf2de22d6fe8bb39adec95e4169da29dc9f9282a880f38d4",
-    "cdc18-scenario3_summary.json": "7570aebcf9aa3b4541c3791a42ba0eb1b732e98fcbcdeab053732f95eab6b702",
+    "cdc18-scenario3_summary.json": "feaf2298c239a1ca56ea5e9a3d61c7f44465884c118a40b969e6fbd87440d799",
     "cdc18-scenario3-event_constants.json": "91fdec9b6aa9a3e88f69784962f34ae966393af77e1f38c23cb832ad37764ffc",
     "cdc18-scenario3-event_events.csv": "955ea275bdd96ca1a1fac1eeb3ccd6673b34de83c5799abf9188392a3f4630e4",
-    "cdc18-scenario3-event_summary.json": "de432d29e19389ec744df557fb3aab8d1a221d5dca0c09883fe02d46aa23b087",
-    "heavy-ball_summary.json": "ef8cd4b9c67e9a462731991bca5b09da32aca1d45b3adc208e05bed9c23c406c",
+    "cdc18-scenario3-event_summary.json": "1c36c3d9f015e014fe216ababa6cf03b22c41c84dedf898bc63de069e0087d35",
+    "heavy-ball_summary.json": "472e4adf1d516a29a4d99799bd136f3aec84501387016808ba0952a0e9d3484c",
 }
 
 CONSTANTS_CLI_SHA256 = {
