@@ -4,13 +4,14 @@ import pytest
 from socopt.costs import quadratic_family, quartic_family
 from socopt.dynamics import GainParams
 from socopt.graph import build_graph
-from socopt.harness import load_preset, run
+from socopt.harness import load_preset, run, scenario_from_dict
 from socopt.presets import (
     SCENARIO1_A,
     SCENARIO1_SHIFTS,
     SCENARIO2_CENTERS,
     SCENARIO3_C,
     SCENARIO3_LINEAR,
+    preset_config,
 )
 
 
@@ -58,6 +59,17 @@ def random_connected_graph(rng, n):
             seen.add((i, j))
             edges.append((i, j, float(rng.uniform(0.5, 2.0))))
     return build_graph(edges, n=n)  # 0-based: the tree starts with edge (0, 1)
+
+
+def unit_ring_scenario(preset: str, n: int, costs: dict, horizon: float):
+    """``preset`` with its graph replaced by an n-agent ring of unit
+    weights and its costs by ``costs``, at ``horizon``, Lyapunov off."""
+    cfg = preset_config(preset)
+    cfg["graph"] = {"n": n, "edges": [[i, (i + 1) % n, 1.0] for i in range(n)]}
+    cfg["costs"] = costs
+    cfg["integration"]["horizon"] = horizon
+    cfg["diagnostics"] = {"lyapunov": False, "rate_fit": False}
+    return scenario_from_dict(cfg)
 
 
 # the preset runs are expensive enough to share across test modules

@@ -30,7 +30,7 @@ from socopt.graph import build_graph
 from socopt.harness import load_preset, make_initial, run, scenario_from_dict
 from socopt.presets import preset_config
 
-from conftest import heavy_ball_closed_form, random_connected_graph
+from conftest import heavy_ball_closed_form, random_connected_graph, unit_ring_scenario
 from oracle import per_agent_costs
 from test_golden import ring30_event_scenario
 
@@ -423,29 +423,19 @@ def test_routing_rule(obj2, obj3, gains_theta35):
     assert form(obj2, AFFINE_MAX_SIZE) == "rk4"
 
 
-def _quartic_ring_scenario(n: int, horizon: float):
-    """Scenario2's gains and initial box on an n-agent unit ring with
-    seeded quartic centres, continuous, Lyapunov off."""
-    cfg = preset_config("cdc18-scenario2")
-    cfg["graph"] = {"n": n, "edges": [[i, (i + 1) % n, 1.0] for i in range(n)]}
-    cfg["costs"] = {"kind": "quartic", "centers": np.random.default_rng(n).uniform(-2.0, 2.0, (n, 3)).tolist()}
-    cfg["integration"]["horizon"] = horizon
-    cfg["diagnostics"] = {"lyapunov": False, "rate_fit": False}
-    return scenario_from_dict(cfg)
-
-
 def _rk4_reference(sc, s0):
     return integrate(lambda s: rhs_continuous(s, sc.graph, sc.obj, sc.gains), s0, sc.step, sc.horizon)
 
 
-@pytest.mark.parametrize("case", ["quadratic-above-size", "quartic-above-size"])
+@pytest.mark.parametrize("case", ["above-size", "quartic-above-size"])
 def test_runs_off_the_rule_step_with_rk4_bit_for_bit(case):
     # a quadratic 30-agent ring (packed size 270) and a quartic 23-agent ring
     # (packed size 207) integrate exactly as rk4_step does
-    if case == "quadratic-above-size":
+    if case == "above-size":
         sc = replace(ring30_event_scenario(), algorithm="continuous", horizon=0.5)
     else:
-        sc = _quartic_ring_scenario(23, 0.5)
+        centers = np.random.default_rng(23).uniform(-2.0, 2.0, (23, 3)).tolist()
+        sc = unit_ring_scenario("cdc18-scenario2", 23, {"kind": "quartic", "centers": centers}, 0.5)
     s0, _ = make_initial(sc)
     assert route_for(sc.obj, sc.gains, s0.u.size).form == "rk4"
     rep = run(sc)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ from socopt.presets import (
     preset_config,
     preset_names,
 )
+
+from conftest import unit_ring_scenario
 
 # the benchmark literals, embedded independently of the presets module
 FIXTURE_A = [
@@ -678,29 +681,20 @@ def test_event_run_without_its_eps8_exits_2_naming_it(key, tmp_path, capsys):
     assert "eps8" in err and "Traceback" not in err
 
 
-def _ring_scenario(n: int, horizon: float):
-    """Scenario3's gains on an n-agent unit ring with identity quadratics."""
-    cfg = preset_config("cdc18-scenario3")
-    cfg["graph"] = {"n": n, "edges": [[i, (i + 1) % n, 1.0] for i in range(n)]}
-    shifts = np.random.default_rng(n).uniform(-2.0, 2.0, (n, 3)).tolist()
-    cfg["costs"] = {"kind": "quadratic_shift", "matrices": [np.eye(3).tolist()] * n, "shifts": shifts}
-    cfg["integration"]["horizon"] = horizon
-    cfg["diagnostics"] = {"lyapunov": False, "rate_fit": False}
-    return scenario_from_dict(cfg)
-
-
 @pytest.mark.parametrize(
     "name, stepper", [("cdc18-scenario1", "affine"), ("cdc18-scenario2", "stages"), ("ring300", "rk4")]
 )
 def test_summary_names_the_stepper(name, stepper, tmp_path):
     # the form that stepped a run sets its rounding, so the summary says which
     if name == "ring300":
-        sc = _ring_scenario(300, 0.02)
+        shifts = np.random.default_rng(300).uniform(-2.0, 2.0, (300, 3)).tolist()
+        costs = {"kind": "quadratic_shift", "matrices": [np.eye(3).tolist()] * 300, "shifts": shifts}
+        sc = unit_ring_scenario("cdc18-scenario3", 300, costs, 0.02)
     else:
         sc = dataclasses.replace(load_preset(name), horizon=0.1)
     rep = run(sc, out_dir=tmp_path)
     assert rep.stepper == stepper
-    assert json.loads(open(rep.files["summary"]).read())["stepper"] == stepper
+    assert json.loads(Path(rep.files["summary"]).read_text())["stepper"] == stepper
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
