@@ -18,7 +18,7 @@ from pathlib import Path
 from .dynamics import DivergenceError, HypothesisError
 from .graph import GraphError
 from .harness import ConfigError, compare, default_out_dir, load_preset, load_scenario, run
-from .harness import certificate_constants, write_constants
+from .harness import certificate_outcome, write_constants
 from .presets import preset_names
 
 
@@ -64,10 +64,9 @@ def _cmd_constants(args) -> int:
     out_dir = Path(args.out) if args.out else default_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     for sc in scenarios:
-        consts = certificate_constants(sc, args.seed)
+        consts, reason = certificate_outcome(sc, args.seed)
         if consts is None:
-            print(f"{sc.name}: certificate constants unavailable "
-                  "(needs a positive restricted strong convexity modulus and n > 1)")
+            print(f"{sc.name}: certificate constants unavailable ({reason})")
             continue
         path = write_constants(out_dir, sc.name, consts)
         print(f"{sc.name}: wrote {path}")

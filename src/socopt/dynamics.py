@@ -30,16 +30,23 @@ probe M and c from the law itself (N + 1 evaluations, ``probe_affine``).
 With a quadratic objective the whole law is affine, and RK4 on it is
 exactly u <- R(hM) u + S(hM) c for RK4's stability polynomials R and S:
 ``affine_stepper`` takes each step as that one matrix step.  Otherwise
-``stage_stepper`` probes the law with a zero-gradient objective and forms
-each of RK4's four stages as M u + c less alpha times the gradient in the
-dy block.  Both equal ``rk4_step`` up to rounding.  The probe's dense
-N x N matrix costs O(N^2) per product and R and S O(N^3) once, so the
-routing rule ``route_for`` takes the propagator for quadratic objectives
-with a packed state of at most AFFINE_MAX_SIZE entries, the stage form
-for other objectives with at most STAGES_MAX_SIZE, and ``rk4_step`` for
-larger states.  The fixed step keeps trigger counts and trajectories
-exactly reproducible across runs; the default step 0.01 is the sample
-length used throughout the bundled scenarios.
+``stage_stepper`` probes the law with a zero-gradient objective.  Since
+dx = y, the gradient enters only the dy block, so RK4's stage positions
+pair up: stages 1 and 2 read only u and c, and stages 3 and 4 only u, c
+and the first two stages' gradients g1, g2.  The step is therefore linear
+in z = [u, c, g1, g2, g3, g4]: it takes the gradients at stages 1 and 2
+in one batched call, then at stages 3 and 4 in another, and returns
+u + F z, with the increment matrix F and both pairs' position rows built
+once by running ``_rk4`` on matrices over z.  (Returning [I | F] z instead
+lets the gap to ``rk4_step`` grow with the step count.)  Both forms equal
+``rk4_step`` up to rounding.  The probe's dense N x N matrix costs O(N^2)
+per product and R and S O(N^3) once, so the routing rule ``route_for``
+takes the propagator for quadratic objectives with a packed state of at
+most AFFINE_MAX_SIZE entries, the stage form for other objectives with
+at most STAGES_MAX_SIZE, and ``rk4_step`` for larger states.  The fixed
+step keeps trigger counts and trajectories exactly reproducible across
+runs; the default step 0.01 is the sample length used throughout the
+bundled scenarios.
 """
 
 from dataclasses import dataclass
@@ -52,9 +59,10 @@ from .graph import NetworkGraph
 
 DIVERGENCE_LIMIT = 1e12
 AFFINE_MAX_SIZE = 256  # largest packed state the affine propagator takes (see ``route_for``)
-# largest packed state the stage form takes: past about N = 216 its four
-# dense N x N products per step cost more than rk4_step's four law
-# evaluations (measured on quartic rings, p = 3)
+# largest packed state the stage form takes: past about N = 200 its dense
+# products per step cost more than rk4_step's four law evaluations when the
+# constant term is re-read every step (event mode; measured on quartic
+# rings, p = 3); with a fixed constant term the break-even lies past 250
 STAGES_MAX_SIZE = 200
 
 
@@ -183,18 +191,20 @@ Stepper = Callable[[np.ndarray], np.ndarray]
 
 
 def _rk4(f: Callable[[np.ndarray], np.ndarray], u: np.ndarray, h: float) -> np.ndarray:
-    """Classical RK4's stages and combination for a field f of packed u."""
+    """Classical RK4's increment (h/6)(k1 + 2 k2 + 2 k3 + k4) for a field f,
+    from u; the one place its tableau is written.  f sees the four stage
+    points in order, and u may be a packed state or a matrix of them."""
     k1 = f(u)
     k2 = f(u + (0.5 * h) * k1)
     k3 = f(u + (0.5 * h) * k2)
     k4 = f(u + h * k3)
-    return u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def rk4_step(rhs: RhsFunc, state: SwarmState, h: float) -> np.ndarray:
     """One classical 4th-order step of the packed state, chi included
     when the state carries it; returns the next packed u."""
-    return _rk4(lambda u: rhs(state._like(u)), state.u, h)
+    return state.u + _rk4(lambda u: rhs(state._like(u)), state.u, h)
 
 
 class Route(NamedTuple):
@@ -265,31 +275,57 @@ def stage_stepper(
     obj: GlobalObjective,
     alpha: float,
 ) -> Stepper:
-    """One classical RK4 step of the law through its probed linear part.
+    """One classical RK4 step of the law through its probed linear part,
+    as two batched gradient calls and three matrix products.
 
     ``rhs(state, objective)`` evaluates the law with the objective given;
     with a zero-gradient one it is affine in u, and ``probe_affine`` gives
-    its (M, c) once.  Each RK4 stage at u is then M u + c with alpha times
-    ``obj``'s gradient at x subtracted in the dy block, which is the law up
-    to rounding.  When ``varying``, c is re-read at every step by one call
-    at u = 0, as in ``affine_stepper``.  The step maps a packed u to the next."""
+    its (M, c) once.  The law is then u' = M u + c - alpha E g, with g the
+    gradient at x placed in the dy block by E, so RK4's step is linear in
+    z = [u, c, g1, g2, g3, g4], g_k the gradient at stage k's x.  Running
+    ``_rk4`` once on matrices over z gives the increment matrix F and each
+    stage's x rows; since dx = y, stages 1 and 2 read only (u, c) (rows A)
+    and stages 3 and 4 only (u, c, g1, g2) (rows B).  A step evaluates
+    (g1, g2) at A [u, c], then (g3, g4) at B [u, c, g1, g2], each as one
+    ``family.grad`` call on a (2, n, p) stack, and returns u + F z, which
+    is ``rk4_step``'s step up to rounding.  When ``varying``, c is re-read
+    at every step by one call at u = 0, as in ``affine_stepper``;
+    otherwise z carries it as the single entry 1, with column c, which
+    keeps F narrower.  The step maps a packed u to the next."""
     n, p = like.n, like.p
-    w = n * p
+    w, N = n * p, like.u.size
     flat = GlobalObjective(QuadraticFamily(np.zeros((n, p, p)), np.zeros((n, p)), np.zeros((n, p))))
     linear = lambda s: rhs(s, flat)
     M, c = probe_affine(linear, like)
     zero = like._like(np.zeros(like.u.size))
     grad = obj.family.grad
+    # stage k's field over z is M V + C on the c block, less alpha times
+    # its own g block in the dy rows
+    C = np.eye(N) if varying else c[:, None]
+    g0 = N + C.shape[1]
+    points = []
+
+    def field(V: np.ndarray) -> np.ndarray:
+        k = len(points)
+        points.append(V[:w])
+        K = M @ V
+        K[:, N:g0] += C
+        K[w : 2 * w, g0 + k * w : g0 + (k + 1) * w] -= alpha * np.eye(w)
+        return K
+
+    F = _rk4(field, np.eye(N, g0 + 4 * w), h)
+    A, B = np.vstack(points[:2]), np.vstack(points[2:])
+    assert not A[:, g0:].any() and not B[:, g0 + 2 * w :].any(), "a stage's x reads a gradient it precedes"
+    A, B = A[:, :g0], B[:, : g0 + 2 * w]
+    z = np.ones(F.shape[1])
 
     def step(u: np.ndarray) -> np.ndarray:
-        c_now = linear(zero) if varying else c
-
-        def stage(v: np.ndarray) -> np.ndarray:
-            k = M @ v + c_now
-            k[w : 2 * w] -= (alpha * grad(v[:w].reshape(n, p))).ravel()
-            return k
-
-        return _rk4(stage, u, h)
+        z[:N] = u
+        if varying:
+            z[N:g0] = linear(zero)
+        z[g0 : g0 + 2 * w] = grad((A @ z[:g0]).reshape(2, n, p)).ravel()
+        z[g0 + 2 * w :] = grad((B @ z[: g0 + 2 * w]).reshape(2, n, p)).ravel()
+        return u + F @ z
 
     return step
 

@@ -46,9 +46,9 @@ run steps by the routing rule ``dynamics.route_for``.  In a small swarm
 the law less its gradient term is affine in the state between samples,
 with a fixed matrix and a constant term that moves with L xhat and the
 bracket: with a quadratic objective each step is the affine
-propagator's matrix step, and with a quartic one the stage form's four
-stages, each with that term re-read once per step.  Otherwise each step
-is ``rk4_step``.
+propagator's matrix step, and with a quartic one the stage form's two
+batched gradient calls and three products, with that term re-read once
+per step.  Otherwise each step is ``rk4_step``.
 """
 
 from dataclasses import dataclass, field

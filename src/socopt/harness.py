@@ -388,8 +388,13 @@ class RunReport:
     integration (trigger processing included) and the post-hoc Lyapunov
     diagnostics.  It excludes scenario validation, the initial state, the
     checks, residuals and rate fit that follow, and file emission.
-    ``stepper`` names the form that stepped the run ("affine", "stages" or
-    "rk4", see ``dynamics.route_for``), which sets its rounding.
+    ``timings`` splits it into the seconds of its three phases,
+    "certificates", "integrate" and "diagnostics", which share their
+    timestamps and so sum to ``runtime_s`` up to rounding, and adds
+    "emit", the file writing up to the summary's own write (0 without an
+    output directory).  ``stepper`` names the form that stepped the run
+    ("affine", "stages" or "rk4", see ``dynamics.route_for``), which sets
+    its rounding.
     """
 
     name: str
@@ -406,6 +411,7 @@ class RunReport:
     trigger_summary: dict | None
     constants: analysis.CertificateConstants | None
     runtime_s: float
+    timings: dict[str, float]
     stepper: str
     files: dict[str, str] = field(default_factory=dict)
     trajectory: Trajectory | None = None
@@ -421,7 +427,7 @@ class RunReport:
 SUMMARY_FIELDS = (
     "name", "algorithm", "seed", "terminal_error", "terminal_error_to_solution_set", "consensus_residual",
     "gradient_sum_residual", "equilibrium_residuals", "fitted_rate", "rate_bound", "checks", "trigger_summary",
-    "runtime_s", "stepper", "files",
+    "runtime_s", "timings", "stepper", "files",
 )
 
 
@@ -444,47 +450,62 @@ def _estimate_mf_for(scenario: Scenario, xstar: np.ndarray):
     return estimate_mf(scenario.obj, xstar, samples)
 
 
+# why ``_prepare_certificates`` leaves the certificate constants unavailable
+SINGLE_AGENT = "a single agent: the certificate needs n > 1"
+NO_MF = "no positive restricted strong convexity modulus m_f"
+OUT_OF_RANGE = "the certificate's arithmetic leaves the float range"
+
+
 def _prepare_certificates(scenario: Scenario, state0: SwarmState):
-    """Spectral data, minimizer, Lyapunov context and constants, as far as
-    the scenario's data allows: a single agent has neither context nor
+    """Spectral data, minimizer, Lyapunov context, constants, and why the
+    constants are unavailable (None when they are not), as far as the
+    scenario's data allows: a single agent has neither context nor
     constants, and the constants are unavailable when m_f is not positive
     or their arithmetic leaves the float range (the context too, when its
     own coefficients do)."""
     g, obj, gains, eps0, eps = scenario.graph, scenario.obj, scenario.gains, scenario.eps0, scenario.eps
     sd = spectral(g)
     mini = minimizer_oracle(obj)
-    ctx = consts = None
-    if g.n > 1:
-        eq = analysis.equilibrium_point(obj, gains, mini.x)
-        try:
-            ctx = analysis.LyapunovContext(g=g, sd=sd, obj=obj, gains=gains, eps0=eps0, eps=eps, eq=eq)
-        except analysis.FloatRangeError:
-            return sd, mini, None, None
-        mf_est = _estimate_mf_for(scenario, mini.x)
-        if mf_est.satisfied:
-            V1_0 = ctx.sample(state0)["V1"]
-            try:
-                consts = analysis.certificate_continuous(
-                    sd, obj, gains, eps0, eps, V1_0, mini.x, mf_est.value, mf_est.exact
-                )
-                if scenario.algorithm == "event":
-                    consts = analysis.certificate_event(
-                        sd, obj, gains, eps0, eps, scenario.trigger, mf_est.value, mf_est.exact, base=consts
-                    )
-            except analysis.FloatRangeError:
-                consts = None
-            ctx.consts = consts
-    return sd, mini, ctx, consts
+    if g.n < 2:
+        return sd, mini, None, None, SINGLE_AGENT
+    eq = analysis.equilibrium_point(obj, gains, mini.x)
+    try:
+        ctx = analysis.LyapunovContext(g=g, sd=sd, obj=obj, gains=gains, eps0=eps0, eps=eps, eq=eq)
+    except analysis.FloatRangeError:
+        return sd, mini, None, None, OUT_OF_RANGE
+    mf_est = _estimate_mf_for(scenario, mini.x)
+    if not mf_est.satisfied:
+        return sd, mini, ctx, None, NO_MF
+    V1_0 = ctx.sample(state0)["V1"]
+    try:
+        consts = analysis.certificate_continuous(sd, obj, gains, eps0, eps, V1_0, mini.x, mf_est.value, mf_est.exact)
+        if scenario.algorithm == "event":
+            consts = analysis.certificate_event(
+                sd, obj, gains, eps0, eps, scenario.trigger, mf_est.value, mf_est.exact, base=consts
+            )
+    except analysis.FloatRangeError:
+        return sd, mini, ctx, None, OUT_OF_RANGE
+    ctx.consts = consts
+    return sd, mini, ctx, consts, None
+
+
+def certificate_outcome(
+    scenario: Scenario, seed: int | None = None
+) -> tuple[analysis.CertificateConstants | None, str | None]:
+    """The certificate constants a scenario admits, without running it, and
+    why it admits none: (constants, None) or (None, reason)."""
+    state0, _ = make_initial(scenario, seed)
+    return _prepare_certificates(scenario, state0)[3:]
 
 
 def certificate_constants(scenario: Scenario, seed: int | None = None) -> analysis.CertificateConstants | None:
     """Compute the certificate constants a scenario admits, without running it.
 
     Returns None when the scenario lacks the data (single agent, or no
-    positive restricted strong convexity modulus).
+    positive restricted strong convexity modulus) or the certificate's
+    arithmetic leaves the float range; ``certificate_outcome`` says which.
     """
-    state0, _ = make_initial(scenario, seed)
-    return _prepare_certificates(scenario, state0)[3]
+    return certificate_outcome(scenario, seed)[0]
 
 
 def run(scenario: Scenario, out_dir=None, seed: int | None = None) -> RunReport:
@@ -497,7 +518,8 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None) -> RunReport:
     """
     state0, used_seed = make_initial(scenario, seed)
     t_start = time.perf_counter()
-    sd, mini, ctx, consts = _prepare_certificates(scenario, state0)
+    sd, mini, ctx, consts, _ = _prepare_certificates(scenario, state0)
+    t_certified = time.perf_counter()
     g, obj, gains = scenario.graph, scenario.obj, scenario.gains
 
     event_run = None
@@ -523,9 +545,16 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None) -> RunReport:
             scenario.horizon,
             route=route_for(obj, gains, state0.u.size),
         )
+    t_integrated = time.perf_counter()
     if scenario.diagnostics.lyapunov and ctx is not None:
         traj.extras = ctx.values(traj.x, traj.y, traj.v, traj.chi)
-    runtime = time.perf_counter() - t_start
+    t_end = time.perf_counter()
+    timings = {
+        "certificates": t_certified - t_start,
+        "integrate": t_integrated - t_certified,
+        "diagnostics": t_end - t_integrated,
+        "emit": 0.0,
+    }
 
     checks = {"v_balance": bool(v_balance_violation(traj) <= V_BALANCE_TOL)}
     trigger_summary = None
@@ -566,7 +595,8 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None) -> RunReport:
         checks=checks,
         trigger_summary=trigger_summary,
         constants=consts,
-        runtime_s=runtime,
+        runtime_s=t_end - t_start,
+        timings=timings,
         stepper=traj.stepper,
         trajectory=traj,
         event_run=event_run,
@@ -616,6 +646,7 @@ def _write_trajectory_csv(path: Path, traj: Trajectory, seed: int | None):
 
 
 def _emit(scenario: Scenario, report: RunReport, out_dir: Path):
+    t_start = time.perf_counter()
     out_dir.mkdir(parents=True, exist_ok=True)
     base = scenario.name
     traj_path = out_dir / f"{base}_trajectory.csv"
@@ -632,6 +663,7 @@ def _emit(scenario: Scenario, report: RunReport, out_dir: Path):
         _write_csv(ev_path, ["agent", "k", "t", "chi_at_trigger", "error_norm_sq", "qhat"], rows)
         report.files["events"] = str(ev_path)
 
+    report.timings["emit"] = time.perf_counter() - t_start
     summary = {name: getattr(report, name) for name in SUMMARY_FIELDS}
     summary["equilibrium_residuals"] = report.equilibrium_residuals._asdict()
     report.files["summary"] = str(_write_json(out_dir / f"{base}_summary.json", summary))

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -442,7 +443,8 @@ def test_runs_off_the_rule_step_with_rk4_bit_for_bit(case):
     assert rep.stepper == "rk4" and np.array_equal(rep.trajectory.u, _rk4_reference(sc, s0).u)
 
 
-def test_stage_form_steps_scenario2_as_rk4_step_does_up_to_rounding():
+@pytest.mark.parametrize("seed", [12345, 7, 1])
+def test_stage_form_steps_scenario2_as_rk4_step_does_up_to_rounding(seed):
     # scenario2 (quartic, packed size 27) takes the stage form.  Its stages
     # sum the law's terms in another order, so each differs from the law's
     # value by a few roundings of entries no larger than about ||M|| max|u|;
@@ -450,8 +452,8 @@ def test_stage_form_steps_scenario2_as_rk4_step_does_up_to_rounding():
     # stable flow these differences add up without growth.  Allow 8 eps
     # max|u| per step.
     sc = replace(load_preset("cdc18-scenario2"), horizon=0.5)
-    s0, _ = make_initial(sc)
-    rep, ref = run(sc), _rk4_reference(sc, s0)
+    s0, _ = make_initial(sc, seed)
+    rep, ref = run(sc, seed=seed), _rk4_reference(sc, s0)
     assert rep.stepper == "stages"
     steps = ref.samples - 1
     tol = 8 * np.finfo(float).eps * np.abs(ref.u).max() * steps
@@ -484,11 +486,10 @@ def test_event_quartic_stage_form_triggers_as_rk4_step_does(monkeypatch):
     assert [(e.agent, e.index, e.t) for e in stages.events] == [(e.agent, e.index, e.t) for e in rk4.events]
 
 
-@pytest.mark.parametrize("name", ["cdc18-scenario2", "event-quartic"])
-def test_stage_step_matches_rk4_step(name):
-    # from random states, and in event mode with the caches and the frozen
-    # bracket moved between steps, as the run's hook moves them
-    rng = np.random.default_rng(8)
+def _stage_law(name, rng):
+    """A quartic case's scenario, its law ``rhs(state, objective)`` (in
+    event mode with the caches xhat and the frozen bracket, both drawn at
+    random and writable), and a maker of random states in its layout."""
     cfg = preset_config(name) if name != "event-quartic" else _event_quartic_config()
     sc = scenario_from_dict(cfg)
     g, obj, gains, n, p = sc.graph, sc.obj, sc.gains, sc.graph.n, sc.obj.p
@@ -505,14 +506,44 @@ def test_stage_step_matches_rk4_step(name):
         x, y, v = rng.uniform(-5.0, 5.0, (3, n, p))
         return SwarmState(x, y, v, rng.uniform(0.1, 2.0, n) if event else None)
 
+    return sc, rhs, random_state, (xhat, bracket)
+
+
+@pytest.mark.parametrize("name", ["cdc18-scenario2", "event-quartic"])
+def test_stage_step_matches_rk4_step(name):
+    # from random states, and in event mode with the caches and the frozen
+    # bracket moved between steps, as the run's hook moves them
+    rng = np.random.default_rng(8)
+    sc, rhs, random_state, (xhat, bracket) = _stage_law(name, rng)
+    n, p, event = sc.graph.n, sc.obj.p, sc.algorithm == "event"
     h = 0.01
-    step = stage_stepper(rhs, random_state(), h, event, obj, gains.alpha)
+    step = stage_stepper(rhs, random_state(), h, event, sc.obj, sc.gains.alpha)
     for _ in range(5):
         xhat[...], bracket[...] = rng.uniform(-5.0, 5.0, (n, p)), rng.uniform(-1.0, 1.0, n)
         s = random_state()
         new, ref = step(s.u), rk4_step(rhs, s, h)
         assert new.shape == ref.shape == s.u.shape
         assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("name", ["cdc18-scenario2", "event-quartic"])
+def test_stage_step_takes_two_batched_gradient_calls(name):
+    # the gradients at stages 1 and 2, then at stages 3 and 4, each pair as
+    # one call on a (2, n, p) stack of positions
+    sc, rhs, random_state, _ = _stage_law(name, np.random.default_rng(9))
+    stacks = []
+
+    def grad(x):
+        stacks.append(x.shape)
+        return sc.obj.family.grad(x)
+
+    counting = SimpleNamespace(family=SimpleNamespace(grad=grad))
+    step = stage_stepper(rhs, random_state(), 0.01, sc.algorithm == "event", counting, sc.gains.alpha)
+    assert stacks == []
+    u = random_state().u
+    for _ in range(3):
+        u = step(u)
+    assert stacks == [(2, sc.graph.n, sc.obj.p)] * 6
 
 
 def test_diverging_quadratic_run_stops_where_rk4_does(monkeypatch):

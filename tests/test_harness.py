@@ -697,6 +697,38 @@ def test_summary_names_the_stepper(name, stepper, tmp_path):
     assert json.loads(Path(rep.files["summary"]).read_text())["stepper"] == stepper
 
 
+@pytest.mark.parametrize(
+    "preset, gamma, reason",
+    [
+        ("cdc18-scenario3", 1e300, "the certificate's arithmetic leaves the float range"),
+        ("cdc18-scenario1", None, "no positive restricted strong convexity modulus m_f"),
+        ("heavy-ball", None, "a single agent: the certificate needs n > 1"),
+    ],
+)
+def test_constants_command_states_why_a_certificate_is_unavailable(preset, gamma, reason, tmp_path, capsys):
+    cfg = preset_config(preset)
+    if gamma is not None:  # scenario3 has n = 3 and m_f > 0; gamma**2 overflows in V1(0)
+        cfg["gains"]["gamma"] = gamma
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["constants", str(path), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == f"{cfg['name']}: certificate constants unavailable ({reason})\n"
+
+
+@pytest.mark.parametrize("out", [True, False])
+def test_report_times_the_run_by_phase(out, tmp_path):
+    sc = dataclasses.replace(load_preset("cdc18-scenario3-event"), horizon=0.5)
+    rep = run(sc, out_dir=tmp_path if out else None)
+    t = rep.timings
+    assert set(t) == {"certificates", "integrate", "diagnostics", "emit"}
+    assert all(v >= 0.0 for v in t.values())
+    # the three phases of runtime_s share their timestamps
+    assert abs(t["certificates"] + t["integrate"] + t["diagnostics"] - rep.runtime_s) <= 1e-12 * rep.runtime_s
+    assert (t["emit"] > 0.0) == out
+    if out:
+        assert json.loads(Path(rep.files["summary"]).read_text())["timings"] == t
+
+
 def test_cli_rejects_bad_config(tmp_path, capsys):
     cfg = preset_config("cdc18-scenario1")
     cfg["gains"]["theta"] = 13.0

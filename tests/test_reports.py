@@ -3,11 +3,11 @@
 Each preset runs at its shipped horizon with an output directory, and
 the SHA-256 of its ``_constants.json``, ``_events.csv`` and
 ``_summary.json`` must equal the hash recorded below.  The summary is
-hashed without ``runtime_s`` (wall time) and ``files`` (paths under the
-temporary directory), re-serialised with the writer's own settings after
-checking that those settings reproduce the file.  ``socopt constants``
-is pinned the same way: the files it writes and what it prints, with the
-output directory replaced by ``<out>``.
+hashed without ``runtime_s`` and ``timings`` (wall times) and ``files``
+(paths under the temporary directory), re-serialised with the writer's
+own settings after checking that those settings reproduce the file.
+``socopt constants`` is pinned the same way: the files it writes and
+what it prints, with the output directory replaced by ``<out>``.
 
 A change to the program that alters any of these bytes is a change of
 behaviour, and should show here.  A hash is re-recorded only for a
@@ -24,7 +24,7 @@ from socopt.presets import preset_config, preset_names
 REPORT_SHA256 = {
     "cdc18-scenario1_summary.json": "9dae8db397d19d37733969a4ad035319f4039159d4a1abec91fb2a2f693a0eef",
     "cdc18-scenario2_constants.json": "be59d7e845e2fead07e8d134fc7e20659235b35d934b4fb3bad4477e610d4336",
-    "cdc18-scenario2_summary.json": "61320ed8bcd2f1b742d69ed765dff8ea134b89305a5591ae9a3f7bf34f88bf81",
+    "cdc18-scenario2_summary.json": "82d06918f0b820cf3586188f33fd8e381086f6b83ee15fcf50b7b312a843c085",
     "cdc18-scenario3_constants.json": "990b176856ba36cabf2de22d6fe8bb39adec95e4169da29dc9f9282a880f38d4",
     "cdc18-scenario3_summary.json": "feaf2298c239a1ca56ea5e9a3d61c7f44465884c118a40b969e6fbd87440d799",
     "cdc18-scenario3-event_constants.json": "91fdec9b6aa9a3e88f69784962f34ae966393af77e1f38c23cb832ad37764ffc",
@@ -34,14 +34,14 @@ REPORT_SHA256 = {
 }
 
 CONSTANTS_CLI_SHA256 = {
-    "cdc18-scenario1 stdout": "e1e9692020ecb4e717cfe57ff6c48de077c158e419f27008469036f5a8a165f6",
+    "cdc18-scenario1 stdout": "73b06ba53cc2f9cef8f960e2741cd5b871a17219012524cb2d165a925f7bc0fd",
     "cdc18-scenario2 stdout": "affa3ebbbf262506729d169c97d9161579a0aed6b841b14bbf739d8822ded0a4",
     "cdc18-scenario2_constants.json": "be59d7e845e2fead07e8d134fc7e20659235b35d934b4fb3bad4477e610d4336",
     "cdc18-scenario3 stdout": "e88d949aede7c32f4e3b989ca4d94c6c0024b7e9f725780a8c9f1fb167eb00ca",
     "cdc18-scenario3_constants.json": "990b176856ba36cabf2de22d6fe8bb39adec95e4169da29dc9f9282a880f38d4",
     "cdc18-scenario3-event stdout": "1558a99210680355986f935978fce1edcd02a30894ea2bb85edcb65e6c284393",
     "cdc18-scenario3-event_constants.json": "91fdec9b6aa9a3e88f69784962f34ae966393af77e1f38c23cb832ad37764ffc",
-    "heavy-ball stdout": "90aa6df7f1349c839462589353ecedb965015aa1767b37b053f804565d5fc7eb",
+    "heavy-ball stdout": "dc32873d07b5ee1944f36b87183c32ef9272b28739c2832714825b03b0af3ec4",
 }
 
 
@@ -52,7 +52,7 @@ def _sha256(data: bytes) -> str:
 def _summary_bytes(raw: bytes) -> bytes:
     summary = json.loads(raw)
     assert (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode() == raw
-    del summary["runtime_s"], summary["files"]
+    del summary["runtime_s"], summary["timings"], summary["files"]
     return (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode()
 
 
