@@ -62,7 +62,7 @@ AFFINE_MAX_SIZE = 256  # largest packed state the affine propagator takes (see `
 # largest packed state the stage form takes: past about N = 200 its dense
 # products per step cost more than rk4_step's four law evaluations when the
 # constant term is re-read every step (event mode; measured on quartic
-# rings, p = 3); with a fixed constant term the break-even lies past 250
+# rings, p = 3); with a fixed constant term the break-even is near 240
 STAGES_MAX_SIZE = 200
 
 
@@ -193,7 +193,8 @@ Stepper = Callable[[np.ndarray], np.ndarray]
 def _rk4(f: Callable[[np.ndarray], np.ndarray], u: np.ndarray, h: float) -> np.ndarray:
     """Classical RK4's increment (h/6)(k1 + 2 k2 + 2 k3 + k4) for a field f,
     from u; the one place its tableau is written.  f sees the four stage
-    points in order, and u may be a packed state or a matrix of them."""
+    points in order; u may be a packed state, or a matrix whose columns
+    are packed states, for a field that is linear in them."""
     k1 = f(u)
     k2 = f(u + (0.5 * h) * k1)
     k3 = f(u + (0.5 * h) * k2)
@@ -297,7 +298,7 @@ def stage_stepper(
     flat = GlobalObjective(QuadraticFamily(np.zeros((n, p, p)), np.zeros((n, p)), np.zeros((n, p))))
     linear = lambda s: rhs(s, flat)
     M, c = probe_affine(linear, like)
-    zero = like._like(np.zeros(like.u.size))
+    zero = like._like(np.zeros(N))
     grad = obj.family.grad
     # stage k's field over z is M V + C on the c block, less alpha times
     # its own g block in the dy rows
