@@ -88,7 +88,6 @@ class CertificateConstants:
     eps0: float = _symbol("free design parameter in (theta/(alpha*gamma), 1)", MISSING)
     eps: float = _symbol("free design parameter > 0", MISSING)
     mf: float = _symbol("restricted strong convexity modulus of the summed objective", MISSING)
-    mf_exact: bool = True
 
     # continuous-communication certificate
     m1: float | None = _symbol(
@@ -137,10 +136,7 @@ class CertificateConstants:
         for f in fields(self):
             val = getattr(self, f.name)
             if "formula" in f.metadata and val is not None:
-                formula = f.metadata["formula"]
-                if f.name == "mf" and not self.mf_exact:
-                    formula += " (sampled lower estimate, not certified)"
-                out[f.name] = {"value": float(val), "formula": formula}
+                out[f.name] = {"value": float(val), "formula": f.metadata["formula"]}
         return out
 
 
@@ -253,7 +249,6 @@ def certificate_continuous(
     V1_at_0: float,
     xstar: np.ndarray,
     mf: float,
-    mf_exact: bool = True,
 ) -> CertificateConstants:
     """Constants certifying exponential convergence of the continuous run.
 
@@ -287,7 +282,6 @@ def certificate_continuous(
         eps0=eps0,
         eps=eps,
         mf=mf,
-        mf_exact=mf_exact,
         m1=m1,
         M_D=M_D,
         D_radius=D_radius,
@@ -311,7 +305,6 @@ def certificate_event(
     eps: float,
     trigger_params: TriggerParams,
     mf: float,
-    mf_exact: bool = True,
     base: CertificateConstants | None = None,
 ) -> CertificateConstants:
     """Constants certifying the event-triggered run, appended to ``base``.
@@ -345,7 +338,7 @@ def certificate_event(
         eps7 * (gm**2 * eps0 + a * b * rho + a * Mbar / 2.0) + eps * Mbar / 2.0,
         eps7 * th * gm * eps0 / (b * rho2) + eps * a / rho2,
     )
-    out = base if base is not None else CertificateConstants(eps0=eps0, eps=eps, mf=mf, mf_exact=mf_exact)
+    out = base if base is not None else CertificateConstants(eps0=eps0, eps=eps, mf=mf)
     out.Mbar = Mbar
     out.m2 = m2
     out.eps5 = eps5

@@ -12,8 +12,8 @@ batched row inner product in the package is a ``rowdot``, which rounds
 like a per-agent loop.
 
 The module also provides the oracles the run and its certificates are
-built on: the global-minimizer solve, curvature bounds on balls, and a
-sampled lower estimate of restricted strong convexity.
+built on: the global-minimizer solve, curvature bounds on balls, and the
+exact restricted strong convexity modulus m_f of either family.
 """
 
 from dataclasses import dataclass
@@ -278,39 +278,38 @@ def curvature_on_set(obj: GlobalObjective, radius: float, center: np.ndarray) ->
     return float((12.0 * reach**2).max())
 
 
-@dataclass
-class MfEstimate:
-    """Lower estimate of restricted strong convexity at the minimizer."""
-
-    value: float
-    exact: bool
-    satisfied: bool
+def _min_eig(M: np.ndarray) -> float:
+    """Smallest eigenvalue of the symmetric matrix M, or 0 when it lies
+    within 1e-12 * max(1, top eigenvalue) of zero."""
+    evals = np.linalg.eigvalsh(M)
+    return float(evals[0]) if abs(evals[0]) > 1e-12 * max(1.0, float(evals[-1])) else 0.0
 
 
-def estimate_mf(obj: GlobalObjective, xstar: np.ndarray, samples=None) -> MfEstimate:
-    """Estimate the restricted strong convexity modulus m_f at x*.
+def estimate_mf(obj: GlobalObjective, xstar: np.ndarray) -> float:
+    """The restricted strong convexity modulus m_f of the summed objective
+    f at x*, exactly: the infimum over z != x* of
+    (grad f(z) - grad f(x*)) . (z - x*) / ||z - x*||^2.
 
-    All-quadratic objectives give the exact value min-eig of the summed
-    matrices.  For quartics the sampled minimum of
-    sum_i (grad f_i(x) - grad f_i(x*))^T (x - x*) / ||x - x*||^2 is a
-    lower estimate only, never a certificate.  ``satisfied`` flags
-    whether the estimate is strictly positive.
+    Quadratics: the smallest eigenvalue of sum_i A_i.  Quartics
+    f_i = ||x - c_i||^4: with d_i = x* - c_i and z = x* + s u, u a unit
+    vector, grad f_i(z) = 4 ||d_i + s u||^2 (d_i + s u), so the ratio along
+    the line is exactly u^T H u + 12 s (w . u) + 4n s^2, where
+    H = 4 (sum_i ||d_i||^2) I + 8 sum_i d_i d_i^T and w = sum_i d_i.  Its
+    minimum over s, at s = -3 (w . u) / (2n), is u^T (H - (9/n) w w^T) u,
+    so m_f = lambda_min(H - (9/n) w w^T).  An eigenvalue within
+    1e-12 * max(1, lambda_max) of zero reads as 0 for both kinds.
+
+    The ratio subtracts grad f(x*), so the identity holds at any x*, not
+    only a stationary one: m_f is exact at the x^ a run uses.  Against the
+    true minimizer x^ - delta, every d_i moves by delta and the matrix by
+    (8 w . delta + 4n ||delta||^2) I - (w delta^T + delta w^T) - n delta delta^T
+    (w at the minimizer), so by Weyl's inequality m_f moves by at most
+    10 ||w|| ||delta|| + 5n ||delta||^2; restricted strong convexity bounds
+    ||delta|| <= ||sum_i grad f_i(x^)|| / m_f.
     """
     if obj.all_quadratic():
-        evals = np.linalg.eigvalsh(obj.family.summed_system()[0])
-        val = float(evals[0]) if abs(evals[0]) > 1e-12 * max(1.0, float(evals[-1])) else 0.0
-        return MfEstimate(value=val, exact=True, satisfied=val > 0.0)
-    if samples is None:
-        raise CostError("a quartic objective needs sample points for the estimate")
-    xstar = np.asarray(xstar, dtype=float)
-    x = np.asarray(samples, dtype=float).reshape(-1, obj.p)
-    # gradients summed in agent order, like sum_grad
-    gsum = np.add.accumulate(obj.family.grad(x[:, None, :]), axis=1)[:, -1]
-    d = x - xstar
-    dn2 = rowdot(d, d)
-    num = rowdot(gsum - obj.sum_grad(xstar), d)
-    keep = dn2 >= 1e-20
-    best = float(np.fmin.reduce(num[keep] / dn2[keep], initial=np.inf))  # NaN ratios skipped
-    if not np.isfinite(best):
-        raise CostError("no usable samples for the convexity estimate")
-    return MfEstimate(value=best, exact=False, satisfied=best > 0.0)
+        return _min_eig(obj.family.summed_system()[0])
+    d = np.asarray(xstar, dtype=float) - obj.family.B
+    w = d.sum(axis=0)
+    H = 4.0 * float((d * d).sum()) * np.eye(obj.p) + 8.0 * (d.T @ d)
+    return _min_eig(H - (9.0 / obj.n) * np.outer(w, w))

@@ -69,6 +69,7 @@ V_BALANCE_TOL = 1e-10
 DISCIPLINE_TOL = 1e-9
 CHI_FLOOR_TOL = 1e-9
 CSV_CHUNK = 128  # trajectory samples per block of CSV rows
+MAX_TRAJECTORY_ENTRIES = 2**28  # 2 GiB of float64; the bundled workloads need at most 2.7e6
 
 
 class ConfigError(ValueError):
@@ -195,7 +196,8 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     and eps > 0 (eps0 defaults to the midpoint), graph connectivity,
     literal initial states of shape (n, p), a box with lo <= hi and a
     non-negative integer seed, boolean diagnostics flags, a horizon of a
-    whole number of steps, event mode needing a global gradient-Lipschitz
+    whole number of steps whose trajectory buffer holds at most
+    MAX_TRAJECTORY_ENTRIES floats, event mode needing a global gradient-Lipschitz
     modulus per agent and (for the "varphi" threshold denominator with
     nonzero sigma) two or more agents and restricted strong convexity of an
     all-quadratic objective, balanced integral states for the primary
@@ -251,6 +253,12 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     horizon = _finite(integ.get("horizon", 50.0), "integration.horizon")
     _require(step > 0, "integration step must be positive")
     _require(horizon >= step, "horizon must cover at least one step")
+    samples, packed = horizon / step + 1.0, g.n * (3 * obj.p + (1 if algorithm == "event" else 0))
+    _require(
+        samples * packed <= MAX_TRAJECTORY_ENTRIES,
+        f"integration.horizon {horizon} at step {step} needs a trajectory buffer of {samples * packed:.4g} "
+        f"entries ({samples:.4g} samples of {packed}); the bound is {MAX_TRAJECTORY_ENTRIES}",
+    )
     _require(
         whole_steps(step, horizon),
         f"integration.horizon {horizon} must be a whole number of steps of {step}; it is {horizon / step:.6g} steps",
@@ -326,7 +334,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
             )
             if obj.all_quadratic():
                 _require(
-                    estimate_mf(obj, None).satisfied,
+                    estimate_mf(obj, None) > 0.0,
                     "restricted strong convexity hypothesis violated: the summed quadratic "
                     "matrix is singular (m_f = 0), so the threshold constants varphi_i of the "
                     "event trigger do not exist; " + ways_out,
@@ -441,15 +449,6 @@ def _solution_distance(x: np.ndarray, mini: MinimizerResult, to_set: bool = True
     return np.linalg.norm(d, axis=-1).max(axis=-1)
 
 
-def _estimate_mf_for(scenario: Scenario, xstar: np.ndarray):
-    """Exact for quadratic objectives, sampled for quartics."""
-    if scenario.obj.all_quadratic():
-        return estimate_mf(scenario.obj, xstar)
-    rng = np.random.default_rng(0)
-    samples = rng.uniform(-10.0, 10.0, (200, scenario.obj.p))
-    return estimate_mf(scenario.obj, xstar, samples)
-
-
 # why ``_prepare_certificates`` leaves the certificate constants unavailable
 SINGLE_AGENT = "a single agent: the certificate needs n > 1"
 NO_MF = "no positive restricted strong convexity modulus m_f"
@@ -473,16 +472,14 @@ def _prepare_certificates(scenario: Scenario, state0: SwarmState):
         ctx = analysis.LyapunovContext(g=g, sd=sd, obj=obj, gains=gains, eps0=eps0, eps=eps, eq=eq)
     except analysis.FloatRangeError:
         return sd, mini, None, None, OUT_OF_RANGE
-    mf_est = _estimate_mf_for(scenario, mini.x)
-    if not mf_est.satisfied:
+    mf = estimate_mf(obj, mini.x)
+    if not mf > 0.0:
         return sd, mini, ctx, None, NO_MF
     V1_0 = ctx.sample(state0)["V1"]
     try:
-        consts = analysis.certificate_continuous(sd, obj, gains, eps0, eps, V1_0, mini.x, mf_est.value, mf_est.exact)
+        consts = analysis.certificate_continuous(sd, obj, gains, eps0, eps, V1_0, mini.x, mf)
         if scenario.algorithm == "event":
-            consts = analysis.certificate_event(
-                sd, obj, gains, eps0, eps, scenario.trigger, mf_est.value, mf_est.exact, base=consts
-            )
+            consts = analysis.certificate_event(sd, obj, gains, eps0, eps, scenario.trigger, mf, base=consts)
     except analysis.FloatRangeError:
         return sd, mini, ctx, None, OUT_OF_RANGE
     ctx.consts = consts

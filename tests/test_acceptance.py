@@ -221,5 +221,5 @@ def test_criterion_12_combined_convexity_sampling(path3, obj3, gains_theta35):
         8.0 * gains_theta35.alpha
     )
     rng = np.random.default_rng(99)
-    rep = check_combined_convexity(obj3, mini.x, path3, sd, r, rng.uniform(-10, 10, (500, 3, 3)), mf.value, Mbar)
+    rep = check_combined_convexity(obj3, mini.x, path3, sd, r, rng.uniform(-10, 10, (500, 3, 3)), mf, Mbar)
     _criterion(12, "combined convexity inequality sampled margin", rep.margin >= -1e-9, f"margin = {rep.margin:.2e}")

@@ -68,10 +68,10 @@ def test_v1_quadratic_lower_bound(path3, obj3, gains_theta35, setup3):
 
 def test_continuous_certificate_positivity(obj3, gains_theta35, setup3):
     sd, mini, mf, eq, eps0 = setup3
-    consts = certificate_continuous(sd, obj3, gains_theta35, eps0, 0.1, 50.0, mini.x, mf.value)
+    consts = certificate_continuous(sd, obj3, gains_theta35, eps0, 0.1, 50.0, mini.x, mf)
     assert consts.eps1 > 0 and consts.eps2 > 0 and consts.eps3 > 0
     assert consts.eps4 > 1
-    assert consts.m1 <= mf.value / 2.0
+    assert consts.m1 <= mf / 2.0
     assert consts.D_radius > 0
     assert consts.rate_bound_continuous == pytest.approx(consts.eps3 / (2 * consts.eps4))
     # quadratics: curvature bound on any ball is the top eigenvalue
@@ -85,7 +85,7 @@ def test_certificate_default_design_parameter(path3, obj3, gains_theta5):
     sd = spectral(path3)
     mini = minimizer_oracle(obj3)
     mf = estimate_mf(obj3, mini.x)
-    consts = certificate_continuous(sd, obj3, gains_theta5, eps0, 0.1, 10.0, mini.x, mf.value)
+    consts = certificate_continuous(sd, obj3, gains_theta5, eps0, 0.1, 10.0, mini.x, mf)
     for name in ("eps1", "eps2", "eps3", "m1", "M_D", "D_radius"):
         assert getattr(consts, name) > 0
     assert consts.eps4 > 1
@@ -94,7 +94,7 @@ def test_certificate_default_design_parameter(path3, obj3, gains_theta5):
 def test_continuous_certificate_rejects_bad_inputs(obj3, gains_theta35, setup3):
     sd, mini, mf, _, _ = setup3
     with pytest.raises(ConstantsError, match="eps0"):
-        certificate_continuous(sd, obj3, gains_theta35, 0.05, 0.1, 1.0, mini.x, mf.value)
+        certificate_continuous(sd, obj3, gains_theta35, 0.05, 0.1, 1.0, mini.x, mf)
     with pytest.raises(ConstantsError, match="convexity"):
         certificate_continuous(sd, obj3, gains_theta35, 0.7, 0.1, 1.0, mini.x, 0.0)
 
@@ -102,7 +102,7 @@ def test_continuous_certificate_rejects_bad_inputs(obj3, gains_theta35, setup3):
 def test_event_certificate(obj3, gains_theta35, setup3):
     sd, mini, mf, _, eps0 = setup3
     params = TriggerParams.defaults(3)
-    consts = certificate_event(sd, obj3, gains_theta35, eps0, 0.1, params, mf.value)
+    consts = certificate_event(sd, obj3, gains_theta35, eps0, 0.1, params, mf)
     assert consts.eps5 > 0 and consts.eps6 > 0 and consts.eps8 > 0 and consts.eps9 > 0
     assert consts.eps7 > 1 and consts.eps10 > 1
     assert consts.eps7 == pytest.approx(1.0 + 0.1 * consts.eps6 / consts.eps5)
@@ -119,12 +119,12 @@ def test_event_certificate_rejects_kd_nonpositive(obj3, gains_theta35, setup3):
     # sidestep construction-time validation to exercise the certificate gate
     params.kappa = (1.0 - params.delta) / params.phi_rate - 1e-6
     with pytest.raises(ConstantsError, match="k_d"):
-        certificate_event(sd, obj3, gains_theta35, eps0, 0.1, params, mf.value)
+        certificate_event(sd, obj3, gains_theta35, eps0, 0.1, params, mf)
 
 
 def test_constants_report_has_formulas(obj3, gains_theta35, setup3):
     sd, mini, mf, _, eps0 = setup3
-    consts = certificate_continuous(sd, obj3, gains_theta35, eps0, 0.1, 25.0, mini.x, mf.value)
+    consts = certificate_continuous(sd, obj3, gains_theta35, eps0, 0.1, 25.0, mini.x, mf)
     report = consts.to_report()
     assert report["eps3"]["formula"] == "min(eps1, eps*theta/2)"
     assert report["eps3"]["value"] == pytest.approx(consts.eps3)
@@ -134,7 +134,7 @@ def test_constants_report_has_formulas(obj3, gains_theta35, setup3):
 def test_v3_at_equilibrium_is_chi_term(path3, obj3, gains_theta35, setup3):
     sd, mini, mf, eq, eps0 = setup3
     params = TriggerParams.defaults(3)
-    consts = certificate_event(sd, obj3, gains_theta35, eps0, 0.1, params, mf.value)
+    consts = certificate_event(sd, obj3, gains_theta35, eps0, 0.1, params, mf)
     from socopt.events import varphi_all
 
     phis = varphi_all(path3, gains_theta35, eps0, consts.eps8)
@@ -152,7 +152,7 @@ def test_v3_at_equilibrium_is_chi_term(path3, obj3, gains_theta35, setup3):
 def test_w4_lower_bound_random_states(path3, obj3, gains_theta35, setup3):
     sd, mini, mf, eq, eps0 = setup3
     params = TriggerParams.defaults(3)
-    consts = certificate_event(sd, obj3, gains_theta35, eps0, 0.1, params, mf.value)
+    consts = certificate_event(sd, obj3, gains_theta35, eps0, 0.1, params, mf)
     ctx = LyapunovContext(
         g=path3, sd=sd, obj=obj3, gains=gains_theta35, eps0=eps0, eps=0.1, eq=eq, consts=consts
     )
@@ -165,7 +165,7 @@ def test_w4_lower_bound_random_states(path3, obj3, gains_theta35, setup3):
 
 def test_v2_lower_bound_random_states(path3, obj3, gains_theta35, setup3):
     sd, mini, mf, eq, eps0 = setup3
-    consts = certificate_continuous(sd, obj3, gains_theta35, eps0, 0.1, 25.0, mini.x, mf.value)
+    consts = certificate_continuous(sd, obj3, gains_theta35, eps0, 0.1, 25.0, mini.x, mf)
     ctx = LyapunovContext(
         g=path3, sd=sd, obj=obj3, gains=gains_theta35, eps0=eps0, eps=0.1, eq=eq, consts=consts
     )
@@ -210,7 +210,7 @@ def test_combined_convexity_zero_at_consensus_optimum(path3, obj3, gains_theta35
     sd, mini, mf, _, eps0 = setup3
     Mbar = obj3.global_lipschitz.max()
     xbar = np.tile(mini.x, (3, 1))
-    rep = check_combined_convexity(obj3, mini.x, path3, sd, 1.0, [xbar], mf.value, Mbar)
+    rep = check_combined_convexity(obj3, mini.x, path3, sd, 1.0, [xbar], mf, Mbar)
     assert rep.margin == pytest.approx(0.0, abs=1e-10)
 
 
@@ -221,10 +221,10 @@ def test_combined_convexity_sampled_margin(path3, obj3, gains_theta35, setup3):
     r = (gains.alpha * gains.gamma * eps0 - gains.theta) * gains.beta / (8.0 * gains.alpha)
     rng = np.random.default_rng(3)
     samples = rng.uniform(-10, 10, (500, 3, 3))
-    rep = check_combined_convexity(obj3, mini.x, path3, sd, r, samples, mf.value, Mbar)
+    rep = check_combined_convexity(obj3, mini.x, path3, sd, r, samples, mf, Mbar)
     assert rep.ok
     assert rep.margin >= -1e-9
-    doubled = check_combined_convexity(obj3, mini.x, path3, sd, 2 * r, samples, mf.value, Mbar)
+    doubled = check_combined_convexity(obj3, mini.x, path3, sd, 2 * r, samples, mf, Mbar)
     assert doubled.m <= rep.m
 
 

@@ -331,6 +331,32 @@ def test_bad_config_rejected_at_load(case, tmp_path, capsys):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "preset, integration, entries",
+    [
+        ("cdc18-scenario1", {"horizon": 1e8}, "2.7e+11 entries"),  # numpy raised MemoryError in run
+        ("cdc18-scenario1", {"horizon": 1e300}, "2.7e+303 entries"),  # numpy's "maximum dimension" ValueError
+        ("cdc18-scenario1", {"horizon": 1e300, "step": 1e-300}, "inf entries"),  # round(inf) overflowed at load
+        ("cdc18-scenario1", {"horizon": 1e5}, "2.7e+08 entries"),  # just over the bound
+        ("cdc18-scenario3-event", {"horizon": 9e4}, "2.7e+08 entries"),  # over it only with chi counted
+    ],
+)
+def test_horizon_beyond_buffer_bound_rejected_at_load(preset, integration, entries):
+    # the config is only loaded, never run: nothing near the bound is allocated
+    cfg = preset_config(preset)
+    cfg["integration"].update(integration)
+    with pytest.raises(ConfigError, match=r"integration\.horizon .* " + re.escape(entries)):
+        scenario_from_dict(cfg)
+
+
+def test_horizon_within_buffer_bound_loads():
+    # (9.9e6 + 1) samples of 27 entries, just under 2**28; loaded, never run
+    cfg = preset_config("cdc18-scenario1")
+    cfg["integration"]["horizon"] = 9.9e4
+    assert scenario_from_dict(cfg).horizon == 9.9e4
+    assert 27 * (9.9e6 + 1) <= harness.MAX_TRAJECTORY_ENTRIES < 27 * (1e7 + 1)
+
+
 def _indefinite_matrix_2(cfg):
     cfg["costs"]["matrices"][1] = np.diag([-1.0, 1.0, 1.0]).tolist()
 

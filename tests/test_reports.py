@@ -23,8 +23,8 @@ from socopt.presets import preset_config, preset_names
 
 REPORT_SHA256 = {
     "cdc18-scenario1_summary.json": "9dae8db397d19d37733969a4ad035319f4039159d4a1abec91fb2a2f693a0eef",
-    "cdc18-scenario2_constants.json": "be59d7e845e2fead07e8d134fc7e20659235b35d934b4fb3bad4477e610d4336",
-    "cdc18-scenario2_summary.json": "82d06918f0b820cf3586188f33fd8e381086f6b83ee15fcf50b7b312a843c085",
+    "cdc18-scenario2_constants.json": "d55ddd446c0ab896962ac1f2e704f56867e84825353eb3cf0e3f3bc058548d79",
+    "cdc18-scenario2_summary.json": "9adf3eaa4daf64d223c086b7007790ca9d3f6b4a632ff319a23216ceb215a13c",
     "cdc18-scenario3_constants.json": "990b176856ba36cabf2de22d6fe8bb39adec95e4169da29dc9f9282a880f38d4",
     "cdc18-scenario3_summary.json": "feaf2298c239a1ca56ea5e9a3d61c7f44465884c118a40b969e6fbd87440d799",
     "cdc18-scenario3-event_constants.json": "91fdec9b6aa9a3e88f69784962f34ae966393af77e1f38c23cb832ad37764ffc",
@@ -35,8 +35,8 @@ REPORT_SHA256 = {
 
 CONSTANTS_CLI_SHA256 = {
     "cdc18-scenario1 stdout": "73b06ba53cc2f9cef8f960e2741cd5b871a17219012524cb2d165a925f7bc0fd",
-    "cdc18-scenario2 stdout": "affa3ebbbf262506729d169c97d9161579a0aed6b841b14bbf739d8822ded0a4",
-    "cdc18-scenario2_constants.json": "be59d7e845e2fead07e8d134fc7e20659235b35d934b4fb3bad4477e610d4336",
+    "cdc18-scenario2 stdout": "01ff7e9a54e4bede544755aaed1ab8ee93f6182eb55a98a85b7ca54bd24828c0",
+    "cdc18-scenario2_constants.json": "d55ddd446c0ab896962ac1f2e704f56867e84825353eb3cf0e3f3bc058548d79",
     "cdc18-scenario3 stdout": "e88d949aede7c32f4e3b989ca4d94c6c0024b7e9f725780a8c9f1fb167eb00ca",
     "cdc18-scenario3_constants.json": "990b176856ba36cabf2de22d6fe8bb39adec95e4169da29dc9f9282a880f38d4",
     "cdc18-scenario3-event stdout": "1558a99210680355986f935978fce1edcd02a30894ea2bb85edcb65e6c284393",
