@@ -9,7 +9,8 @@ once in BASE and once in CHANGE, and repeats that pair ``--pairs`` times,
 BASE first in even pairs and CHANGE first in odd ones, so that drift of
 the host's speed falls on both sides alike.  Each run is a fresh process
 started in its own checkout.  The output (standard output, or ``--out``)
-is one JSON object: the host, and per case and metric the median and
+is one JSON object: the host, each side's commit and whether its tree
+had uncommitted changes, and per case and metric the median and
 quartiles of each side, the change's median relative to the base's, the
 number of pairs in which the change did better, whether the change's
 median is within the metric's bound of the base's, whether the
@@ -58,6 +59,17 @@ def host() -> dict:
         "python": platform.python_version(),
         "numpy": version("numpy"),
     }
+
+
+def checkout(path: Path) -> dict:
+    """What a side ran: the commit checked out at ``path`` and whether its
+    tree has uncommitted changes (both None outside a git work tree)."""
+
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=path, capture_output=True, text=True).stdout
+
+    commit = git("rev-parse", "HEAD").strip()
+    return {"commit": commit or None, "dirty": bool(git("status", "--porcelain").strip()) if commit else None}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -111,7 +123,13 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
 
-    report = {"host": host(), "pairs": args.pairs, "seconds": args.seconds, "cases": {}}
+    report = {
+        "host": host(),
+        "checkouts": {side: checkout(getattr(args, side)) for side in ("base", "change")},
+        "pairs": args.pairs,
+        "seconds": args.seconds,
+        "cases": {},
+    }
     for case in args.case or DEFAULT_CASES:
         workload, _, seed = case.partition(":")
         seed = int(seed) if seed else None

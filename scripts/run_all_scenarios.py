@@ -3,9 +3,10 @@
 
 Usage: python scripts/run_all_scenarios.py [--out DIR] [--seed N]
 
-Writes trajectory/constants/event CSVs and summary JSONs per scenario,
-plus one merged error-vs-time CSV comparing the continuous and triggered
-runs of the strongly convex scenario.
+Writes per scenario the trajectory arrays (.npz), the constants and
+summary JSONs and, in event mode, the events CSV, plus one merged
+error-vs-time CSV comparing the continuous and triggered runs of the
+strongly convex scenario.
 """
 
 import argparse

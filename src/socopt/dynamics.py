@@ -232,9 +232,10 @@ def route_for(obj: GlobalObjective, gains: GainParams, size: int) -> Route:
 
 def whole_steps(step: float, horizon: float) -> bool:
     """Whether ``horizon`` is a whole number of steps, to 1e-9 relative
-    (the test of both the config loader and ``integrate``)."""
+    (the test of both the config loader and ``integrate``); false when the
+    number of steps is not finite."""
     steps = horizon / step
-    return abs(steps - round(steps)) <= 1e-9 * max(1.0, steps)
+    return bool(np.isfinite(steps)) and abs(steps - round(steps)) <= 1e-9 * max(1.0, steps)
 
 
 def probe_affine(rhs: RhsFunc, like: SwarmState) -> tuple[np.ndarray, np.ndarray]:

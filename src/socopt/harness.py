@@ -6,7 +6,8 @@ the initial-state rule, and diagnostic toggles.  Loading validates every
 hypothesis the algorithms rely on and rejects violations with the named
 hypothesis in the message.  Running a scenario integrates, computes the
 requested diagnostics from the stored trajectory, checks the runtime
-invariants, and emits plot-ready CSV plus JSON reports.
+invariants, and emits the trajectory as NumPy arrays (``.npz``) plus CSV
+and JSON reports.
 """
 
 import json
@@ -68,7 +69,6 @@ COST_FIELDS = {
 V_BALANCE_TOL = 1e-10
 DISCIPLINE_TOL = 1e-9
 CHI_FLOOR_TOL = 1e-9
-CSV_CHUNK = 128  # trajectory samples per block of CSV rows
 MAX_TRAJECTORY_ENTRIES = 2**28  # 2 GiB of float64; the bundled workloads need at most 2.7e6
 
 
@@ -604,12 +604,10 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None) -> RunReport:
     return report
 
 
-def _write_csv(path: Path, header: list[str], rows, seed: int | None = None):
-    """The one CSV writer: an optional ``# seed=`` line, the header, then each
-    row of Python ints and floats written with ``repr`` (exact round trip)."""
+def _write_csv(path: Path, header: list[str], rows):
+    """The one CSV writer: the header, then each row of Python ints and
+    floats written with ``repr`` (exact round trip)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if seed is not None:
-            fh.write(f"# seed={seed}\n")
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
@@ -625,29 +623,17 @@ def write_constants(out_dir: Path, name: str, consts: analysis.CertificateConsta
     return _write_json(out_dir / f"{name}_constants.json", consts.to_report())
 
 
-def _write_trajectory_csv(path: Path, traj: Trajectory, seed: int | None):
-    """Columns t, the packed state u (x, y, v, then chi), and the extras by name."""
-    n, p = traj.n, traj.p
-    header = ["t"] + [f"{a}_{i+1}_{k+1}" for a in "xyv" for i in range(n) for k in range(p)]
-    if traj.chi is not None:
-        header += [f"chi_{i+1}" for i in range(n)]
-    names = sorted(traj.extras)
-
-    def rows():  # CSV_CHUNK samples at a time, so only one chunk is held as Python floats
-        for start in range(0, traj.samples, CSV_CHUNK):
-            part = slice(start, start + CSV_CHUNK)
-            cols = [traj.t[part], traj.u[part], *(traj.extras[k][part] for k in names)]
-            yield from np.column_stack(cols).tolist()
-
-    _write_csv(path, header + names, rows(), seed)
-
-
 def _emit(scenario: Scenario, report: RunReport, out_dir: Path):
+    """Write the run's files.  ``<name>_trajectory.npz`` is uncompressed
+    NumPy arrays: t (m,); x, y and v (m, n, p); chi (m, n) in event mode;
+    and each Lyapunov column (m,) under its own name."""
     t_start = time.perf_counter()
     out_dir.mkdir(parents=True, exist_ok=True)
     base = scenario.name
-    traj_path = out_dir / f"{base}_trajectory.csv"
-    _write_trajectory_csv(traj_path, report.trajectory, report.seed)
+    traj = report.trajectory
+    arrays = {"t": traj.t, "x": traj.x, "y": traj.y, "v": traj.v, "chi": traj.chi, **traj.extras}
+    traj_path = out_dir / f"{base}_trajectory.npz"
+    np.savez(traj_path, **{k: a for k, a in arrays.items() if a is not None})
     report.files["trajectory"] = str(traj_path)
 
     if report.constants is not None:

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -80,3 +81,28 @@ def test_resolved_needs_a_narrow_base_spread_or_a_clean_separation():
     assert bench_pairs.resolved(wide, [2.0] * 5, lower=False, bound=bound)  # higher is better, separated
     assert not bench_pairs.resolved(wide, [1.2] * 5, lower=False, bound=bound)  # not above the base's max
     assert bench_pairs.resolved([0.0] * 3, [0.0] * 3, lower=True, bound=0.1)  # zero base, no spread
+
+
+def test_checkout_records_commit_and_uncommitted_changes(tmp_path):
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=tmp_path, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "a.txt").write_text("one\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "one")
+    head = git("rev-parse", "HEAD")
+    assert bench_pairs.checkout(tmp_path) == {"commit": head, "dirty": False}
+    (tmp_path / "a.txt").write_text("two\n")
+    assert bench_pairs.checkout(tmp_path) == {"commit": head, "dirty": True}
+    git("commit", "-q", "-am", "two")
+    assert bench_pairs.checkout(tmp_path) == {"commit": git("rev-parse", "HEAD"), "dirty": False}
+    (tmp_path / "b.txt").write_text("new\n")  # an untracked file counts as a change
+    assert bench_pairs.checkout(tmp_path)["dirty"]
+
+
+def test_checkout_outside_a_work_tree_is_unknown(tmp_path):
+    assert bench_pairs.checkout(tmp_path) == {"commit": None, "dirty": None}

@@ -240,6 +240,15 @@ def test_integrate_rejects_a_horizon_of_part_steps(step, horizon, path3, obj3, g
         scenario_from_dict(cfg)
 
 
+@pytest.mark.parametrize("step, horizon", [(1e-300, 1e300), (0.01, float("nan"))])
+def test_integrate_rejects_a_step_count_that_is_not_finite(step, horizon):
+    # horizon / step overflows to inf, or is NaN: integrate's own error, not
+    # the OverflowError or ValueError of rounding a non-finite float
+    s0 = SwarmState(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="whole number of steps"):
+        integrate(lambda s: np.zeros(3), s0, step, horizon)
+
+
 @pytest.mark.parametrize("event", [False, True])
 def test_trajectory_rows_are_packed_states(event, path3, obj3, gains_theta35, monkeypatch):
     s0 = _state(np.random.default_rng(7), 3, 3)

@@ -16,7 +16,6 @@ from socopt.harness import (
     ConfigError,
     _emit,
     _solution_distance,
-    _write_trajectory_csv,
     certificate_constants,
     compare,
     load_preset,
@@ -440,50 +439,34 @@ def test_run_emits_files(tmp_path, run3_event):
     summary = json.loads((tmp_path / "cdc18-scenario3-event_summary.json").read_text())
     assert summary["checks"]["trigger_discipline"]
     assert summary["trigger_summary"]["total_samples"] == 15000
-    header = (tmp_path / "cdc18-scenario3-event_trajectory.csv").read_text().splitlines()
-    assert header[0] == "# seed=12345"
-    cols = header[1].split(",")
-    assert cols[0] == "t"
-    assert "x_1_1" in cols and "v_3_3" in cols and "chi_2" in cols and "V3" in cols
+    assert summary["seed"] == 12345
+    with np.load(tmp_path / "cdc18-scenario3-event_trajectory.npz", allow_pickle=False) as npz:
+        assert {"t", "x", "v", "chi", "V3"} <= set(npz.files)
+        assert npz["x"].shape == npz["v"].shape == (5001, 3, 3) and npz["chi"].shape == (5001, 3)
     ev_cols = (tmp_path / "cdc18-scenario3-event_events.csv").read_text().splitlines()[0]
     assert ev_cols == "agent,k,t,chi_at_trigger,error_norm_sq,qhat"
 
 
-def _write_trajectory_csv_reference(path, traj, seed):
-    """The per-value trajectory writer, kept as the byte-level reference."""
-    n, p = traj.x.shape[1], traj.x.shape[2]
-    chi = traj.chi
-    cols = ["t"]
-    cols += [f"x_{i+1}_{k+1}" for i in range(n) for k in range(p)]
-    cols += [f"y_{i+1}_{k+1}" for i in range(n) for k in range(p)]
-    cols += [f"v_{i+1}_{k+1}" for i in range(n) for k in range(p)]
-    if chi is not None:
-        cols += [f"chi_{i+1}" for i in range(n)]
-    extra_names = sorted(traj.extras)
-    cols += extra_names
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if seed is not None:
-            fh.write(f"# seed={seed}\n")
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(cols)
-        for k in range(traj.samples):
-            row = [repr(float(traj.t[k]))]
-            row += [repr(float(val)) for val in traj.x[k].ravel()]
-            row += [repr(float(val)) for val in traj.y[k].ravel()]
-            row += [repr(float(val)) for val in traj.v[k].ravel()]
-            if chi is not None:
-                row += [repr(float(val)) for val in chi[k]]
-            row += [repr(float(traj.extras[name][k])) for name in extra_names]
-            w.writerow(row)
-
-
-def test_trajectory_csv_matches_per_value_writer(tmp_path, run3_event):
-    # chi and the Lyapunov columns included; 5001 samples span several chunks
-    _, rep = run3_event
-    assert rep.trajectory.chi is not None and "V3" in rep.trajectory.extras
-    _write_trajectory_csv(tmp_path / "new.csv", rep.trajectory, rep.seed)
-    _write_trajectory_csv_reference(tmp_path / "ref.csv", rep.trajectory, rep.seed)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+@pytest.mark.parametrize("name", preset_names())
+def test_trajectory_npz_holds_the_run_bit_for_bit(name, tmp_path):
+    cfg = preset_config(name)
+    integ = cfg.setdefault("integration", {})
+    integ["horizon"] = 20 * integ.get("step", 0.01)
+    sc = scenario_from_dict(cfg)
+    rep = run(sc, out_dir=tmp_path)
+    traj, n, p = rep.trajectory, sc.graph.n, sc.obj.p
+    expected = {"t": traj.t, "x": traj.x, "y": traj.y, "v": traj.v, **traj.extras}
+    if sc.algorithm == "event":
+        expected["chi"] = traj.chi
+    path = tmp_path / f"{sc.name}_trajectory.npz"
+    assert rep.files["trajectory"] == str(path)
+    with np.load(path, allow_pickle=False) as npz:
+        assert sorted(npz.files) == sorted(expected)
+        assert npz["t"].shape == (traj.samples,) and npz["x"].shape == (traj.samples, n, p)
+        for key, arr in expected.items():
+            assert npz[key].dtype == arr.dtype and npz[key].shape == arr.shape, key
+            assert npz[key].tobytes() == arr.tobytes(), key
+    assert not list(tmp_path.glob("*_trajectory.csv"))
 
 
 def test_events_csv_matches_per_value_writer(tmp_path, run3_event):
@@ -572,8 +555,8 @@ def test_run_deterministic_bytes(tmp_path):
     sc = scenario_from_dict(cfg)
     rep_a = run(sc, out_dir=tmp_path / "a")
     rep_b = run(sc, out_dir=tmp_path / "b")
-    bytes_a = (tmp_path / "a" / "cdc18-scenario3_trajectory.csv").read_bytes()
-    bytes_b = (tmp_path / "b" / "cdc18-scenario3_trajectory.csv").read_bytes()
+    bytes_a = (tmp_path / "a" / "cdc18-scenario3_trajectory.npz").read_bytes()
+    bytes_b = (tmp_path / "b" / "cdc18-scenario3_trajectory.npz").read_bytes()
     assert bytes_a == bytes_b
 
 
@@ -646,7 +629,7 @@ def test_cli_run_preset(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "heavy-ball" in out
-    assert (tmp_path / "heavy-ball_trajectory.csv").exists()
+    assert (tmp_path / "heavy-ball_trajectory.npz").exists()
 
 
 def test_cli_constants(tmp_path, capsys):
@@ -797,7 +780,7 @@ def test_cli_entrypoint_subprocess(tmp_path):
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "heavy-ball_trajectory.csv").exists()
+    assert (tmp_path / "heavy-ball_trajectory.npz").exists()
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):
