@@ -23,7 +23,7 @@ import numpy as np
 
 from .costs import GlobalObjective, curvature_on_set, rowdot
 from .dynamics import GainParams, SwarmState, Trajectory
-from .events import TriggerParams
+from .events import TriggerParams, validate_eps0
 from .graph import NetworkGraph, SpectralData
 
 
@@ -57,9 +57,7 @@ def _in_float_range(fn):
 
 
 def _validate_design(gains: GainParams, eps0: float, eps: float):
-    lo = gains.theta / (gains.alpha * gains.gamma)
-    if not (lo < eps0 < 1.0):
-        raise ConstantsError(f"eps0 must lie in (theta/(alpha*gamma), 1) = ({lo:.6g}, 1); got {eps0}")
+    validate_eps0(gains, eps0, ConstantsError)
     if eps <= 0:
         raise ConstantsError(f"eps must be positive, got {eps}")
 

@@ -33,22 +33,24 @@ neighbour of lower index fire at once, as one batch, and the rest are
 re-checked one by one in index order.  This decides exactly as
 re-checking every selected agent in index order would, because agent i's
 terms read only x_i and the caches of i and N_i, and a batch agent of
-higher index than a re-checked agent i is never i's neighbour.
+higher index than a re-checked agent i is never i's neighbour.  Each
+broadcast is a row of the record array ``TriggerState.events`` (agent,
+index, t, chi, error_sq, qhat), in sample, sweep, then agent order.
 ``simulate_event`` runs the loop of ``dynamics`` on the state augmented
-with chi: the right-hand side is the law of ``rhs_event`` plus the chi
-law ``chi_rhs``, whose bracket ||e_i||^2 - c_i*qhat_i is frozen at its
-start-of-step value (the error is discontinuous at triggers, so freezing
-keeps the stages consistent).  The law is autonomous and a state carries
-no clock, so a per-sample hook, called with (t, state), processes the
-triggers, records the invariant margins, freezes the next step's bracket
-and forms L xhat once for the step (the caches change only there).  The
-run steps by the routing rule ``dynamics.route_for``.  In a small swarm
-the law less its gradient term is affine in the state between samples,
-with a fixed matrix and a constant term that moves with L xhat and the
-bracket: with a quadratic objective each step is the affine
-propagator's matrix step, and with a quartic one the stage form's two
-batched gradient calls and three products, with that term re-read once
-per step.  Otherwise each step is ``rk4_step``.
+with chi: the right-hand side is ``dynamics._law`` fed by L xhat plus
+the chi law ``chi_rhs``, whose bracket ||e_i||^2 - c_i*qhat_i is frozen
+at its start-of-step value (the error is discontinuous at triggers, so
+freezing keeps the stages consistent).  The law is autonomous and a
+state carries no clock, so a per-sample hook, called with (t, state),
+processes the triggers, records the discipline margin, freezes the next
+step's bracket and forms L xhat once for the step (the caches change
+only there).  The run steps by the routing rule ``dynamics.route_for``.
+In a small swarm the law less its gradient term is affine in the state
+between samples, with a fixed matrix and a constant term that moves with
+L xhat and the bracket: with a quadratic objective each step is the
+affine propagator's matrix step, and with a quartic one the stage form's
+two batched gradient calls and three products, with that term re-read
+once per step.  Otherwise each step is ``rk4_step``.
 """
 
 from dataclasses import dataclass, field
@@ -150,7 +152,7 @@ def varphi_all(g: NetworkGraph, gains: GainParams, eps0: float, eps8: float) -> 
 
     The cross sum runs over the edges leaving i (L_ij = -w_ij on them, 0 off them).
     """
-    _validate_eps0(gains, eps0)
+    validate_eps0(gains, eps0)
     if eps8 <= 0:
         raise TriggerConfigError(f"eps8 must be positive, got {eps8}")
     lii = np.diag(g.laplacian)
@@ -165,12 +167,11 @@ def varphi_all(g: NetworkGraph, gains: GainParams, eps0: float, eps8: float) -> 
     )
 
 
-def _validate_eps0(gains: GainParams, eps0: float):
+def validate_eps0(gains: GainParams, eps0: float, error: type[ValueError] = TriggerConfigError):
+    """Raise ``error`` unless eps0 lies in (theta/(alpha*gamma), 1), as the certificate and varphi_i assume."""
     lo = gains.theta / (gains.alpha * gains.gamma)
     if not (lo < eps0 < 1.0):
-        raise TriggerConfigError(
-            f"eps0 must lie in (theta/(alpha*gamma), 1) = ({lo:.6g}, 1); got {eps0}"
-        )
+        raise error(f"eps0 must lie in (theta/(alpha*gamma), 1) = ({lo:.6g}, 1); got {eps0}")
 
 
 @dataclass
@@ -202,7 +203,7 @@ def make_trigger_law(
     """
     if eps0 is None:
         eps0 = default_eps0(gains)
-    _validate_eps0(gains, eps0)
+    validate_eps0(gains, eps0)
     if params.n != g.n:
         raise TriggerConfigError(f"trigger parameters sized {params.n} for a graph of {g.n} agents")
     if denominator not in ("varphi", "rate"):
@@ -223,14 +224,13 @@ def make_trigger_law(
     return TriggerLaw(params=params, eps0=eps0, c=c, varphi=phis)
 
 
-@dataclass
-class EventRecord:
-    agent: int
-    index: int  # per-agent event counter, starting at 1 for the t=0 broadcast
-    t: float
-    chi: float
-    error_sq: float
-    qhat: float
+# the event log's columns; index counts an agent's events from 1, and chi, error_sq, qhat are the terms it fired on
+EVENT_DTYPE = np.dtype([("agent", "i8"), ("index", "i8")] + [(k, "f8") for k in ("t", "chi", "error_sq", "qhat")])
+
+
+def event_log(rows=()) -> np.recarray:
+    """The event log holding ``rows``, tuples (agent, index, t, chi, error_sq, qhat)."""
+    return np.array(list(rows), dtype=EVENT_DTYPE).view(np.recarray)
 
 
 @dataclass
@@ -241,7 +241,7 @@ class TriggerState:
     chi: np.ndarray  # (n,) internal variables
     last_event: np.ndarray  # (n,) timestamps
     counts: np.ndarray  # (n,) events so far
-    events: list[EventRecord] = field(default_factory=list)
+    events: np.recarray = field(default_factory=event_log)  # the log, one row per broadcast
 
     @classmethod
     def initialize(cls, x0: np.ndarray, params: TriggerParams) -> "TriggerState":
@@ -252,7 +252,7 @@ class TriggerState:
             chi=params.chi0.copy(),
             last_event=np.zeros(n),
             counts=np.ones(n, dtype=int),
-            events=[EventRecord(i, 1, 0.0, float(params.chi0[i]), error_sq=0.0, qhat=0.0) for i in range(n)],
+            events=event_log([(i, 1, 0.0, chi0, 0.0, 0.0) for i, chi0 in enumerate(params.chi0.tolist())]),
         )
 
 
@@ -327,7 +327,9 @@ class EventRun:
         return self.trajectory.chi
 
 
-def _process_triggers(ts: TriggerState, g: NetworkGraph, law: TriggerLaw, x: np.ndarray, t: float, qh: np.ndarray):
+def _process_triggers(
+    ts: TriggerState, g: NetworkGraph, law: TriggerLaw, x: np.ndarray, t: float, qh: np.ndarray, log: list
+):
     """Fire the agents whose rule holds at this sample, in sweeps.
 
     A sweep selects every agent not yet decided at this sample whose rule
@@ -343,8 +345,8 @@ def _process_triggers(ts: TriggerState, g: NetworkGraph, law: TriggerLaw, x: np.
     would: a batch agent of higher index than a held agent i is never i's
     neighbour (i would hold it), so firing it first leaves i's terms
     unchanged.  Sweeps repeat until one selects nobody.  A broadcast
-    copies the agent's position into its cache, and each sweep logs its
-    broadcasts in agent order with the terms each fired on.  An agent's
+    copies the agent's position into its cache, and each sweep appends its
+    broadcasts to ``log`` in agent order, as event-log rows.  An agent's
     error is zero after it broadcasts, so it fires at most once per
     sample.
 
@@ -386,10 +388,7 @@ def _process_triggers(ts: TriggerState, g: NetworkGraph, law: TriggerLaw, x: np.
             if margin[i] >= 0.0:
                 fired.append((i, err_sq[i], qh[i]))
                 margin = broadcast(i)
-        ts.events.extend(
-            EventRecord(i, int(ts.counts[i]), t, float(ts.chi[i]), error_sq=float(e), qhat=float(q))
-            for i, e, q in sorted(fired)
-        )
+        log.extend((i, ts.counts[i], t, ts.chi[i], e, q) for i, e, q in sorted(fired))
     return err_sq, qh
 
 
@@ -407,35 +406,39 @@ def simulate_event(
     Every agent broadcasts at t = 0 and chi starts at chi0.  Every step
     integrates with the caches fixed and the chi bracket frozen at its
     start-of-step value; every committed sample then processes triggers
-    before the margins are recorded, which keeps the rule inequality
+    before the margin is recorded, which keeps the rule inequality
     satisfied at every recorded sample.  Nothing can fire at t = 0, where
-    every cache is fresh.
+    every cache is fresh.  The event log is built once, after the run.
     """
     ts = TriggerState.initialize(initial.x, law.params)
     state0 = SwarmState(initial.x, initial.y, initial.v, ts.chi)
-    decay = law.params.phi_rate + law.params.delta / law.params.kappa
-    discipline, floor_margin, bracket, lx = -np.inf, np.inf, None, None
+    log = ts.events.tolist()
+    discipline, bracket, lx = -np.inf, None, None
     qh = rule_terms(ts, g, initial.x)[1]
 
     def rhs(s: SwarmState, o: GlobalObjective = obj) -> np.ndarray:
         return _law(s, o, gains, lx, s.v, chi_rhs(s.chi, bracket, law.params))
 
     def on_sample(t: float, s: SwarmState) -> None:
-        nonlocal discipline, floor_margin, bracket, lx, qh
+        nonlocal discipline, bracket, lx, qh
         ts.chi = s.chi
-        err_sq, qh = _process_triggers(ts, g, law, s.x, t, qh)
+        err_sq, qh = _process_triggers(ts, g, law, s.x, t, qh, log)
         bracket, margin = _bracket_and_margin(law, ts.chi, err_sq, qh)
         lx = g.laplacian @ ts.xhat
         discipline = max(discipline, float(margin.max()))
-        floor = law.params.chi0 * np.exp(-decay * t)
-        floor_margin = min(floor_margin, float(np.min(s.chi - floor)))
 
     traj = integrate(rhs, state0, step, horizon, on_sample, route_for(obj, gains, state0.u.size))
+    ts.events = event_log(log)
+    # chi - chi0*exp(-(rate + delta/kappa)*t) at every sample, in one buffer
+    margin = -(law.params.phi_rate + law.params.delta / law.params.kappa) * traj.t[:, None]
+    np.exp(margin, out=margin)
+    margin *= law.params.chi0
+    np.subtract(traj.chi, margin, out=margin)
     return EventRun(
         trajectory=traj,
         trigger_state=ts,
         discipline_margin=float(discipline),
-        chi_floor_margin=float(floor_margin),
+        chi_floor_margin=float(margin.min()),
         law=law,
     )
 
@@ -449,21 +452,19 @@ def zeno_report(ts: TriggerState, horizon: float, step: float) -> dict:
     """
     n = ts.counts.shape[0]
     samples_per_agent = int(round(horizon / step))
-    times: list[list[float]] = [[] for _ in range(n)]
-    for ev in ts.events:
-        times[ev.agent].append(ev.t)
-    per_agent = []
-    for i in range(n):
-        gaps = np.diff(times[i])
-        per_agent.append(
-            {
-                "agent": i,
-                "count": int(ts.counts[i]),
-                "min_gap": float(gaps.min()) if gaps.size else float(horizon),
-                "mean_gap": float(gaps.mean()) if gaps.size else float(horizon),
-                "saturated": int(ts.counts[i]) >= samples_per_agent + 1,
-            }
-        )
+    ev = ts.events
+    # each agent's event times in log order, and the gaps between them
+    times = np.split(ev.t[np.argsort(ev.agent, kind="stable")], np.cumsum(np.bincount(ev.agent, minlength=n))[:-1])
+    per_agent = [
+        {
+            "agent": i,
+            "count": int(ts.counts[i]),
+            "min_gap": float(gaps.min()) if gaps.size else float(horizon),
+            "mean_gap": float(gaps.mean()) if gaps.size else float(horizon),
+            "saturated": int(ts.counts[i]) >= samples_per_agent + 1,
+        }
+        for i, gaps in enumerate(map(np.diff, times))
+    ]
     total = int(ts.counts.sum())
     total_samples = n * samples_per_agent
     return {

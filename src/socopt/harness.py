@@ -44,6 +44,7 @@ from .dynamics import (
 )
 from .events import (
     TRIGGER_FIELDS,
+    EventRun,
     TriggerParams,
     default_eps0,
     make_trigger_law,
@@ -423,7 +424,7 @@ class RunReport:
     stepper: str
     files: dict[str, str] = field(default_factory=dict)
     trajectory: Trajectory | None = None
-    event_run: object | None = None
+    event_run: EventRun | None = None
     minimizer: MinimizerResult | None = None
 
     @property
@@ -641,9 +642,9 @@ def _emit(scenario: Scenario, report: RunReport, out_dir: Path):
 
     if report.event_run is not None:
         ev_path = out_dir / f"{base}_events.csv"
-        evs = report.event_run.trigger_state.events
-        rows = [[ev.agent + 1, ev.index, float(ev.t), ev.chi, ev.error_sq, ev.qhat] for ev in evs]
-        _write_csv(ev_path, ["agent", "k", "t", "chi_at_trigger", "error_norm_sq", "qhat"], rows)
+        ev = report.event_run.trigger_state.events
+        columns = [c.tolist() for c in (ev.agent + 1, ev.index, ev.t, ev.chi, ev.error_sq, ev.qhat)]
+        _write_csv(ev_path, ["agent", "k", "t", "chi_at_trigger", "error_norm_sq", "qhat"], zip(*columns))
         report.files["events"] = str(ev_path)
 
     report.timings["emit"] = time.perf_counter() - t_start

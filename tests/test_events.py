@@ -9,7 +9,7 @@ from socopt import events
 from socopt.costs import quadratic_family
 from socopt.dynamics import SwarmState
 from socopt.events import (
-    EventRecord,
+    EVENT_DTYPE,
     TriggerConfigError,
     TriggerParams,
     TriggerState,
@@ -17,6 +17,7 @@ from socopt.events import (
     _process_triggers,
     chi_rhs,
     default_eps0,
+    event_log,
     make_trigger_law,
     qhat,
     rhs_event,
@@ -28,8 +29,16 @@ from socopt.events import (
 )
 from socopt.dynamics import rhs_continuous
 from socopt.graph import build_graph
+from socopt.harness import run
 
 from conftest import random_connected_graph
+from test_golden import ring30_event_scenario
+
+
+@pytest.fixture(scope="module")
+def ring30_event():
+    sc = ring30_event_scenario()
+    return sc, run(sc)
 
 
 def _trigger_state(xhat, chi=None):
@@ -37,6 +46,14 @@ def _trigger_state(xhat, chi=None):
     n = xhat.shape[0]
     chi = np.ones(n) if chi is None else np.asarray(chi, dtype=float)
     return TriggerState(xhat=xhat.copy(), chi=chi.copy(), last_event=np.zeros(n), counts=np.ones(n, int))
+
+
+def _fire(ts, g, law, x, t=1.0):
+    """One sample of ``_process_triggers`` from a full ``rule_terms`` pass:
+    the terms it returns and its broadcasts as an event log."""
+    log = []
+    out = _process_triggers(ts, g, law, x, t, rule_terms(ts, g, x)[1], log)
+    return out, event_log(log)
 
 
 def test_qhat_zero_at_agreement(path3):
@@ -85,9 +102,9 @@ def test_fresh_broadcast_never_fires(path3, gains_theta35):
     law = make_trigger_law(path3, gains_theta35, params, eps8=1e-3)
     x = np.random.default_rng(0).uniform(-5, 5, (3, 3))
     ts = _trigger_state(x)  # caches equal the state: zero error
-    _process_triggers(ts, path3, law, x, 1.0, rule_terms(ts, path3, x)[1])
+    _, fired = _fire(ts, path3, law, x)
     assert ts.counts.tolist() == [1, 1, 1]
-    assert ts.events == []
+    assert fired.shape == (0,) and ts.events.shape == (0,)
 
 
 def test_static_error_specialization(path3, gains_theta35):
@@ -96,13 +113,14 @@ def test_static_error_specialization(path3, gains_theta35):
     law = make_trigger_law(path3, gains_theta35, params)
     x = np.zeros((3, 1))
     ts = _trigger_state(np.array([[0.1], [0.2], [0.21]]), chi=[0.04, 0.04, 0.04])
-    _process_triggers(ts, path3, law, x, 1.0, rule_terms(ts, path3, x)[1])
-    assert [ev.agent for ev in ts.events] == [1, 2]
+    _, fired = _fire(ts, path3, law, x)
+    assert fired.agent.tolist() == [1, 2]
     np.testing.assert_array_equal(ts.xhat[1:], x[1:])
     np.testing.assert_array_equal(ts.xhat[0], [0.1])
     assert ts.counts.tolist() == [1, 2, 2]
-    assert all(ev.t == 1.0 for ev in ts.events)
-    assert [ev.error_sq for ev in ts.events] == pytest.approx([0.04, 0.0441], rel=1e-12)
+    assert fired.index.tolist() == [2, 2]
+    assert fired.t.tolist() == [1.0, 1.0]
+    assert fired.error_sq.tolist() == pytest.approx([0.04, 0.0441], rel=1e-12)
 
 
 def test_chi_pure_decay(path3, obj3, gains_theta35):
@@ -251,7 +269,7 @@ def test_trigger_decision_reads_only_neighbors(gains_theta35):
 
 def test_zeno_report_single_event():
     ts = _trigger_state(np.zeros((2, 1)))
-    ts.events = [EventRecord(agent=i, index=1, t=0.0, chi=1.0, error_sq=0.0, qhat=0.0) for i in range(2)]
+    ts.events = event_log([(i, 1, 0.0, 1.0, 0.0, 0.0) for i in range(2)])
     rep = zeno_report(ts, horizon=10.0, step=0.01)
     assert rep["per_agent"][0]["count"] == 1
     assert rep["per_agent"][0]["min_gap"] == 10.0
@@ -269,6 +287,34 @@ def test_event_run_invariants(run3_event):
     counts = [a["count"] for a in rep.trigger_summary["per_agent"]]
     assert all(c < 5001 for c in counts)
     assert rep.terminal_error <= 1e-2
+
+
+@pytest.mark.parametrize("fixture", ["run3_event", "ring30_event"])
+def test_event_log_invariants(fixture, request):
+    sc, rep = request.getfixturevalue(fixture)
+    ts, traj = rep.event_run.trigger_state, rep.trajectory
+    ev, n = ts.events, ts.counts.shape[0]
+    assert isinstance(ev, np.recarray) and ev.dtype == EVENT_DTYPE
+    np.testing.assert_array_equal(ts.counts, np.bincount(ev.agent))
+    for i in range(n):
+        assert ev.index[ev.agent == i].tolist() == list(range(1, ts.counts[i] + 1))
+    # every t is a sample time, bit for bit, and the log runs in sample order
+    k = np.rint(ev.t / sc.step).astype(int)
+    assert ev.t.tobytes() == traj.t[k].tobytes()
+    assert np.all(np.diff(ev.t) >= 0.0)
+    # the first n rows, and only they, are the t = 0 broadcasts
+    assert ev.agent[:n].tolist() == list(range(n))
+    assert np.all(ev.t[:n] == 0.0) and np.all(ev.t[n:] > 0.0)
+    assert ev.chi.tobytes() == traj.chi[k, ev.agent].tobytes()
+    # the gap report against a per-agent loop over the log
+    times = [[] for _ in range(n)]
+    for row in ev:
+        times[row.agent].append(row.t)
+    for entry, t_i in zip(rep.trigger_summary["per_agent"], times):
+        gaps = np.diff(t_i)
+        assert entry["count"] == len(t_i)
+        assert entry["min_gap"] == (gaps.min() if gaps.size else sc.horizon)
+        assert entry["mean_gap"] == (gaps.mean() if gaps.size else sc.horizon)
 
 
 def test_trigger_counts_monotone_in_chi0(path3, obj3, gains_theta35):
@@ -294,46 +340,42 @@ def test_sweep_veto_is_not_reconsidered(path3, gains_theta35):
     x = np.array([[1.0], [1.5], [0.0]])
     ts = _trigger_state([[0.0], [0.0], [2.0]], chi=[0.1, 0.1, 0.1])
     assert all(trigger_margin(i, ts, path3, law, x) >= 0.0 for i in range(3))
-    _process_triggers(ts, path3, law, x, 1.0, rule_terms(ts, path3, x)[1])
+    _, fired = _fire(ts, path3, law, x)
     assert ts.counts.tolist() == [2, 1, 2]
-    assert [ev.agent for ev in ts.events] == [0, 2]
+    assert fired.agent.tolist() == [0, 2]
     assert trigger_margin(1, ts, path3, law, x) >= 0.0
 
 
-def _one_at_a_time(ts, g, law, x, t, sweeps=None):
+def _one_at_a_time(ts, g, law, x, t):
     """Reference oracle: the sweep as it ran before batching.  Every
     selected agent is re-checked in index order against the caches as they
-    stand, with the terms recomputed after each broadcast.  ``sweeps``, if
-    given, collects (selected, fired) agent lists per sweep."""
+    stand, with the terms recomputed after each broadcast.  Returns the
+    terms it leaves and its broadcasts as an event log."""
     undecided = np.ones(g.n, dtype=bool)
     err_sq, qh = rule_terms(ts, g, x)
     margin = _bracket_and_margin(law, ts.chi, err_sq, qh)[1]
+    log = []
     while (selected := np.flatnonzero(undecided & (margin >= 0.0))).size:
         undecided[selected] = False
-        fired = []
         for i in selected.tolist():
             if margin[i] >= 0.0:
                 ts.xhat[i], ts.last_event[i] = x[i], t
                 ts.counts[i] += 1
-                ts.events.append(
-                    EventRecord(i, int(ts.counts[i]), t, float(ts.chi[i]), error_sq=float(err_sq[i]), qhat=float(qh[i]))
-                )
-                fired.append(i)
+                log.append((i, int(ts.counts[i]), t, float(ts.chi[i]), float(err_sq[i]), float(qh[i])))
                 err_sq, qh = rule_terms(ts, g, x)
                 margin = _bracket_and_margin(law, ts.chi, err_sq, qh)[1]
-        if sweeps is not None:
-            sweeps.append((selected.tolist(), fired))
-    return err_sq, qh
+    return (err_sq, qh), event_log(log)
 
 
 def _copy(ts):
-    return TriggerState(ts.xhat.copy(), ts.chi.copy(), ts.last_event.copy(), ts.counts.copy(), list(ts.events))
+    return TriggerState(ts.xhat.copy(), ts.chi.copy(), ts.last_event.copy(), ts.counts.copy(), ts.events.copy())
 
 
-def _assert_same_sample(ts, ref, out, ref_out):
-    # repr is exact for floats, so equal reprs are equal bits
-    assert repr(ts.events) == repr(ref.events)
-    for a, b in [(ts.xhat, ref.xhat), (ts.counts, ref.counts), (ts.last_event, ref.last_event), *zip(out, ref_out)]:
+def _assert_same_sample(ts, ref, sample, ref_sample):
+    """The caches, the returned terms and the logged broadcasts, each byte for byte."""
+    (out, fired), (ref_out, ref_fired) = sample, ref_sample
+    pairs = [(fired, ref_fired), (ts.xhat, ref.xhat), (ts.counts, ref.counts), (ts.last_event, ref.last_event)]
+    for a, b in [*pairs, *zip(out, ref_out)]:
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
@@ -356,8 +398,7 @@ def test_batched_sweep_matches_one_at_a_time_oracle(seed, n, p, gains_theta35):
     xhat = np.where(rng.random((n, 1)) < 0.2, x, rng.uniform(-5, 5, (n, p)))
     ts = _trigger_state(xhat, chi=10.0 ** rng.uniform(-4, 1, n))
     ref = _copy(ts)
-    out = _process_triggers(ts, g, law, x, 1.0, rule_terms(ts, g, x)[1])
-    _assert_same_sample(ts, ref, out, _one_at_a_time(ref, g, law, x, 1.0))
+    _assert_same_sample(ts, ref, _fire(ts, g, law, x), _one_at_a_time(ref, g, law, x, 1.0))
 
 
 def test_batched_sweep_matches_oracle_on_path3_veto(path3, gains_theta35):
@@ -365,8 +406,7 @@ def test_batched_sweep_matches_oracle_on_path3_veto(path3, gains_theta35):
     x = np.array([[1.0], [1.5], [0.0]])
     ts = _trigger_state([[0.0], [0.0], [2.0]], chi=[0.1, 0.1, 0.1])
     ref = _copy(ts)
-    out = _process_triggers(ts, path3, law, x, 1.0, rule_terms(ts, path3, x)[1])
-    _assert_same_sample(ts, ref, out, _one_at_a_time(ref, path3, law, x, 1.0))
+    _assert_same_sample(ts, ref, _fire(ts, path3, law, x), _one_at_a_time(ref, path3, law, x, 1.0))
 
 
 @settings(max_examples=30, deadline=None)
@@ -398,13 +438,14 @@ def test_carried_terms_match_full_pass(seed, n, p, gains_theta35):
         full_passes += 1
         return rule_terms(*args)
 
-    def checked(ts, g, law, x, t, qh):
+    def checked(ts, g, law, x, t, qh, log):
         nonlocal samples
         samples += 1
         ref = _copy(ts)
-        ref_out = _one_at_a_time(ref, g, law, x, t)
-        out = _process_triggers(ts, g, law, x, t, qh)
-        _assert_same_sample(ts, ref, out, ref_out)
+        ref_sample = _one_at_a_time(ref, g, law, x, t)
+        logged = len(log)
+        out = _process_triggers(ts, g, law, x, t, qh, log)
+        _assert_same_sample(ts, ref, (out, event_log(log[logged:])), ref_sample)
         for a, b in zip(out, rule_terms(ts, g, x)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         return out
@@ -421,8 +462,7 @@ def test_trigger_margin_nonpositive_after_broadcast(path3, gains_theta35):
     rng = np.random.default_rng(6)
     x = rng.uniform(-5, 5, (3, 3))
     ts = _trigger_state(rng.uniform(-5, 5, (3, 3)), chi=[0.01, 0.01, 0.01])
-    _process_triggers(ts, path3, law, x, 1.0, rule_terms(ts, path3, x)[1])
-    fired = [ev.agent for ev in ts.events]
+    fired = _fire(ts, path3, law, x)[1].agent.tolist()
     assert fired
     for i in fired:
         assert trigger_margin(i, ts, path3, law, x) < 0

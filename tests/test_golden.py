@@ -115,9 +115,9 @@ def _sha256(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
 
 
-def _events_sha256(events) -> str:
+def _events_sha256(events: np.recarray) -> str:
     """SHA-256 of the event log as float64 rows (agent, index, t)."""
-    return _sha256(np.array([(ev.agent, ev.index, ev.t) for ev in events], dtype=float))
+    return _sha256(np.column_stack([events.agent, events.index, events.t]))
 
 
 def fingerprint(rep) -> dict:
