@@ -21,15 +21,21 @@ axis and stores sample k as row k of one (m, N) array.  One helper,
 share one fixed-step loop, ``integrate``, the one writer of a run's
 trajectory buffer: it samples at t = 0, h, 2h, ..., writes each step into
 the next row, and hands an optional hook (where event mode processes its
-triggers) the pair (t, state) over that row.  A stepper maps a packed u
-to the next packed u by classical RK4, in one of three forms.
-``rk4_step`` advances u by four evaluations of the law.  The law is affine
-in u but for the gradient term, u' = M u + c - alpha E grad f(x), with E
-placing the per-agent gradients in the dy block, and the two other forms
-probe M and c from the law itself (N + 1 evaluations, ``probe_affine``).
-With a quadratic objective the whole law is affine, and RK4 on it is
-exactly u <- R(hM) u + S(hM) c for RK4's stability polynomials R and S:
-``affine_stepper`` takes each step as that one matrix step.  Otherwise
+triggers) the pair (t, state) over that row.  Between samples the law
+reads what the hook holds only through one array, the held inputs eta
+(event mode's L xhat and frozen chi bracket), which the hook rewrites in
+place.  A stepper writes the rows that follow a packed u by classical
+RK4, in one of three forms.  ``rk4_step`` advances u by four evaluations
+of the law.  The law is affine in u and eta but for the gradient term,
+u' = M u + c0 + G eta - alpha E grad f(x), with E placing the per-agent
+gradients in the dy block, and the two other forms probe M, c0 and G
+from the law itself (``probe_affine``, ``probe_held``) and evaluate it no
+more.  With a quadratic objective the whole law is affine, and RK4 on it
+is exactly u <- R(hM) u + S(hM) c for RK4's stability polynomials R and
+S: ``affine_stepper`` takes each step as that one matrix step, with
+c = c0 + G eta formed from the held inputs as they stand, and a run with
+no hook, whose c never moves, as blocks of samples, each one product
+with the stacked powers of the step's homogeneous map.  Otherwise
 ``stage_stepper`` probes the law with a zero-gradient objective.  Since
 dx = y, the gradient enters only the dy block, so RK4's stage positions
 pair up: stages 1 and 2 read only u and c, and stages 3 and 4 only u, c
@@ -49,6 +55,7 @@ runs; the default step 0.01 is the sample length used throughout the
 bundled scenarios.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -61,9 +68,12 @@ DIVERGENCE_LIMIT = 1e12
 AFFINE_MAX_SIZE = 256  # largest packed state the affine propagator takes (see ``route_for``)
 # largest packed state the stage form takes: past about N = 200 its dense
 # products per step cost more than rk4_step's four law evaluations when the
-# constant term is re-read every step (event mode; measured on quartic
-# rings, p = 3); with a fixed constant term the break-even is near 240
+# constant term moves every step (event mode, whose c block then spans N
+# columns; measured on quartic rings, p = 3); with a fixed constant term
+# the break-even is near 240
 STAGES_MAX_SIZE = 200
+# most floats the stacked powers of a hook-free affine run may hold (4 MB; see ``affine_stepper``)
+POWERS_MAX_FLOATS = 2**19
 
 
 class HypothesisError(ValueError):
@@ -186,8 +196,18 @@ class Trajectory:
 
 
 RhsFunc = Callable[[SwarmState], np.ndarray]
+# law(state, held[, obj]): a right-hand side that also reads the held inputs eta (see ``integrate``)
+Law = Callable[..., np.ndarray]
 SampleHook = Callable[[float, SwarmState], None]
-Stepper = Callable[[np.ndarray], np.ndarray]
+
+
+class Stepper(NamedTuple):
+    """How a route steps: ``advance(u, rows)`` fills ``rows``, a (k, N)
+    block of the trajectory buffer with 1 <= k <= ``block``, with the k
+    samples that follow the packed state u."""
+
+    advance: Callable[[np.ndarray, np.ndarray], None]
+    block: int = 1
 
 
 def _rk4(f: Callable[[np.ndarray], np.ndarray], u: np.ndarray, h: float) -> np.ndarray:
@@ -238,68 +258,129 @@ def whole_steps(step: float, horizon: float) -> bool:
     return bool(np.isfinite(steps)) and abs(steps - round(steps)) <= 1e-9 * max(1.0, steps)
 
 
+def _columns(f: Callable[[np.ndarray], np.ndarray], size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(J, f(0)) of a map f that is affine in a vector of ``size`` entries,
+    from size + 1 evaluations: column j of J is f(e_j) - f(0)."""
+    base = f(np.zeros(size))
+    J = np.empty((base.size, size))
+    for j, e in enumerate(np.eye(size)):
+        J[:, j] = f(e) - base
+    return J, base
+
+
 def probe_affine(rhs: RhsFunc, like: SwarmState) -> tuple[np.ndarray, np.ndarray]:
     """(M, c) of a right-hand side that is affine in u, rhs(u) = M u + c,
     from N + 1 evaluations: c at u = 0 and column j of M as rhs(e_j) - c.
     ``like`` gives the layout of the probe states."""
-    eye = np.eye(like.u.size)
-    c = rhs(like._like(np.zeros(like.u.size)))
-    return np.column_stack([rhs(like._like(e)) - c for e in eye]), c
+    return _columns(lambda u: rhs(like._like(u)), like.u.size)
 
 
-def affine_stepper(rhs: RhsFunc, like: SwarmState, h: float, varying: bool) -> Stepper:
-    """One classical RK4 step of an affine right-hand side u' = M u + c as
-    one matrix step u <- R u + S c, with (M, c) probed once from ``rhs``:
-    R = I + hM P and S = h P, with P = I + hM/2 (I + hM/3 (I + hM/4)) by
-    Horner's rule (RK4's stability polynomials).  When ``varying``, c is
-    re-read at every step by one ``rhs`` call at u = 0: M stays fixed but
-    the constant term may change between steps (event mode's L xhat and
-    frozen chi bracket).  The step maps a packed u to the next."""
-    M, c = probe_affine(rhs, like)
-    eye = np.eye(M.shape[0])
+def _flat(like: SwarmState) -> GlobalObjective:
+    """n zero quadratics in dimension p, in the layout of ``like``: with
+    it the law has no gradient term."""
+    n, p = like.n, like.p
+    return GlobalObjective(QuadraticFamily(np.zeros((n, p, p)), np.zeros((n, p)), np.zeros((n, p))))
+
+
+def probe_held(law: Law, like: SwarmState, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(G, c) of a law at u = 0 as a map of its ``size`` held inputs eta,
+    law(0, eta, flat) = c + G eta under the zero-gradient objective.
+    There each entry of the law is one gain times one entry of eta, so G
+    holds the gains exactly as the law writes them (-alpha*beta in the dy
+    rows, beta in the dv rows, -delta_i in the chi rows, 0 elsewhere) and
+    c is zero.  G eta therefore rounds like the law's own products, and
+    with c0 the law at (u, eta) = 0 under any objective, c0 + G eta is
+    the law at u = 0 bit for bit."""
+    zero = like._like(np.zeros(like.u.size))
+    flat = _flat(like)
+    return _columns(lambda eta: law(zero, eta, flat), size)
+
+
+def _powers_block(size: int, steps: int) -> int:
+    """B, the samples a hook-free affine run takes per product: about
+    sqrt(steps), which balances stacking B powers once against one
+    product and one divergence check per block; at most ``steps``, and at
+    most what POWERS_MAX_FLOATS allows for B powers of size x (size + 1)."""
+    return max(1, min(math.isqrt(steps - 1) + 1, POWERS_MAX_FLOATS // (size * (size + 1))))
+
+
+def affine_stepper(law: Law, like: SwarmState, h: float, held: np.ndarray, varying: bool, steps: int) -> Stepper:
+    """Classical RK4 on an affine law u' = M u + c, whose constant term
+    c = c0 + G eta is affine in the held inputs eta (``held``), as matrix
+    products; the law is evaluated only by the probes.
+
+    M is probed once from ``law(state, held)`` (``probe_affine``), c0 is
+    the law at (u, eta) = 0 and G its columns over eta (``probe_held``).
+    One RK4 step is then exactly u <- R u + S c, with R = I + hM P and
+    S = h P, P = I + hM/2 (I + hM/3 (I + hM/4)) by Horner's rule (RK4's
+    stability polynomials).  When ``varying``, a hook may rewrite
+    ``held`` between steps, so each step forms c = c0 + G eta from the
+    array as it stands and returns one row.  Otherwise c is fixed, and
+    sample j after u is A^j [u; 1] for the homogeneous map
+    A = [R, S c; 0, 1]: the top rows [R^j | sum_{i<j} R^i S c] of
+    A^1 ... A^B (B = ``_powers_block`` of ``steps``) are stacked once, and
+    a block of up to B samples is one product."""
+    N = like.u.size
+    M = probe_affine(lambda s: law(s, held), like)[0]
+    c0 = law(like._like(np.zeros(N)), np.zeros(held.size))
+    G = probe_held(law, like, held.size)[0]
+    eye = np.eye(N)
     hM = h * M
     P = eye + (hM / 2.0) @ (eye + (hM / 3.0) @ (eye + hM / 4.0))
     R, S = eye + hM @ P, h * P
-    zero = like._like(np.zeros(like.u.size))
-    Sc = S @ c
 
-    def step(u: np.ndarray) -> np.ndarray:
-        return R @ u + (S @ rhs(zero) if varying else Sc)
+    if varying:
 
-    return step
+        def step(u: np.ndarray, rows: np.ndarray) -> None:
+            rows[0] = R @ u + S @ (c0 + G @ held)
+
+        return Stepper(step)
+
+    block = _powers_block(N, steps)
+    powers = np.empty((block, N, N + 1))
+    powers[0, :, :N], powers[0, :, N] = R, S @ (c0 + G @ held)
+    for j in range(1, block):
+        np.matmul(R, powers[j - 1], out=powers[j])
+        powers[j, :, N] += powers[0, :, N]
+    stacked = powers.reshape(block * N, N + 1)
+    z = np.ones(N + 1)
+
+    def steps_block(u: np.ndarray, rows: np.ndarray) -> None:
+        z[:N] = u
+        np.matmul(stacked[: rows.size], z, out=rows.reshape(-1))
+
+    return Stepper(steps_block, block)
 
 
 def stage_stepper(
-    rhs: Callable[[SwarmState, GlobalObjective], np.ndarray],
-    like: SwarmState,
-    h: float,
-    varying: bool,
-    obj: GlobalObjective,
-    alpha: float,
+    law: Law, like: SwarmState, h: float, held: np.ndarray, varying: bool, obj: GlobalObjective, alpha: float
 ) -> Stepper:
     """One classical RK4 step of the law through its probed linear part,
     as two batched gradient calls and three matrix products.
 
-    ``rhs(state, objective)`` evaluates the law with the objective given;
-    with a zero-gradient one it is affine in u, and ``probe_affine`` gives
-    its (M, c) once.  The law is then u' = M u + c - alpha E g, with g the
-    gradient at x placed in the dy block by E, so RK4's step is linear in
-    z = [u, c, g1, g2, g3, g4], g_k the gradient at stage k's x.  Running
-    ``_rk4`` once on matrices over z gives the increment matrix F and each
-    stage's x rows; since dx = y, stages 1 and 2 read only (u, c) (rows A)
-    and stages 3 and 4 only (u, c, g1, g2) (rows B).  A step evaluates
-    (g1, g2) at A [u, c], then (g3, g4) at B [u, c, g1, g2], each as one
-    ``family.grad`` call on a (2, n, p) stack, and returns u + F z, which
-    is ``rk4_step``'s step up to rounding.  When ``varying``, c is re-read
-    at every step by one call at u = 0, as in ``affine_stepper``;
-    otherwise z carries it as the single entry 1, with column c, which
-    keeps F narrower.  The step maps a packed u to the next."""
+    ``law(state, held, objective)`` evaluates the law with the objective
+    given; with a zero-gradient one it is affine in u, and
+    ``probe_affine`` gives its (M, c) once.  The law is then
+    u' = M u + c - alpha E g, with g the gradient at x placed in the dy
+    block by E, so RK4's step is linear in z = [u, c, g1, g2, g3, g4],
+    g_k the gradient at stage k's x.  Running ``_rk4`` once on matrices
+    over z gives the increment matrix F and each stage's x rows; since
+    dx = y, stages 1 and 2 read only (u, c) (rows A) and stages 3 and 4
+    only (u, c, g1, g2) (rows B).  A step evaluates (g1, g2) at A [u, c],
+    then (g3, g4) at B [u, c, g1, g2], each as one ``family.grad`` call
+    on a (2, n, p) stack, and returns u + F z, which is ``rk4_step``'s
+    step up to rounding.  When ``varying``, a hook may rewrite the held
+    inputs eta (``held``) between steps, and each step reads c as
+    c0 + G eta from ``probe_held``, the zero-gradient law at u = 0 bit for
+    bit, into an N-entry c block of z; otherwise z carries c as the
+    single entry 1, with column c, which keeps F narrower.  Returns a
+    one-row ``Stepper``."""
     n, p = like.n, like.p
     w, N = n * p, like.u.size
-    flat = GlobalObjective(QuadraticFamily(np.zeros((n, p, p)), np.zeros((n, p)), np.zeros((n, p))))
-    linear = lambda s: rhs(s, flat)
-    M, c = probe_affine(linear, like)
-    zero = like._like(np.zeros(N))
+    flat = _flat(like)
+    M, c = probe_affine(lambda s: law(s, held, flat), like)
+    if varying:
+        G, c0 = probe_held(law, like, held.size)
     grad = obj.family.grad
     # stage k's field over z is M V + C on the c block, less alpha times
     # its own g block in the dy rows
@@ -321,24 +402,25 @@ def stage_stepper(
     A, B = A[:, :g0], B[:, : g0 + 2 * w]
     z = np.ones(F.shape[1])
 
-    def step(u: np.ndarray) -> np.ndarray:
+    def step(u: np.ndarray, rows: np.ndarray) -> None:
         z[:N] = u
         if varying:
-            z[N:g0] = linear(zero)
+            np.add(c0, G @ held, out=z[N:g0])
         z[g0 : g0 + 2 * w] = grad((A @ z[:g0]).reshape(2, n, p)).ravel()
         z[g0 + 2 * w :] = grad((B @ z[: g0 + 2 * w]).reshape(2, n, p)).ravel()
-        return u + F @ z
+        rows[0] = u + F @ z
 
-    return step
+    return Stepper(step)
 
 
 def integrate(
-    rhs: RhsFunc,
+    rhs: Callable[..., np.ndarray],
     initial: SwarmState,
     step: float,
     horizon: float,
     on_sample: SampleHook | None = None,
     route: Route | None = None,
+    held: np.ndarray | None = None,
 ) -> Trajectory:
     """Fixed-step integration sampling at t = 0, h, 2h, ..., horizon, a
     whole number of steps.
@@ -347,16 +429,19 @@ def integrate(
     buffer: ``initial`` is copied into row 0 and each step's next packed
     u into the next row.  ``on_sample``, if given, is called as
     ``on_sample(t[k], state)`` with a state over every committed row
-    (including t = 0) before the next step starts from it.  ``route``
-    (from ``route_for``) picks the stepper, built after the t = 0 hook: the
-    affine propagator, asserting that ``rhs`` is affine in u; the stage
-    form, for which ``rhs(state, obj)`` also evaluates the law with the
-    objective ``obj`` in place of the run's; or, without a route,
-    ``rk4_step``.  With a hook, a probed constant term
-    is re-read at every step, since the hook may move it.  Raises
-    DivergenceError, carrying a copy of the last finite sample, as soon as
-    any entry of a row is non-finite or exceeds the divergence cutoff in
-    magnitude.
+    (including t = 0) before the next step starts from it.  ``held``, if
+    given, is the array of held inputs eta that the hook rewrites in
+    place, and the law is ``rhs(state, held)``; otherwise it is
+    ``rhs(state)``.  ``route`` (from ``route_for``) picks the stepper,
+    built after the t = 0 hook: the affine propagator, asserting that the
+    law is affine in u and in eta; the stage form, for which
+    ``rhs(state[, held], obj)`` also evaluates the law with the objective
+    ``obj`` in place of the run's; or, without a route, ``rk4_step``.
+    With a hook every step takes one row and the propagator reads the
+    constant term from eta; without one, the propagator takes a block of
+    rows per product.  Raises DivergenceError, carrying a copy of the last
+    finite sample, at the first row in which any entry is non-finite or
+    exceeds the divergence cutoff in magnitude.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -370,22 +455,32 @@ def integrate(
     traj = Trajectory(step * np.arange(m), us, initial, form)
     us[0] = initial.u
     like = initial._like
+    if held is None:
+        law, held = (lambda s, _eta, *obj: rhs(s, *obj)), np.empty(0)
+    else:
+        law = rhs
     if on_sample is not None:
         on_sample(0.0, like(us[0]))
     varying = on_sample is not None
     if form == "affine":
-        advance = affine_stepper(rhs, initial, step, varying)
+        stepper = affine_stepper(law, initial, step, held, varying, m - 1)
     elif form == "stages":
-        advance = stage_stepper(rhs, initial, step, varying, route.obj, route.gains.alpha)
+        stepper = stage_stepper(law, initial, step, held, varying, route.obj, route.gains.alpha)
     else:
-        advance = lambda u: rk4_step(rhs, like(u), step)
-    for k in range(1, m):
-        row = us[k]
-        row[...] = advance(us[k - 1])
-        if not np.abs(row).max() <= DIVERGENCE_LIMIT:  # also catches NaN
+
+        def rk4_row(u: np.ndarray, rows: np.ndarray) -> None:
+            rows[0] = rk4_step(lambda s: law(s, held), like(u), step)
+
+        stepper = Stepper(rk4_row)
+    advance, block = stepper
+    for k in range(1, m, block):
+        rows = us[k : k + block]
+        advance(us[k - 1], rows)
+        if not np.abs(rows).max() <= DIVERGENCE_LIMIT:  # also catches NaN
+            k += int(np.argmin(np.abs(rows).max(axis=1) <= DIVERGENCE_LIMIT))  # the first offending row
             raise DivergenceError(float(traj.t[k]), float(traj.t[k - 1]), like(us[k - 1].copy()))
         if on_sample is not None:
-            on_sample(float(traj.t[k]), like(row))
+            on_sample(float(traj.t[k]), like(rows[0]))
     return traj
 
 

@@ -37,20 +37,22 @@ higher index than a re-checked agent i is never i's neighbour.  Each
 broadcast is a row of the record array ``TriggerState.events`` (agent,
 index, t, chi, error_sq, qhat), in sample, sweep, then agent order.
 ``simulate_event`` runs the loop of ``dynamics`` on the state augmented
-with chi: the right-hand side is ``dynamics._law`` fed by L xhat plus
-the chi law ``chi_rhs``, whose bracket ||e_i||^2 - c_i*qhat_i is frozen
-at its start-of-step value (the error is discontinuous at triggers, so
-freezing keeps the stages consistent).  The law is autonomous and a
-state carries no clock, so a per-sample hook, called with (t, state),
-processes the triggers, records the discipline margin, freezes the next
-step's bracket and forms L xhat once for the step (the caches change
-only there).  The run steps by the routing rule ``dynamics.route_for``.
-In a small swarm the law less its gradient term is affine in the state
-between samples, with a fixed matrix and a constant term that moves with
-L xhat and the bracket: with a quadratic objective each step is the
-affine propagator's matrix step, and with a quartic one the stage form's
-two batched gradient calls and three products, with that term re-read
-once per step.  Otherwise each step is ``rk4_step``.
+with chi.  Its law, ``held_law``, is ``dynamics._law`` fed by L xhat
+plus the chi law ``chi_rhs``, whose bracket ||e_i||^2 - c_i*qhat_i is
+frozen at its start-of-step value (the error is discontinuous at
+triggers, so freezing keeps the stages consistent); it reads both from
+one array of held inputs, eta = [L xhat; bracket].  The law is
+autonomous and a state carries no clock, so a per-sample hook, called
+with (t, state), processes the triggers, records the discipline margin
+and writes the next step's eta in place (the caches change only there).
+The run steps by the routing rule ``dynamics.route_for``.  In a small
+swarm the law less its gradient term is affine in the state and in eta,
+with a fixed matrix and a constant term c0 + G eta probed once: with a
+quadratic objective each step is the affine propagator's matrix step,
+and with a quartic one the stage form's two batched gradient calls and
+three products, each reading the constant term from eta without
+evaluating the law.  Otherwise each step is ``rk4_step``, whose four
+law evaluations read eta.
 """
 
 from dataclasses import dataclass, field
@@ -311,6 +313,19 @@ def rhs_event(
     return _law(state, obj, gains, g.laplacian @ ts.xhat, state.v, *extra)
 
 
+def held_law(obj: GlobalObjective, gains: GainParams, params: TriggerParams):
+    """The event law over its held inputs, as ``rhs(state, eta, o=obj)``:
+    ``dynamics._law`` fed by the Laplacian term L xhat, plus the chi law
+    ``chi_rhs`` with the frozen bracket, both read from
+    eta = [L xhat; bracket] (n*p + n entries)."""
+    n, p = params.n, obj.p
+
+    def rhs(s: SwarmState, eta: np.ndarray, o: GlobalObjective = obj) -> np.ndarray:
+        return _law(s, o, gains, eta[: n * p].reshape(n, p), s.v, chi_rhs(s.chi, eta[n * p :], params))
+
+    return rhs
+
+
 @dataclass
 class EventRun:
     """Trajectory of an event-mode run plus everything the checks need."""
@@ -413,21 +428,22 @@ def simulate_event(
     ts = TriggerState.initialize(initial.x, law.params)
     state0 = SwarmState(initial.x, initial.y, initial.v, ts.chi)
     log = ts.events.tolist()
-    discipline, bracket, lx = -np.inf, None, None
+    discipline = -np.inf
     qh = rule_terms(ts, g, initial.x)[1]
-
-    def rhs(s: SwarmState, o: GlobalObjective = obj) -> np.ndarray:
-        return _law(s, o, gains, lx, s.v, chi_rhs(s.chi, bracket, law.params))
+    w = ts.xhat.size
+    held = np.empty(w + g.n)  # eta = [L xhat; bracket], rewritten by the hook at every sample
+    lx, bracket = held[:w].reshape(ts.xhat.shape), held[w:]
 
     def on_sample(t: float, s: SwarmState) -> None:
-        nonlocal discipline, bracket, lx, qh
+        nonlocal discipline, qh
         ts.chi = s.chi
         err_sq, qh = _process_triggers(ts, g, law, s.x, t, qh, log)
-        bracket, margin = _bracket_and_margin(law, ts.chi, err_sq, qh)
-        lx = g.laplacian @ ts.xhat
+        bracket[:], margin = _bracket_and_margin(law, ts.chi, err_sq, qh)
+        lx[:] = g.laplacian @ ts.xhat
         discipline = max(discipline, float(margin.max()))
 
-    traj = integrate(rhs, state0, step, horizon, on_sample, route_for(obj, gains, state0.u.size))
+    route = route_for(obj, gains, state0.u.size)
+    traj = integrate(held_law(obj, gains, law.params), state0, step, horizon, on_sample, route, held)
     ts.events = event_log(log)
     # chi - chi0*exp(-(rate + delta/kappa)*t) at every sample, in one buffer
     margin = -(law.params.phi_rate + law.params.delta / law.params.kappa) * traj.t[:, None]

@@ -1,3 +1,6 @@
+import ctypes
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -110,3 +113,25 @@ def heavy_ball_closed_form(t, gamma=6.0, alpha=2.0):
     c1 = r2 / (r2 - r1)
     c2 = 1.0 - c1
     return c1 * np.exp(r1 * np.asarray(t)) + c2 * np.exp(r2 * np.asarray(t))
+
+
+def blas_kernel() -> str | None:
+    """The core name of the OpenBLAS kernel numpy loaded, as its
+    ``scipy_openblas_get_corename64_`` reports it (``OPENBLAS_CORETYPE``
+    overrides the CPU's choice), or None where numpy's BLAS is not that
+    OpenBLAS.  Matmul and LAPACK results, and so the byte pins, can round
+    differently under another kernel."""
+    pkg = Path(np.__file__).parent
+    for lib in sorted([*pkg.parent.glob("numpy.libs/*openblas*"), *pkg.glob(".dylibs/*openblas*")]):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
+def kernel_note(recorded: str | None) -> str:
+    """Names the kernel pins were recorded under and the one this process loaded."""
+    return f"pins recorded under BLAS kernel {recorded!r}; this process loaded {blas_kernel()!r}"

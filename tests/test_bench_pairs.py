@@ -94,15 +94,22 @@ def test_checkout_records_commit_and_uncommitted_changes(tmp_path):
     (tmp_path / "a.txt").write_text("one\n")
     git("add", "a.txt")
     git("commit", "-q", "-m", "one")
-    head = git("rev-parse", "HEAD")
-    assert bench_pairs.checkout(tmp_path) == {"commit": head, "dirty": False}
+    head, where = git("rev-parse", "HEAD"), str(tmp_path.resolve())
+    assert bench_pairs.checkout(tmp_path) == {"path": where, "commit": head, "dirty": False}
     (tmp_path / "a.txt").write_text("two\n")
-    assert bench_pairs.checkout(tmp_path) == {"commit": head, "dirty": True}
+    assert bench_pairs.checkout(tmp_path) == {"path": where, "commit": head, "dirty": True}
     git("commit", "-q", "-am", "two")
-    assert bench_pairs.checkout(tmp_path) == {"commit": git("rev-parse", "HEAD"), "dirty": False}
+    assert bench_pairs.checkout(tmp_path) == {"path": where, "commit": git("rev-parse", "HEAD"), "dirty": False}
     (tmp_path / "b.txt").write_text("new\n")  # an untracked file counts as a change
     assert bench_pairs.checkout(tmp_path)["dirty"]
 
 
 def test_checkout_outside_a_work_tree_is_unknown(tmp_path):
-    assert bench_pairs.checkout(tmp_path) == {"commit": None, "dirty": None}
+    assert bench_pairs.checkout(tmp_path) == {"path": str(tmp_path.resolve()), "commit": None, "dirty": None}
+
+
+def test_checkout_path_is_absolute(tmp_path, monkeypatch):
+    # a relative argument is recorded as the directory it named
+    (tmp_path / "side").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.checkout(Path("side"))["path"] == str((tmp_path / "side").resolve())

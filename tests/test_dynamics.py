@@ -19,6 +19,7 @@ from socopt.dynamics import (
     equilibrium_residual,
     integrate,
     probe_affine,
+    probe_held,
     rk4_step,
     rhs_alternative,
     rhs_continuous,
@@ -26,7 +27,15 @@ from socopt.dynamics import (
     stage_stepper,
     v_balance_violation,
 )
-from socopt.events import TriggerParams, TriggerState, chi_rhs, make_trigger_law, rhs_event, simulate_event
+from socopt.events import (
+    TriggerParams,
+    TriggerState,
+    chi_rhs,
+    held_law,
+    make_trigger_law,
+    rhs_event,
+    simulate_event,
+)
 from socopt.graph import build_graph
 from socopt.harness import load_preset, make_initial, run, scenario_from_dict
 from socopt.presets import preset_config
@@ -254,13 +263,13 @@ def test_trajectory_rows_are_packed_states(event, path3, obj3, gains_theta35, mo
     s0 = _state(np.random.default_rng(7), 3, 3)
     seen = []  # (t, u) as each committed sample reaches the hook
 
-    def recording_integrate(rhs, initial, step, horizon, on_sample=None, route=None):
+    def recording_integrate(rhs, initial, step, horizon, on_sample=None, route=None, held=None):
         def hook(t, s):
             seen.append((t, s.u.copy()))
             if on_sample is not None:
                 on_sample(t, s)
 
-        return integrate(rhs, initial, step, horizon, hook, route)
+        return integrate(rhs, initial, step, horizon, hook, route, held)
 
     if event:
         monkeypatch.setattr(events, "integrate", recording_integrate)
@@ -362,8 +371,8 @@ def test_rk4_step_matches_block_reference(seed, n, p, gains_theta35):
         new = rk4_step(rhs, state, h)
         assert isinstance(new, np.ndarray) and np.all(new == _block_rk4(ref, x, y, v, c, h)), name
         # the affine propagator takes the same step up to rounding
-        step = affine_stepper(rhs, state, h, varying=False)
-        assert np.abs(step(state.u) - new).max() <= 1e-12 * np.abs(new).max(), name
+        step = affine_stepper(lambda s, eta, *obj: rhs(s), state, h, np.empty(0), False, 1)
+        assert np.abs(_advance(step, state.u, 1)[0] - new).max() <= 1e-12 * np.abs(new).max(), name
 
 
 # -- the affine propagator of small quadratic runs ----------------------------
@@ -371,10 +380,26 @@ def test_rk4_step_matches_block_reference(seed, n, p, gains_theta35):
 AFFINE_PRESETS = ("cdc18-scenario1", "cdc18-scenario3", "cdc18-scenario3-event")
 
 
+def _advance(stepper, u, rows):
+    """The ``rows`` samples a stepper takes after the packed state u."""
+    out = np.empty((rows, u.size))
+    stepper.advance(u, out)
+    return out
+
+
+def _random_held(rng, g, p, held):
+    """Draw event mode's held inputs [L xhat; bracket] into ``held``, in
+    place: random caches xhat and a random frozen bracket."""
+    w = g.n * p
+    held[:w] = (g.laplacian @ rng.uniform(-5.0, 5.0, (g.n, p))).ravel()
+    held[w:] = rng.uniform(-1.0, 1.0, g.n)
+
+
 def _preset_law(name, rng):
-    """A preset's right-hand side (in event mode with random caches and a
-    random frozen bracket, both writable) and a maker of random states in
-    its layout."""
+    """A preset's scenario, its law ``rhs(state, eta)``, its held inputs
+    eta (in event mode [L xhat; bracket] from random caches and a random
+    frozen bracket, writable; empty otherwise), and a maker of random
+    states in its layout."""
     sc = load_preset(name)
     g, obj, gains, n, p = sc.graph, sc.obj, sc.gains, sc.graph.n, sc.obj.p
     event = sc.algorithm == "event"
@@ -385,38 +410,92 @@ def _preset_law(name, rng):
 
     if not event:
         rhs_fn = rhs_continuous if sc.algorithm == "continuous" else rhs_alternative
-        return (lambda s: rhs_fn(s, g, obj, gains)), random_state, None
-    ts = TriggerState(xhat=rng.uniform(-5.0, 5.0, (n, p)), chi=np.ones(n), last_event=np.zeros(n), counts=np.ones(n))
-    bracket = rng.uniform(-1.0, 1.0, n)
-    rhs = lambda s: rhs_event(s, ts, g, obj, gains, chi_rhs(s.chi, bracket, sc.trigger))
-    return rhs, random_state, (ts.xhat, bracket)
+        return sc, (lambda s, eta, o=obj: rhs_fn(s, g, o, gains)), np.empty(0), random_state
+    held = np.empty(n * p + n)
+    _random_held(rng, g, p, held)
+    return sc, held_law(obj, gains, sc.trigger), held, random_state
 
 
 @pytest.mark.parametrize("name", AFFINE_PRESETS)
 def test_probed_affine_map_matches_law(name):
     rng = np.random.default_rng(5)
-    rhs, random_state, _ = _preset_law(name, rng)
-    M, c = probe_affine(rhs, random_state())
+    _, rhs, held, random_state = _preset_law(name, rng)
+    M, c = probe_affine(lambda s: rhs(s, held), random_state())
     for _ in range(20):
         s = random_state()
-        law = rhs(s)
+        law = rhs(s, held)
         assert np.abs(M @ s.u + c - law).max() <= 1e-14 * np.abs(law).max()
 
 
 @pytest.mark.parametrize("name", AFFINE_PRESETS)
 def test_affine_step_matches_rk4_step(name):
     rng = np.random.default_rng(6)
-    rhs, random_state, caches = _preset_law(name, rng)
-    h = 0.01
-    step = affine_stepper(rhs, random_state(), h, varying=caches is not None)
+    sc, rhs, held, random_state = _preset_law(name, rng)
+    h, event = 0.01, held.size > 0
+    step = affine_stepper(rhs, random_state(), h, held, event, 1)
     for _ in range(5):
-        if caches is not None:  # event mode: move the constant term between steps
-            for a in caches:
-                a[...] = rng.uniform(-5.0, 5.0, a.shape)
+        if event:  # move the constant term between steps, as the run's hook does
+            _random_held(rng, sc.graph, sc.obj.p, held)
         s = random_state()
-        new, ref = step(s.u), rk4_step(rhs, s, h)
-        assert isinstance(new, np.ndarray) and new.shape == ref.shape == s.u.shape
+        new, ref = _advance(step, s.u, 1)[0], rk4_step(lambda s: rhs(s, held), s, h)
+        assert new.shape == ref.shape == s.u.shape
         assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("name", AFFINE_PRESETS[:2])
+def test_affine_block_matches_single_steps(name):
+    # a hook-free run takes B samples per product, A^1 ... A^B applied to
+    # [u; 1]; they equal B single steps R u + S c up to rounding
+    _, rhs, held, random_state = _preset_law(name, np.random.default_rng(10))
+    like = random_state()
+    blocks = affine_stepper(rhs, like, 0.01, held, False, 10_000)
+    single = affine_stepper(rhs, like, 0.01, held, True, 10_000)
+    assert 1 < blocks.block <= 10_000 and single.block == 1
+    rows = _advance(blocks, like.u, blocks.block)
+    u = like.u
+    for k in range(blocks.block):
+        u = _advance(single, u, 1)[0]
+        assert np.abs(rows[k] - u).max() <= 1e-12 * np.abs(u).max(), k
+
+
+@pytest.mark.parametrize("name", [*AFFINE_PRESETS, "event-quartic"])
+def test_held_input_split_is_exact(name):
+    # the event law on each affine preset's graph, costs and gains (with
+    # its own trigger parameters in event mode, the defaults otherwise),
+    # and event-quartic's stage law
+    sc = scenario_from_dict(preset_config(name) if name != "event-quartic" else _event_quartic_config())
+    params = sc.trigger if sc.algorithm == "event" else TriggerParams.defaults(sc.graph.n)
+    law = held_law(sc.obj, sc.gains, params)
+    n, p, gains = sc.graph.n, sc.obj.p, sc.gains
+    w, N = n * p, 3 * n * p + n
+    zero = SwarmState(np.zeros((n, p)), np.zeros((n, p)), np.zeros((n, p)), np.zeros(n))
+    G, c_flat = probe_held(law, zero, w + n)
+    # G holds the law's gains exactly: -alpha*beta on dy, beta on dv, -delta_i on chi
+    expected = np.zeros((N, w + n))
+    expected[w + np.arange(w), np.arange(w)] = -gains.alpha * gains.beta
+    expected[2 * w + np.arange(w), np.arange(w)] = gains.beta
+    expected[3 * w + np.arange(n), w + np.arange(n)] = -params.delta
+    assert np.array_equal(G, expected) and not c_flat.any()
+    # the constant term c0 + G eta is the law at u = 0, byte for byte
+    rng = np.random.default_rng(11)
+    c0, held = law(zero, np.zeros(w + n)), np.empty(w + n)
+    for _ in range(10):
+        _random_held(rng, sc.graph, p, held)
+        assert (c0 + G @ held).tobytes() == law(zero, held).tobytes()
+
+
+def test_affine_event_route_evaluates_the_law_only_in_its_probes(monkeypatch):
+    # the probes make N + 1 calls for M, one for c0 and n*p + n + 1 for G,
+    # however many steps the run takes
+    sc = load_preset("cdc18-scenario3-event")
+    n, p = sc.graph.n, sc.obj.p
+    N, H = 3 * n * p + n, n * p + n
+    calls = []
+    monkeypatch.setattr(events, "_law", lambda *args: calls.append(1) or dynamics._law(*args))
+    for horizon in (0.1, 1.0):
+        calls.clear()
+        assert run(replace(sc, horizon=horizon)).stepper == "affine"
+        assert len(calls) == (N + 1) + 1 + (H + 1)
 
 
 def test_routing_rule(obj2, obj3, gains_theta35):
@@ -496,41 +575,41 @@ def test_event_quartic_stage_form_triggers_as_rk4_step_does(monkeypatch):
 
 
 def _stage_law(name, rng):
-    """A quartic case's scenario, its law ``rhs(state, objective)`` (in
-    event mode with the caches xhat and the frozen bracket, both drawn at
-    random and writable), and a maker of random states in its layout."""
+    """A quartic case's scenario, its law ``rhs(state, eta, objective)``,
+    its held inputs eta (in event mode [L xhat; bracket] from random caches
+    and a random frozen bracket, writable; empty otherwise), and a maker
+    of random states in its layout."""
     cfg = preset_config(name) if name != "event-quartic" else _event_quartic_config()
     sc = scenario_from_dict(cfg)
     g, obj, gains, n, p = sc.graph, sc.obj, sc.gains, sc.graph.n, sc.obj.p
     event = sc.algorithm == "event"
-    xhat, bracket = rng.uniform(-5.0, 5.0, (n, p)), rng.uniform(-1.0, 1.0, n)
-
-    def rhs(s, o=obj):
-        if not event:
-            return rhs_continuous(s, g, o, gains)
-        ts = TriggerState(xhat=xhat, chi=s.chi, last_event=np.zeros(n), counts=np.ones(n))
-        return rhs_event(s, ts, g, o, gains, chi_rhs(s.chi, bracket, sc.trigger))
+    if event:
+        rhs, held = held_law(obj, gains, sc.trigger), np.empty(n * p + n)
+        _random_held(rng, g, p, held)
+    else:
+        rhs, held = (lambda s, eta, o=obj: rhs_continuous(s, g, o, gains)), np.empty(0)
 
     def random_state():
         x, y, v = rng.uniform(-5.0, 5.0, (3, n, p))
         return SwarmState(x, y, v, rng.uniform(0.1, 2.0, n) if event else None)
 
-    return sc, rhs, random_state, (xhat, bracket)
+    return sc, rhs, held, random_state
 
 
 @pytest.mark.parametrize("name", ["cdc18-scenario2", "event-quartic"])
 def test_stage_step_matches_rk4_step(name):
-    # from random states, and in event mode with the caches and the frozen
-    # bracket moved between steps, as the run's hook moves them
+    # from random states, and in event mode with the held inputs (caches
+    # and frozen bracket) moved between steps, as the run's hook moves them
     rng = np.random.default_rng(8)
-    sc, rhs, random_state, (xhat, bracket) = _stage_law(name, rng)
-    n, p, event = sc.graph.n, sc.obj.p, sc.algorithm == "event"
+    sc, rhs, held, random_state = _stage_law(name, rng)
+    p, event = sc.obj.p, sc.algorithm == "event"
     h = 0.01
-    step = stage_stepper(rhs, random_state(), h, event, sc.obj, sc.gains.alpha)
+    step = stage_stepper(rhs, random_state(), h, held, event, sc.obj, sc.gains.alpha)
     for _ in range(5):
-        xhat[...], bracket[...] = rng.uniform(-5.0, 5.0, (n, p)), rng.uniform(-1.0, 1.0, n)
+        if event:
+            _random_held(rng, sc.graph, p, held)
         s = random_state()
-        new, ref = step(s.u), rk4_step(rhs, s, h)
+        new, ref = _advance(step, s.u, 1)[0], rk4_step(lambda s: rhs(s, held), s, h)
         assert new.shape == ref.shape == s.u.shape
         assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -539,7 +618,7 @@ def test_stage_step_matches_rk4_step(name):
 def test_stage_step_takes_two_batched_gradient_calls(name):
     # the gradients at stages 1 and 2, then at stages 3 and 4, each pair as
     # one call on a (2, n, p) stack of positions
-    sc, rhs, random_state, _ = _stage_law(name, np.random.default_rng(9))
+    sc, rhs, held, random_state = _stage_law(name, np.random.default_rng(9))
     stacks = []
 
     def grad(x):
@@ -547,11 +626,11 @@ def test_stage_step_takes_two_batched_gradient_calls(name):
         return sc.obj.family.grad(x)
 
     counting = SimpleNamespace(family=SimpleNamespace(grad=grad))
-    step = stage_stepper(rhs, random_state(), 0.01, sc.algorithm == "event", counting, sc.gains.alpha)
+    step = stage_stepper(rhs, random_state(), 0.01, held, sc.algorithm == "event", counting, sc.gains.alpha)
     assert stacks == []
     u = random_state().u
     for _ in range(3):
-        u = step(u)
+        u = _advance(step, u, 1)[0]
     assert stacks == [(2, sc.graph.n, sc.obj.p)] * 6
 
 
@@ -562,14 +641,33 @@ def test_diverging_quadratic_run_stops_where_rk4_does(monkeypatch):
     cfg["integration"]["horizon"] = 200.0
     cfg["diagnostics"] = {"lyapunov": False, "rate_fit": False}
     sc = scenario_from_dict(cfg)
-    stops = {}
+    stops, buffers = {}, []
+
+    class Recorded(dynamics.Trajectory):
+        def __init__(self, *args):
+            super().__init__(*args)
+            buffers.append(self.u)
+
     for path in ("affine", "rk4"):
         with monkeypatch.context() as m:
+            m.setattr(dynamics, "Trajectory", Recorded)
             if path == "affine":  # the propagator path never calls rk4_step
                 m.setattr(dynamics, "rk4_step", None)
             else:
                 m.setattr(dynamics, "AFFINE_MAX_SIZE", 0)
             with pytest.raises(DivergenceError) as exc:
                 run(sc)
-        stops[path] = exc.value.t
-    assert stops["affine"] == stops["rk4"] < 200.0
+        stops[path] = exc.value
+    assert stops["affine"].t == stops["rk4"].t < 200.0
+    # the affine run takes B = 142 samples per product, so the limit is
+    # crossed at t = 161.62, row 16162, the 116th row of the block that
+    # starts at row 16047: mid-block.  The error still names that row's t,
+    # the t of the row before it, and a copy of that earlier row
+    err, us = stops["affine"], buffers[0]
+    k = int(round(err.t / sc.step))
+    B = dynamics._powers_block(us.shape[1], us.shape[0] - 1)
+    assert (k - 1) % B != 0, "the offending row opens a block"
+    assert err.last_t == err.t - sc.step == sc.step * (k - 1)
+    assert not np.abs(us[k]).max() <= dynamics.DIVERGENCE_LIMIT
+    assert np.abs(us[:k]).max() <= dynamics.DIVERGENCE_LIMIT
+    assert np.all(np.isfinite(err.last_state.u)) and np.array_equal(err.last_state.u, us[k - 1])

@@ -16,13 +16,18 @@ terms, which the three-agent path cannot show), this module pins
   monotonicity excess and the V2/V3 envelope excesses, each to
   1e-12 times the largest |value| of its column.
 
+The file also names the OpenBLAS kernel its pins were recorded under
+(``conftest.blas_kernel``); a failing pin names that kernel and the one
+this process loaded.
+
 ``golden.json`` is rewritten by
 
     PYTHONPATH=src python tests/test_golden.py --record [NAME ...]
 
 which records every run, or with names (``run3_event``, ``ring30_event``,
 ...) only those entries, leaving the bytes of every other entry as they
-are.  Rerun it only with the reason for the change written in
+are; naming entries is refused under another kernel than the file's.
+Rerun it only with the reason for the change written in
 CHANGES.md: the point of these fixtures is that a refactor leaves them
 untouched.
 """
@@ -38,6 +43,8 @@ import pytest
 from socopt.analysis import envelope_excess, monotonicity_excess
 from socopt.harness import load_preset, run, scenario_from_dict
 from socopt.presets import preset_config
+
+from conftest import blas_kernel, kernel_note
 
 GOLDEN = Path(__file__).with_name("golden.json")
 SUBSAMPLE = 100
@@ -151,30 +158,30 @@ def fingerprint(rep) -> dict:
 
 @pytest.fixture(scope="module")
 def golden():
-    return json.loads(GOLDEN.read_text(encoding="utf-8"))["runs"]
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("run_name", RUN_NAMES)
 def test_golden(run_name, golden, request):
     _, rep = request.getfixturevalue(run_name)
-    got, ref = fingerprint(rep), golden[run_name]
+    got, ref, note = fingerprint(rep), golden["runs"][run_name], kernel_note(golden["blas_kernel"])
 
-    assert got["trigger_counts"] == ref["trigger_counts"]
-    assert got["events_sha256"] == ref["events_sha256"]
+    assert got["trigger_counts"] == ref["trigger_counts"], note
+    assert got["events_sha256"] == ref["events_sha256"], note
     for key in ("terminal_error", "terminal_error_to_solution_set"):
-        assert got[key] == pytest.approx(ref[key], rel=ERROR_RTOL, abs=0.0)
-    assert got["sha256"] == ref["sha256"]
+        assert got[key] == pytest.approx(ref[key], rel=ERROR_RTOL, abs=0.0), f"{key}; {note}"
+    assert got["sha256"] == ref["sha256"], note
 
     assert sorted(got["columns"]) == sorted(ref["columns"])
     for name, col in ref["columns"].items():
         tol = COLUMN_RTOL * col["max_abs"]
         gap = np.abs(np.asarray(got["columns"][name]["every_100"]) - np.asarray(col["every_100"])).max()
-        assert gap <= tol, f"column {name} moved by {gap:.3e} > {tol:.3e}"
+        assert gap <= tol, f"column {name} moved by {gap:.3e} > {tol:.3e}; {note}"
 
     assert sorted(got["excesses"]) == sorted(ref["excesses"])
     for name, value in ref["excesses"].items():
         tol = COLUMN_RTOL * ref["columns"][name.split("_")[0]]["max_abs"]
-        assert abs(got["excesses"][name] - value) <= tol, f"{name}: {got['excesses'][name]!r} vs {value!r}"
+        assert abs(got["excesses"][name] - value) <= tol, f"{name}: {got['excesses'][name]!r} vs {value!r}; {note}"
 
 
 SCENARIOS = {
@@ -185,15 +192,24 @@ SCENARIOS = {
 
 
 def record(names=RUN_NAMES) -> None:
-    """Re-run and rewrite the named entries; the others are kept as loaded."""
+    """Re-run and rewrite the named entries; the others are kept as loaded,
+    which needs the kernel they were recorded under."""
+    kernel = blas_kernel()
     if set(names) == set(RUN_NAMES):
         runs = {}
     else:
-        runs = json.loads(GOLDEN.read_text(encoding="utf-8"))["runs"]
+        doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        if doc.get("blas_kernel", kernel) != kernel:
+            raise SystemExit(
+                f"entries recorded under BLAS kernel {doc['blas_kernel']!r}; this process loaded {kernel!r}: "
+                "re-record every entry, or none"
+            )
+        runs = doc["runs"]
     for name in names:
         runs[name] = fingerprint(run(SCENARIOS[name]()))
     doc = {
         "note": "Written by tests/test_golden.py --record. Rerun only with the reason stated in CHANGES.md.",
+        "blas_kernel": kernel,
         "runs": runs,
     }
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
@@ -208,6 +224,18 @@ def test_record_named_entry_keeps_the_others(tmp_path, monkeypatch):
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     monkeypatch.setitem(globals(), "GOLDEN", path)
     record(["run_heavy_ball"])
+    assert path.read_text(encoding="utf-8") == text
+
+
+def test_record_named_entry_refused_under_another_kernel(tmp_path, monkeypatch):
+    # the kept entries were recorded under the file's kernel; mixing is refused before anything runs
+    path = tmp_path / "golden.json"
+    path.write_text(GOLDEN.read_text(encoding="utf-8"), encoding="utf-8")
+    monkeypatch.setitem(globals(), "GOLDEN", path)
+    monkeypatch.setitem(globals(), "blas_kernel", lambda: "Other")
+    text = path.read_text(encoding="utf-8")
+    with pytest.raises(SystemExit, match=f"kernel '{json.loads(text)['blas_kernel']}'.*loaded 'Other'"):
+        record(["run_heavy_ball"])
     assert path.read_text(encoding="utf-8") == text
 
 

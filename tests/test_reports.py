@@ -12,6 +12,9 @@ what it prints, with the output directory replaced by ``<out>``.
 A change to the program that alters any of these bytes is a change of
 behaviour, and should show here.  A hash is re-recorded only for a
 deliberate change, with the reason and the moved values in CHANGES.md.
+``BLAS_KERNEL`` names the OpenBLAS kernel the hashes were recorded under
+(``conftest.blas_kernel``), and a failing pin names it and the kernel
+this process loaded.
 """
 
 import hashlib
@@ -21,16 +24,19 @@ from socopt.cli import main as cli_main
 from socopt.harness import run, scenario_from_dict
 from socopt.presets import preset_config, preset_names
 
+from conftest import kernel_note
+
+BLAS_KERNEL = "SkylakeX"
 REPORT_SHA256 = {
-    "cdc18-scenario1_summary.json": "9dae8db397d19d37733969a4ad035319f4039159d4a1abec91fb2a2f693a0eef",
+    "cdc18-scenario1_summary.json": "bea784d80ad8e68bbcb0669fecbb46a4302a2cbca7e6f6d1597551b5d35a3e21",
     "cdc18-scenario2_constants.json": "d55ddd446c0ab896962ac1f2e704f56867e84825353eb3cf0e3f3bc058548d79",
     "cdc18-scenario2_summary.json": "9adf3eaa4daf64d223c086b7007790ca9d3f6b4a632ff319a23216ceb215a13c",
     "cdc18-scenario3_constants.json": "990b176856ba36cabf2de22d6fe8bb39adec95e4169da29dc9f9282a880f38d4",
-    "cdc18-scenario3_summary.json": "feaf2298c239a1ca56ea5e9a3d61c7f44465884c118a40b969e6fbd87440d799",
+    "cdc18-scenario3_summary.json": "798dbbe64ee810201e50f90cb8ea0caf125473b87531aead6dbff1fdde402673",
     "cdc18-scenario3-event_constants.json": "91fdec9b6aa9a3e88f69784962f34ae966393af77e1f38c23cb832ad37764ffc",
     "cdc18-scenario3-event_events.csv": "955ea275bdd96ca1a1fac1eeb3ccd6673b34de83c5799abf9188392a3f4630e4",
     "cdc18-scenario3-event_summary.json": "1c36c3d9f015e014fe216ababa6cf03b22c41c84dedf898bc63de069e0087d35",
-    "heavy-ball_summary.json": "472e4adf1d516a29a4d99799bd136f3aec84501387016808ba0952a0e9d3484c",
+    "heavy-ball_summary.json": "11043b7741ec6b771790ce3183a5dcce37a1a096abe26cc41504639afc0eda7f",
 }
 
 CONSTANTS_CLI_SHA256 = {
@@ -83,8 +89,8 @@ def constants_cli_hashes(out_dir, capsys) -> dict[str, str]:
 
 
 def test_preset_report_files_pinned(tmp_path):
-    assert report_hashes(tmp_path) == REPORT_SHA256
+    assert report_hashes(tmp_path) == REPORT_SHA256, kernel_note(BLAS_KERNEL)
 
 
 def test_constants_command_output_pinned(tmp_path, capsys):
-    assert constants_cli_hashes(tmp_path, capsys) == CONSTANTS_CLI_SHA256
+    assert constants_cli_hashes(tmp_path, capsys) == CONSTANTS_CLI_SHA256, kernel_note(BLAS_KERNEL)
