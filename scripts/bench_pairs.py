@@ -12,16 +12,21 @@ started in its own checkout.  Compare two fresh clones (``git clone``,
 then the change applied to one of them), never the development working
 tree: the same diff measured in a long-lived working tree has read
 +5-6% on a workload that never enters the changed code, and 0% in a
-fresh clone.  The output (standard output, or ``--out``) is one JSON
-object: the host, each side's checkout path, commit and whether its
-tree had uncommitted changes, and per case and metric the median and
-quartiles of each side, the change's median relative to the base's, the
-number of pairs in which the change did better, whether the change's
-median is within the metric's bound of the base's, whether the
-comparison is resolved (see ``resolved``), and each side's run-by-run
-values; plus each side's correctness and failure counts.  The metrics,
-their direction and their bounds are the ``end_to_end`` table of the
-repository's BENCHMARK.json.  The default cases are the three
+fresh clone.  Give the two clones directory names of one length (say
+``a`` and ``b`` in one parent): on ring300-continuous, two fresh clones
+of one commit read 2.7% apart (0 of 3 pairs to the second) when their
+names differed by one character in length, and 0.4% apart (2 of 4) at
+equal lengths.  The output (standard output, or ``--out``) is one JSON
+object: the host, with the OpenBLAS kernel numpy loads (it sets how
+matmuls round and how fast they run); each side's checkout path, commit
+and whether its tree had uncommitted changes; and per case and metric
+the median and quartiles of each side, the change's median relative to
+the base's, the number of pairs in which the change did better, whether
+the change's median is within the metric's bound of the base's, whether
+the comparison is resolved (see ``resolved``), and each side's
+run-by-run values; plus each side's correctness and failure counts.  The
+metrics, their direction and their bounds are the ``end_to_end`` table
+of the repository's BENCHMARK.json.  The default cases are the three
 workloads at the default seed.
 """
 
@@ -35,8 +40,12 @@ import sys
 from importlib.metadata import version
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+from socopt.blas import blas_kernel  # noqa: E402 (the package is imported from ./src)
+
 # [{"name", "unit", "better": "lower" | "higher", "bound"}, ...]
-END_TO_END = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 DEFAULT_CASES = ("presets", "ring300-event", "ring300-continuous")
 STDERR_TAIL = 20  # lines of a failed run's stderr to show
 
@@ -56,12 +65,15 @@ def run_once(checkout: Path, workload: str, seed: int | None, seconds: float) ->
 
 
 def host() -> dict:
-    """What the timings were taken on."""
+    """What the timings were taken on; ``blas_kernel`` is the OpenBLAS
+    kernel numpy loads here (``socopt.blas.blas_kernel``), which the runs,
+    started with this interpreter and environment, load too."""
     return {
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": version("numpy"),
+        "blas_kernel": blas_kernel(),
     }
 
 

@@ -21,7 +21,9 @@ axis and stores sample k as row k of one (m, N) array.  One helper,
 share one fixed-step loop, ``integrate``, the one writer of a run's
 trajectory buffer: it samples at t = 0, h, 2h, ..., writes each step into
 the next row, and hands an optional hook (where event mode processes its
-triggers) the pair (t, state) over that row.  Between samples the law
+triggers) the pair (t, state) over that row.  It checks for divergence
+per row, before the hook, in a run with a hook, and once per block of
+about sqrt(steps) rows in a run without one.  Between samples the law
 reads what the hook holds only through one array, the held inputs eta
 (event mode's L xhat and frozen chi bracket), which the hook rewrites in
 place.  A stepper writes the rows that follow a packed u by classical
@@ -55,6 +57,7 @@ runs; the default step 0.01 is the sample length used throughout the
 bundled scenarios.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -203,11 +206,24 @@ SampleHook = Callable[[float, SwarmState], None]
 
 class Stepper(NamedTuple):
     """How a route steps: ``advance(u, rows)`` fills ``rows``, a (k, N)
-    block of the trajectory buffer with 1 <= k <= ``block``, with the k
-    samples that follow the packed state u."""
+    block of the trajectory buffer with 1 <= k <= ``block`` (any k when
+    ``block`` is None), with the k samples that follow the packed state u."""
 
     advance: Callable[[np.ndarray, np.ndarray], None]
-    block: int = 1
+    block: int | None = None
+
+
+def _row_by_row(step: Callable[[np.ndarray, np.ndarray], None]) -> Stepper:
+    """The Stepper of a one-row step ``step(u, row)``, which writes the
+    sample after the packed state u into ``row``: it fills any number of
+    rows, each from the one before."""
+
+    def advance(u: np.ndarray, rows: np.ndarray) -> None:
+        for row in rows:
+            step(u, row)
+            u = row
+
+    return Stepper(advance)
 
 
 def _rk4(f: Callable[[np.ndarray], np.ndarray], u: np.ndarray, h: float) -> np.ndarray:
@@ -296,12 +312,19 @@ def probe_held(law: Law, like: SwarmState, size: int) -> tuple[np.ndarray, np.nd
     return _columns(lambda eta: law(zero, eta, flat), size)
 
 
+def _sqrt_block(steps: int) -> int:
+    """ceil(sqrt(steps)): the rows a hook-free run of ``steps`` steps
+    fills between two divergence checks, at most ``steps`` (see
+    ``integrate``)."""
+    return math.isqrt(steps - 1) + 1
+
+
 def _powers_block(size: int, steps: int) -> int:
     """B, the samples a hook-free affine run takes per product: about
-    sqrt(steps), which balances stacking B powers once against one
-    product and one divergence check per block; at most ``steps``, and at
-    most what POWERS_MAX_FLOATS allows for B powers of size x (size + 1)."""
-    return max(1, min(math.isqrt(steps - 1) + 1, POWERS_MAX_FLOATS // (size * (size + 1))))
+    sqrt(steps) (``_sqrt_block``), which balances stacking B powers once
+    against one product and one divergence check per block; at most what
+    POWERS_MAX_FLOATS allows for B powers of size x (size + 1)."""
+    return max(1, min(_sqrt_block(steps), POWERS_MAX_FLOATS // (size * (size + 1))))
 
 
 def affine_stepper(law: Law, like: SwarmState, h: float, held: np.ndarray, varying: bool, steps: int) -> Stepper:
@@ -331,10 +354,10 @@ def affine_stepper(law: Law, like: SwarmState, h: float, held: np.ndarray, varyi
 
     if varying:
 
-        def step(u: np.ndarray, rows: np.ndarray) -> None:
-            rows[0] = R @ u + S @ (c0 + G @ held)
+        def step(u: np.ndarray, row: np.ndarray) -> None:
+            np.add(R @ u, S @ (c0 + G @ held), out=row)
 
-        return Stepper(step)
+        return _row_by_row(step)
 
     block = _powers_block(N, steps)
     powers = np.empty((block, N, N + 1))
@@ -373,8 +396,9 @@ def stage_stepper(
     inputs eta (``held``) between steps, and each step reads c as
     c0 + G eta from ``probe_held``, the zero-gradient law at u = 0 bit for
     bit, into an N-entry c block of z; otherwise z carries c as the
-    single entry 1, with column c, which keeps F narrower.  Returns a
-    one-row ``Stepper``."""
+    single entry 1, with column c, which keeps F narrower.  The step
+    writes both gradient pairs and the next row in place; its ``Stepper``
+    fills rows one step at a time."""
     n, p = like.n, like.p
     w, N = n * p, like.u.size
     flat = _flat(like)
@@ -401,16 +425,19 @@ def stage_stepper(
     assert not A[:, g0:].any() and not B[:, g0 + 2 * w :].any(), "a stage's x reads a gradient it precedes"
     A, B = A[:, :g0], B[:, : g0 + 2 * w]
     z = np.ones(F.shape[1])
+    # views of z: u, c, the inputs of each pair's positions, and each gradient pair as a (2, n, p) stack
+    zu, zc, za, zb = z[:N], z[N:g0], z[:g0], z[: g0 + 2 * w]
+    g12, g34 = z[g0 : g0 + 2 * w].reshape(2, n, p), z[g0 + 2 * w :].reshape(2, n, p)
 
-    def step(u: np.ndarray, rows: np.ndarray) -> None:
-        z[:N] = u
+    def step(u: np.ndarray, row: np.ndarray) -> None:
+        zu[:] = u
         if varying:
-            np.add(c0, G @ held, out=z[N:g0])
-        z[g0 : g0 + 2 * w] = grad((A @ z[:g0]).reshape(2, n, p)).ravel()
-        z[g0 + 2 * w :] = grad((B @ z[: g0 + 2 * w]).reshape(2, n, p)).ravel()
-        rows[0] = u + F @ z
+            np.add(c0, G @ held, out=zc)
+        g12[:] = grad((A @ za).reshape(2, n, p))
+        g34[:] = grad((B @ zb).reshape(2, n, p))
+        np.add(u, F @ z, out=row)
 
-    return Stepper(step)
+    return _row_by_row(step)
 
 
 def integrate(
@@ -437,11 +464,17 @@ def integrate(
     law is affine in u and in eta; the stage form, for which
     ``rhs(state[, held], obj)`` also evaluates the law with the objective
     ``obj`` in place of the run's; or, without a route, ``rk4_step``.
-    With a hook every step takes one row and the propagator reads the
-    constant term from eta; without one, the propagator takes a block of
-    rows per product.  Raises DivergenceError, carrying a copy of the last
-    finite sample, at the first row in which any entry is non-finite or
-    exceeds the divergence cutoff in magnitude.
+    With a hook every step takes one row, the propagator reads the
+    constant term from eta, and each row is checked for divergence before
+    the hook sees it.  Without one, divergence is checked once per block
+    of rows: the propagator's block of rows per product, or
+    ceil(sqrt(steps)) one-row steps of the other forms (``_sqrt_block``).
+    Raises DivergenceError, carrying a copy of the row before it, at the
+    first row in which any entry is non-finite or exceeds the divergence
+    cutoff in magnitude; a block's later rows are discarded.  numpy's
+    floating-point warnings are silenced while a hook-free run steps: an
+    overflow or invalid operation leaves a non-finite entry, which the
+    check reports.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -468,19 +501,23 @@ def integrate(
         stepper = stage_stepper(law, initial, step, held, varying, route.obj, route.gains.alpha)
     else:
 
-        def rk4_row(u: np.ndarray, rows: np.ndarray) -> None:
-            rows[0] = rk4_step(lambda s: law(s, held), like(u), step)
+        def rk4_row(u: np.ndarray, row: np.ndarray) -> None:
+            row[:] = rk4_step(lambda s: law(s, held), like(u), step)
 
-        stepper = Stepper(rk4_row)
+        stepper = _row_by_row(rk4_row)
     advance, block = stepper
-    for k in range(1, m, block):
-        rows = us[k : k + block]
-        advance(us[k - 1], rows)
-        if not np.abs(rows).max() <= DIVERGENCE_LIMIT:  # also catches NaN
-            k += int(np.argmin(np.abs(rows).max(axis=1) <= DIVERGENCE_LIMIT))  # the first offending row
-            raise DivergenceError(float(traj.t[k]), float(traj.t[k - 1]), like(us[k - 1].copy()))
-        if on_sample is not None:
-            on_sample(float(traj.t[k]), like(rows[0]))
+    span = 1 if varying else block or _sqrt_block(m - 1)  # rows per divergence check
+    # a hook-free block may step on past its first offending row, whose
+    # overflow warnings would only describe rows the error discards
+    with contextlib.nullcontext() if varying else np.errstate(all="ignore"):
+        for k in range(1, m, span):
+            rows = us[k : k + span]
+            advance(us[k - 1], rows)
+            if not np.abs(rows).max() <= DIVERGENCE_LIMIT:  # also catches NaN
+                k += int(np.argmin(np.abs(rows).max(axis=1) <= DIVERGENCE_LIMIT))  # the first offending row
+                raise DivergenceError(float(traj.t[k]), float(traj.t[k - 1]), like(us[k - 1].copy()))
+            if varying:
+                on_sample(float(traj.t[k]), like(rows[0]))
     return traj
 
 

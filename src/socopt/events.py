@@ -24,7 +24,9 @@ and no network-wide quantities at all.
 qhat reads only the caches, so a run forms it in full once, at t = 0, and
 carries it from sample to sample; after each broadcast only the qhat of
 the broadcasting agents and their neighbours is recomputed, bit-equal to
-a full pass (see ``_process_triggers``).
+a full pass (see ``_process_triggers``).  The sweep returns every term it
+forms, ||e||^2, qhat, the bracket and the rule margin, and the hook uses
+them as they are.
 
 Triggers are monitored at integration sample boundaries only, matching a
 sampled implementation.  At a sample, agents fire in sweeps.  A sweep
@@ -44,7 +46,9 @@ triggers, so freezing keeps the stages consistent); it reads both from
 one array of held inputs, eta = [L xhat; bracket].  The law is
 autonomous and a state carries no clock, so a per-sample hook, called
 with (t, state), processes the triggers, records the discipline margin
-and writes the next step's eta in place (the caches change only there).
+and writes the next step's eta in place (the caches change only there):
+the bracket at every sample, and L xhat only after a sample that
+broadcast, since xhat has not moved otherwise.
 The run steps by the routing rule ``dynamics.route_for``.  In a small
 swarm the law less its gradient term is affine in the state and in eta,
 with a fixed matrix and a constant term c0 + G eta probed once: with a
@@ -359,7 +363,8 @@ def _process_triggers(
     decides exactly as re-checking every selected agent in index order
     would: a batch agent of higher index than a held agent i is never i's
     neighbour (i would hold it), so firing it first leaves i's terms
-    unchanged.  Sweeps repeat until one selects nobody.  A broadcast
+    unchanged.  Only a sweep in which two selected agents share an edge
+    holds anyone.  Sweeps repeat until one selects nobody.  A broadcast
     copies the agent's position into its cache, and each sweep appends its
     broadcasts to ``log`` in agent order, as event-log rows.  An agent's
     error is zero after it broadcasts, so it fires at most once per
@@ -375,36 +380,58 @@ def _process_triggers(
     neighbourhood caches moved, by ``_edge_qhat`` over the edges leaving
     them, which rounds as the full pass does.
 
-    Returns (||e||^2, qhat) against the caches as the sample leaves them.
+    Returns every term it formed against the caches as the sample leaves
+    them: (||e||^2, qhat, bracket, margin), the last two as
+    ``_bracket_and_margin`` gives them.  When no rule holds it returns at
+    once, and the qhat it returns is ``qh`` itself.
     """
+    stale = ts.xhat - x
+    err_sq = rowdot(stale, stale)
+    bracket, margin = _bracket_and_margin(law, ts.chi, err_sq, qh)
+    selected = margin >= 0.0
+    if not selected.any():
+        return err_sq, qh, bracket, margin
+    qh, undecided = qh.copy(), ~selected
 
     def broadcast(agents):
-        ts.xhat[agents], ts.last_event[agents] = x[agents], t
+        """Broadcast ``agents``: a sweep's batch as a boolean mask, or one
+        held agent's index, whose cache update then costs O(1), not O(n)."""
+        nonlocal bracket, margin
+        if isinstance(agents, int):
+            ts.xhat[agents] = x[agents]
+            touched = np.zeros(g.n, dtype=bool)
+            touched[agents] = True
+        else:
+            np.copyto(ts.xhat, x, where=agents[:, None])
+            touched = agents.copy()
+        ts.last_event[agents] = t
         ts.counts[agents] += 1
         err_sq[agents] = 0.0
-        touched = np.zeros(g.n, dtype=bool)
-        touched[agents] = True
         touched[g.dst[touched[g.src]]] = True
         qh[touched] = _edge_qhat(ts, g, touched[g.src])[touched]
-        return _bracket_and_margin(law, ts.chi, err_sq, qh)[1]
+        bracket, margin = _bracket_and_margin(law, ts.chi, err_sq, qh)
 
-    undecided = np.ones(g.n, dtype=bool)
-    stale = ts.xhat - x
-    err_sq, qh = rowdot(stale, stale), qh.copy()
-    margin = _bracket_and_margin(law, ts.chi, err_sq, qh)[1]
-    while (selected := undecided & (margin >= 0.0)).any():
+    while True:
+        batch, held = selected, None
+        if np.count_nonzero(selected) > 1:
+            shared = selected[g.src] & selected[g.dst]  # edges between two selected agents, both ways
+            if shared.any():
+                held = np.zeros(g.n, dtype=bool)
+                held[g.src[shared & (g.dst < g.src)]] = True
+                batch = selected & ~held
+        fired = [(i, err_sq[i], qh[i]) for i in batch.nonzero()[0].tolist()]
+        broadcast(batch)
+        if held is not None:
+            for i in held.nonzero()[0].tolist():
+                if margin[i] >= 0.0:
+                    fired.append((i, err_sq[i], qh[i]))
+                    broadcast(i)
+            fired.sort()
+        log.extend((i, ts.counts[i], t, ts.chi[i], e, q) for i, e, q in fired)
+        selected = undecided & (margin >= 0.0)
+        if not selected.any():
+            return err_sq, qh, bracket, margin
         undecided &= ~selected
-        held = np.zeros(g.n, dtype=bool)
-        held[g.src[selected[g.src] & selected[g.dst] & (g.dst < g.src)]] = True
-        batch = np.flatnonzero(selected & ~held)
-        fired = [(i, err_sq[i], qh[i]) for i in batch.tolist()]
-        margin = broadcast(batch)
-        for i in np.flatnonzero(held).tolist():
-            if margin[i] >= 0.0:
-                fired.append((i, err_sq[i], qh[i]))
-                margin = broadcast(i)
-        log.extend((i, ts.counts[i], t, ts.chi[i], e, q) for i, e, q in sorted(fired))
-    return err_sq, qh
 
 
 def simulate_event(
@@ -431,15 +458,17 @@ def simulate_event(
     discipline = -np.inf
     qh = rule_terms(ts, g, initial.x)[1]
     w = ts.xhat.size
-    held = np.empty(w + g.n)  # eta = [L xhat; bracket], rewritten by the hook at every sample
+    held = np.empty(w + g.n)  # eta = [L xhat; bracket], rewritten by the hook
     lx, bracket = held[:w].reshape(ts.xhat.shape), held[w:]
+    lx[:] = g.laplacian @ ts.xhat
 
     def on_sample(t: float, s: SwarmState) -> None:
         nonlocal discipline, qh
         ts.chi = s.chi
-        err_sq, qh = _process_triggers(ts, g, law, s.x, t, qh, log)
-        bracket[:], margin = _bracket_and_margin(law, ts.chi, err_sq, qh)
-        lx[:] = g.laplacian @ ts.xhat
+        logged = len(log)
+        _, qh, bracket[:], margin = _process_triggers(ts, g, law, s.x, t, qh, log)
+        if len(log) > logged:  # a broadcast moved xhat
+            lx[:] = g.laplacian @ ts.xhat
         discipline = max(discipline, float(margin.max()))
 
     route = route_for(obj, gains, state0.u.size)

@@ -454,15 +454,17 @@ def _solution_distance(x: np.ndarray, mini: MinimizerResult, to_set: bool = True
 SINGLE_AGENT = "a single agent: the certificate needs n > 1"
 NO_MF = "no positive restricted strong convexity modulus m_f"
 OUT_OF_RANGE = "the certificate's arithmetic leaves the float range"
+ALTERNATIVE = "the alternative variant: the theorem covers the continuous and event laws only"
 
 
 def _prepare_certificates(scenario: Scenario, state0: SwarmState):
     """Spectral data, minimizer, Lyapunov context, constants, and why the
     constants are unavailable (None when they are not), as far as the
     scenario's data allows: a single agent has neither context nor
-    constants, and the constants are unavailable when m_f is not positive
-    or their arithmetic leaves the float range (the context too, when its
-    own coefficients do)."""
+    constants, the alternative variant has the context but no constants,
+    and the constants are unavailable when m_f is not positive or their
+    arithmetic leaves the float range (the context too, when its own
+    coefficients do)."""
     g, obj, gains, eps0, eps = scenario.graph, scenario.obj, scenario.gains, scenario.eps0, scenario.eps
     sd = spectral(g)
     mini = minimizer_oracle(obj)
@@ -473,6 +475,8 @@ def _prepare_certificates(scenario: Scenario, state0: SwarmState):
         ctx = analysis.LyapunovContext(g=g, sd=sd, obj=obj, gains=gains, eps0=eps0, eps=eps, eq=eq)
     except analysis.FloatRangeError:
         return sd, mini, None, None, OUT_OF_RANGE
+    if scenario.algorithm == "alternative":
+        return sd, mini, ctx, None, ALTERNATIVE
     mf = estimate_mf(obj, mini.x)
     if not mf > 0.0:
         return sd, mini, ctx, None, NO_MF
@@ -500,7 +504,8 @@ def certificate_constants(scenario: Scenario, seed: int | None = None) -> analys
     """Compute the certificate constants a scenario admits, without running it.
 
     Returns None when the scenario lacks the data (single agent, or no
-    positive restricted strong convexity modulus) or the certificate's
+    positive restricted strong convexity modulus), runs the alternative
+    variant, which the theorem does not cover, or the certificate's
     arithmetic leaves the float range; ``certificate_outcome`` says which.
     """
     return certificate_outcome(scenario, seed)[0]

@@ -113,3 +113,14 @@ def test_checkout_path_is_absolute(tmp_path, monkeypatch):
     (tmp_path / "side").mkdir()
     monkeypatch.chdir(tmp_path)
     assert bench_pairs.checkout(Path("side"))["path"] == str((tmp_path / "side").resolve())
+
+
+def test_host_names_the_blas_kernel():
+    # one implementation, shared with the pin tests: a BENCH_*.json says
+    # which kernel its timings came from, as golden.json says for its pins
+    import conftest
+    from socopt.blas import blas_kernel
+
+    assert bench_pairs.blas_kernel is conftest.blas_kernel is blas_kernel
+    kernel = bench_pairs.host()["blas_kernel"]
+    assert kernel == blas_kernel() and (kernel is None or isinstance(kernel, str) and kernel)

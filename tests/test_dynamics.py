@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -215,6 +216,17 @@ def test_nonfinite_gradient_raises_divergence(path3, gains_theta35, monkeypatch)
     monkeypatch.setattr(obj, "grad_stack", grad_stack)
     s0 = SwarmState([[0.0], [0.5], [0.0]], [[0.0], [10.0], [0.0]], [[0.0]] * 3)
     law = make_trigger_law(path3, gains_theta35, TriggerParams.local_only(3))
+    # the event run's hook is checked per row before it is called: record every state it receives
+    seen = []
+
+    def recording(rhs, initial, step, horizon, on_sample, *args):
+        def hook(t, s):
+            seen.append(s.u.copy())
+            on_sample(t, s)
+
+        return integrate(rhs, initial, step, horizon, hook, *args)
+
+    monkeypatch.setattr(events, "integrate", recording)
     runs = {
         "continuous": lambda: integrate(lambda s: rhs_continuous(s, path3, obj, gains_theta35), s0, 0.01, 2.0),
         "event": lambda: simulate_event(s0, path3, obj, gains_theta35, law, 0.01, 2.0),
@@ -225,6 +237,10 @@ def test_nonfinite_gradient_raises_divergence(path3, gains_theta35, monkeypatch)
         last = exc.value.last_state
         assert 0.0 < exc.value.t < 2.0, name
         assert np.all(np.isfinite(last.x)) and last.x[1, 0] < 1.0, name
+    # the hook saw every row before the offending one, and each within the limit
+    assert len(seen) == round(exc.value.t / 0.01)
+    assert all(np.abs(u).max() <= dynamics.DIVERGENCE_LIMIT for u in seen)
+    assert np.array_equal(seen[-1], exc.value.last_state.u)
 
 
 def test_integrate_validates_step(path3, obj3, gains_theta35):
@@ -450,7 +466,7 @@ def test_affine_block_matches_single_steps(name):
     like = random_state()
     blocks = affine_stepper(rhs, like, 0.01, held, False, 10_000)
     single = affine_stepper(rhs, like, 0.01, held, True, 10_000)
-    assert 1 < blocks.block <= 10_000 and single.block == 1
+    assert 1 < blocks.block <= 10_000 and single.block is None  # one-row steps, as many as asked
     rows = _advance(blocks, like.u, blocks.block)
     u = like.u
     for k in range(blocks.block):
@@ -668,6 +684,51 @@ def test_diverging_quadratic_run_stops_where_rk4_does(monkeypatch):
     B = dynamics._powers_block(us.shape[1], us.shape[0] - 1)
     assert (k - 1) % B != 0, "the offending row opens a block"
     assert err.last_t == err.t - sc.step == sc.step * (k - 1)
+    assert not np.abs(us[k]).max() <= dynamics.DIVERGENCE_LIMIT
+    assert np.abs(us[:k]).max() <= dynamics.DIVERGENCE_LIMIT
+    assert np.all(np.isfinite(err.last_state.u)) and np.array_equal(err.last_state.u, us[k - 1])
+
+
+def test_diverging_quartic_run_stops_where_rk4_does(monkeypatch):
+    # scenario2 with its quartic gradients negated and scaled by 1e-2: each
+    # agent is pushed away from its centre, faster the farther it is, and
+    # the run blows up.  A hook-free stage-form run fills sqrt(steps) rows
+    # between two divergence checks, and stops at the row rk4_step does
+    sc = load_preset("cdc18-scenario2")
+    g, obj, gains = sc.graph, sc.obj, sc.gains
+    s0, _ = make_initial(sc, None)
+    grad = type(obj.family).grad
+    monkeypatch.setattr(type(obj.family), "grad", lambda family, x: -1e-2 * grad(family, x))
+    stops, buffers = {}, []
+
+    class Recorded(dynamics.Trajectory):
+        def __init__(self, *args):
+            super().__init__(*args)
+            buffers.append(self.u)
+
+    for path in ("stages", "rk4"):
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "Trajectory", Recorded)
+            if path == "stages":  # the stage form never calls rk4_step
+                m.setattr(dynamics, "rk4_step", None)
+            else:
+                m.setattr(dynamics, "STAGES_MAX_SIZE", 0)
+            route = route_for(obj, gains, s0.u.size)
+            assert route.form == path
+            # the rows stepped past the offending one overflow, silently
+            with pytest.raises(DivergenceError) as exc, warnings.catch_warnings():
+                warnings.simplefilter("error")
+                integrate(lambda s, o=obj: rhs_continuous(s, g, o, gains), s0, sc.step, sc.horizon, route=route)
+        stops[path] = exc.value
+    assert stops["stages"].t == stops["rk4"].t < sc.horizon
+    # 10,000 steps make blocks of B = 100 rows; the limit is crossed at
+    # t = 3.85, row 385, the 85th row of the block that starts at row 301
+    err, us = stops["stages"], buffers[0]
+    k = int(round(err.t / sc.step))
+    B = dynamics._sqrt_block(us.shape[0] - 1)
+    assert B == 100 and (k - 1) % B != 0, "the offending row opens a block"
+    # last_t is t - h, both on the sample grid (3.85 - 0.01 rounds off it)
+    assert err.t == sc.step * k and err.last_t == sc.step * (k - 1)
     assert not np.abs(us[k]).max() <= dynamics.DIVERGENCE_LIMIT
     assert np.abs(us[:k]).max() <= dynamics.DIVERGENCE_LIMIT
     assert np.all(np.isfinite(err.last_state.u)) and np.array_equal(err.last_state.u, us[k - 1])

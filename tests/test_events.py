@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from socopt import events
+from socopt import dynamics, events
 from socopt.costs import quadratic_family
 from socopt.dynamics import SwarmState
 from socopt.events import (
@@ -29,7 +29,7 @@ from socopt.events import (
 )
 from socopt.dynamics import rhs_continuous
 from socopt.graph import build_graph
-from socopt.harness import run
+from socopt.harness import load_preset, run
 
 from conftest import random_connected_graph
 from test_golden import ring30_event_scenario
@@ -50,10 +50,19 @@ def _trigger_state(xhat, chi=None):
 
 def _fire(ts, g, law, x, t=1.0):
     """One sample of ``_process_triggers`` from a full ``rule_terms`` pass:
-    the terms it returns and its broadcasts as an event log."""
+    the terms it returns (||e||^2, qhat, bracket, margin) and its
+    broadcasts as an event log."""
     log = []
     out = _process_triggers(ts, g, law, x, t, rule_terms(ts, g, x)[1], log)
+    assert len(out) == 4
     return out, event_log(log)
+
+
+def _fresh_terms(ts, g, law, x):
+    """(||e||^2, qhat, bracket, margin) from a full ``rule_terms`` pass
+    against the caches as they stand."""
+    err_sq, qh = rule_terms(ts, g, x)
+    return (err_sq, qh, *_bracket_and_margin(law, ts.chi, err_sq, qh))
 
 
 def test_qhat_zero_at_agreement(path3):
@@ -349,22 +358,21 @@ def test_sweep_veto_is_not_reconsidered(path3, gains_theta35):
 def _one_at_a_time(ts, g, law, x, t):
     """Reference oracle: the sweep as it ran before batching.  Every
     selected agent is re-checked in index order against the caches as they
-    stand, with the terms recomputed after each broadcast.  Returns the
-    terms it leaves and its broadcasts as an event log."""
+    stand, with the terms recomputed after each broadcast by a full
+    ``rule_terms`` pass.  Returns the terms it leaves (||e||^2, qhat,
+    bracket, margin) and its broadcasts as an event log."""
     undecided = np.ones(g.n, dtype=bool)
-    err_sq, qh = rule_terms(ts, g, x)
-    margin = _bracket_and_margin(law, ts.chi, err_sq, qh)[1]
+    terms = _fresh_terms(ts, g, law, x)
     log = []
-    while (selected := np.flatnonzero(undecided & (margin >= 0.0))).size:
+    while (selected := np.flatnonzero(undecided & (terms[3] >= 0.0))).size:
         undecided[selected] = False
         for i in selected.tolist():
-            if margin[i] >= 0.0:
+            if terms[3][i] >= 0.0:
                 ts.xhat[i], ts.last_event[i] = x[i], t
                 ts.counts[i] += 1
-                log.append((i, int(ts.counts[i]), t, float(ts.chi[i]), float(err_sq[i]), float(qh[i])))
-                err_sq, qh = rule_terms(ts, g, x)
-                margin = _bracket_and_margin(law, ts.chi, err_sq, qh)[1]
-    return (err_sq, qh), event_log(log)
+                log.append((i, int(ts.counts[i]), t, float(ts.chi[i]), float(terms[0][i]), float(terms[1][i])))
+                terms = _fresh_terms(ts, g, law, x)
+    return terms, event_log(log)
 
 
 def _copy(ts):
@@ -374,6 +382,7 @@ def _copy(ts):
 def _assert_same_sample(ts, ref, sample, ref_sample):
     """The caches, the returned terms and the logged broadcasts, each byte for byte."""
     (out, fired), (ref_out, ref_fired) = sample, ref_sample
+    assert len(out) == len(ref_out) == 4
     pairs = [(fired, ref_fired), (ts.xhat, ref.xhat), (ts.counts, ref.counts), (ts.last_event, ref.last_event)]
     for a, b in [*pairs, *zip(out, ref_out)]:
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -413,9 +422,11 @@ def test_batched_sweep_matches_oracle_on_path3_veto(path3, gains_theta35):
 @given(seed=st.integers(0, 10**6), n=st.integers(2, 12), p=st.integers(1, 3))
 def test_carried_terms_match_full_pass(seed, n, p, gains_theta35):
     # a run makes one full rule_terms pass, at t = 0, and carries qhat from
-    # there; at every sample the terms the sweep returns equal a fresh full
-    # pass against the caches it leaves, byte for byte, and the sample
-    # equals the one-at-a-time oracle run on a copy.  A small chi0 makes
+    # there; at every sample the terms the sweep returns (||e||^2, qhat,
+    # bracket, margin) equal a fresh full pass against the caches it
+    # leaves, byte for byte, and the sample equals the one-at-a-time oracle
+    # run on a copy; a sample where nobody fires hands back the qhat it was
+    # given, and one where somebody does a new array.  A small chi0 makes
     # most rules hold at once, so batches and held agents occur; sigma up
     # to 0.3 leaves c*qhat large enough for some vetoes but small enough
     # that neighbours often fire at the same sample
@@ -431,7 +442,7 @@ def test_carried_terms_match_full_pass(seed, n, p, gains_theta35):
     )
     law = make_trigger_law(g, gains_theta35, params, denominator="rate")
     s0 = SwarmState(rng.uniform(-5, 5, (n, p)), rng.uniform(-5, 5, (n, p)), np.zeros((n, p)))
-    full_passes, samples = 0, 0
+    full_passes, samples, quiet = 0, 0, 0
 
     def counted(*args):
         nonlocal full_passes
@@ -439,21 +450,27 @@ def test_carried_terms_match_full_pass(seed, n, p, gains_theta35):
         return rule_terms(*args)
 
     def checked(ts, g, law, x, t, qh, log):
-        nonlocal samples
+        nonlocal samples, quiet
         samples += 1
         ref = _copy(ts)
         ref_sample = _one_at_a_time(ref, g, law, x, t)
-        logged = len(log)
+        logged, given = len(log), qh.copy()
         out = _process_triggers(ts, g, law, x, t, qh, log)
         _assert_same_sample(ts, ref, (out, event_log(log[logged:])), ref_sample)
-        for a, b in zip(out, rule_terms(ts, g, x)):
+        fresh = _fresh_terms(ts, g, law, x)
+        assert len(out) == len(fresh) == 4
+        for a, b in zip(out, fresh):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert qh.tobytes() == given.tobytes()  # the qhat it was given is not modified
+        quiet += len(log) == logged
+        assert (out[1] is qh) == (len(log) == logged)
         return out
 
     with patch.object(events, "rule_terms", counted), patch.object(events, "_process_triggers", checked):
         er = simulate_event(s0, g, obj, gains_theta35, law, 0.01, 0.5)
     assert full_passes == 1
     assert samples == er.trajectory.samples
+    assert quiet >= 1  # t = 0, where every cache is fresh, fires nobody
 
 
 def test_trigger_margin_nonpositive_after_broadcast(path3, gains_theta35):
@@ -466,3 +483,32 @@ def test_trigger_margin_nonpositive_after_broadcast(path3, gains_theta35):
     assert fired
     for i in fired:
         assert trigger_margin(i, ts, path3, law, x) < 0
+
+
+@pytest.mark.parametrize("name", ["run3_event", "ring30_event"])
+def test_held_laplacian_term_matches_caches_at_every_sample(name, monkeypatch):
+    # the hook re-forms L xhat only after a sample that broadcast; at every
+    # sample, those where nobody broadcast included, the L xhat block of
+    # the held inputs eta is L @ xhat against the caches, byte for byte
+    sc = load_preset("cdc18-scenario3-event") if name == "run3_event" else ring30_event_scenario()
+    L, w = sc.graph.laplacian, sc.graph.n * sc.obj.p
+    states, checked = [], []
+    initialize = TriggerState.initialize.__func__
+
+    def recorded(cls, *args):
+        states.append(initialize(cls, *args))
+        return states[-1]
+
+    def watched(rhs, initial, step, horizon, on_sample, route, held):
+        def hook(t, s):
+            on_sample(t, s)
+            checked.append(held[:w].tobytes() == (L @ states[0].xhat).tobytes())
+
+        return dynamics.integrate(rhs, initial, step, horizon, hook, route, held)
+
+    monkeypatch.setattr(TriggerState, "initialize", classmethod(recorded))
+    monkeypatch.setattr(events, "integrate", watched)
+    rep = run(sc)
+    ev = rep.event_run.trigger_state.events
+    assert len(states) == 1 and len(checked) == rep.trajectory.samples and all(checked)
+    assert len(np.unique(ev.t)) < rep.trajectory.samples  # some samples broadcast nothing

@@ -17,7 +17,7 @@ terms, which the three-agent path cannot show), this module pins
   1e-12 times the largest |value| of its column.
 
 The file also names the OpenBLAS kernel its pins were recorded under
-(``conftest.blas_kernel``); a failing pin names that kernel and the one
+(``socopt.blas.blas_kernel``); a failing pin names that kernel and the one
 this process loaded.
 
 ``golden.json`` is rewritten by

@@ -724,6 +724,39 @@ def test_constants_command_states_why_a_certificate_is_unavailable(preset, gamma
     assert capsys.readouterr().out == f"{cfg['name']}: certificate constants unavailable ({reason})\n"
 
 
+@pytest.mark.parametrize("case", ["cdc18-scenario3", "ring300"])
+def test_alternative_variant_has_no_certificate(case, tmp_path, capsys, monkeypatch):
+    # the theorem covers the continuous and event laws only: scenario3 run
+    # as alternative, and the benchmark's 300-agent ring with theta = 3.5
+    # (two steps of it), admit no constants and no rate bound, and say
+    # why; the Lyapunov columns that need no constants are still reported
+    if case == "ring300":
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads
+
+        cfg = workloads.ring_config(workloads.DEFAULT_SEED, 300, "alternative", 0.02)
+        cfg["gains"]["theta"] = 3.5
+    else:
+        cfg = preset_config(case)
+        cfg["algorithm"] = "alternative"
+        cfg["integration"]["horizon"] = 2.0
+    sc = scenario_from_dict(cfg)
+    assert harness.certificate_outcome(sc) == (None, harness.ALTERNATIVE)
+    rep = run(sc, out_dir=tmp_path)
+    assert rep.constants is None and rep.rate_bound is None and "constants" not in rep.files
+    assert json.loads(Path(rep.files["summary"]).read_text())["rate_bound"] is None
+    assert sorted(rep.trajectory.extras) == ([] if case == "ring300" else ["V1", "W1", "W2", "W3"])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert cli_main(["constants", str(path), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == f"{cfg['name']}: certificate constants unavailable ({harness.ALTERNATIVE})\n"
+    # the same scenario run as continuous has its certificate
+    cfg["algorithm"] = "continuous"
+    consts, reason = harness.certificate_outcome(scenario_from_dict(cfg))
+    assert consts is not None and consts.rate_bound_continuous > 0.0 and reason is None
+
+
 @pytest.mark.parametrize("out", [True, False])
 def test_report_times_the_run_by_phase(out, tmp_path):
     sc = dataclasses.replace(load_preset("cdc18-scenario3-event"), horizon=0.5)

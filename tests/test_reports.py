@@ -13,7 +13,7 @@ A change to the program that alters any of these bytes is a change of
 behaviour, and should show here.  A hash is re-recorded only for a
 deliberate change, with the reason and the moved values in CHANGES.md.
 ``BLAS_KERNEL`` names the OpenBLAS kernel the hashes were recorded under
-(``conftest.blas_kernel``), and a failing pin names it and the kernel
+(``socopt.blas.blas_kernel``), and a failing pin names it and the kernel
 this process loaded.
 """
 
