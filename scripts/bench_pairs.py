@@ -12,11 +12,12 @@ started in its own checkout.  Compare two fresh clones (``git clone``,
 then the change applied to one of them), never the development working
 tree: the same diff measured in a long-lived working tree has read
 +5-6% on a workload that never enters the changed code, and 0% in a
-fresh clone.  Give the two clones directory names of one length (say
-``a`` and ``b`` in one parent): on ring300-continuous, two fresh clones
-of one commit read 2.7% apart (0 of 3 pairs to the second) when their
-names differed by one character in length, and 0.4% apart (2 of 4) at
-equal lengths.  The output (standard output, or ``--out``) is one JSON
+fresh clone.  The two checkouts' resolved paths must have one length
+(say ``a`` and ``b`` in one parent), or the script exits 2 naming both
+before it runs anything: on ring300-continuous, two fresh clones of one
+commit read 2.7% apart (0 of 3 pairs to the second) when their names
+differed by one character in length, and 0.4% apart (2 of 4) at equal
+lengths.  The output (standard output, or ``--out``) is one JSON
 object: the host, with the OpenBLAS kernel numpy loads (it sets how
 matmuls round and how fast they run); each side's checkout path, commit
 and whether its tree had uncommitted changes; and per case and metric
@@ -140,6 +141,9 @@ def main(argv=None) -> int:
     parser.add_argument("--case", action="append", metavar="WORKLOAD[:SEED]", help="repeatable")
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
+    base, change = args.base.resolve(), args.change.resolve()
+    if len(str(base)) != len(str(change)):
+        parser.error(f"checkout paths differ in length: {base} ({len(str(base))}) and {change} ({len(str(change))})")
 
     report = {
         "host": host(),

@@ -27,31 +27,27 @@ about sqrt(steps) rows in a run without one.  Between samples the law
 reads what the hook holds only through one array, the held inputs eta
 (event mode's L xhat and frozen chi bracket), which the hook rewrites in
 place.  A stepper writes the rows that follow a packed u by classical
-RK4, in one of three forms.  ``rk4_step`` advances u by four evaluations
-of the law.  The law is affine in u and eta but for the gradient term,
+RK4, in one of two ways.  ``rk4_step`` advances u by four evaluations of
+the law.  The law is affine in u and eta but for the gradient term,
 u' = M u + c0 + G eta - alpha E grad f(x), with E placing the per-agent
-gradients in the dy block, and the two other forms probe M, c0 and G
-from the law itself (``probe_affine``, ``probe_held``) and evaluate it no
-more.  With a quadratic objective the whole law is affine, and RK4 on it
-is exactly u <- R(hM) u + S(hM) c for RK4's stability polynomials R and
-S: ``affine_stepper`` takes each step as that one matrix step, with
-c = c0 + G eta formed from the held inputs as they stand, and a run with
-no hook, whose c never moves, as blocks of samples, each one product
-with the stacked powers of the step's homogeneous map.  Otherwise
-``stage_stepper`` probes the law with a zero-gradient objective.  Since
-dx = y, the gradient enters only the dy block, so RK4's stage positions
-pair up: stages 1 and 2 read only u and c, and stages 3 and 4 only u, c
-and the first two stages' gradients g1, g2.  The step is therefore linear
-in z = [u, c, g1, g2, g3, g4]: it takes the gradients at stages 1 and 2
-in one batched call, then at stages 3 and 4 in another, and returns
-u + F z, with the increment matrix F and both pairs' position rows built
-once by running ``_rk4`` on matrices over z.  (Returning [I | F] z instead
-lets the gap to ``rk4_step`` grow with the step count.)  Both forms equal
-``rk4_step`` up to rounding.  The probe's dense N x N matrix costs O(N^2)
-per product and R and S O(N^3) once, so the routing rule ``route_for``
-takes the propagator for quadratic objectives with a packed state of at
-most AFFINE_MAX_SIZE entries, the stage form for other objectives with
-at most STAGES_MAX_SIZE, and ``rk4_step`` for larger states.  The fixed
+gradients in the dy block, and ``probed_stepper`` reads M, G and c0 from
+one probe of the law itself (``probe_law``) and evaluates it no more.
+Since dx = y, the gradient enters only the dy block, so RK4's stage
+positions pair up: stages 1 and 2 read only u, 1 and eta, and stages 3
+and 4 also the first two stages' gradients g1, g2.  The step is
+therefore linear in z = [u, 1, eta, g1, g2, g3, g4]: it takes the
+gradients at stages 1 and 2 in one batched call, then at stages 3 and 4
+in another, and returns u + F z, with the increment matrix F and both
+pairs' position rows built once by running ``_rk4`` on matrices over z.
+With a quadratic objective the whole law is affine, z has no gradient
+blocks, and a run with no hook, whose eta never moves, takes blocks of
+samples, each one product with the stacked powers of the step's
+homogeneous map.  The probed form equals ``rk4_step`` up to rounding.
+Its dense N x (N + 1 + k) matrix F (k held inputs, plus 4 n p gradient
+columns) costs O(N^2) per product, so the routing rule ``route_for``
+takes it for quadratic objectives with a packed state of at most
+AFFINE_MAX_SIZE entries ("affine") and for other objectives with at most
+STAGES_MAX_SIZE ("stages"), and ``rk4_step`` for larger states.  The fixed
 step keeps trigger counts and trajectories exactly reproducible across
 runs; the default step 0.01 is the sample length used throughout the
 bundled scenarios.
@@ -68,14 +64,14 @@ from .costs import GlobalObjective, QuadraticFamily
 from .graph import NetworkGraph
 
 DIVERGENCE_LIMIT = 1e12
-AFFINE_MAX_SIZE = 256  # largest packed state the affine propagator takes (see ``route_for``)
-# largest packed state the stage form takes: past about N = 200 its dense
-# products per step cost more than rk4_step's four law evaluations when the
-# constant term moves every step (event mode, whose c block then spans N
-# columns; measured on quartic rings, p = 3); with a fixed constant term
-# the break-even is near 240
+AFFINE_MAX_SIZE = 256  # largest packed state a quadratic run steps by the probed form (see ``route_for``)
+# largest packed state a non-quadratic run steps by the probed form.  On
+# quartic unit rings (p = 3; 2-core x86_64, OpenBLAS SkylakeX) a probed
+# step costs about as much as rk4_step's four law evaluations near N = 125
+# continuous and N = 110 in event mode, and 1.7-2 times as much at N = 200,
+# so this bound sits above the break-even
 STAGES_MAX_SIZE = 200
-# most floats the stacked powers of a hook-free affine run may hold (4 MB; see ``affine_stepper``)
+# most floats the stacked powers of a hook-free affine run may hold (4 MB; see ``probed_stepper``)
 POWERS_MAX_FLOATS = 2**19
 
 
@@ -245,9 +241,9 @@ def rk4_step(rhs: RhsFunc, state: SwarmState, h: float) -> np.ndarray:
 
 
 class Route(NamedTuple):
-    """How ``integrate`` steps a run: ``form`` is "affine", "stages" or
-    "rk4"; the stage form reads the gradient term from ``obj`` and
-    ``gains``."""
+    """How ``integrate`` steps a run: ``form`` is "affine" (the probed form
+    with no gradient columns), "stages" (the probed form, reading the
+    gradient term from ``obj`` and ``gains``) or "rk4"."""
 
     form: str
     obj: GlobalObjective
@@ -255,10 +251,11 @@ class Route(NamedTuple):
 
 
 def route_for(obj: GlobalObjective, gains: GainParams, size: int) -> Route:
-    """The routing rule for a run of packed state size ``size``: the affine
-    propagator when the law is affine in u (a quadratic objective) and
-    size <= AFFINE_MAX_SIZE, the stage form for other objectives and
-    size <= STAGES_MAX_SIZE, and ``rk4_step`` otherwise."""
+    """The routing rule for a run of packed state size ``size``: the probed
+    form with no gradient columns ("affine") when the law is affine in u
+    (a quadratic objective) and size <= AFFINE_MAX_SIZE, the probed form
+    with them ("stages") for other objectives and size <= STAGES_MAX_SIZE,
+    and ``rk4_step`` otherwise."""
     if obj.all_quadratic():
         form = "affine" if size <= AFFINE_MAX_SIZE else "rk4"
     else:
@@ -274,21 +271,23 @@ def whole_steps(step: float, horizon: float) -> bool:
     return bool(np.isfinite(steps)) and abs(steps - round(steps)) <= 1e-9 * max(1.0, steps)
 
 
-def _columns(f: Callable[[np.ndarray], np.ndarray], size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(J, f(0)) of a map f that is affine in a vector of ``size`` entries,
-    from size + 1 evaluations: column j of J is f(e_j) - f(0)."""
-    base = f(np.zeros(size))
-    J = np.empty((base.size, size))
-    for j, e in enumerate(np.eye(size)):
-        J[:, j] = f(e) - base
-    return J, base
+def probe_law(law: Law, like: SwarmState, size: int, *obj: GlobalObjective) -> tuple[np.ndarray, np.ndarray]:
+    """(J, c0) of a law that is affine in the packed state u and its
+    ``size`` held inputs eta, law(u, eta[, obj]) = M u + G eta + c0 with
+    J = [M | G], from N + size + 1 evaluations: c0 at (u, eta) = 0 and
+    column j as the law at the j-th unit vector of [u; eta], less c0.
+    ``like`` gives the layout of the probe states, and ``obj``, if given,
+    is passed to the law as its objective."""
+    N = like.u.size
 
+    def f(v: np.ndarray) -> np.ndarray:
+        return law(like._like(v[:N]), v[N:], *obj)
 
-def probe_affine(rhs: RhsFunc, like: SwarmState) -> tuple[np.ndarray, np.ndarray]:
-    """(M, c) of a right-hand side that is affine in u, rhs(u) = M u + c,
-    from N + 1 evaluations: c at u = 0 and column j of M as rhs(e_j) - c.
-    ``like`` gives the layout of the probe states."""
-    return _columns(lambda u: rhs(like._like(u)), like.u.size)
+    c0 = f(np.zeros(N + size))
+    J = np.empty((N, N + size))
+    for j, e in enumerate(np.eye(N + size)):
+        J[:, j] = f(e) - c0
+    return J, c0
 
 
 def _flat(like: SwarmState) -> GlobalObjective:
@@ -296,20 +295,6 @@ def _flat(like: SwarmState) -> GlobalObjective:
     it the law has no gradient term."""
     n, p = like.n, like.p
     return GlobalObjective(QuadraticFamily(np.zeros((n, p, p)), np.zeros((n, p)), np.zeros((n, p))))
-
-
-def probe_held(law: Law, like: SwarmState, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(G, c) of a law at u = 0 as a map of its ``size`` held inputs eta,
-    law(0, eta, flat) = c + G eta under the zero-gradient objective.
-    There each entry of the law is one gain times one entry of eta, so G
-    holds the gains exactly as the law writes them (-alpha*beta in the dy
-    rows, beta in the dv rows, -delta_i in the chi rows, 0 elsewhere) and
-    c is zero.  G eta therefore rounds like the law's own products, and
-    with c0 the law at (u, eta) = 0 under any objective, c0 + G eta is
-    the law at u = 0 bit for bit."""
-    zero = like._like(np.zeros(like.u.size))
-    flat = _flat(like)
-    return _columns(lambda eta: law(zero, eta, flat), size)
 
 
 def _sqrt_block(steps: int) -> int:
@@ -327,89 +312,44 @@ def _powers_block(size: int, steps: int) -> int:
     return max(1, min(_sqrt_block(steps), POWERS_MAX_FLOATS // (size * (size + 1))))
 
 
-def affine_stepper(law: Law, like: SwarmState, h: float, held: np.ndarray, varying: bool, steps: int) -> Stepper:
-    """Classical RK4 on an affine law u' = M u + c, whose constant term
-    c = c0 + G eta is affine in the held inputs eta (``held``), as matrix
-    products; the law is evaluated only by the probes.
-
-    M is probed once from ``law(state, held)`` (``probe_affine``), c0 is
-    the law at (u, eta) = 0 and G its columns over eta (``probe_held``).
-    One RK4 step is then exactly u <- R u + S c, with R = I + hM P and
-    S = h P, P = I + hM/2 (I + hM/3 (I + hM/4)) by Horner's rule (RK4's
-    stability polynomials).  When ``varying``, a hook may rewrite
-    ``held`` between steps, so each step forms c = c0 + G eta from the
-    array as it stands and returns one row.  Otherwise c is fixed, and
-    sample j after u is A^j [u; 1] for the homogeneous map
-    A = [R, S c; 0, 1]: the top rows [R^j | sum_{i<j} R^i S c] of
-    A^1 ... A^B (B = ``_powers_block`` of ``steps``) are stacked once, and
-    a block of up to B samples is one product."""
-    N = like.u.size
-    M = probe_affine(lambda s: law(s, held), like)[0]
-    c0 = law(like._like(np.zeros(N)), np.zeros(held.size))
-    G = probe_held(law, like, held.size)[0]
-    eye = np.eye(N)
-    hM = h * M
-    P = eye + (hM / 2.0) @ (eye + (hM / 3.0) @ (eye + hM / 4.0))
-    R, S = eye + hM @ P, h * P
-
-    if varying:
-
-        def step(u: np.ndarray, row: np.ndarray) -> None:
-            np.add(R @ u, S @ (c0 + G @ held), out=row)
-
-        return _row_by_row(step)
-
-    block = _powers_block(N, steps)
-    powers = np.empty((block, N, N + 1))
-    powers[0, :, :N], powers[0, :, N] = R, S @ (c0 + G @ held)
-    for j in range(1, block):
-        np.matmul(R, powers[j - 1], out=powers[j])
-        powers[j, :, N] += powers[0, :, N]
-    stacked = powers.reshape(block * N, N + 1)
-    z = np.ones(N + 1)
-
-    def steps_block(u: np.ndarray, rows: np.ndarray) -> None:
-        z[:N] = u
-        np.matmul(stacked[: rows.size], z, out=rows.reshape(-1))
-
-    return Stepper(steps_block, block)
-
-
-def stage_stepper(
-    law: Law, like: SwarmState, h: float, held: np.ndarray, varying: bool, obj: GlobalObjective, alpha: float
+def probed_stepper(
+    law: Law, like: SwarmState, h: float, held: np.ndarray, varying: bool, route: Route, steps: int
 ) -> Stepper:
-    """One classical RK4 step of the law through its probed linear part,
-    as two batched gradient calls and three matrix products.
+    """Classical RK4 on the law through its probed affine part, as matrix
+    products and, for a non-quadratic objective, two batched gradient
+    calls per step; the law is evaluated only by the probe.
 
-    ``law(state, held, objective)`` evaluates the law with the objective
-    given; with a zero-gradient one it is affine in u, and
-    ``probe_affine`` gives its (M, c) once.  The law is then
-    u' = M u + c - alpha E g, with g the gradient at x placed in the dy
-    block by E, so RK4's step is linear in z = [u, c, g1, g2, g3, g4],
-    g_k the gradient at stage k's x.  Running ``_rk4`` once on matrices
-    over z gives the increment matrix F and each stage's x rows; since
-    dx = y, stages 1 and 2 read only (u, c) (rows A) and stages 3 and 4
-    only (u, c, g1, g2) (rows B).  A step evaluates (g1, g2) at A [u, c],
-    then (g3, g4) at B [u, c, g1, g2], each as one ``family.grad`` call
-    on a (2, n, p) stack, and returns u + F z, which is ``rk4_step``'s
-    step up to rounding.  When ``varying``, a hook may rewrite the held
-    inputs eta (``held``) between steps, and each step reads c as
-    c0 + G eta from ``probe_held``, the zero-gradient law at u = 0 bit for
-    bit, into an N-entry c block of z; otherwise z carries c as the
-    single entry 1, with column c, which keeps F narrower.  The step
-    writes both gradient pairs and the next row in place; its ``Stepper``
-    fills rows one step at a time."""
+    The law is affine in u and in the held inputs eta (``held``) but for
+    its gradient term: u' = M u + c0 + G eta - alpha E g, with g the
+    gradient at x placed in the dy block by E.  One ``probe_law`` gives
+    M, G and c0: on the "affine" route (a quadratic objective) with the
+    run's own objective, so that the whole law is affine and there is no
+    g, and on the "stages" route with ``_flat``, for which
+    ``law(state, eta, objective)`` evaluates the law with the objective
+    given.  RK4's step is then linear in z = [u, 1, eta, g1, g2, g3, g4],
+    g_k the gradient at stage k's x, with no g blocks on the affine route.
+    Running ``_rk4`` once on matrices over z gives the increment matrix F
+    and each stage's x rows; since dx = y, stages 1 and 2 read only
+    [u, 1, eta] (rows A) and stages 3 and 4 only [u, 1, eta, g1, g2]
+    (rows B).  A step writes u and eta, as a hook may have rewritten it,
+    into z, evaluates (g1, g2) at A z, then (g3, g4) at B z, each as one
+    ``family.grad`` call on a (2, n, p) stack, and writes u + F z, which
+    is ``rk4_step``'s step up to rounding.  (Returning [I | F] z instead
+    lets the gap to ``rk4_step`` grow with the step count.)  Its
+    ``Stepper`` fills rows one step at a time.  An affine run that is not
+    ``varying`` (no hook, so eta is fixed) steps the homogeneous map
+    H = [I + F_u, b; 0, 1] instead, with F_u the u columns of F and
+    b = F_{[1; eta]} [1; eta]: sample j after u is H^j [u; 1], the top
+    rows of H^1 ... H^B (B = ``_powers_block`` of ``steps``) are stacked
+    once, and a block of up to B samples is one product."""
     n, p = like.n, like.p
     w, N = n * p, like.u.size
-    flat = _flat(like)
-    M, c = probe_affine(lambda s: law(s, held, flat), like)
-    if varying:
-        G, c0 = probe_held(law, like, held.size)
-    grad = obj.family.grad
-    # stage k's field over z is M V + C on the c block, less alpha times
-    # its own g block in the dy rows
-    C = np.eye(N) if varying else c[:, None]
-    g0 = N + C.shape[1]
+    gradient = route.form != "affine"
+    J, c0 = probe_law(law, like, held.size, *((_flat(like),) if gradient else ()))
+    g0 = N + 1 + held.size  # the first g column of z
+    # stage k's field over z is M V, plus [c0 | G] on the [1; eta]
+    # columns, less alpha times its own g block in the dy rows
+    M, C = J[:, :N], np.column_stack((c0, J[:, N:]))
     points = []
 
     def field(V: np.ndarray) -> np.ndarray:
@@ -417,24 +357,46 @@ def stage_stepper(
         points.append(V[:w])
         K = M @ V
         K[:, N:g0] += C
-        K[w : 2 * w, g0 + k * w : g0 + (k + 1) * w] -= alpha * np.eye(w)
+        if gradient:
+            K[w : 2 * w, g0 + k * w : g0 + (k + 1) * w] -= route.gains.alpha * np.eye(w)
         return K
 
-    F = _rk4(field, np.eye(N, g0 + 4 * w), h)
-    A, B = np.vstack(points[:2]), np.vstack(points[2:])
-    assert not A[:, g0:].any() and not B[:, g0 + 2 * w :].any(), "a stage's x reads a gradient it precedes"
-    A, B = A[:, :g0], B[:, : g0 + 2 * w]
+    F = _rk4(field, np.eye(N, g0 + 4 * w * gradient), h)
     z = np.ones(F.shape[1])
-    # views of z: u, c, the inputs of each pair's positions, and each gradient pair as a (2, n, p) stack
-    zu, zc, za, zb = z[:N], z[N:g0], z[:g0], z[: g0 + 2 * w]
-    g12, g34 = z[g0 : g0 + 2 * w].reshape(2, n, p), z[g0 + 2 * w :].reshape(2, n, p)
+    zu, zeta = z[:N], z[N + 1 : g0]
+    zeta[:] = held
+
+    if not (gradient or varying):
+        block = _powers_block(N, steps)
+        R = np.eye(N) + F[:, :N]
+        powers = np.empty((block, N, N + 1))
+        powers[0, :, :N], powers[0, :, N] = R, F[:, N:] @ z[N:]
+        for j in range(1, block):
+            np.matmul(R, powers[j - 1], out=powers[j])
+            powers[j, :, N] += powers[0, :, N]
+        stacked, zc = powers.reshape(block * N, N + 1), z[: N + 1]  # zc = [u; 1]
+
+        def steps_block(u: np.ndarray, rows: np.ndarray) -> None:
+            zu[:] = u
+            np.matmul(stacked[: rows.size], zc, out=rows.reshape(-1))
+
+        return Stepper(steps_block, block)
+
+    if gradient:
+        A, B = np.vstack(points[:2]), np.vstack(points[2:])
+        assert not A[:, g0:].any() and not B[:, g0 + 2 * w :].any(), "a stage's x reads a gradient it precedes"
+        A, B = A[:, :g0], B[:, : g0 + 2 * w]
+        grad = route.obj.family.grad
+        # views of z: the inputs of each pair's positions, and each gradient pair as a (2, n, p) stack
+        za, zb = z[:g0], z[: g0 + 2 * w]
+        g12, g34 = z[g0 : g0 + 2 * w].reshape(2, n, p), z[g0 + 2 * w :].reshape(2, n, p)
 
     def step(u: np.ndarray, row: np.ndarray) -> None:
         zu[:] = u
-        if varying:
-            np.add(c0, G @ held, out=zc)
-        g12[:] = grad((A @ za).reshape(2, n, p))
-        g34[:] = grad((B @ zb).reshape(2, n, p))
+        zeta[:] = held
+        if gradient:
+            g12[:] = grad((A @ za).reshape(2, n, p))
+            g34[:] = grad((B @ zb).reshape(2, n, p))
         np.add(u, F @ z, out=row)
 
     return _row_by_row(step)
@@ -460,15 +422,16 @@ def integrate(
     given, is the array of held inputs eta that the hook rewrites in
     place, and the law is ``rhs(state, held)``; otherwise it is
     ``rhs(state)``.  ``route`` (from ``route_for``) picks the stepper,
-    built after the t = 0 hook: the affine propagator, asserting that the
-    law is affine in u and in eta; the stage form, for which
-    ``rhs(state[, held], obj)`` also evaluates the law with the objective
-    ``obj`` in place of the run's; or, without a route, ``rk4_step``.
-    With a hook every step takes one row, the propagator reads the
-    constant term from eta, and each row is checked for divergence before
-    the hook sees it.  Without one, divergence is checked once per block
-    of rows: the propagator's block of rows per product, or
-    ceil(sqrt(steps)) one-row steps of the other forms (``_sqrt_block``).
+    built after the t = 0 hook: the probed form (``probed_stepper``),
+    asserting that the law is affine in u and in eta, and on the "stages"
+    route that ``rhs(state[, held], obj)`` also evaluates the law with the
+    objective ``obj`` in place of the run's; or, on the "rk4" route and
+    without a route, ``rk4_step``.  With a hook every step takes one row,
+    reading eta as the hook left it, and each row is checked for
+    divergence before the hook sees it.  Without one, divergence is
+    checked once per block of rows: a hook-free affine run's block of rows
+    per product, or ceil(sqrt(steps)) one-row steps otherwise
+    (``_sqrt_block``).
     Raises DivergenceError, carrying a copy of the row before it, at the
     first row in which any entry is non-finite or exceeds the divergence
     cutoff in magnitude; a block's later rows are discarded.  numpy's
@@ -495,16 +458,14 @@ def integrate(
     if on_sample is not None:
         on_sample(0.0, like(us[0]))
     varying = on_sample is not None
-    if form == "affine":
-        stepper = affine_stepper(law, initial, step, held, varying, m - 1)
-    elif form == "stages":
-        stepper = stage_stepper(law, initial, step, held, varying, route.obj, route.gains.alpha)
-    else:
+    if form == "rk4":
 
         def rk4_row(u: np.ndarray, row: np.ndarray) -> None:
             row[:] = rk4_step(lambda s: law(s, held), like(u), step)
 
         stepper = _row_by_row(rk4_row)
+    else:
+        stepper = probed_stepper(law, initial, step, held, varying, route, m - 1)
     advance, block = stepper
     span = 1 if varying else block or _sqrt_block(m - 1)  # rows per divergence check
     # a hook-free block may step on past its first offending row, whose

@@ -51,12 +51,12 @@ the bracket at every sample, and L xhat only after a sample that
 broadcast, since xhat has not moved otherwise.
 The run steps by the routing rule ``dynamics.route_for``.  In a small
 swarm the law less its gradient term is affine in the state and in eta,
-with a fixed matrix and a constant term c0 + G eta probed once: with a
-quadratic objective each step is the affine propagator's matrix step,
-and with a quartic one the stage form's two batched gradient calls and
-three products, each reading the constant term from eta without
-evaluating the law.  Otherwise each step is ``rk4_step``, whose four
-law evaluations read eta.
+M u + c0 + G eta, with M, G and c0 probed once, and each step is
+``dynamics.probed_stepper``'s u + F z, over z = [u; 1; eta] with a
+quadratic objective and over z = [u; 1; eta; g1..g4], after two batched
+gradient calls, with a quartic one; it reads eta as the hook left it
+and does not evaluate the law.
+Otherwise each step is ``rk4_step``, whose four law evaluations read eta.
 """
 
 from dataclasses import dataclass, field

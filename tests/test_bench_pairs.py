@@ -124,3 +124,19 @@ def test_host_names_the_blas_kernel():
     assert bench_pairs.blas_kernel is conftest.blas_kernel is blas_kernel
     kernel = bench_pairs.host()["blas_kernel"]
     assert kernel == blas_kernel() and (kernel is None or isinstance(kernel, str) and kernel)
+
+
+def test_checkout_paths_of_unequal_length_are_refused(tmp_path, capsys, monkeypatch):
+    # the path's length alone has moved a workload's timing by 2.7%: exit 2
+    # naming both paths, before any run starts
+    for side in ("a", "bb", "c"):
+        (tmp_path / side).mkdir()
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: pytest.fail("a run started"))
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main([str(tmp_path / "a"), str(tmp_path / "bb")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert str((tmp_path / "a").resolve()) in err and str((tmp_path / "bb").resolve()) in err
+    # equal lengths pass the check and go on to the runs
+    with pytest.raises(pytest.fail.Exception, match="a run started"):
+        bench_pairs.main([str(tmp_path / "a"), str(tmp_path / "c"), "--pairs", "1"])

@@ -15,17 +15,16 @@ from socopt.dynamics import (
     DivergenceError,
     GainParams,
     HypothesisError,
+    Route,
     SwarmState,
-    affine_stepper,
     equilibrium_residual,
     integrate,
-    probe_affine,
-    probe_held,
+    probe_law,
+    probed_stepper,
     rk4_step,
     rhs_alternative,
     rhs_continuous,
     route_for,
-    stage_stepper,
     v_balance_violation,
 )
 from socopt.events import (
@@ -205,7 +204,7 @@ def test_divergence_caught_on_nan_step(field):
 def test_nonfinite_gradient_raises_divergence(path3, gains_theta35, monkeypatch):
     # agent 2's gradient turns NaN once its position passes 1; the run stops
     # on that step in every loop, keeping the last finite state.  The patched
-    # gradient is not affine, so the runs must not take the affine propagator.
+    # gradient is not affine, so the runs must not take the affine route.
     monkeypatch.setattr(dynamics, "AFFINE_MAX_SIZE", 0)
     def grad_stack(x):
         g = np.zeros_like(x)
@@ -386,14 +385,23 @@ def test_rk4_step_matches_block_reference(seed, n, p, gains_theta35):
         state = SwarmState(x, y, v, c)
         new = rk4_step(rhs, state, h)
         assert isinstance(new, np.ndarray) and np.all(new == _block_rk4(ref, x, y, v, c, h)), name
-        # the affine propagator takes the same step up to rounding
-        step = affine_stepper(lambda s, eta, *obj: rhs(s), state, h, np.empty(0), False, 1)
+        # the probed affine form takes the same step up to rounding
+        step = probed_stepper(lambda s, eta, *o: rhs(s), state, h, np.empty(0), False, Route("affine", obj, gains), 1)
         assert np.abs(_advance(step, state.u, 1)[0] - new).max() <= 1e-12 * np.abs(new).max(), name
 
 
-# -- the affine propagator of small quadratic runs ----------------------------
+# -- the probed RK4 stepper of small runs -------------------------------------
 
-AFFINE_PRESETS = ("cdc18-scenario1", "cdc18-scenario3", "cdc18-scenario3-event")
+# every case a probed route steps: the quadratic presets on the affine route
+# (scenario3-event with its held inputs), scenario2 and a quartic event run
+# on the stage route
+PROBED_CASES = (
+    "cdc18-scenario1",
+    "cdc18-scenario2",
+    "cdc18-scenario3",
+    "cdc18-scenario3-event",
+    "event-quartic",
+)
 
 
 def _advance(stepper, u, rows):
@@ -411,12 +419,12 @@ def _random_held(rng, g, p, held):
     held[w:] = rng.uniform(-1.0, 1.0, g.n)
 
 
-def _preset_law(name, rng):
-    """A preset's scenario, its law ``rhs(state, eta)``, its held inputs
-    eta (in event mode [L xhat; bracket] from random caches and a random
-    frozen bracket, writable; empty otherwise), and a maker of random
-    states in its layout."""
-    sc = load_preset(name)
+def _case_law(name, rng):
+    """A probed case's scenario, its law ``rhs(state, eta[, objective])``,
+    its held inputs eta (in event mode [L xhat; bracket] from random caches
+    and a random frozen bracket, writable; empty otherwise), its route, and
+    a maker of random states in its layout."""
+    sc = scenario_from_dict(preset_config(name) if name != "event-quartic" else _event_quartic_config())
     g, obj, gains, n, p = sc.graph, sc.obj, sc.gains, sc.graph.n, sc.obj.p
     event = sc.algorithm == "event"
 
@@ -424,33 +432,59 @@ def _preset_law(name, rng):
         x, y, v = rng.uniform(-5.0, 5.0, (3, n, p))
         return SwarmState(x, y, v, rng.uniform(0.1, 2.0, n) if event else None)
 
-    if not event:
+    if event:
+        rhs, held = held_law(obj, gains, sc.trigger), np.empty(n * p + n)
+        _random_held(rng, g, p, held)
+    else:
         rhs_fn = rhs_continuous if sc.algorithm == "continuous" else rhs_alternative
-        return sc, (lambda s, eta, o=obj: rhs_fn(s, g, o, gains)), np.empty(0), random_state
-    held = np.empty(n * p + n)
-    _random_held(rng, g, p, held)
-    return sc, held_law(obj, gains, sc.trigger), held, random_state
+        rhs, held = (lambda s, eta, o=obj: rhs_fn(s, g, o, gains)), np.empty(0)
+    route = route_for(obj, gains, random_state().u.size)
+    assert route.form in ("affine", "stages")
+    return sc, rhs, held, route, random_state
 
 
-@pytest.mark.parametrize("name", AFFINE_PRESETS)
-def test_probed_affine_map_matches_law(name):
+@pytest.mark.parametrize("name", PROBED_CASES)
+def test_joint_probe_reproduces_law(name):
+    # one probe over [u; eta] gives M, G and c0: the law is M u + c0 + G eta,
+    # under the run's own objective on the affine route and under the flat
+    # one on the stage route
     rng = np.random.default_rng(5)
-    _, rhs, held, random_state = _preset_law(name, rng)
-    M, c = probe_affine(lambda s: rhs(s, held), random_state())
+    sc, rhs, held, route, random_state = _case_law(name, rng)
+    like = random_state()
+    N, k = like.u.size, held.size
+    obj = () if route.form == "affine" else (dynamics._flat(like),)
+    J, c0 = probe_law(rhs, like, k, *obj)
+    assert J.shape == (N, N + k) and c0.shape == (N,)
+    M, G = J[:, :N], J[:, N:]
     for _ in range(20):
         s = random_state()
-        law = rhs(s, held)
-        assert np.abs(M @ s.u + c - law).max() <= 1e-14 * np.abs(law).max()
+        if k:
+            _random_held(rng, sc.graph, sc.obj.p, held)
+        law = rhs(s, held, *obj)
+        assert np.abs(M @ s.u + c0 + G @ held - law).max() <= 1e-14 * np.abs(law).max()
+    if k and obj:
+        # under the flat objective each column over eta holds one gain as the
+        # law writes it: -alpha*beta on dy, beta on dv, -delta_i on chi
+        n, p, gains = sc.graph.n, sc.obj.p, sc.gains
+        w = n * p
+        expected = np.zeros((N, k))
+        expected[w + np.arange(w), np.arange(w)] = -gains.alpha * gains.beta
+        expected[2 * w + np.arange(w), np.arange(w)] = gains.beta
+        expected[3 * w + np.arange(n), w + np.arange(n)] = -sc.trigger.delta
+        assert np.array_equal(G, expected)
 
 
-@pytest.mark.parametrize("name", AFFINE_PRESETS)
-def test_affine_step_matches_rk4_step(name):
+@pytest.mark.parametrize("name", PROBED_CASES)
+def test_probed_step_matches_rk4_step(name):
+    # from random states, and in event mode with the held inputs (caches
+    # and frozen bracket) redrawn between steps, as the run's hook moves them
     rng = np.random.default_rng(6)
-    sc, rhs, held, random_state = _preset_law(name, rng)
-    h, event = 0.01, held.size > 0
-    step = affine_stepper(rhs, random_state(), h, held, event, 1)
+    sc, rhs, held, route, random_state = _case_law(name, rng)
+    h = 0.01
+    step = probed_stepper(rhs, random_state(), h, held, True, route, 1)
+    assert step.block is None  # one-row steps, as many as asked
     for _ in range(5):
-        if event:  # move the constant term between steps, as the run's hook does
+        if held.size:
             _random_held(rng, sc.graph, sc.obj.p, held)
         s = random_state()
         new, ref = _advance(step, s.u, 1)[0], rk4_step(lambda s: rhs(s, held), s, h)
@@ -458,15 +492,15 @@ def test_affine_step_matches_rk4_step(name):
         assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("name", AFFINE_PRESETS[:2])
-def test_affine_block_matches_single_steps(name):
-    # a hook-free run takes B samples per product, A^1 ... A^B applied to
-    # [u; 1]; they equal B single steps R u + S c up to rounding
-    _, rhs, held, random_state = _preset_law(name, np.random.default_rng(10))
+@pytest.mark.parametrize("name", ["cdc18-scenario1", "cdc18-scenario3"])
+def test_probed_blocks_match_one_row_steps(name):
+    # a hook-free affine run takes B samples per product, A^1 ... A^B
+    # applied to [u; 1]; they equal B one-row steps u + F z up to rounding
+    _, rhs, held, route, random_state = _case_law(name, np.random.default_rng(10))
     like = random_state()
-    blocks = affine_stepper(rhs, like, 0.01, held, False, 10_000)
-    single = affine_stepper(rhs, like, 0.01, held, True, 10_000)
-    assert 1 < blocks.block <= 10_000 and single.block is None  # one-row steps, as many as asked
+    blocks = probed_stepper(rhs, like, 0.01, held, False, route, 10_000)
+    single = probed_stepper(rhs, like, 0.01, held, True, route, 10_000)
+    assert 1 < blocks.block <= 10_000 and single.block is None
     rows = _advance(blocks, like.u, blocks.block)
     u = like.u
     for k in range(blocks.block):
@@ -474,49 +508,43 @@ def test_affine_block_matches_single_steps(name):
         assert np.abs(rows[k] - u).max() <= 1e-12 * np.abs(u).max(), k
 
 
-@pytest.mark.parametrize("name", [*AFFINE_PRESETS, "event-quartic"])
-def test_held_input_split_is_exact(name):
-    # the event law on each affine preset's graph, costs and gains (with
-    # its own trigger parameters in event mode, the defaults otherwise),
-    # and event-quartic's stage law
+@pytest.mark.parametrize("name", ["cdc18-scenario3-event", "event-quartic"])
+def test_probed_event_route_evaluates_the_law_only_in_its_probe(name, monkeypatch):
+    # one probe over [u; eta] makes N + k + 1 calls, however many steps the run takes
     sc = scenario_from_dict(preset_config(name) if name != "event-quartic" else _event_quartic_config())
-    params = sc.trigger if sc.algorithm == "event" else TriggerParams.defaults(sc.graph.n)
-    law = held_law(sc.obj, sc.gains, params)
-    n, p, gains = sc.graph.n, sc.obj.p, sc.gains
-    w, N = n * p, 3 * n * p + n
-    zero = SwarmState(np.zeros((n, p)), np.zeros((n, p)), np.zeros((n, p)), np.zeros(n))
-    G, c_flat = probe_held(law, zero, w + n)
-    # G holds the law's gains exactly: -alpha*beta on dy, beta on dv, -delta_i on chi
-    expected = np.zeros((N, w + n))
-    expected[w + np.arange(w), np.arange(w)] = -gains.alpha * gains.beta
-    expected[2 * w + np.arange(w), np.arange(w)] = gains.beta
-    expected[3 * w + np.arange(n), w + np.arange(n)] = -params.delta
-    assert np.array_equal(G, expected) and not c_flat.any()
-    # the constant term c0 + G eta is the law at u = 0, byte for byte
-    rng = np.random.default_rng(11)
-    c0, held = law(zero, np.zeros(w + n)), np.empty(w + n)
-    for _ in range(10):
-        _random_held(rng, sc.graph, p, held)
-        assert (c0 + G @ held).tobytes() == law(zero, held).tobytes()
-
-
-def test_affine_event_route_evaluates_the_law_only_in_its_probes(monkeypatch):
-    # the probes make N + 1 calls for M, one for c0 and n*p + n + 1 for G,
-    # however many steps the run takes
-    sc = load_preset("cdc18-scenario3-event")
     n, p = sc.graph.n, sc.obj.p
-    N, H = 3 * n * p + n, n * p + n
+    N, k = 3 * n * p + n, n * p + n
     calls = []
     monkeypatch.setattr(events, "_law", lambda *args: calls.append(1) or dynamics._law(*args))
     for horizon in (0.1, 1.0):
         calls.clear()
-        assert run(replace(sc, horizon=horizon)).stepper == "affine"
-        assert len(calls) == (N + 1) + 1 + (H + 1)
+        assert run(replace(sc, horizon=horizon)).stepper == route_for(sc.obj, sc.gains, N).form
+        assert len(calls) == N + k + 1
+
+
+@pytest.mark.parametrize("name", ["cdc18-scenario2", "event-quartic"])
+def test_stage_step_takes_two_batched_gradient_calls(name):
+    # the gradients at stages 1 and 2, then at stages 3 and 4, each pair as
+    # one call on a (2, n, p) stack of positions
+    sc, rhs, held, route, random_state = _case_law(name, np.random.default_rng(9))
+    stacks = []
+
+    def grad(x):
+        stacks.append(x.shape)
+        return sc.obj.family.grad(x)
+
+    counting = route._replace(obj=SimpleNamespace(family=SimpleNamespace(grad=grad)))
+    step = probed_stepper(rhs, random_state(), 0.01, held, held.size > 0, counting, 3)
+    assert stacks == []
+    u = random_state().u
+    for _ in range(3):
+        u = _advance(step, u, 1)[0]
+    assert stacks == [(2, sc.graph.n, sc.obj.p)] * 6
 
 
 def test_routing_rule(obj2, obj3, gains_theta35):
     form = lambda obj, size: route_for(obj, gains_theta35, size).form
-    # quadratic: the propagator up to its bound, rk4_step above
+    # quadratic: the probed affine form up to its bound, rk4_step above
     assert form(obj3, AFFINE_MAX_SIZE) == "affine"
     assert form(obj3, AFFINE_MAX_SIZE + 1) == "rk4"
     # quartic: the stage form up to its own bound, rk4_step above
@@ -590,66 +618,6 @@ def test_event_quartic_stage_form_triggers_as_rk4_step_does(monkeypatch):
     assert [(e.agent, e.index, e.t) for e in stages.events] == [(e.agent, e.index, e.t) for e in rk4.events]
 
 
-def _stage_law(name, rng):
-    """A quartic case's scenario, its law ``rhs(state, eta, objective)``,
-    its held inputs eta (in event mode [L xhat; bracket] from random caches
-    and a random frozen bracket, writable; empty otherwise), and a maker
-    of random states in its layout."""
-    cfg = preset_config(name) if name != "event-quartic" else _event_quartic_config()
-    sc = scenario_from_dict(cfg)
-    g, obj, gains, n, p = sc.graph, sc.obj, sc.gains, sc.graph.n, sc.obj.p
-    event = sc.algorithm == "event"
-    if event:
-        rhs, held = held_law(obj, gains, sc.trigger), np.empty(n * p + n)
-        _random_held(rng, g, p, held)
-    else:
-        rhs, held = (lambda s, eta, o=obj: rhs_continuous(s, g, o, gains)), np.empty(0)
-
-    def random_state():
-        x, y, v = rng.uniform(-5.0, 5.0, (3, n, p))
-        return SwarmState(x, y, v, rng.uniform(0.1, 2.0, n) if event else None)
-
-    return sc, rhs, held, random_state
-
-
-@pytest.mark.parametrize("name", ["cdc18-scenario2", "event-quartic"])
-def test_stage_step_matches_rk4_step(name):
-    # from random states, and in event mode with the held inputs (caches
-    # and frozen bracket) moved between steps, as the run's hook moves them
-    rng = np.random.default_rng(8)
-    sc, rhs, held, random_state = _stage_law(name, rng)
-    p, event = sc.obj.p, sc.algorithm == "event"
-    h = 0.01
-    step = stage_stepper(rhs, random_state(), h, held, event, sc.obj, sc.gains.alpha)
-    for _ in range(5):
-        if event:
-            _random_held(rng, sc.graph, p, held)
-        s = random_state()
-        new, ref = _advance(step, s.u, 1)[0], rk4_step(lambda s: rhs(s, held), s, h)
-        assert new.shape == ref.shape == s.u.shape
-        assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-@pytest.mark.parametrize("name", ["cdc18-scenario2", "event-quartic"])
-def test_stage_step_takes_two_batched_gradient_calls(name):
-    # the gradients at stages 1 and 2, then at stages 3 and 4, each pair as
-    # one call on a (2, n, p) stack of positions
-    sc, rhs, held, random_state = _stage_law(name, np.random.default_rng(9))
-    stacks = []
-
-    def grad(x):
-        stacks.append(x.shape)
-        return sc.obj.family.grad(x)
-
-    counting = SimpleNamespace(family=SimpleNamespace(grad=grad))
-    step = stage_stepper(rhs, random_state(), 0.01, held, sc.algorithm == "event", counting, sc.gains.alpha)
-    assert stacks == []
-    u = random_state().u
-    for _ in range(3):
-        u = _advance(step, u, 1)[0]
-    assert stacks == [(2, sc.graph.n, sc.obj.p)] * 6
-
-
 def test_diverging_quadratic_run_stops_where_rk4_does(monkeypatch):
     # scenario1 with the alternative variant diverges (slowest mode +0.17/s)
     cfg = preset_config("cdc18-scenario1")
@@ -667,7 +635,7 @@ def test_diverging_quadratic_run_stops_where_rk4_does(monkeypatch):
     for path in ("affine", "rk4"):
         with monkeypatch.context() as m:
             m.setattr(dynamics, "Trajectory", Recorded)
-            if path == "affine":  # the propagator path never calls rk4_step
+            if path == "affine":  # the affine route never calls rk4_step
                 m.setattr(dynamics, "rk4_step", None)
             else:
                 m.setattr(dynamics, "AFFINE_MAX_SIZE", 0)
@@ -732,3 +700,50 @@ def test_diverging_quartic_run_stops_where_rk4_does(monkeypatch):
     assert not np.abs(us[k]).max() <= dynamics.DIVERGENCE_LIMIT
     assert np.abs(us[:k]).max() <= dynamics.DIVERGENCE_LIMIT
     assert np.all(np.isfinite(err.last_state.u)) and np.array_equal(err.last_state.u, us[k - 1])
+
+
+# -- relabelling agents -------------------------------------------------------
+
+
+def _relabelled(cfg, x0, y0, perm):
+    """``cfg`` with its agents relabelled, agent k of the new run being
+    agent perm[k] of the old: the edges, the per-agent cost data and the
+    literal initial state (x0, y0, v = 0) follow the agents; diagnostics off."""
+    inv = np.argsort(perm)
+    edges = cfg["graph"]["edges"]
+    off = 0 if any(i == 0 or j == 0 for i, j, _ in edges) else 1
+    costs = {key: [data[k] for k in perm] if isinstance(data, list) else data for key, data in cfg["costs"].items()}
+    return {
+        **cfg,
+        "graph": {"n": len(perm), "edges": [[int(inv[i - off]), int(inv[j - off]), w] for i, j, w in edges]},
+        "costs": costs,
+        "initial": {"x": x0[perm].tolist(), "y": y0[perm].tolist()},
+        "diagnostics": {"lyapunov": False, "rate_fit": False},
+    }
+
+
+@pytest.mark.parametrize(
+    "name, algorithm",
+    [
+        ("cdc18-scenario1", "continuous"),
+        ("cdc18-scenario2", "continuous"),
+        ("cdc18-scenario3", "continuous"),
+        ("cdc18-scenario3", "alternative"),
+    ],
+)
+def test_relabelled_agents_follow_their_trajectories(name, algorithm):
+    # under each of the five non-identity permutations of the three agents,
+    # agent k of the relabelled run follows agent perm[k] of the original.
+    # A relabelling reorders the sums of each step, so a step can round u
+    # differently by a few eps max|u|; over a stable flow these differences
+    # add up without growth.  Allow 4 eps max|u| per step, whatever the
+    # BLAS kernel.  (Event mode is left out: relabelled event runs are
+    # known to move trigger counts by one and x by up to 2e-7.)
+    cfg = {**preset_config(name), "algorithm": algorithm}
+    s0, _ = make_initial(scenario_from_dict(cfg))
+    ref = run(scenario_from_dict(_relabelled(cfg, s0.x, s0.y, np.arange(3)))).trajectory
+    tol = 4 * np.finfo(float).eps * np.abs(ref.u).max() * (ref.samples - 1)
+    for perm in [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]:
+        traj = run(scenario_from_dict(_relabelled(cfg, s0.x, s0.y, np.array(perm)))).trajectory
+        gap = max(np.abs(getattr(traj, b) - getattr(ref, b)[:, perm]).max() for b in ("x", "y", "v"))
+        assert gap <= tol, f"{perm}: {gap:.3e} > {tol:.3e}"

@@ -8,8 +8,8 @@ workloads and of the event scaling step so that an API change that would
 break the traced benchmark fails here first.  One test checks that every
 set-up span the benchmark reads is still entered during set-up.  The last
 test applies the benchmark's correctness gate, at three recorded seeds, to the ring300-event
-run and to every preset of the presets workload (the runs the affine
-propagator and the stage form step, and the event preset among them).
+run and to every preset of the presets workload (the runs the probed
+stepper steps, the event preset among them).
 """
 
 import json

@@ -28,15 +28,15 @@ from conftest import kernel_note
 
 BLAS_KERNEL = "SkylakeX"
 REPORT_SHA256 = {
-    "cdc18-scenario1_summary.json": "bea784d80ad8e68bbcb0669fecbb46a4302a2cbca7e6f6d1597551b5d35a3e21",
+    "cdc18-scenario1_summary.json": "422333baf47cf3c91b176f84e190fb2936f40f57cc68610e3e6a5b6fd85dba34",
     "cdc18-scenario2_constants.json": "d55ddd446c0ab896962ac1f2e704f56867e84825353eb3cf0e3f3bc058548d79",
     "cdc18-scenario2_summary.json": "9adf3eaa4daf64d223c086b7007790ca9d3f6b4a632ff319a23216ceb215a13c",
     "cdc18-scenario3_constants.json": "990b176856ba36cabf2de22d6fe8bb39adec95e4169da29dc9f9282a880f38d4",
-    "cdc18-scenario3_summary.json": "798dbbe64ee810201e50f90cb8ea0caf125473b87531aead6dbff1fdde402673",
+    "cdc18-scenario3_summary.json": "d7e281e16120708771da86ed1154595cea41de98364b9f27926f5112a4050367",
     "cdc18-scenario3-event_constants.json": "91fdec9b6aa9a3e88f69784962f34ae966393af77e1f38c23cb832ad37764ffc",
-    "cdc18-scenario3-event_events.csv": "955ea275bdd96ca1a1fac1eeb3ccd6673b34de83c5799abf9188392a3f4630e4",
-    "cdc18-scenario3-event_summary.json": "1c36c3d9f015e014fe216ababa6cf03b22c41c84dedf898bc63de069e0087d35",
-    "heavy-ball_summary.json": "11043b7741ec6b771790ce3183a5dcce37a1a096abe26cc41504639afc0eda7f",
+    "cdc18-scenario3-event_events.csv": "7a4ac87d63f04dfce58d87bfae8eebb04d734b34b0aa7aa8346912ad7afba055",
+    "cdc18-scenario3-event_summary.json": "304956ce1a9b0aef376310373dea0ed3f6d7e7f6e240cace84a15b8633d60c52",
+    "heavy-ball_summary.json": "343c975eb23a063158374728a9b96e4373409ca5e10b704bad8191333c76e623",
 }
 
 CONSTANTS_CLI_SHA256 = {
