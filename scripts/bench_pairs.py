@@ -5,9 +5,10 @@ Usage: python scripts/bench_pairs.py BASE CHANGE [--pairs 10] [--seconds 20]
            [--case WORKLOAD[:SEED] ...] [--out FILE]
 
 For each case it runs ``perfbench/run.py --workload W --seed S --trace 0``
-once in BASE and once in CHANGE, and repeats that pair ``--pairs`` times,
-BASE first in even pairs and CHANGE first in odd ones, so that drift of
-the host's speed falls on both sides alike.  Each run is a fresh process
+once in BASE and once in CHANGE, and repeats that pair ``--pairs`` times
+(at least 2, or it exits 2 before any run: one run a side has no
+quartiles), BASE first in even pairs and CHANGE first in odd ones, so
+that drift of the host's speed falls on both sides alike.  Each run is a fresh process
 started in its own checkout.  Compare two fresh clones (``git clone``,
 then the change applied to one of them), never the development working
 tree: the same diff measured in a long-lived working tree has read
@@ -141,6 +142,8 @@ def main(argv=None) -> int:
     parser.add_argument("--case", action="append", metavar="WORKLOAD[:SEED]", help="repeatable")
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
+    if args.pairs < 2:  # quartiles need two runs a side
+        parser.error(f"--pairs must be at least 2, got {args.pairs}")
     base, change = args.base.resolve(), args.change.resolve()
     if len(str(base)) != len(str(change)):
         parser.error(f"checkout paths differ in length: {base} ({len(str(base))}) and {change} ({len(str(change))})")

@@ -13,10 +13,9 @@ variable with its own dynamics
 
     dchi_i = -delta_i * (||e_i||^2 - c_i * qhat_i) - rate_i * chi_i.
 
-The symbol used as threshold denominator is configurable: "varphi" uses
-the derived per-agent threshold constant (the default); "rate" reuses the
-chi decay rate.  The "local-only" preset sigma = delta = 0 needs neither
-and no network-wide quantities at all.
+phi_i comes from the event certificate (``varphi_all``), whose theorem
+covers this law.  With sigma = 0 the disagreement term drops out, c = 0,
+and the law needs neither phi_i nor any network-wide quantity.
 
 ``rule_terms`` computes ||e_i||^2 and qhat_i for all agents at once with
 ``rowdot``, so they round like each agent's own test; qhat, like
@@ -183,7 +182,7 @@ def validate_eps0(gains: GainParams, eps0: float, error: type[ValueError] = Trig
 @dataclass
 class TriggerLaw:
     """Bound trigger parameters plus the precomputed threshold coefficients
-    c_i = (alpha*gamma*eps0 - theta)*beta*sigma_i / (4*denom_i)."""
+    c_i = (alpha*gamma*eps0 - theta)*beta*sigma_i / (4*varphi_i)."""
 
     params: TriggerParams
     eps0: float
@@ -197,36 +196,33 @@ def make_trigger_law(
     params: TriggerParams,
     eps0: float | None = None,
     eps8: float | None = None,
-    denominator: str = "varphi",
+    denominator: str = "varphi",  # only perfbench/kernels.py passes it; ROADMAP item 22 removes it
 ) -> TriggerLaw:
     """Resolve the threshold coefficients for a concrete graph and gains.
 
     ``eps0`` defaults to ``default_eps0``.  Given the event certificate's
     ``eps8``, the per-agent threshold constants varphi_i are computed here
     (``varphi_all``) and kept as ``TriggerLaw.varphi``, which the Lyapunov
-    V3 column also reads.  The "varphi" denominator with sigma nonzero
-    somewhere needs them, so it needs ``eps8``.
+    V3 column also reads.  A sigma nonzero somewhere needs them, so it
+    needs ``eps8``.
     """
     if eps0 is None:
         eps0 = default_eps0(gains)
     validate_eps0(gains, eps0)
     if params.n != g.n:
         raise TriggerConfigError(f"trigger parameters sized {params.n} for a graph of {g.n} agents")
-    if denominator not in ("varphi", "rate"):
+    if denominator != "varphi":
         raise TriggerConfigError(f"unknown threshold denominator {denominator!r}")
-    lead = (gains.alpha * gains.gamma * eps0 - gains.theta) * gains.beta
     phis = None if eps8 is None else varphi_all(g, gains, eps0, eps8)
     if np.all(params.sigma == 0.0):
         c = np.zeros(g.n)
-    elif denominator == "rate":
-        c = lead * params.sigma / (4.0 * params.phi_rate)
     elif phis is None:
         raise TriggerConfigError(
-            "eps8 is required to derive the threshold constants varphi_i, and the event certificate "
-            "that gives it is unavailable"
+            "eps8 is required to derive the threshold constants varphi_i, and the event certificate that gives "
+            "it is unavailable; trigger.sigma: 0 runs without them, giving up the c_i*qhat_i disagreement term"
         )
     else:
-        c = lead * params.sigma / (4.0 * phis)
+        c = (gains.alpha * gains.gamma * eps0 - gains.theta) * gains.beta * params.sigma / (4.0 * phis)
     return TriggerLaw(params=params, eps0=eps0, c=c, varphi=phis)
 
 

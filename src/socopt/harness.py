@@ -108,7 +108,7 @@ class Scenario:
     eps0: float
     eps: float
     trigger: TriggerParams | None = None
-    threshold_denominator: str = "varphi"
+    threshold_denominator = "varphi"  # a class constant only perfbench/kernels.py reads; ROADMAP item 22 removes it
 
 
 def _require(cond: bool, msg: str):
@@ -136,14 +136,26 @@ def _finite(value, name: str) -> float:
     return float(value)
 
 
+def _holds_bool(value, arr: np.ndarray) -> bool:
+    """Whether ``value``, read by ``np.asarray`` as ``arr``, holds a boolean, which ``arr`` shows as 1 or 0."""
+    for index in np.argwhere((arr == 0) | (arr == 1)).tolist():
+        entry = value
+        for k in index:
+            entry = entry[k]
+        if isinstance(entry, bool):
+            return True
+    return False
+
+
 def _finite_array(value, name: str, shapes: tuple, expected: str) -> np.ndarray:
     """``value`` as a float array of one of ``shapes``, every entry a finite
-    JSON number, broadcast to (a copy of) the last shape."""
+    JSON number, not a boolean, broadcast to (a copy of) the last shape."""
     try:
         arr = np.asarray(value)
     except ValueError:  # ragged nesting
         arr = None
-    _require(arr is not None and arr.dtype.kind in "iuf" and arr.shape in shapes, f"{name} must be {expected}")
+    ok = arr is not None and arr.dtype.kind in "iuf" and arr.shape in shapes and not _holds_bool(value, arr)
+    _require(ok, f"{name} must be {expected}")
     _require(bool(np.all(np.isfinite(arr))), f"{name} must be finite")
     return np.broadcast_to(arr, shapes[-1]).astype(float)
 
@@ -189,7 +201,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     offending field named: schema version, every section being a JSON
     object, no unknown key in any section but ``diagnostics``, an integer
     agent count, edges as [i, j, weight] with integer ends, finite JSON
-    numbers, not strings or booleans (edge entries, horizon, step, box,
+    numbers, not strings or booleans at any depth (edge entries, horizon, step, box,
     literal initial state, cost data, gains, eps0, eps, a positive
     Lipschitz override), required cost fields, cost vectors of shape
     (n, p) and matrices of shape (n, p, p), the gain field set, gain
@@ -199,13 +211,13 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     non-negative integer seed, boolean diagnostics flags, a horizon of a
     whole number of steps whose trajectory buffer holds at most
     MAX_TRAJECTORY_ENTRIES floats, event mode needing a global gradient-Lipschitz
-    modulus per agent and (for the "varphi" threshold denominator with
-    nonzero sigma) two or more agents and restricted strong convexity of an
-    all-quadratic objective, balanced integral states for the primary
-    algorithms, the trigger field set (eps0 and eps live at the top
-    level), a known trigger preset and threshold denominator, trigger
-    fields that are finite numbers or lists of n, and trigger-parameter
-    ranges.
+    modulus per agent and (with nonzero sigma, whose threshold constants
+    come from the event certificate) two or more agents and restricted
+    strong convexity of an all-quadratic objective, balanced integral
+    states for the primary algorithms, a trigger section only in event
+    mode, the trigger field set (sigma, delta, phi_rate, kappa, chi0;
+    eps0 and eps live at the top level), trigger fields that are finite
+    numbers or lists of n, and trigger-parameter ranges.
     """
     _require(isinstance(cfg, dict), "a scenario config must be a JSON object")
     version = cfg.get("schema_version")
@@ -300,45 +312,37 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         _require(isinstance(v, bool), f"diagnostics.{k} must be true or false, got {v!r}")
     diagnostics = Diagnostics(**flags)
 
-    trig_cfg = _section(cfg, "trigger")
-    for key in ("eps0", "eps"):
-        _require(key not in trig_cfg, f"trigger.{key} is not read; set the top-level field {key} instead")
-    _known_fields(trig_cfg, "trigger", ("preset", "threshold_denominator", *TRIGGER_FIELDS))
-    preset = trig_cfg.get("preset")
-    _require(preset in (None, "local-only"), f'trigger.preset must be "local-only", got {preset!r}')
-    fixed = [k for k in TRIGGER_FIELDS if k in trig_cfg]
-    _require(preset is None or not fixed, f"trigger.preset {preset!r} sets every trigger parameter; drop {fixed}")
-    per_agent = ((), (1,), (g.n,)), f"a number or a list of {g.n} numbers"
-    overrides = {k: _finite_array(trig_cfg[k], f"trigger.{k}", *per_agent) for k in fixed}
-    denom = trig_cfg.get("threshold_denominator", "varphi")
-    _require(
-        denom in ("varphi", "rate"),
-        f'trigger.threshold_denominator must be "varphi" or "rate", got {denom!r}',
-    )
     trigger = None
-    if algorithm == "event":
+    if algorithm != "event":
+        _require("trigger" not in cfg, f"trigger is read only when algorithm is 'event', not {algorithm!r}")
+    else:
         _require(
             obj.global_lipschitz is not None,
             "global gradient-Lipschitz hypothesis violated: event mode requires a "
             "global modulus for every agent, and quartic costs have none; set an "
             "explicit costs.lipschitz_override",
         )
-        base = TriggerParams.local_only(g.n) if preset == "local-only" else TriggerParams.defaults(g.n)
-        trigger = replace(base, **overrides)
-        if denom == "varphi" and np.any(trigger.sigma != 0.0):
-            ways_out = 'set trigger.threshold_denominator to "rate" or use the "local-only" trigger preset'
+        trig_cfg = _section(cfg, "trigger")
+        for key in ("eps0", "eps"):
+            _require(key not in trig_cfg, f"trigger.{key} is not read; set the top-level field {key} instead")
+        _known_fields(trig_cfg, "trigger", TRIGGER_FIELDS)
+        per_agent = ((), (1,), (g.n,)), f"a number or a list of {g.n} numbers"
+        overrides = {k: _finite_array(v, f"trigger.{k}", *per_agent) for k, v in trig_cfg.items()}
+        trigger = replace(TriggerParams.defaults(g.n), **overrides)
+        if np.any(trigger.sigma != 0.0):
+            way_out = "trigger.sigma: 0 runs without them, giving up the c_i*qhat_i disagreement term"
             _require(
                 g.n >= 2,
                 "network hypothesis violated: the threshold constants varphi_i of the event trigger "
                 "come from the event certificate, which needs a positive Laplacian eigenvalue and so "
-                f"at least two agents; this graph has {g.n}; " + ways_out,
+                f"at least two agents; this graph has {g.n}; " + way_out,
             )
             if obj.all_quadratic():
                 _require(
                     estimate_mf(obj, None) > 0.0,
                     "restricted strong convexity hypothesis violated: the summed quadratic "
                     "matrix is singular (m_f = 0), so the threshold constants varphi_i of the "
-                    "event trigger do not exist; " + ways_out,
+                    "event trigger do not exist; " + way_out,
                 )
 
     return Scenario(
@@ -354,7 +358,6 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         eps0=eps0,
         eps=eps,
         trigger=trigger,
-        threshold_denominator=str(denom),
     )
 
 
@@ -533,7 +536,6 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None) -> RunReport:
             scenario.trigger,
             eps0=scenario.eps0,
             eps8=None if consts is None else consts.eps8,
-            denominator=scenario.threshold_denominator,
         )
         event_run = simulate_event(state0, g, obj, gains, law, scenario.step, scenario.horizon)
         traj = event_run.trajectory

@@ -139,4 +139,16 @@ def test_checkout_paths_of_unequal_length_are_refused(tmp_path, capsys, monkeypa
     assert str((tmp_path / "a").resolve()) in err and str((tmp_path / "bb").resolve()) in err
     # equal lengths pass the check and go on to the runs
     with pytest.raises(pytest.fail.Exception, match="a run started"):
-        bench_pairs.main([str(tmp_path / "a"), str(tmp_path / "c"), "--pairs", "1"])
+        bench_pairs.main([str(tmp_path / "a"), str(tmp_path / "c"), "--pairs", "2"])
+
+
+@pytest.mark.parametrize("pairs", ["1", "0", "-3"])
+def test_fewer_than_two_pairs_are_refused(pairs, tmp_path, capsys, monkeypatch):
+    # the quartiles of one run per side do not exist: exit 2 before any run
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: pytest.fail("a run started"))
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main([str(tmp_path / "a"), str(tmp_path / "b"), "--pairs", pairs])
+    assert exc.value.code == 2
+    assert f"--pairs must be at least 2, got {pairs}" in capsys.readouterr().err

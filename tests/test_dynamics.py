@@ -722,28 +722,93 @@ def _relabelled(cfg, x0, y0, perm):
     }
 
 
-@pytest.mark.parametrize(
-    "name, algorithm",
-    [
-        ("cdc18-scenario1", "continuous"),
-        ("cdc18-scenario2", "continuous"),
-        ("cdc18-scenario3", "continuous"),
-        ("cdc18-scenario3", "alternative"),
-    ],
-)
-def test_relabelled_agents_follow_their_trajectories(name, algorithm):
-    # under each of the five non-identity permutations of the three agents,
-    # agent k of the relabelled run follows agent perm[k] of the original.
-    # A relabelling reorders the sums of each step, so a step can round u
-    # differently by a few eps max|u|; over a stable flow these differences
-    # add up without growth.  Allow 4 eps max|u| per step, whatever the
-    # BLAS kernel.  (Event mode is left out: relabelled event runs are
-    # known to move trigger counts by one and x by up to 2e-7.)
+# the presets and variants each equivariance test covers (event mode is left
+# out: relabelled event runs are known to move trigger counts by one and x by
+# up to 2e-7)
+EQUIVARIANCE_CASES = [
+    ("cdc18-scenario1", "continuous"),
+    ("cdc18-scenario2", "continuous"),
+    ("cdc18-scenario3", "continuous"),
+    ("cdc18-scenario3", "alternative"),
+]
+
+
+def _literal_reference(name, algorithm):
+    """The preset's config run as ``algorithm``, its drawn initial state
+    (x0, y0) and the trajectory from that state as a literal."""
     cfg = {**preset_config(name), "algorithm": algorithm}
     s0, _ = make_initial(scenario_from_dict(cfg))
-    ref = run(scenario_from_dict(_relabelled(cfg, s0.x, s0.y, np.arange(3)))).trajectory
-    tol = 4 * np.finfo(float).eps * np.abs(ref.u).max() * (ref.samples - 1)
+    return cfg, s0.x, s0.y, run(scenario_from_dict(_relabelled(cfg, s0.x, s0.y, np.arange(3)))).trajectory
+
+
+def _rounding_tol(*trajs):
+    """4 eps max|u| per step: a transformed run rounds each step's sums
+    differently by a few eps max|u|, and over a stable flow these
+    differences add up without growth, whatever the BLAS kernel."""
+    return 4 * np.finfo(float).eps * max(np.abs(t.u).max() for t in trajs) * (trajs[0].samples - 1)
+
+
+@pytest.mark.parametrize("name, algorithm", EQUIVARIANCE_CASES)
+def test_relabelled_agents_follow_their_trajectories(name, algorithm):
+    # under each of the five non-identity permutations of the three agents,
+    # agent k of the relabelled run follows agent perm[k] of the original,
+    # up to the rounding of a reordered sum at each step
+    cfg, x0, y0, ref = _literal_reference(name, algorithm)
+    tol = _rounding_tol(ref)
     for perm in [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]:
-        traj = run(scenario_from_dict(_relabelled(cfg, s0.x, s0.y, np.array(perm)))).trajectory
+        traj = run(scenario_from_dict(_relabelled(cfg, x0, y0, np.array(perm)))).trajectory
         gap = max(np.abs(getattr(traj, b) - getattr(ref, b)[:, perm]).max() for b in ("x", "y", "v"))
         assert gap <= tol, f"{perm}: {gap:.3e} > {tol:.3e}"
+
+
+SHIFT = np.array([1.5, -2.0, 0.75])
+
+
+def _translated(cfg, s):
+    """``cfg`` with every cost moved by the vector s, so that each gradient
+    at x + s equals the original at x: shifts and centres + s, and linear
+    terms - C_i s for 0.5 x^T C_i x + a_i^T x."""
+    costs = dict(cfg["costs"])
+    if costs["kind"] == "quadratic_linear":
+        shifted = np.array(costs["linear_terms"]) - np.array(costs["matrices"]) @ s
+        costs["linear_terms"] = shifted.tolist()
+    else:
+        key = "shifts" if costs["kind"] == "quadratic_shift" else "centers"
+        costs[key] = (np.array(costs[key]) + s).tolist()
+    return {**cfg, "costs": costs}
+
+
+@pytest.mark.parametrize("name, algorithm", EQUIVARIANCE_CASES)
+def test_translated_costs_and_start_move_x_by_the_shift(name, algorithm):
+    # moving the costs and x(0) by one vector s moves x by s and leaves y
+    # and v as they were: L x and L v do not see a common shift, and each
+    # gradient at x + s is the original gradient at x
+    cfg, x0, y0, ref = _literal_reference(name, algorithm)
+    moved = run(scenario_from_dict(_relabelled(_translated(cfg, SHIFT), x0 + SHIFT, y0, np.arange(3)))).trajectory
+    tol = _rounding_tol(ref, moved)
+    gap = max(np.abs(moved.x - SHIFT - ref.x).max(), np.abs(moved.y - ref.y).max(), np.abs(moved.v - ref.v).max())
+    assert gap <= tol, f"{gap:.3e} > {tol:.3e}"
+
+
+def _rescaled(cfg, c):
+    """``cfg`` with every edge weight times c and beta over c, and theta
+    over c in the alternative variant, which couples v through L: every
+    product of the law that reads L (beta*L, and theta*L for the
+    alternative) is unchanged."""
+    gains = {**cfg["gains"], "beta": cfg["gains"]["beta"] / c}
+    if cfg["algorithm"] == "alternative":
+        gains["theta"] = cfg["gains"]["theta"] / c
+    edges = [[i, j, w * c] for i, j, w in cfg["graph"]["edges"]]
+    return {**cfg, "gains": gains, "graph": {**cfg["graph"], "edges": edges}}
+
+
+@pytest.mark.parametrize("name, algorithm", EQUIVARIANCE_CASES)
+def test_rescaled_weights_and_gains_keep_the_trajectory(name, algorithm):
+    # weights times c with beta (and the alternative's theta) over c leave
+    # the law unchanged, so the run follows the original up to rounding
+    cfg, x0, y0, ref = _literal_reference(name, algorithm)
+    tol = _rounding_tol(ref)
+    for c in (3.0, 0.3):
+        traj = run(scenario_from_dict(_relabelled(_rescaled(cfg, c), x0, y0, np.arange(3)))).trajectory
+        gap = max(np.abs(getattr(traj, b) - getattr(ref, b)).max() for b in ("x", "y", "v"))
+        assert gap <= tol, f"c = {c}: {gap:.3e} > {tol:.3e}"

@@ -11,6 +11,7 @@ from socopt.dynamics import SwarmState
 from socopt.events import (
     EVENT_DTYPE,
     TriggerConfigError,
+    TriggerLaw,
     TriggerParams,
     TriggerState,
     _bracket_and_margin,
@@ -56,6 +57,16 @@ def _fire(ts, g, law, x, t=1.0):
     out = _process_triggers(ts, g, law, x, t, rule_terms(ts, g, x)[1], log)
     assert len(out) == 4
     return out, event_log(log)
+
+
+def _explicit_law(gains, params):
+    """A law with c_i = lead*sigma_i/(4*phi_rate_i) set here, lead =
+    (alpha*gamma*eps0 - theta)*beta, rather than derived from the event
+    certificate's varphi_i: large enough for neighbours to veto one another,
+    and free of eps8."""
+    eps0 = default_eps0(gains)
+    lead = (gains.alpha * gains.gamma * eps0 - gains.theta) * gains.beta
+    return TriggerLaw(params, eps0, lead * params.sigma / (4.0 * params.phi_rate))
 
 
 def _fresh_terms(ts, g, law, x):
@@ -202,24 +213,14 @@ def test_varphi_rejects_bad_eps0(path3, gains_theta35):
 
 
 def test_trigger_law_requires_eps8_for_varphi(path3, gains_theta35):
+    # the one way out names what it gives up; no other denominator remains
     params = TriggerParams.defaults(3)
-    with pytest.raises(TriggerConfigError, match="eps8"):
+    with pytest.raises(TriggerConfigError, match="eps8.*trigger.sigma: 0.*c_i\\*qhat_i"):
         make_trigger_law(path3, gains_theta35, params)
     law = make_trigger_law(path3, gains_theta35, TriggerParams.local_only(3))
     np.testing.assert_array_equal(law.c, 0.0)
-
-
-def test_trigger_law_rate_denominator_switch(path3, gains_theta35):
-    # the configurable reading that divides the threshold by the chi decay
-    # rate instead of the derived constant
-    params = TriggerParams.defaults(3)
-    law = make_trigger_law(path3, gains_theta35, params, denominator="rate")
-    eps0 = law.eps0
-    lead = (gains_theta35.alpha * gains_theta35.gamma * eps0 - gains_theta35.theta) * gains_theta35.beta
-    np.testing.assert_allclose(law.c, lead * params.sigma / (4.0 * params.phi_rate))
-    assert law.varphi is None
-    with pytest.raises(TriggerConfigError, match="denominator"):
-        make_trigger_law(path3, gains_theta35, params, denominator="bogus")
+    with pytest.raises(TriggerConfigError, match="denominator 'rate'"):
+        make_trigger_law(path3, gains_theta35, params, eps8=1e-3, denominator="rate")
 
 
 def _qhat_reference(i, xhat, g):
@@ -245,7 +246,7 @@ def test_rule_terms_match_neighbor_loop_reference(seed, n, p, gains_theta35):
         kappa=rng.uniform(2.5, 5.0, n),
         chi0=rng.uniform(0.1, 2.0, n),
     )
-    law = make_trigger_law(g, gains_theta35, params, denominator="rate")
+    law = _explicit_law(gains_theta35, params)
     x = rng.uniform(-5, 5, (n, p))
     ts = _trigger_state(rng.uniform(-5, 5, (n, p)), chi=rng.uniform(1e-3, 10.0, n))
     err_sq, qh = rule_terms(ts, g, x)
@@ -341,11 +342,11 @@ def test_trigger_counts_monotone_in_chi0(path3, obj3, gains_theta35):
 
 
 def test_sweep_veto_is_not_reconsidered(path3, gains_theta35):
-    # c = 1.0625 and kappa = 2 with the rate denominator.  All three rules
+    # c = 1.0625 and kappa = 2 with the explicit law.  All three rules
     # hold as the sweep starts.  Agent 0 broadcasts first and raises
     # agent 1's qhat, so agent 1 is vetoed; agent 2's broadcast then lowers
     # that qhat again, but agent 1 is not reconsidered at this sample.
-    law = make_trigger_law(path3, gains_theta35, TriggerParams.defaults(3), denominator="rate")
+    law = _explicit_law(gains_theta35, TriggerParams.defaults(3))
     x = np.array([[1.0], [1.5], [0.0]])
     ts = _trigger_state([[0.0], [0.0], [2.0]], chi=[0.1, 0.1, 0.1])
     assert all(trigger_margin(i, ts, path3, law, x) >= 0.0 for i in range(3))
@@ -391,8 +392,8 @@ def _assert_same_sample(ts, ref, sample, ref_sample):
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 10**6), n=st.integers(1, 12), p=st.integers(1, 3))
 def test_batched_sweep_matches_one_at_a_time_oracle(seed, n, p, gains_theta35):
-    # small chi makes most rules hold; sigma up to 0.99 with the rate
-    # denominator makes c*qhat large enough for neighbours to veto
+    # small chi makes most rules hold; sigma up to 0.99 with the explicit
+    # law makes c*qhat large enough for neighbours to veto
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, n)
     params = TriggerParams(
@@ -402,7 +403,7 @@ def test_batched_sweep_matches_one_at_a_time_oracle(seed, n, p, gains_theta35):
         kappa=rng.uniform(2.5, 5.0, n),
         chi0=np.ones(n),
     )
-    law = make_trigger_law(g, gains_theta35, params, denominator="rate")
+    law = _explicit_law(gains_theta35, params)
     x = rng.uniform(-5, 5, (n, p))
     xhat = np.where(rng.random((n, 1)) < 0.2, x, rng.uniform(-5, 5, (n, p)))
     ts = _trigger_state(xhat, chi=10.0 ** rng.uniform(-4, 1, n))
@@ -411,7 +412,7 @@ def test_batched_sweep_matches_one_at_a_time_oracle(seed, n, p, gains_theta35):
 
 
 def test_batched_sweep_matches_oracle_on_path3_veto(path3, gains_theta35):
-    law = make_trigger_law(path3, gains_theta35, TriggerParams.defaults(3), denominator="rate")
+    law = _explicit_law(gains_theta35, TriggerParams.defaults(3))
     x = np.array([[1.0], [1.5], [0.0]])
     ts = _trigger_state([[0.0], [0.0], [2.0]], chi=[0.1, 0.1, 0.1])
     ref = _copy(ts)
@@ -440,7 +441,7 @@ def test_carried_terms_match_full_pass(seed, n, p, gains_theta35):
         kappa=rng.uniform(2.5, 5.0, n),
         chi0=10.0 ** rng.uniform(-6, -3, n),
     )
-    law = make_trigger_law(g, gains_theta35, params, denominator="rate")
+    law = _explicit_law(gains_theta35, params)
     s0 = SwarmState(rng.uniform(-5, 5, (n, p)), rng.uniform(-5, 5, (n, p)), np.zeros((n, p)))
     full_passes, samples, quiet = 0, 0, 0
 

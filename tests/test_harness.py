@@ -103,12 +103,11 @@ def test_gate_event_mode_singular_quadratic_rejected():
     # constants do not exist, so event mode with sigma != 0 is rejected at load
     cfg = preset_config("cdc18-scenario1")
     cfg["algorithm"] = "event"
-    with pytest.raises(ConfigError, match="restricted strong convexity.*threshold_denominator.*rate"):
+    with pytest.raises(ConfigError, match="restricted strong convexity.*trigger.sigma: 0.*c_i\\*qhat_i"):
         scenario_from_dict(cfg)
     cfg["integration"]["horizon"] = 0.2
-    for trigger in ({"threshold_denominator": "rate"}, {"preset": "local-only"}):
-        cfg["trigger"] = trigger
-        assert run(scenario_from_dict(cfg)).passed
+    cfg["trigger"] = {"sigma": 0}
+    assert run(scenario_from_dict(cfg)).passed
     for name in preset_names():
         load_preset(name)  # no bundled preset trips the gate
 
@@ -119,16 +118,15 @@ def test_gate_event_mode_single_agent_rejected(tmp_path, capsys):
     cfg = preset_config("heavy-ball")
     cfg["algorithm"] = "event"
     named = "network hypothesis violated"
-    with pytest.raises(ConfigError, match=f"{named}.*threshold_denominator.*rate.*local-only"):
+    with pytest.raises(ConfigError, match=f"{named}.*trigger.sigma: 0.*c_i\\*qhat_i"):
         scenario_from_dict(cfg)
     path = tmp_path / "one-agent-event.json"
     path.write_text(json.dumps(cfg))
     assert cli_main(["run", str(path)]) == 2
     assert named in capsys.readouterr().err
-    for trigger in ({"threshold_denominator": "rate"}, {"preset": "local-only"}):
-        cfg["trigger"] = trigger
-        rep = run(scenario_from_dict(cfg))
-        assert rep.passed and set(rep.checks) == {"v_balance", "trigger_discipline", "chi_positive", "chi_floor"}
+    cfg["trigger"] = {"sigma": 0}
+    rep = run(scenario_from_dict(cfg))
+    assert rep.passed and set(rep.checks) == {"v_balance", "trigger_discipline", "chi_positive", "chi_floor"}
 
 
 def test_gate_unbalanced_v0():
@@ -145,19 +143,6 @@ def test_gate_schema_version():
     cfg["schema_version"] = 99
     with pytest.raises(ConfigError, match="schema_version"):
         scenario_from_dict(cfg)
-
-
-@pytest.mark.parametrize("preset", ["cdc18-scenario3", "cdc18-scenario3-event"])
-def test_gate_unknown_threshold_denominator(preset, tmp_path, capsys):
-    # rejected at load in every mode, naming the field and the allowed values
-    cfg = preset_config(preset)
-    cfg.setdefault("trigger", {})["threshold_denominator"] = "bogus"
-    with pytest.raises(ConfigError, match='threshold_denominator.*"varphi" or "rate"'):
-        scenario_from_dict(cfg)
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(cfg))
-    assert cli_main(["run", str(path)]) == 2
-    assert "threshold_denominator" in capsys.readouterr().err
 
 
 def _missing_shifts(cfg):
@@ -223,6 +208,15 @@ def _literal_initial_short(cfg):
     cfg["initial"] = {"x": [[0.0] * 3] * 2, "y": [[0.0] * 3] * 3}
 
 
+def _literal_initial_bool(cfg):
+    cfg["initial"] = {"x": [[True, 0.0, 0.0]] + [[0.0] * 3] * 2, "y": [[0.0] * 3] * 3}
+
+
+def _trigger_outside_event(cfg):
+    cfg["algorithm"] = "continuous"
+    cfg["trigger"] = {"sigma": 0.3}
+
+
 # each mutation of cdc18-scenario3-event, and the text the rejection must name
 BAD_CONFIGS = {
     "costs-array": (_set("costs", []), "costs"),
@@ -254,8 +248,21 @@ BAD_CONFIGS = {
     "lipschitz-negative": (_set("costs.lipschitz_override", -1.0), "lipschitz_override"),
     "lipschitz-nan": (_set("costs.lipschitz_override", float("nan")), "lipschitz_override"),
     "trigger-unknown-key": (_set("trigger.sigmaa", 0.3), "sigmaa"),
-    "trigger-unknown-preset": (_set("trigger.preset", "local_only"), "trigger.preset"),
-    "trigger-preset-and-sigma": (_set("trigger", {"preset": "local-only", "sigma": 0.3}), "trigger.preset"),
+    # the removed trigger.preset and trigger.threshold_denominator are unknown fields like any other
+    "trigger-unknown-preset": (_set("trigger.preset", "local_only"), "trigger: unknown field(s) ['preset']"),
+    "trigger-preset-and-sigma": (
+        _set("trigger", {"preset": "local-only", "sigma": 0.3}),
+        "trigger: unknown field(s) ['preset']",
+    ),
+    "trigger-threshold-denominator": (
+        _set("trigger.threshold_denominator", "rate"),
+        "trigger: unknown field(s) ['threshold_denominator']",
+    ),
+    # a trigger section is read only in event mode
+    "trigger-outside-event": (
+        _trigger_outside_event,
+        "trigger is read only when algorithm is 'event', not 'continuous'",
+    ),
     "trigger-eps0": (_set("trigger.eps0", 0.9), "top-level field eps0"),
     "trigger-eps": (_set("trigger.eps", 0.2), "top-level field eps"),
     "eps-nan": (_set("eps", float("nan")), "eps must be finite"),
@@ -283,6 +290,18 @@ BAD_CONFIGS = {
     "gain-bool": (_set("gains.alpha", True), "gains.alpha must be a number"),
     "trigger-sigma-numeric-string": (_set("trigger.sigma", "0.3"), "trigger.sigma must be a number or a list of 3"),
     "trigger-sigma-bool": (_set("trigger.sigma", False), "trigger.sigma must be a number or a list of 3"),
+    # a boolean nested in an array field, where np.asarray would read it as 1 or 0
+    "trigger-delta-bool-entry": (
+        _set("trigger.delta", [0.5, True, 0.5]),
+        "trigger.delta must be a number or a list of 3",
+    ),
+    "linear-terms-bool": (
+        _set_entry("costs.linear_terms", (0, 0), True),
+        "costs.linear_terms must be an array of shape (3, p)",
+    ),
+    "edges-weight-bool": (_set("graph.edges", [[1, 2, 1.0], [2, 3, True]]), "graph.edges must be a list of"),
+    "edges-end-bool": (_set("graph.edges", [[True, 2, 1.0], [2, 3, 1.0]]), "graph.edges must be a list of"),
+    "literal-initial-bool": (_literal_initial_bool, "initial.x must be an array of shape (3, 3)"),
     "step-numeric-string": (_set("integration.step", "0.01"), "integration.step must be a number"),
     "edges-weight-string": (_set("graph.edges", [[1, 2, 1.0], [2, 3, "1.0"]]), "graph.edges must be a list of"),
     "box-strings": (_set("initial.box", ["-5", "5"]), "initial.box must be a number"),
