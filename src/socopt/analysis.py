@@ -166,7 +166,7 @@ class LyapunovContext:
     """Everything needed to evaluate the Lyapunov family along a run."""
 
     g: NetworkGraph
-    sd: SpectralData
+    sd: SpectralData  # not read here since L^+ is a solve; perfbench/kernels.py still passes it
     obj: GlobalObjective
     gains: GainParams
     eps0: float
@@ -174,13 +174,11 @@ class LyapunovContext:
     eq: EquilibriumPoint
     consts: CertificateConstants | None = None
     varphi: np.ndarray | None = None
-    _pinv: np.ndarray = field(init=False)
     _gamma_sq: float = field(init=False)
 
     @_in_float_range
     def __post_init__(self):
         _validate_design(self.gains, self.eps0, self.eps)
-        self._pinv = self.sd.weighted_projector(-1.0)  # R diag(1/lambda) R^T
         self._gamma_sq = self.gains.gamma**2
 
     def _w1(self, x: np.ndarray) -> np.ndarray:
@@ -200,24 +198,44 @@ class LyapunovContext:
     ) -> dict[str, np.ndarray]:
         """W1..W3 and V1 for states stacked along a leading sample axis
         (x, y, v of shape (m, n, p), chi of shape (m, n)), plus V2, W4 and
-        V3 as far as the certificate constants and chi allow."""
+        V3 as far as the certificate constants and chi allow.
+
+        The disagreement projector K_n = I - 11^T/n enters only through
+        dv, centred once: cdv = dv - mean_i dv_i = K_n dv, so that
+        dv^T K_n z = cdv^T z and dv^T K_n dv = cdv^T cdv (K_n is a
+        symmetric idempotent).  The pseudoinverse term dv^T L^+ dv equals
+        cdv^T L^+ cdv (L^+ 1 = 0), and for a zero-sum vector
+        L^+ cdv = (L + 11^T/n)^(-1) cdv, since
+        L^+ = (L + 11^T/n)^(-1) - 11^T/n for a connected graph (Ghosh,
+        Boyd, Saberi, SIAM Review 2008).  So the term takes one solve,
+        with every sample's p columns of cdv as right-hand sides; a block
+        of more than n columns (a trajectory of a small swarm), each of
+        which numpy's ``solve`` would copy in and out, is instead one
+        product with (L + 11^T/n)^(-1), solved against the n columns of I."""
         gn, eps = self.gains, self.eps
-        kn = self.sd.kn
+        m, n, p = np.shape(v)
         dx = x - self.eq.xbar
-        dv = v - self.eq.vbar
+        # dv as an (n, m*p) block, one row per agent, columns (sample, coordinate), centred in place
+        block = np.subtract(np.moveaxis(v, -2, 0), self.eq.vbar[:, None, :], order="C").reshape(n, m * p)
+        block -= block.mean(axis=0)
+        cdv = np.moveaxis(block.reshape(n, m, p), 0, -2)
+        k = self.g.laplacian + 1.0 / n
+        sol = np.linalg.solve(k, block) if m * p <= n else np.linalg.solve(k, np.eye(n)) @ block
+        lpinv = np.einsum("ij,ij->j", block, sol).reshape(m, p).sum(axis=1)
+        del sol  # a trajectory-sized temporary: freed before the dot products allocate theirs
         out = {"W1": self._w1(x)}
         out["W2"] = (
             0.5 * _dot(y, y)
             + 0.5 * self._gamma_sq * self.eps0 * _dot(dx, dx)
             + gn.gamma * self.eps0 * _dot(dx, y)
-            + gn.theta * gn.gamma * self.eps0 / (2.0 * gn.beta) * _dot(dv, self._pinv @ dv)
-            + gn.theta * _dot(dv, kn @ x)
+            + gn.theta * gn.gamma * self.eps0 / (2.0 * gn.beta) * lpinv
+            + gn.theta * _dot(cdv, x)
             + 0.5 * gn.alpha * gn.beta * _dot(x, self.g.laplacian @ x)
         )
         out["W3"] = (
             eps / (2.0 * gn.alpha) * _dot(y, y)
-            + eps * _dot(dv, kn @ y)
-            + 0.5 * eps * gn.alpha * _dot(dv, kn @ dv)
+            + eps * _dot(cdv, y)
+            + 0.5 * eps * gn.alpha * _dot(cdv, cdv)
             + eps * out["W1"]
         )
         out["V1"] = gn.alpha * out["W1"] + out["W2"]

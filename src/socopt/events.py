@@ -68,7 +68,8 @@ from .graph import NetworkGraph
 
 
 class TriggerConfigError(ValueError):
-    """Trigger parameters outside their admissible ranges."""
+    """Trigger parameters outside their admissible ranges; a range error of
+    ``TriggerParams`` begins with the name of the field it violates."""
 
 
 TRIGGER_FIELDS = ("sigma", "delta", "phi_rate", "kappa", "chi0")
@@ -99,15 +100,15 @@ class TriggerParams:
         if not np.all((self.sigma >= 0) & (self.sigma < 1)):
             raise TriggerConfigError("sigma must lie in [0, 1)")
         if not np.all(self.phi_rate > 0):
-            raise TriggerConfigError("chi decay rate must be positive")
+            raise TriggerConfigError("phi_rate, the chi decay rate, must be positive")
         if not np.all((self.delta >= 0) & (self.delta <= 1)):
             raise TriggerConfigError("delta must lie in [0, 1]")
         if not np.all(self.chi0 > 0):
-            raise TriggerConfigError("chi(0) must be positive")
+            raise TriggerConfigError("chi0, chi(0), must be positive")
         lo = (1.0 - self.delta) / self.phi_rate
         if not np.all(self.kappa > lo):
             raise TriggerConfigError(
-                f"kappa must exceed (1-delta)/rate per agent; got kappa={self.kappa.tolist()}, "
+                f"kappa must exceed (1-delta)/phi_rate per agent; got kappa={self.kappa.tolist()}, "
                 f"floor={lo.tolist()}"
             )
 
@@ -390,19 +391,13 @@ def _process_triggers(
     qh, undecided = qh.copy(), ~selected
 
     def broadcast(agents):
-        """Broadcast ``agents``: a sweep's batch as a boolean mask, or one
-        held agent's index, whose cache update then costs O(1), not O(n)."""
+        """Broadcast the agents of the boolean mask ``agents``."""
         nonlocal bracket, margin
-        if isinstance(agents, int):
-            ts.xhat[agents] = x[agents]
-            touched = np.zeros(g.n, dtype=bool)
-            touched[agents] = True
-        else:
-            np.copyto(ts.xhat, x, where=agents[:, None])
-            touched = agents.copy()
-        ts.last_event[agents] = t
-        ts.counts[agents] += 1
-        err_sq[agents] = 0.0
+        np.copyto(ts.xhat, x, where=agents[:, None])
+        np.copyto(ts.last_event, t, where=agents)
+        ts.counts += agents
+        np.copyto(err_sq, 0.0, where=agents)
+        touched = agents.copy()
         touched[g.dst[touched[g.src]]] = True
         qh[touched] = _edge_qhat(ts, g, touched[g.src])[touched]
         bracket, margin = _bracket_and_margin(law, ts.chi, err_sq, qh)
@@ -421,7 +416,7 @@ def _process_triggers(
             for i in held.nonzero()[0].tolist():
                 if margin[i] >= 0.0:
                     fired.append((i, err_sq[i], qh[i]))
-                    broadcast(i)
+                    broadcast(np.arange(g.n) == i)
             fired.sort()
         log.extend((i, ts.counts[i], t, ts.chi[i], e, q) for i, e, q in fired)
         selected = undecided & (margin >= 0.0)

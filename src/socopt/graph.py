@@ -1,10 +1,12 @@
 """Weighted undirected communication graphs and their spectral data.
 
 The agent network is a weighted undirected graph with adjacency matrix A
-(symmetric, nonnegative, zero diagonal) and Laplacian L = Deg - A.  Every
-convergence certificate downstream needs exact spectral quantities of L:
-its spectral radius, its smallest positive eigenvalue, and the orthonormal
-eigenbasis split that diagonalizes it away from the all-ones direction.
+(symmetric, nonnegative, zero diagonal) and Laplacian L = Deg - A.  The
+convergence certificates downstream read two numbers of L's spectrum: its
+spectral radius and its smallest positive eigenvalue.  No eigenvector is
+kept: the Lyapunov functions need L's pseudoinverse only applied to
+zero-sum vectors, which ``analysis.LyapunovContext`` does by a linear
+solve with L + 11^T/n.
 L is stored dense; A is not, only its edge list ``src``/``dst`` and
 weights ``w``, over which the hot-path neighbor sums run.
 """
@@ -44,31 +46,17 @@ class NetworkGraph:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigenstructure of a connected graph Laplacian.
+    """The spectrum of a connected graph Laplacian.
 
-    ``lambda1`` holds the positive eigenvalues sorted ascending, so
-    ``rho2 = lambda1[0]`` and ``rho = lambda1[-1]``.  ``R`` holds the
-    corresponding orthonormal eigenvectors (columns).  ``kn`` is the
-    disagreement projector I - (1/n) 11^T, which annihilates the
-    consensus direction.
+    ``lambda1`` holds the n - 1 positive eigenvalues sorted ascending, so
+    ``rho2 = lambda1[0]`` and ``rho = lambda1[-1]``; a single vertex has
+    none, ``rho2`` None and ``rho`` 0.
     """
 
     n: int
     rho: float
     rho2: float | None
-    kn: np.ndarray
-    R: np.ndarray
     lambda1: np.ndarray
-
-    def weighted_projector(self, power: float) -> np.ndarray:
-        """Return R diag(lambda1**power) R^T.
-
-        power=1 reconstructs L, power=0.5 its square root, power=-1 the
-        pseudoinverse restricted to the disagreement subspace.
-        """
-        if self.lambda1.size == 0:
-            return np.zeros((self.n, self.n))
-        return (self.R * self.lambda1**power) @ self.R.T
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -137,7 +125,7 @@ def is_connected(g: NetworkGraph) -> bool:
 
 
 def spectral(g: NetworkGraph) -> SpectralData:
-    """Eigendecomposition of the Laplacian of a connected graph.
+    """The eigenvalues of the Laplacian of a connected graph.
 
     Eigenvalues below 1e-9 * max(rho, 1) in magnitude are treated as zero;
     a connected graph must have exactly one.  The scale-relative cutoff
@@ -154,22 +142,13 @@ def spectral(g: NetworkGraph) -> SpectralData:
             "graph is disconnected; components: "
             + ", ".join("{" + ",".join(map(str, c)) + "}" for c in comps)
         )
-    vals, vecs = np.linalg.eigh(g.laplacian)
+    vals = np.linalg.eigvalsh(g.laplacian)
     rho = float(vals[-1])
     tol = 1e-9 * max(rho, 1.0)
     n_zero = int(np.sum(np.abs(vals) <= tol))
     if g.n > 1 and n_zero != 1:
         raise GraphError(f"expected one zero eigenvalue, found {n_zero}")
 
-    kn = np.eye(g.n) - np.ones((g.n, g.n)) / g.n
     lambda1 = vals[1:].copy()
-    R = vecs[:, 1:].copy()
     rho2 = float(lambda1[0]) if lambda1.size else None
-    return SpectralData(
-        n=g.n,
-        rho=rho if g.n > 1 else 0.0,
-        rho2=rho2,
-        kn=_freeze(kn),
-        R=_freeze(R),
-        lambda1=_freeze(lambda1),
-    )
+    return SpectralData(n=g.n, rho=rho if g.n > 1 else 0.0, rho2=rho2, lambda1=_freeze(lambda1))

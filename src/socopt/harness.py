@@ -45,6 +45,7 @@ from .dynamics import (
 from .events import (
     TRIGGER_FIELDS,
     EventRun,
+    TriggerConfigError,
     TriggerParams,
     default_eps0,
     make_trigger_law,
@@ -328,7 +329,10 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         _known_fields(trig_cfg, "trigger", TRIGGER_FIELDS)
         per_agent = ((), (1,), (g.n,)), f"a number or a list of {g.n} numbers"
         overrides = {k: _finite_array(v, f"trigger.{k}", *per_agent) for k, v in trig_cfg.items()}
-        trigger = replace(TriggerParams.defaults(g.n), **overrides)
+        try:
+            trigger = replace(TriggerParams.defaults(g.n), **overrides)
+        except TriggerConfigError as exc:  # a range error, its field named first
+            raise ConfigError(f"trigger.{exc}") from None
         if np.any(trigger.sigma != 0.0):
             way_out = "trigger.sigma: 0 runs without them, giving up the c_i*qhat_i disagreement term"
             _require(
@@ -461,37 +465,37 @@ ALTERNATIVE = "the alternative variant: the theorem covers the continuous and ev
 
 
 def _prepare_certificates(scenario: Scenario, state0: SwarmState):
-    """Spectral data, minimizer, Lyapunov context, constants, and why the
-    constants are unavailable (None when they are not), as far as the
-    scenario's data allows: a single agent has neither context nor
-    constants, the alternative variant has the context but no constants,
-    and the constants are unavailable when m_f is not positive or their
+    """Minimizer, Lyapunov context, constants, and why the constants are
+    unavailable (None when they are not), as far as the scenario's data
+    allows: a single agent has neither context nor constants, the
+    alternative variant has the context but no constants, and the
+    constants are unavailable when m_f is not positive or their
     arithmetic leaves the float range (the context too, when its own
     coefficients do)."""
     g, obj, gains, eps0, eps = scenario.graph, scenario.obj, scenario.gains, scenario.eps0, scenario.eps
     sd = spectral(g)
     mini = minimizer_oracle(obj)
     if g.n < 2:
-        return sd, mini, None, None, SINGLE_AGENT
+        return mini, None, None, SINGLE_AGENT
     eq = analysis.equilibrium_point(obj, gains, mini.x)
     try:
         ctx = analysis.LyapunovContext(g=g, sd=sd, obj=obj, gains=gains, eps0=eps0, eps=eps, eq=eq)
     except analysis.FloatRangeError:
-        return sd, mini, None, None, OUT_OF_RANGE
+        return mini, None, None, OUT_OF_RANGE
     if scenario.algorithm == "alternative":
-        return sd, mini, ctx, None, ALTERNATIVE
+        return mini, ctx, None, ALTERNATIVE
     mf = estimate_mf(obj, mini.x)
     if not mf > 0.0:
-        return sd, mini, ctx, None, NO_MF
+        return mini, ctx, None, NO_MF
     V1_0 = ctx.sample(state0)["V1"]
     try:
         consts = analysis.certificate_continuous(sd, obj, gains, eps0, eps, V1_0, mini.x, mf)
         if scenario.algorithm == "event":
             consts = analysis.certificate_event(sd, obj, gains, eps0, eps, scenario.trigger, mf, base=consts)
     except analysis.FloatRangeError:
-        return sd, mini, ctx, None, OUT_OF_RANGE
+        return mini, ctx, None, OUT_OF_RANGE
     ctx.consts = consts
-    return sd, mini, ctx, consts, None
+    return mini, ctx, consts, None
 
 
 def certificate_outcome(
@@ -500,7 +504,7 @@ def certificate_outcome(
     """The certificate constants a scenario admits, without running it, and
     why it admits none: (constants, None) or (None, reason)."""
     state0, _ = make_initial(scenario, seed)
-    return _prepare_certificates(scenario, state0)[3:]
+    return _prepare_certificates(scenario, state0)[2:]
 
 
 def certificate_constants(scenario: Scenario, seed: int | None = None) -> analysis.CertificateConstants | None:
@@ -524,7 +528,7 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None) -> RunReport:
     """
     state0, used_seed = make_initial(scenario, seed)
     t_start = time.perf_counter()
-    sd, mini, ctx, consts, _ = _prepare_certificates(scenario, state0)
+    mini, ctx, consts, _ = _prepare_certificates(scenario, state0)
     t_certified = time.perf_counter()
     g, obj, gains = scenario.graph, scenario.obj, scenario.gains
 
@@ -572,8 +576,8 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None) -> RunReport:
     final = traj.final_state()
     terminal_error = float(_solution_distance(final.x, mini, to_set=False))
     terminal_error_set = float(_solution_distance(final.x, mini))
-    consensus_residual = float(np.linalg.norm(sd.kn @ final.x))
     avg = final.x.mean(axis=0)
+    consensus_residual = float(np.linalg.norm(final.x - avg))
     gradient_sum_residual = float(np.linalg.norm(obj.sum_grad(avg)))
 
     fitted = None

@@ -11,11 +11,12 @@ from socopt.analysis import (
     fit_rate,
     monotonicity_excess,
 )
-from socopt.costs import estimate_mf, minimizer_oracle
+from socopt.costs import estimate_mf, minimizer_oracle, quadratic_family
 from socopt.dynamics import SwarmState, Trajectory, equilibrium_residual
 from socopt.events import TriggerParams, default_eps0
-from socopt.graph import spectral
+from socopt.graph import build_graph, spectral
 
+from conftest import random_connected_graph
 from oracle import check_combined_convexity, per_agent_costs
 
 
@@ -174,6 +175,77 @@ def test_v2_lower_bound_random_states(path3, obj3, gains_theta35, setup3):
         s = _random_state(rng, eq)
         dx2 = float(np.sum((s.x - eq.xbar) ** 2))
         assert ctx.sample(s)["V2"] >= consts.eps_tilde1 * dx2 - 1e-9
+
+
+def _check_lyapunov_terms_against_pinv(g, rng, gn):
+    """W2, W3 and V1 of ``LyapunovContext.values`` against the same terms
+    built from numpy's SVD pseudoinverse and an explicit K_n = I - 11^T/n,
+    at random states, one state alone and n + 1 at once (a right-hand
+    side block narrower and wider than n).  v has a nonzero agent sum (as
+    the alternative variant allows), so the centring of dv is tested too."""
+    n, p = g.n, int(rng.integers(1, 4))
+    roots = rng.uniform(-1.0, 1.0, (n, p, p))
+    obj = quadratic_family(roots @ roots.transpose(0, 2, 1) + 0.1 * np.eye(p), shifts=rng.uniform(-2.0, 2.0, (n, p)))
+    eps0, eps = default_eps0(gn), 0.1
+    eq = equilibrium_point(obj, gn, minimizer_oracle(obj).x)
+    sd = spectral(g)
+    ctx = LyapunovContext(g=g, sd=sd, obj=obj, gains=gn, eps0=eps0, eps=eps, eq=eq)
+    x, y, v = rng.uniform(-3.0, 3.0, (3, n + 1, n, p))
+    got = ctx.values(x, y, v)
+    one = ctx.values(x[:1], y[:1], v[:1])
+
+    L, kn, pinv = g.laplacian, np.eye(n) - np.ones((n, n)) / n, np.linalg.pinv(g.laplacian)
+    dx, dv = x - eq.xbar, v - eq.vbar
+    assert np.abs(dv.sum(axis=1)).min() > 1e-3
+    gs = obj.grad_stack(eq.xbar)
+    w1 = (obj.f_stack(x) - obj.f_stack(eq.xbar)).sum(axis=1) - np.einsum("ip,mip->m", gs, dx)
+
+    def d(a, b):
+        return np.einsum("mip,mip->m", a, b)
+
+    c_pinv = gn.theta * gn.gamma * eps0 / (2.0 * gn.beta)
+    w2_terms = [
+        0.5 * d(y, y),
+        0.5 * gn.gamma**2 * eps0 * d(dx, dx),
+        gn.gamma * eps0 * d(dx, y),
+        c_pinv * d(dv, pinv @ dv),
+        gn.theta * d(dv, kn @ x),
+        0.5 * gn.alpha * gn.beta * d(x, L @ x),
+    ]
+    w3_terms = [eps / (2.0 * gn.alpha) * d(y, y), eps * d(dv, kn @ y), 0.5 * eps * gn.alpha * d(dv, kn @ dv), eps * w1]
+    want = {"W2": sum(w2_terms), "W3": sum(w3_terms)}
+    want["V1"] = gn.alpha * w1 + want["W2"]
+
+    # Tolerance: each form sums n*p products, so it is off by at most
+    # n*p*u times its absolute sum (u the unit round-off).  The LU solve (or
+    # the inverse it gives) and the SVD pseudoinverse are backward stable,
+    # so each applied L^+ is off by about kappa*n*u of its size, with
+    # kappa = max(rho, 1)/min(rho2, 1) the condition number of L + 11^T/n
+    # (rho/rho2 <= kappa for L^+).  The absolute sum bounds |dv^T L^+ dv|
+    # by |dv|^2/rho2, and a factor 4 covers the two evaluations and the
+    # coefficient products.  Observed errors sit 10 to 100 times below it.
+    kappa = max(sd.rho, 1.0) / min(sd.rho2, 1.0)
+    scale = sum(np.abs(t) for t in w2_terms + w3_terms) + c_pinv * d(dv, dv) / sd.rho2 + gn.alpha * np.abs(w1)
+    tol = 4.0 * n * p * kappa * np.finfo(float).eps * scale
+    for name in ("W2", "W3", "V1"):
+        assert np.all(np.abs(got[name] - want[name]) <= tol), name
+        assert abs(one[name][0] - want[name][0]) <= tol[0], name
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_lyapunov_terms_match_pseudoinverse_oracle(seed, gains_theta35):
+    rng = np.random.default_rng(seed)
+    _check_lyapunov_terms_against_pinv(random_connected_graph(rng, int(rng.integers(2, 13))), rng, gains_theta35)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 12])
+def test_lyapunov_terms_match_pseudoinverse_oracle_unit_path(n, gains_theta35):
+    # the presets' graph family.  Any solution z of L z = cdv gives the same
+    # cdv^T z, so a solve without the 11^T/n term differs only at round-off
+    # where LU meets a tiny pivot; on a unit-weight path the last pivot is
+    # exactly zero, and that singular solve is refused
+    g = build_graph([(i, i + 1, 1.0) for i in range(n - 1)], n=n)
+    _check_lyapunov_terms_against_pinv(g, np.random.default_rng(n), gains_theta35)
 
 
 def _scalar_trajectory(t, x):

@@ -57,16 +57,29 @@ def test_spectral_path3(path3):
     assert sd.rho == pytest.approx(3.0)
 
 
+def _disagreement_projector(n: int) -> np.ndarray:
+    """K_n = I - 11^T/n, formed here: the package only ever centres."""
+    return np.eye(n) - np.ones((n, n)) / n
+
+
 def test_projector_annihilates_ones(path3):
-    sd = spectral(path3)
-    np.testing.assert_allclose(sd.kn @ np.ones(3), 0.0, atol=1e-12)
-    np.testing.assert_allclose(sd.kn @ sd.kn, sd.kn, atol=1e-12)
+    # K_n, which the Lyapunov terms apply as centring, is the projector
+    # whose kernel is the consensus direction and whose range L fills
+    kn = _disagreement_projector(3)
+    np.testing.assert_allclose(kn @ np.ones(3), 0.0, atol=1e-12)
+    np.testing.assert_allclose(kn @ kn, kn, atol=1e-12)
+    np.testing.assert_allclose(kn @ path3.laplacian, path3.laplacian, atol=1e-12)
+    x = np.random.default_rng(0).uniform(-5.0, 5.0, (3, 2))
+    np.testing.assert_allclose(kn @ x, x - x.mean(axis=0), atol=1e-12)
 
 
 def test_pseudoinverse_identity_path3(path3):
-    sd = spectral(path3)
-    lhs = sd.weighted_projector(-1.0) @ path3.laplacian
-    np.testing.assert_allclose(lhs, sd.kn, atol=1e-12)
+    # L^+ = (L + 11^T/n)^(-1) - 11^T/n, the form the Lyapunov W2 term solves
+    # with, against numpy's SVD pseudoinverse and against L^+ L = K_n
+    L, J = path3.laplacian, np.ones((3, 3)) / 3
+    pinv = np.linalg.inv(L + J) - J
+    np.testing.assert_allclose(pinv, np.linalg.pinv(L), atol=1e-12)
+    np.testing.assert_allclose(pinv @ L, _disagreement_projector(3), atol=1e-12)
 
 
 def test_spectral_rejects_disconnected():
@@ -77,9 +90,10 @@ def test_spectral_rejects_disconnected():
 
 def test_single_vertex_spectral():
     sd = spectral(build_graph([], n=1))
+    assert sd.n == 1
+    assert sd.rho == 0.0
     assert sd.rho2 is None
     assert sd.lambda1.size == 0
-    np.testing.assert_array_equal(sd.kn, [[0.0]])
 
 
 def test_indexing_modes():
@@ -102,20 +116,22 @@ def test_spectral_identities_random(seed, n):
     L = g.laplacian
     sd = spectral(g)
 
+    kn = _disagreement_projector(n)
+
     # rows sum to zero, symmetric, PSD order against the projector
     np.testing.assert_allclose(L @ np.ones(n), 0.0, atol=1e-12)
     np.testing.assert_allclose(L, L.T, atol=1e-12)
-    assert np.linalg.eigvalsh(L - sd.rho2 * sd.kn).min() >= -1e-10
+    assert np.linalg.eigvalsh(L - sd.rho2 * kn).min() >= -1e-10
 
-    # eigenbasis reconstruction and the projector identities
-    np.testing.assert_allclose(sd.weighted_projector(1.0), L, atol=1e-10)
-    half = sd.weighted_projector(0.5)
-    np.testing.assert_allclose(half @ half, L, atol=1e-10)
-    pinv = sd.weighted_projector(-1.0)
-    np.testing.assert_allclose(pinv @ L, sd.kn, atol=1e-10)
-    np.testing.assert_allclose(L @ pinv, sd.kn, atol=1e-10)
-    np.testing.assert_allclose(sd.weighted_projector(-0.5) @ half, sd.kn, atol=1e-10)
+    # the spectrum: the singular values of the PSD matrix L less its one
+    # zero, and the trace identities sum(lambda) = tr L, sum(lambda^2) = ||L||_F^2
+    assert sd.lambda1.shape == (n - 1,)
+    assert (sd.rho2, sd.rho) == (sd.lambda1[0], sd.lambda1[-1])
+    np.testing.assert_allclose(sd.lambda1, np.linalg.svd(L, compute_uv=False)[-2::-1], atol=1e-10)
+    assert abs(sd.lambda1.sum() - np.trace(L)) <= 1e-10
+    assert abs(np.sum(sd.lambda1**2) - np.sum(L**2)) <= 1e-10
 
-    # pinv sits between Kn/rho and Kn/rho2 in the PSD order
-    assert np.linalg.eigvalsh(pinv - sd.kn / sd.rho).min() >= -1e-10
-    assert np.linalg.eigvalsh(sd.kn / sd.rho2 - pinv).min() >= -1e-10
+    # L^+ (numpy's SVD pseudoinverse) sits between K_n/rho and K_n/rho2 in the PSD order
+    pinv = np.linalg.pinv(L)
+    assert np.linalg.eigvalsh(pinv - kn / sd.rho).min() >= -1e-10
+    assert np.linalg.eigvalsh(kn / sd.rho2 - pinv).min() >= -1e-10

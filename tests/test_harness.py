@@ -272,6 +272,12 @@ BAD_CONFIGS = {
     "trigger-delta-nan": (_set("trigger.delta", float("nan")), "trigger.delta must be finite"),
     "trigger-chi0-nan": (_set("trigger.chi0", float("nan")), "trigger.chi0 must be finite"),
     "trigger-rate-nan": (_set("trigger.phi_rate", [1.0, float("nan"), 1.0]), "trigger.phi_rate must be finite"),
+    # trigger-parameter ranges (TriggerParams), each named by its config field
+    "trigger-sigma-range": (_set("trigger.sigma", 1.5), "trigger.sigma must lie in [0, 1)"),
+    "trigger-delta-range": (_set("trigger.delta", 1.5), "trigger.delta must lie in [0, 1]"),
+    "trigger-rate-range": (_set("trigger.phi_rate", [1.0, -1.0, 1.0]), "trigger.phi_rate, the chi decay rate, must"),
+    "trigger-kappa-range": (_set("trigger.kappa", 0.1), "trigger.kappa must exceed (1-delta)/phi_rate"),
+    "trigger-chi0-range": (_set("trigger.chi0", 0), "trigger.chi0, chi(0), must be positive"),
     "trigger-sigma-short": (_set("trigger.sigma", [0.1, 0.2]), "trigger.sigma must be a number or a list of 3"),
     "trigger-sigma-string": (_set("trigger.sigma", "a"), "trigger.sigma must be a number or a list of 3"),
     "edges-number": (_set("graph.edges", 5), "graph.edges must be a list"),
