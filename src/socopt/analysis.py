@@ -66,9 +66,9 @@ def _validate_certificate(sd: SpectralData, gains: GainParams, eps0: float, eps:
     """The design range, a positive Laplacian eigenvalue and a positive m_f."""
     _validate_design(gains, eps0, eps)
     if sd.rho2 is None:
-        raise ConstantsError("certificate needs at least two agents (no positive Laplacian eigenvalue)")
+        raise ConstantsError(f"network hypothesis violated: rho2 > 0 needs two or more agents, got n = {sd.n}")
     if mf <= 0:
-        raise ConstantsError(f"restricted strong convexity modulus must be positive, got {mf}")
+        raise ConstantsError(f"restricted strong convexity hypothesis violated: m_f must be positive, got {mf}")
 
 
 def _symbol(formula: str, default=None):

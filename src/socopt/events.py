@@ -13,9 +13,9 @@ variable with its own dynamics
 
     dchi_i = -delta_i * (||e_i||^2 - c_i * qhat_i) - rate_i * chi_i.
 
-phi_i comes from the event certificate (``varphi_all``), whose theorem
-covers this law.  With sigma = 0 the disagreement term drops out, c = 0,
-and the law needs neither phi_i nor any network-wide quantity.
+phi_i comes from the event certificate (``varphi_all``, resolved at load),
+whose theorem covers this law.  With sigma = 0 the disagreement term drops
+out, c = 0, and the law needs neither phi_i nor any network-wide quantity.
 
 ``rule_terms`` computes ||e_i||^2 and qhat_i for all agents at once with
 ``rowdot``, so they round like each agent's own test; qhat, like
@@ -205,11 +205,10 @@ def make_trigger_law(
     ``eps8``, the per-agent threshold constants varphi_i are computed here
     (``varphi_all``) and kept as ``TriggerLaw.varphi``, which the Lyapunov
     V3 column also reads.  A sigma nonzero somewhere needs them, so it
-    needs ``eps8``.
+    needs ``eps8``, which ``harness.scenario_from_dict`` checks at load.
     """
     if eps0 is None:
         eps0 = default_eps0(gains)
-    validate_eps0(gains, eps0)
     if params.n != g.n:
         raise TriggerConfigError(f"trigger parameters sized {params.n} for a graph of {g.n} agents")
     if denominator != "varphi":
@@ -391,13 +390,14 @@ def _process_triggers(
     qh, undecided = qh.copy(), ~selected
 
     def broadcast(agents):
-        """Broadcast the agents of the boolean mask ``agents``."""
+        """Broadcast ``agents``, an array of distinct agent indices or one index."""
         nonlocal bracket, margin
-        np.copyto(ts.xhat, x, where=agents[:, None])
-        np.copyto(ts.last_event, t, where=agents)
-        ts.counts += agents
-        np.copyto(err_sq, 0.0, where=agents)
-        touched = agents.copy()
+        ts.xhat[agents] = x[agents]
+        ts.last_event[agents] = t
+        ts.counts[agents] += 1
+        err_sq[agents] = 0.0
+        touched = np.zeros(g.n, dtype=bool)
+        touched[agents] = True
         touched[g.dst[touched[g.src]]] = True
         qh[touched] = _edge_qhat(ts, g, touched[g.src])[touched]
         bracket, margin = _bracket_and_margin(law, ts.chi, err_sq, qh)
@@ -410,13 +410,14 @@ def _process_triggers(
                 held = np.zeros(g.n, dtype=bool)
                 held[g.src[shared & (g.dst < g.src)]] = True
                 batch = selected & ~held
-        fired = [(i, err_sq[i], qh[i]) for i in batch.nonzero()[0].tolist()]
-        broadcast(batch)
+        agents = batch.nonzero()[0]
+        fired = [(i, err_sq[i], qh[i]) for i in agents.tolist()]
+        broadcast(agents)
         if held is not None:
             for i in held.nonzero()[0].tolist():
                 if margin[i] >= 0.0:
                     fired.append((i, err_sq[i], qh[i]))
-                    broadcast(np.arange(g.n) == i)
+                    broadcast(i)
             fired.sort()
         log.extend((i, ts.counts[i], t, ts.chi[i], e, q) for i, e, q in fired)
         selected = undecided & (margin >= 0.0)

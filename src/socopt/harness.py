@@ -3,11 +3,11 @@
 A scenario is a JSON document (or a bundled preset) declaring the graph,
 the cost family, the gains, the algorithm variant, integration settings,
 the initial-state rule, and diagnostic toggles.  Loading validates every
-hypothesis the algorithms rely on and rejects violations with the named
-hypothesis in the message.  Running a scenario integrates, computes the
-requested diagnostics from the stored trajectory, checks the runtime
-invariants, and emits the trajectory as NumPy arrays (``.npz``) plus CSV
-and JSON reports.
+hypothesis the algorithms rely on, naming a violated one, and computes what
+the config alone decides (spectrum, minimizer, trigger law).  Running
+integrates, computes the requested diagnostics from the stored trajectory,
+checks the runtime invariants, and emits the trajectory as NumPy arrays
+(``.npz``) plus CSV and JSON reports.
 """
 
 import json
@@ -46,13 +46,14 @@ from .events import (
     TRIGGER_FIELDS,
     EventRun,
     TriggerConfigError,
+    TriggerLaw,
     TriggerParams,
     default_eps0,
     make_trigger_law,
     simulate_event,
     zeno_report,
 )
-from .graph import NetworkGraph, build_graph, connected_components, is_connected, spectral
+from .graph import GraphError, NetworkGraph, SpectralData, build_graph, connected_components, is_connected, spectral
 
 SCHEMA_VERSION = 1
 OUT_DIR_ENV = "SOCOPT_OUT_DIR"
@@ -97,6 +98,8 @@ class InitialSpec:
 
 @dataclass
 class Scenario:
+    """A validated config plus what it alone decides: spectrum, minimizer and, in event mode, trigger law."""
+
     name: str
     graph: NetworkGraph
     obj: GlobalObjective
@@ -108,8 +111,14 @@ class Scenario:
     diagnostics: Diagnostics
     eps0: float
     eps: float
-    trigger: TriggerParams | None = None
+    spectrum: SpectralData
+    minimizer: MinimizerResult
+    law: TriggerLaw | None = None
     threshold_denominator = "varphi"  # a class constant only perfbench/kernels.py reads; ROADMAP item 22 removes it
+
+    @property
+    def trigger(self) -> TriggerParams | None:
+        return None if self.law is None else self.law.params
 
 
 def _require(cond: bool, msg: str):
@@ -212,13 +221,13 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     non-negative integer seed, boolean diagnostics flags, a horizon of a
     whole number of steps whose trajectory buffer holds at most
     MAX_TRAJECTORY_ENTRIES floats, event mode needing a global gradient-Lipschitz
-    modulus per agent and (with nonzero sigma, whose threshold constants
-    come from the event certificate) two or more agents and restricted
-    strong convexity of an all-quadratic objective, balanced integral
-    states for the primary algorithms, a trigger section only in event
-    mode, the trigger field set (sigma, delta, phi_rate, kappa, chi0;
-    eps0 and eps live at the top level), trigger fields that are finite
-    numbers or lists of n, and trigger-parameter ranges.
+    modulus per agent, balanced integral states for the primary
+    algorithms, a trigger section only in event mode, the trigger field
+    set (sigma, delta, phi_rate, kappa, chi0; eps0 and eps live at the
+    top level), trigger fields that are finite numbers or lists of n,
+    trigger-parameter ranges and, computed last, one zero Laplacian
+    eigenvalue, a minimizer, and with nonzero sigma the event certificate,
+    whose eps8 gives the threshold constants.
     """
     _require(isinstance(cfg, dict), "a scenario config must be a JSON object")
     version = cfg.get("schema_version")
@@ -333,21 +342,24 @@ def scenario_from_dict(cfg: dict) -> Scenario:
             trigger = replace(TriggerParams.defaults(g.n), **overrides)
         except TriggerConfigError as exc:  # a range error, its field named first
             raise ConfigError(f"trigger.{exc}") from None
-        if np.any(trigger.sigma != 0.0):
-            way_out = "trigger.sigma: 0 runs without them, giving up the c_i*qhat_i disagreement term"
+
+    try:
+        sd, mini = spectral(g), minimizer_oracle(obj)
+    except GraphError as exc:  # weights so far apart that round-off leaves two zero eigenvalues
+        raise ConfigError(f"graph: {exc}") from None
+    except CostError as exc:
+        raise ConfigError(f"costs: the minimizer of the summed objective was not found: {exc}") from None
+    law = eps8 = None
+    if trigger is not None:
+        try:
+            eps8 = analysis.certificate_event(sd, obj, gains, eps0, eps, trigger, estimate_mf(obj, mini.x)).eps8
+        except analysis.ConstantsError as exc:
             _require(
-                g.n >= 2,
-                "network hypothesis violated: the threshold constants varphi_i of the event trigger "
-                "come from the event certificate, which needs a positive Laplacian eigenvalue and so "
-                f"at least two agents; this graph has {g.n}; " + way_out,
+                not np.any(trigger.sigma),
+                f"{exc}; so the event certificate gives no eps8, which the threshold constants varphi_i of the "
+                "event trigger need; trigger.sigma: 0 runs without them, giving up the c_i*qhat_i disagreement term",
             )
-            if obj.all_quadratic():
-                _require(
-                    estimate_mf(obj, None) > 0.0,
-                    "restricted strong convexity hypothesis violated: the summed quadratic "
-                    "matrix is singular (m_f = 0), so the threshold constants varphi_i of the "
-                    "event trigger do not exist; " + way_out,
-                )
+        law = make_trigger_law(g, gains, trigger, eps0=eps0, eps8=eps8)
 
     return Scenario(
         name=str(cfg.get("name", "scenario")),
@@ -361,7 +373,9 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         diagnostics=diagnostics,
         eps0=eps0,
         eps=eps,
-        trigger=trigger,
+        spectrum=sd,
+        minimizer=mini,
+        law=law,
     )
 
 
@@ -400,17 +414,16 @@ def make_initial(scenario: Scenario, seed: int | None = None) -> tuple[SwarmStat
 class RunReport:
     """Outcome of one run.
 
-    ``runtime_s`` is the wall time of certificate preparation,
-    integration (trigger processing included) and the post-hoc Lyapunov
-    diagnostics.  It excludes scenario validation, the initial state, the
-    checks, residuals and rate fit that follow, and file emission.
-    ``timings`` splits it into the seconds of its three phases,
+    ``runtime_s`` is the wall time of certificate preparation, integration
+    (trigger processing included) and the post-hoc Lyapunov diagnostics.  It
+    excludes loading (the spectrum, minimizer and trigger law too), the
+    initial state, the checks, residuals and rate fit that follow, and file
+    emission.  ``timings`` splits it into the seconds of its three phases,
     "certificates", "integrate" and "diagnostics", which share their
-    timestamps and so sum to ``runtime_s`` up to rounding, and adds
-    "emit", the file writing up to the summary's own write (0 without an
-    output directory).  ``stepper`` names the form that stepped the run
-    ("affine", "stages" or "rk4", see ``dynamics.route_for``), which sets
-    its rounding.
+    timestamps and so sum to ``runtime_s`` up to rounding, and adds "emit",
+    the file writing up to the summary's own write (0 without an output
+    directory).  ``stepper`` names the form that stepped the run ("affine",
+    "stages" or "rk4", see ``dynamics.route_for``), which sets its rounding.
     """
 
     name: str
@@ -465,37 +478,36 @@ ALTERNATIVE = "the alternative variant: the theorem covers the continuous and ev
 
 
 def _prepare_certificates(scenario: Scenario, state0: SwarmState):
-    """Minimizer, Lyapunov context, constants, and why the constants are
-    unavailable (None when they are not), as far as the scenario's data
-    allows: a single agent has neither context nor constants, the
-    alternative variant has the context but no constants, and the
-    constants are unavailable when m_f is not positive or their
-    arithmetic leaves the float range (the context too, when its own
-    coefficients do)."""
+    """Lyapunov context, constants, and why the constants are unavailable
+    (None when they are not), as far as the scenario's data and the initial
+    state allow: a single agent has neither context nor constants, the
+    alternative variant has the context but no constants, and the constants
+    are unavailable when m_f is not positive or their arithmetic leaves the
+    float range (the context too, when its own coefficients do)."""
     g, obj, gains, eps0, eps = scenario.graph, scenario.obj, scenario.gains, scenario.eps0, scenario.eps
-    sd = spectral(g)
-    mini = minimizer_oracle(obj)
+    sd, mini = scenario.spectrum, scenario.minimizer
     if g.n < 2:
-        return mini, None, None, SINGLE_AGENT
+        return None, None, SINGLE_AGENT
     eq = analysis.equilibrium_point(obj, gains, mini.x)
+    varphi = None if scenario.law is None else scenario.law.varphi  # the V3 column's threshold constants
     try:
-        ctx = analysis.LyapunovContext(g=g, sd=sd, obj=obj, gains=gains, eps0=eps0, eps=eps, eq=eq)
+        ctx = analysis.LyapunovContext(g=g, sd=sd, obj=obj, gains=gains, eps0=eps0, eps=eps, eq=eq, varphi=varphi)
     except analysis.FloatRangeError:
-        return mini, None, None, OUT_OF_RANGE
+        return None, None, OUT_OF_RANGE
     if scenario.algorithm == "alternative":
-        return mini, ctx, None, ALTERNATIVE
+        return ctx, None, ALTERNATIVE
     mf = estimate_mf(obj, mini.x)
     if not mf > 0.0:
-        return mini, ctx, None, NO_MF
+        return ctx, None, NO_MF
     V1_0 = ctx.sample(state0)["V1"]
     try:
         consts = analysis.certificate_continuous(sd, obj, gains, eps0, eps, V1_0, mini.x, mf)
         if scenario.algorithm == "event":
             consts = analysis.certificate_event(sd, obj, gains, eps0, eps, scenario.trigger, mf, base=consts)
     except analysis.FloatRangeError:
-        return mini, ctx, None, OUT_OF_RANGE
+        return ctx, None, OUT_OF_RANGE
     ctx.consts = consts
-    return mini, ctx, consts, None
+    return ctx, consts, None
 
 
 def certificate_outcome(
@@ -504,17 +516,12 @@ def certificate_outcome(
     """The certificate constants a scenario admits, without running it, and
     why it admits none: (constants, None) or (None, reason)."""
     state0, _ = make_initial(scenario, seed)
-    return _prepare_certificates(scenario, state0)[2:]
+    return _prepare_certificates(scenario, state0)[1:]
 
 
 def certificate_constants(scenario: Scenario, seed: int | None = None) -> analysis.CertificateConstants | None:
-    """Compute the certificate constants a scenario admits, without running it.
-
-    Returns None when the scenario lacks the data (single agent, or no
-    positive restricted strong convexity modulus), runs the alternative
-    variant, which the theorem does not cover, or the certificate's
-    arithmetic leaves the float range; ``certificate_outcome`` says which.
-    """
+    """The certificate constants a scenario admits, without running it, or
+    None; ``certificate_outcome`` gives the reason, one of those above."""
     return certificate_outcome(scenario, seed)[0]
 
 
@@ -528,23 +535,14 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None) -> RunReport:
     """
     state0, used_seed = make_initial(scenario, seed)
     t_start = time.perf_counter()
-    mini, ctx, consts, _ = _prepare_certificates(scenario, state0)
+    ctx, consts, _ = _prepare_certificates(scenario, state0)
     t_certified = time.perf_counter()
-    g, obj, gains = scenario.graph, scenario.obj, scenario.gains
+    g, obj, gains, mini = scenario.graph, scenario.obj, scenario.gains, scenario.minimizer
 
     event_run = None
     if scenario.algorithm == "event":
-        law = make_trigger_law(
-            g,
-            gains,
-            scenario.trigger,
-            eps0=scenario.eps0,
-            eps8=None if consts is None else consts.eps8,
-        )
-        event_run = simulate_event(state0, g, obj, gains, law, scenario.step, scenario.horizon)
+        event_run = simulate_event(state0, g, obj, gains, scenario.law, scenario.step, scenario.horizon)
         traj = event_run.trajectory
-        if ctx is not None:
-            ctx.varphi = law.varphi  # the V3 column's threshold constants
     else:
         rhs_fn = rhs_continuous if scenario.algorithm == "continuous" else rhs_alternative
         traj = integrate(

@@ -12,6 +12,7 @@ import pytest
 
 from socopt import events, harness
 from socopt.cli import main as cli_main
+from socopt.dynamics import DivergenceError
 from socopt.harness import (
     ConfigError,
     _emit,
@@ -558,7 +559,7 @@ def test_solution_distance_one_function(fixture, request):
 
 
 def test_event_run_computes_varphi_once(monkeypatch):
-    # make_trigger_law is the one caller on the run path; V3 reads law.varphi
+    # make_trigger_law, at load, is the one caller; V3 reads law.varphi
     calls = []
     varphi_all = events.varphi_all
 
@@ -708,11 +709,87 @@ def test_certificate_out_of_float_range_is_unavailable(preset, section, key, val
 
 @pytest.mark.parametrize("key", ["gamma", "alpha"])
 def test_event_run_without_its_eps8_exits_2_naming_it(key, tmp_path, capsys):
-    # the "varphi" threshold denominator needs the event certificate's eps8
-    path, _ = _write_config(tmp_path, "cdc18-scenario3-event", "gains", key, 1e300)
+    # the threshold constants varphi_i need the event certificate's eps8, and
+    # the certificate depends on the config alone: it is checked at load
+    path, cfg = _write_config(tmp_path, "cdc18-scenario3-event", "gains", key, 1e300)
+    with pytest.raises(ConfigError, match="leaves the float range.*eps8.*trigger.sigma: 0.*c_i\\*qhat_i"):
+        scenario_from_dict(cfg)
     assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "eps8" in err and "Traceback" not in err
+
+
+def _quartic_event(cfg):
+    cfg["algorithm"] = "event"
+    cfg["costs"]["centers"] = [SCENARIO2_CENTERS[1]] * 3  # a flat sum: the quartic descent stalls
+    cfg["costs"]["lipschitz_override"] = 400.0
+
+
+@pytest.mark.parametrize(
+    "preset, mutate, named",
+    [
+        # the quartic descent's absolute tolerance stalls at a centre of 1e8
+        ("cdc18-scenario2", _set_entry("costs.centers", (0, 0), 1e8), "costs: the minimizer"),
+        # weights 20 orders apart leave two Laplacian eigenvalues at round-off
+        ("cdc18-scenario3", _set_entry("graph.edges", (0, 2), 1e20), "graph: expected one zero eigenvalue, found 2"),
+        ("cdc18-scenario2", _quartic_event, "costs: the minimizer"),
+    ],
+)
+def test_spectrum_and_minimizer_are_resolved_at_load(preset, mutate, named, tmp_path, capsys):
+    # each of these configs loaded and then failed inside run; the event
+    # certificate's case is test_event_run_without_its_eps8_exits_2_naming_it
+    cfg = preset_config(preset)
+    cfg["integration"]["horizon"] = 0.05
+    mutate(cfg)
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        scenario_from_dict(cfg)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_event_certificate_does_not_depend_on_the_initial_state(tmp_path, capsys):
+    # a linear term of 1e300 puts V1(0), and so the continuous certificate,
+    # out of the float range, but eps8 reads the config alone: the run loads
+    # and diverges
+    cfg = preset_config("cdc18-scenario3-event")
+    cfg["costs"]["linear_terms"][0][0] = 1e300
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    sc = scenario_from_dict(cfg)
+    assert sc.law.varphi is not None
+    with pytest.raises(DivergenceError):
+        run(sc)
+    assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["cdc18-scenario3-event", "ring30-event"])
+def test_load_time_trigger_law_matches_the_report_certificate(case, monkeypatch):
+    # the law's threshold constants come from the event certificate built at
+    # load; the report's certificate, built in run, gives the same eps8
+    if case == "ring30-event":
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads
+
+        cfg = workloads.ring_config(workloads.DEFAULT_SEED, 30, "event", 0.2)
+    else:
+        cfg = preset_config(case)
+    sc = scenario_from_dict(cfg)
+    expected = events.varphi_all(sc.graph, sc.gains, sc.eps0, certificate_constants(sc).eps8)
+    assert sc.law.varphi.tobytes() == expected.tobytes()
+    assert sc.trigger is sc.law.params
+
+
+def test_event_run_with_sigma_zero_keeps_its_v3_column():
+    # sigma = 0 needs no threshold constants, but the V3 column still reads them
+    cfg = preset_config("cdc18-scenario3-event")
+    cfg["integration"]["horizon"] = 0.5
+    cfg["trigger"] = {"sigma": 0}
+    rep = run(scenario_from_dict(cfg))
+    assert sorted(rep.trajectory.extras) == ["V1", "V2", "V3", "W1", "W2", "W3", "W4"]
+    assert rep.event_run.law.varphi is not None and not rep.event_run.law.c.any()
 
 
 @pytest.mark.parametrize(

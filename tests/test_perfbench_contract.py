@@ -94,9 +94,9 @@ def test_kernel_timings_ring_event_and_event_step(kernels):
 
 
 # set-up spans that ``bench.traced_setup`` reads but set-up never enters:
-# ``varphi_all`` runs in ``make_trigger_law``, inside ``run``, so its metric
-# reads 0 on every workload until the benchmark times it where it runs
-SETUP_SPANS_NOT_IN_SETUP = ["events.varphi_all_ms"]
+# none, since ``scenario_from_dict`` resolves the trigger law (``varphi_all``
+# included) at load, so every traced set-up span must read above 0
+SETUP_SPANS_NOT_IN_SETUP = []
 
 
 def test_traced_setup_spans_are_live(monkeypatch):
